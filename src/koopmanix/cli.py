@@ -40,6 +40,7 @@ from .metrics import evaluate_success, imitation_error
 from .statespace import DemonstrationSet
 from .persist import (
     PersistError,
+    format_float,
     load_controller,
     load_demos,
     load_manifest,
@@ -53,10 +54,6 @@ logger = logging.getLogger(__name__)
 
 LIFTING_NAMES = {"identity": "identity", "kodex": "kodex-polynomial"}
 SEED_CEILING = 2**62
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def _load_config(args) -> dict:
@@ -184,7 +181,7 @@ def _cmd_rollout(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t"] + [f"xr_{i}" for i in range(model.layout.n)])
         for t, row in enumerate(ref):
-            writer.writerow([str(t + 1)] + [_fmt(v) for v in row])
+            writer.writerow([str(t + 1)] + [format_float(v) for v in row])
     _stamp(out, "rollout", {"model": str(args.model), "demos": str(args.demos),
                             "traj_index": index, "horizon": horizon,
                             "mode": args.rollout_mode}, [])
@@ -203,7 +200,7 @@ def _cmd_train_controller(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["iteration", "loss"])
         for i, value in enumerate(history):
-            writer.writerow([str(i), _fmt(value)])
+            writer.writerow([str(i), format_float(value)])
     _stamp(out, "train-controller", {"demos": str(args.demos), "train": vars(train_cfg) | {}}, [train_cfg.seed])
     print(f"trained controller: {len(history)} iterations, final loss {history[-1]:.3e}")
     return 0
@@ -290,10 +287,10 @@ def _cmd_eval(args) -> int:
             executed = _run_batch(model, controller, env, eval_seeds, horizon,
                                   args.distribution, "linear")
             rate, _ = _success_pct(executed, criterion)
-            rate_cell = _fmt(rate)
+            rate_cell = format_float(rate)
         rows.append([env.kind, str(count), str(demo_seed),
-                     _fmt(model.fit_meta.wall_time_s),
-                     _fmt(float(np.mean(errors))), rate_cell])
+                     format_float(model.fit_meta.wall_time_s),
+                     format_float(float(np.mean(errors))), rate_cell])
         logger.info("eval: N=%s done", count)
     path = out / "eval.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -10,15 +10,13 @@ not bias the solution.  G+ is a truncated-SVD pseudoinverse.
 from __future__ import annotations
 
 import logging
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lifting import LiftingSpec, ObservableVector, dimension, lift, lift_matrix, object_slice, robot_slice
-from .statespace import CompositeState, DemonstrationSet, StateLayout, Trajectory, validate
+from .statespace import CompositeState, DemonstrationSet, StateLayout, require_valid
 
 logger = logging.getLogger(__name__)
 
@@ -61,82 +59,53 @@ class KoopmanModel:
             raise ValueError("model layout does not match the lifting spec layout")
 
 
-def max_threads() -> int:
-    """Parallelism cap: KOOPMANIX_THREADS if set, else the CPU count."""
-    raw = os.environ.get("KOOPMANIX_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError(f"KOOPMANIX_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
 def default_pinv_tolerance(p: int) -> float:
     """Relative singular-value cutoff: machine epsilon times the lifted dimension."""
     return float(np.finfo(np.float64).eps) * p
 
 
-def _check_demos(demos: DemonstrationSet, spec: LiftingSpec) -> None:
+def _lifted(demos: DemonstrationSet, spec: LiftingSpec):
+    """Validate the set, then yield each trajectory's raw (T, n+m) and lifted (T, p) rows, in order."""
     if demos.layout != spec.layout:
         raise ValueError("demonstration layout does not match the lifting spec layout")
-    report = validate(demos)
-    if not report.ok:
-        v = report.violations[0]
-        raise ValueError(
-            f"invalid demonstrations ({len(report.violations)} violations; "
-            f"first: traj {v.traj}, t {v.t}: {v.message})"
-        )
+    require_valid(demos)
+    for i, traj in enumerate(demos.trajectories):
+        raw = np.stack([s.full for s in traj.states])
+        phi = lift_matrix(spec, raw)
+        if not np.isfinite(phi).all():
+            raise ValueError(f"lifted values overflow in trajectory {i}")
+        yield raw, phi
 
 
-def _traj_accumulators(spec: LiftingSpec, traj: Trajectory, weight: float, index: int):
-    raw = np.stack([s.full for s in traj.states])
-    phi = lift_matrix(spec, raw)
-    if not np.isfinite(phi).all():
-        raise ValueError(f"lifted values overflow in trajectory {index}")
-    A_i = (phi[1:].T @ phi[:-1]) * weight
-    G_i = (phi[:-1].T @ phi[:-1]) * weight
-    return A_i, G_i
-
-
-def accumulate(demos: DemonstrationSet, spec: LiftingSpec, parallel: bool = False) -> FitAccumulators:
+def accumulate(demos: DemonstrationSet, spec: LiftingSpec) -> FitAccumulators:
     """Build the weighted accumulators A and G over all consecutive pairs.
 
-    Sequential accumulation runs in trajectory order then time order and is
-    bit-reproducible.  With parallel=True the per-trajectory contributions are
-    computed on a thread pool (capped by KOOPMANIX_THREADS) and reduced in the
-    same trajectory order, so the result matches the sequential one.
+    Each trajectory's contribution is added as soon as it is computed, in
+    trajectory order then time order, so the sums are bit-reproducible.
     """
-    _check_demos(demos, spec)
     p = dimension(spec)
     N = demos.n_demos
-    weights = [1.0 / (N * (traj.horizon - 1)) for traj in demos.trajectories]
     A = np.zeros((p, p))
     G = np.zeros((p, p))
-    if parallel:
-        with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-            parts = list(
-                pool.map(
-                    _traj_accumulators,
-                    [spec] * N,
-                    demos.trajectories,
-                    weights,
-                    range(N),
-                )
-            )
-    else:
-        parts = [
-            _traj_accumulators(spec, traj, w, i)
-            for i, (traj, w) in enumerate(zip(demos.trajectories, weights))
-        ]
-    for A_i, G_i in parts:
-        A += A_i
-        G += G_i
-    pair_count = sum(traj.horizon - 1 for traj in demos.trajectories)
+    pair_count = 0
+    for _, phi in _lifted(demos, spec):
+        pairs = phi.shape[0] - 1
+        weight = 1.0 / (N * pairs)
+        A += (phi[1:].T @ phi[:-1]) * weight
+        G += (phi[:-1].T @ phi[:-1]) * weight
+        pair_count += pairs
     return FitAccumulators(A, G, pair_count)
 
 
-def _svd_pinv(mat: np.ndarray, rel_tolerance: float):
+def _svd_pinv(mat: np.ndarray, rel_tolerance: float) -> tuple[np.ndarray, int, float]:
+    """Truncated-SVD pseudoinverse, its rank and the condition number of the retained part."""
+    mat = np.asarray(mat, dtype=np.float64)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix has non-finite entries")
+    if rel_tolerance < 0:
+        raise ValueError(f"rel_tolerance must be >= 0, got {rel_tolerance}")
     U, s, Vt = np.linalg.svd(mat)  # LinAlgError on non-convergence propagates
     cutoff = rel_tolerance * (s[0] if s.size else 0.0)
     keep = s > cutoff
@@ -144,7 +113,8 @@ def _svd_pinv(mat: np.ndarray, rel_tolerance: float):
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]
     pinv = (Vt.T * inv_s) @ U.T
-    return pinv, rank, s
+    cond = float(s[0] / s[rank - 1]) if rank > 0 else float("inf")
+    return pinv, rank, cond
 
 
 def pseudo_inverse(mat: np.ndarray, rel_tolerance: float) -> tuple[np.ndarray, int]:
@@ -153,43 +123,29 @@ def pseudo_inverse(mat: np.ndarray, rel_tolerance: float) -> tuple[np.ndarray, i
     Singular values s_i <= rel_tolerance * s_max are treated as zero.  Returns
     the pseudoinverse and the retained rank.
     """
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise ValueError("matrix has non-finite entries")
-    if rel_tolerance < 0:
-        raise ValueError(f"rel_tolerance must be >= 0, got {rel_tolerance}")
     pinv, rank, _ = _svd_pinv(mat, rel_tolerance)
     return pinv, rank
 
 
-def solve_koopman(A: np.ndarray, G: np.ndarray, rel_tolerance: float | None = None) -> tuple[np.ndarray, int]:
-    """K = A G+ from accumulators.  rel_tolerance=None uses the default cutoff."""
+def _solve(A: np.ndarray, G: np.ndarray, rel_tolerance: float | None) -> tuple[np.ndarray, int, float]:
     if rel_tolerance is None:
         rel_tolerance = default_pinv_tolerance(G.shape[0])
-    pinv, rank = pseudo_inverse(G, rel_tolerance)
-    return A @ pinv, rank
+    pinv, rank, cond = _svd_pinv(G, rel_tolerance)
+    return A @ pinv, rank, cond
 
 
-def fit(
-    demos: DemonstrationSet,
-    spec: LiftingSpec,
-    rel_tolerance: float | None = None,
-    parallel: bool = False,
-) -> KoopmanModel:
-    """Fit the lifted linear model analytically (no iterative optimization)."""
+def solve_koopman(A: np.ndarray, G: np.ndarray, rel_tolerance: float | None = None) -> tuple[np.ndarray, int]:
+    """K = A G+ from accumulators.  rel_tolerance=None uses the default cutoff."""
+    K, rank, _ = _solve(A, G, rel_tolerance)
+    return K, rank
+
+
+def fit(demos: DemonstrationSet, spec: LiftingSpec, rel_tolerance: float | None = None) -> KoopmanModel:
+    """Fit the lifted linear model analytically: accumulate, then one solve K = A G+."""
     t0 = time.perf_counter()
-    acc = accumulate(demos, spec, parallel=parallel)
-    p = dimension(spec)
-    if rel_tolerance is None:
-        rel_tolerance = default_pinv_tolerance(p)
-    if rel_tolerance < 0:
-        raise ValueError(f"rel_tolerance must be >= 0, got {rel_tolerance}")
-    pinv, rank, s = _svd_pinv(acc.G, rel_tolerance)
-    K = acc.A @ pinv
+    acc = accumulate(demos, spec)
+    K, rank, cond = _solve(acc.A, acc.G, rel_tolerance)
     wall = time.perf_counter() - t0
-    cond = float(s[0] / s[rank - 1]) if rank > 0 else float("inf")
     meta = FitMeta(
         n_demos=demos.n_demos,
         n_pairs=acc.pair_count,
@@ -199,18 +155,15 @@ def fit(
     )
     logger.info(
         "fit: pairs=%d p=%d rank=%d cond=%.3e wall=%.4fs",
-        acc.pair_count, p, rank, cond, wall,
+        acc.pair_count, K.shape[0], rank, cond, wall,
     )
     return KoopmanModel(K=K, spec=spec, layout=spec.layout, fit_meta=meta)
 
 
 def cost(model: KoopmanModel, demos: DemonstrationSet) -> float:
     """Unweighted imitation cost J(K) = 1/2 sum over pairs of |g(t+1) - K g(t)|^2."""
-    _check_demos(demos, model.spec)
     J = 0.0
-    for traj in demos.trajectories:
-        raw = np.stack([s.full for s in traj.states])
-        phi = lift_matrix(model.spec, raw)
+    for _, phi in _lifted(demos, model.spec):
         resid = phi[1:] - phi[:-1] @ model.K.T
         J += 0.5 * float(np.sum(resid * resid))
     return J
@@ -263,13 +216,10 @@ def prediction_errors(model: KoopmanModel, demos: DemonstrationSet) -> np.ndarra
     Predictions are made in observable space and compared on the raw state
     slots, so errors are comparable across lifting kinds.
     """
-    _check_demos(demos, model.spec)
     rs = robot_slice(model.spec)
     os_ = object_slice(model.spec)
     errs = []
-    for traj in demos.trajectories:
-        raw = np.stack([s.full for s in traj.states])
-        phi = lift_matrix(model.spec, raw)
+    for raw, phi in _lifted(demos, model.spec):
         pred = phi[:-1] @ model.K.T
         diff = np.concatenate([pred[:, rs] - raw[1:, : model.layout.n],
                                pred[:, os_] - raw[1:, model.layout.n :]], axis=1)

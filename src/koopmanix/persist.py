@@ -18,7 +18,7 @@ import numpy as np
 from .controller import ControllerModel
 from .koopman import FitMeta, KoopmanModel
 from .lifting import KINDS, LiftingSpec, dimension
-from .statespace import CompositeState, DemonstrationSet, StateLayout, Trajectory, validate
+from .statespace import CompositeState, DemonstrationSet, StateLayout, Trajectory, require_valid
 
 SCHEMA_VERSION = 1
 
@@ -36,7 +36,8 @@ class PersistError(ValueError):
     """Malformed or inconsistent file; message names the file and position."""
 
 
-def _fmt(value: float) -> str:
+def format_float(value: float) -> str:
+    """Shortest decimal that parses back to the same double; every float written to CSV uses it."""
     return repr(float(value))
 
 
@@ -81,9 +82,12 @@ def _read_json(path: Path) -> dict:
     if not path.exists():
         raise PersistError(f"{path}: no such file")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise PersistError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    if not isinstance(obj, dict):
+        raise PersistError(f"{path}: top level must be an object")
+    return obj
 
 
 def _check_schema(obj: dict, path: Path) -> None:
@@ -110,10 +114,10 @@ def _write_trajectory(traj: Trajectory, layout: StateLayout, path: Path) -> None
         horizon = traj.horizon
         for t, state in enumerate(traj.states):
             row = [str(t + 1)]
-            row += [_fmt(v) for v in state.x_r]
-            row += [_fmt(v) for v in state.x_o]
+            row += [format_float(v) for v in state.x_r]
+            row += [format_float(v) for v in state.x_o]
             if traj.torques is not None and t < horizon - 1:
-                row += [_fmt(v) for v in traj.torques[t]]
+                row += [format_float(v) for v in traj.torques[t]]
             else:
                 row += [""] * layout.a
             writer.writerow(row)
@@ -188,10 +192,10 @@ def save_demos(
     seed: int | None = None,
 ) -> Path:
     """Write one CSV per trajectory plus manifest.json; returns the manifest path."""
-    report = validate(demos)
-    if not report.ok:
-        v = report.violations[0]
-        raise PersistError(f"refusing to save invalid demos: {v.message}")
+    try:
+        require_valid(demos)
+    except ValueError as exc:
+        raise PersistError(f"refusing to save invalid demos: {exc}") from None
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     names = []
@@ -228,10 +232,10 @@ def load_demos(manifest_path) -> DemonstrationSet:
         raise PersistError(f"{path}: manifest lists no trajectories")
     trajectories = tuple(_read_trajectory(path.parent / name, layout) for name in names)
     demos = DemonstrationSet(layout, trajectories)
-    report = validate(demos)
-    if not report.ok:
-        v = report.violations[0]
-        raise PersistError(f"{path}: loaded demos are invalid: {v.message}")
+    try:
+        require_valid(demos)
+    except ValueError as exc:
+        raise PersistError(f"{path}: loaded demos are invalid: {exc}") from None
     return demos
 
 

@@ -160,6 +160,17 @@ def validate(demos: DemonstrationSet) -> ValidationReport:
     return ValidationReport(tuple(found))
 
 
+def require_valid(demos: DemonstrationSet) -> None:
+    """Raise ValueError naming the first violation, located, and the total count."""
+    report = validate(demos)
+    if not report.ok:
+        v = report.violations[0]
+        raise ValueError(
+            f"invalid demonstrations ({len(report.violations)} violations; "
+            f"first: traj {v.traj}, t {v.t}: {v.message})"
+        )
+
+
 def consecutive_pairs(
     demos: DemonstrationSet,
 ) -> list[tuple[CompositeState, CompositeState, int]]:
@@ -168,13 +179,7 @@ def consecutive_pairs(
     Order is contractual: trajectories in set order, time order within each.
     Pairs never straddle trajectory boundaries.
     """
-    report = validate(demos)
-    if not report.ok:
-        v = report.violations[0]
-        raise ValueError(
-            f"invalid demonstrations ({len(report.violations)} violations; "
-            f"first: traj {v.traj}, t {v.t}: {v.message})"
-        )
+    require_valid(demos)
     pairs = []
     for i, traj in enumerate(demos.trajectories):
         for t in range(traj.horizon - 1):

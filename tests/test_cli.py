@@ -142,6 +142,14 @@ def test_error_lines_and_exit_codes(tmp_path, capsys):
     assert err.startswith("error: invalid:") and "line 1" in err
 
 
+def test_non_object_manifest_is_a_persist_error(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text("[]\n")
+    assert main(["fit", "--demos", str(manifest), "--out-dir", str(tmp_path / "f")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: persist:") and "top level must be an object" in err
+
+
 def test_rollout_index_out_of_range(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"env": {"kind": "pendulum"}, "n_demos": 2, "horizon": 10})
     assert main(["gen-demos", "--config", str(cfg), "--out-dir", str(tmp_path / "d")]) == 0

@@ -20,7 +20,7 @@ from koopmanix import (
     robot_slice,
     rollout,
 )
-from koopmanix.koopman import default_pinv_tolerance, solve_koopman
+from koopmanix.koopman import default_pinv_tolerance, prediction_errors, solve_koopman
 
 LAYOUT_1D = StateLayout(n=1, m=0, a=1)
 IDENT_1D = LiftingSpec("identity", LAYOUT_1D)
@@ -104,19 +104,6 @@ def test_accumulate_layout_mismatch():
     spec = LiftingSpec("identity", StateLayout(n=2, m=0, a=1))
     with pytest.raises(ValueError):
         accumulate(_demos_1d([1, 2]), spec)
-
-
-def test_parallel_accumulation_matches_sequential():
-    rng = np.random.default_rng(1)
-    layout = StateLayout(n=4, m=0, a=1)
-    spec = LiftingSpec("kodex-polynomial", layout)
-    rows = [[rng.standard_normal(4) for _ in range(9)] for _ in range(8)]
-    demos = _demos_nd(layout, rows)
-    seq = accumulate(demos, spec)
-    par = accumulate(demos, spec, parallel=True)
-    assert np.linalg.norm(par.A - seq.A) < 1e-10 * max(np.linalg.norm(seq.A), 1)
-    assert np.linalg.norm(par.G - seq.G) < 1e-10 * max(np.linalg.norm(seq.G), 1)
-    assert par.pair_count == seq.pair_count
 
 
 # ------------------------------------------------------------- pseudoinverse
@@ -261,6 +248,30 @@ def test_fit_meta_counts_and_rank():
     assert model.fit_meta.rank == 1
 
 
+def test_fit_is_the_accumulate_then_solve_koopman_path():
+    rng = np.random.default_rng(8)
+    layout = StateLayout(n=3, m=1, a=1)
+    spec = LiftingSpec("kodex-polynomial", layout)
+    demos = _demos_nd(layout, [[rng.standard_normal(4) for _ in range(T)] for T in (7, 12, 9)])
+    acc = accumulate(demos, spec)
+    K, rank = solve_koopman(acc.A, acc.G)
+    model = fit(demos, spec)
+    assert model.K.tobytes() == K.tobytes()
+    assert model.fit_meta.rank == rank
+
+
+def test_negative_tolerance_rejected_on_every_solve_path():
+    demos = _demos_1d([1, 2, 4])
+    acc = accumulate(demos, IDENT_1D)
+    for call in (
+        lambda: fit(demos, IDENT_1D, rel_tolerance=-1),
+        lambda: solve_koopman(acc.A, acc.G, rel_tolerance=-1),
+        lambda: pseudo_inverse(acc.G, -1),
+    ):
+        with pytest.raises(ValueError, match="rel_tolerance must be >= 0"):
+            call()
+
+
 # ---------------------------------------------------------------------- cost
 
 def test_cost_zero_for_exact_fit():
@@ -278,6 +289,22 @@ def test_cost_hand_example():
 def test_cost_identity_on_constant_pair():
     model = KoopmanModel(np.eye(1), IDENT_1D, LAYOUT_1D)
     assert cost(model, _demos_1d([5, 5])) == 0.0
+
+
+def test_lift_overflow_names_the_trajectory_on_every_lift_path():
+    # 1e200 is finite but its cube is not: the kodex lift overflows in trajectory 1
+    layout = StateLayout(n=1, m=0, a=1)
+    spec = LiftingSpec("kodex-polynomial", layout)
+    demos = _demos_nd(layout, [[[0.5], [0.25]], [[1e200], [1.0]]])
+    model = KoopmanModel(np.eye(3), spec, layout)
+    for call in (
+        lambda: accumulate(demos, spec),
+        lambda: cost(model, demos),
+        lambda: prediction_errors(model, demos),
+    ):
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="lifted values overflow in trajectory 1"):
+                call()
 
 
 # ------------------------------------------------------------------- rollout

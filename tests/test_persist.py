@@ -299,6 +299,14 @@ def test_truncated_json_reports_line_and_column(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("loader", [load_manifest, load_demos, load_model, load_controller])
+def test_non_object_json_rejected(tmp_path, loader):
+    path = tmp_path / "top.json"
+    path.write_text("[]\n")
+    with pytest.raises(PersistError, match="top level must be an object"):
+        loader(path)
+
+
 def test_missing_file():
     with pytest.raises(PersistError, match="no such file"):
         load_model("/nonexistent/model.json")
@@ -394,6 +402,19 @@ def test_save_demos_rejects_invalid(tmp_path):
     demos = DemonstrationSet(LAYOUT_1D, (Trajectory(states),))
     with pytest.raises(PersistError, match="refusing to save invalid demos"):
         save_demos(demos, tmp_path)
+
+
+def test_invalid_demo_errors_name_trajectory_and_step(tmp_path):
+    values = [0.0, 1.0, 2.0, np.nan, 4.0]
+    bad = DemonstrationSet(LAYOUT_1D, (Trajectory(tuple(CompositeState([v], []) for v in values)),))
+    with pytest.raises(PersistError, match=r"refusing to save invalid demos: .*traj 0, t 3"):
+        save_demos(bad, tmp_path / "save")
+    good = DemonstrationSet(LAYOUT_1D, (Trajectory(tuple(CompositeState([float(t)], []) for t in range(5))),))
+    manifest = save_demos(good, tmp_path / "load")
+    csv_path = manifest.parent / "traj_0000.csv"
+    csv_path.write_text(csv_path.read_text().replace("4,3.0,", "4,nan,"))
+    with pytest.raises(PersistError, match=r"loaded demos are invalid: .*traj 0, t 3"):
+        load_demos(manifest)
 
 
 def test_save_demos_rejects_nonfinite_env(tmp_path):
