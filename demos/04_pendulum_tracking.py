@@ -36,8 +36,7 @@ model = fit(demos, LiftingSpec("kodex-polynomial", env.layout))
 errs = []
 for traj in demos.trajectories[:10]:
     ref = rollout(model, traj.states[0], traj.horizon)
-    actual = np.stack([s.x_r for s in traj.states])
-    errs.append(imitation_error(ref, actual))
+    errs.append(imitation_error(ref, traj.x_r))
 print(f"reference vs expert trajectory, mean error: {np.mean(errs):.2e}")
 assert np.max(errs) < 1e-10
 
@@ -59,8 +58,7 @@ for s in rng.integers(2**62, size=20):
     traj = execute_policy(model, controller, env, init, 100)
     runs.append(traj)
     ref = rollout(model, init.composite, 100)
-    actual = np.stack([st.x_r for st in traj.states])
-    errs.append(imitation_error(ref, actual))
+    errs.append(imitation_error(ref, traj.x_r))
 
 print(f"closed-loop success rate: {success_rate(runs, criterion):.0f}%")
 print(f"closed-loop vs reference, mean error: {np.mean(errs):.2e}")

@@ -80,7 +80,6 @@ with tempfile.TemporaryDirectory() as tmp:
 
     assert np.array_equal(model2.K, model.K)
     assert len(demos2.trajectories) == len(demos.trajectories)
-    probe = np.concatenate([demos.trajectories[0].states[0].x_r,
-                            demos.trajectories[0].states[1].x_r])
+    probe = demos.trajectories[0].x_r[:2].ravel()  # (x_r(0), x_r(1))
     assert np.array_equal(evaluate(controller2, probe), evaluate(controller, probe))
     print("saved and reloaded demos, model, controller: identical")

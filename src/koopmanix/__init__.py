@@ -1,9 +1,9 @@
 """Lifted linear reference dynamics from demonstrations, plus tracking control.
 
-Modules: statespace (composite states and demos), lifting (observable maps),
+Modules: statespace (states, array trajectories, demos), lifting (observable maps),
 koopman (analytical fit, prediction, rollout), controller (learned inverse
 dynamics), envs (synthetic benchmarks and scripted experts), metrics (errors,
-success predicates, timing), persist (CSV/JSON round trips), cli (pipeline
+success predicates), persist (CSV/JSON round trips), cli (pipeline
 subcommands).
 """
 
@@ -21,7 +21,7 @@ from .lifting import LiftingSpec, ObservableVector, dimension, lift, lift_matrix
 from .koopman import FitAccumulators, FitMeta, KoopmanModel, accumulate, cost, fit, predict_step, pseudo_inverse, rollout
 from .controller import ControllerModel, TrainConfig, TrainingTriples, gradient_check, supervision, train
 from .envs import EnvSpec, EnvState, ScriptedExpert, execute_policy, generate_demos, make_env, perturb_params
-from .metrics import SuccessCriterion, SuccessResult, TimingStats, evaluate_success, imitation_error, success_rate, timing
+from .metrics import SuccessCriterion, SuccessResult, evaluate_success, imitation_error, success_rate
 from .persist import (
     PersistError,
     load_controller,
@@ -46,8 +46,8 @@ __all__ = [
     "supervision", "train",
     "EnvSpec", "EnvState", "ScriptedExpert", "execute_policy", "generate_demos",
     "make_env", "perturb_params",
-    "SuccessCriterion", "SuccessResult", "TimingStats", "evaluate_success",
-    "imitation_error", "success_rate", "timing",
+    "SuccessCriterion", "SuccessResult", "evaluate_success",
+    "imitation_error", "success_rate",
     "PersistError", "load_controller", "load_demos", "load_manifest",
     "load_model", "save_controller", "save_demos", "save_model",
     "__version__",

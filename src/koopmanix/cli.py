@@ -37,7 +37,7 @@ from .envs import (
 from .koopman import fit, rollout
 from .lifting import LiftingSpec
 from .metrics import evaluate_success, imitation_error
-from .statespace import DemonstrationSet
+from .statespace import CompositeState, DemonstrationSet
 from .persist import (
     PersistError,
     format_float,
@@ -68,6 +68,13 @@ def _load_config(args) -> dict:
         raise ValueError(f"config {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(obj, dict):
         raise ValueError(f"config {path}: top level must be an object")
+    env = obj.get("env", {})
+    overrides = env.get("overrides", {}) if isinstance(env, dict) else {}
+    for key, value, kind in (("env", env, dict), ("env.overrides", overrides, dict),
+                             ("train", obj.get("train", {}), dict), ("demo_counts", obj.get("demo_counts", []), list)):
+        if not isinstance(value, kind):
+            what = "an object" if kind is dict else "a list"
+            raise ValueError(f"config {path}: {key} must be {what}, got {json.dumps(value)}")
     return obj
 
 
@@ -174,7 +181,7 @@ def _cmd_rollout(args) -> int:
         raise ValueError(f"--traj-index {index} out of range for {demos.n_demos} trajectories")
     traj = demos.trajectories[index]
     horizon = args.horizon if args.horizon is not None else traj.horizon
-    ref = rollout(model, traj.states[0], horizon, mode=args.rollout_mode)
+    ref = rollout(model, CompositeState(traj.x_r[0], traj.x_o[0]), horizon, mode=args.rollout_mode)
     out = _out_dir(args)
     path = out / "reference.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -278,9 +285,8 @@ def _cmd_eval(args) -> int:
         controller, _ = train(demos, train_cfg)
         errors = []
         for traj in demos.trajectories:
-            ref = rollout(model, traj.states[0], traj.horizon)
-            actual = np.stack([s.x_r for s in traj.states])
-            errors.append(imitation_error(ref, actual))
+            ref = rollout(model, CompositeState(traj.x_r[0], traj.x_o[0]), traj.horizon)
+            errors.append(imitation_error(ref, traj.x_r))
         if criterion is None:
             rate_cell = ""
         else:

@@ -145,13 +145,12 @@ def supervision(demos: DemonstrationSet) -> TrainingTriples:
     for i, traj in enumerate(demos.trajectories):
         if traj.torques is None:
             raise ValueError(f"trajectory {i} has no torques; controller training needs them")
-        wi = 1.0 / (N * (traj.horizon - 1))
-        for t in range(traj.horizon - 1):
-            x_now.append(traj.states[t].x_r)
-            x_next.append(traj.states[t + 1].x_r)
-            tau.append(traj.torques[t])
-            w.append(wi)
-    return TrainingTriples(np.stack(x_now), np.stack(x_next), np.stack(tau), np.array(w))
+        pairs = traj.horizon - 1
+        x_now.append(traj.x_r[:-1])
+        x_next.append(traj.x_r[1:])
+        tau.append(traj.torques[:pairs])
+        w.append(np.full(pairs, 1.0 / (N * pairs)))
+    return TrainingTriples(np.concatenate(x_now), np.concatenate(x_next), np.concatenate(tau), np.concatenate(w))
 
 
 def init(layout: StateLayout, seed: int) -> ControllerModel:

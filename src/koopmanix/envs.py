@@ -406,6 +406,21 @@ def default_criterion(spec: EnvSpec) -> SuccessCriterion | None:
 
 # ---------------------------------------------------------------- rollouts
 
+def _run(spec: EnvSpec, init: EnvState, horizon: int, torque) -> Trajectory:
+    """Step from init with torque(t, state), filling preallocated state and torque arrays."""
+    lay = spec.layout
+    x_r, x_o = np.empty((horizon, lay.n)), np.empty((horizon, lay.m))
+    torques = np.empty((horizon - 1, lay.a))
+    x_r[0], x_o[0] = init.composite.x_r, init.composite.x_o
+    state = init
+    for t in range(horizon - 1):
+        tau = torque(t, state)
+        state = step(spec, state, tau)
+        torques[t] = tau
+        x_r[t + 1], x_o[t + 1] = state.composite.x_r, state.composite.x_o
+    return Trajectory.from_arrays(x_r, x_o, torques)
+
+
 def run_expert(
     spec: EnvSpec,
     expert: ScriptedExpert,
@@ -416,15 +431,7 @@ def run_expert(
     """Roll the scripted expert from an initial state; T states, T-1 torques."""
     if horizon < 2:
         raise ValueError(f"horizon must be >= 2, got {horizon}")
-    state = init
-    states = [init.composite]
-    torques = []
-    for _ in range(horizon - 1):
-        tau = expert_torque(spec, expert, state, noise_rng)
-        state = step(spec, state, tau)
-        torques.append(tau)
-        states.append(state.composite)
-    return Trajectory(tuple(states), tuple(torques))
+    return _run(spec, init, horizon, lambda t, state: expert_torque(spec, expert, state, noise_rng))
 
 
 def generate_demos(
@@ -486,17 +493,14 @@ def execute_policy(
         act = controller
     else:
         raise ValueError("controller must be a ControllerModel or a callable")
-    state = init
-    states = [init.composite]
-    torques = []
-    for t in range(horizon - 1):
+
+    def torque(t, state):
         tau = np.asarray(act(state.composite.x_r, ref[t + 1]), dtype=np.float64)
         if not np.isfinite(tau).all():
             raise ValueError(f"controller produced non-finite torque at step {t + 1}")
-        state = step(spec, state, tau)
-        torques.append(tau)
-        states.append(state.composite)
-    return Trajectory(tuple(states), tuple(torques))
+        return tau
+
+    return _run(spec, init, horizon, torque)
 
 
 def perfect_tracker(spec: EnvSpec) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:

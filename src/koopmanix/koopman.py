@@ -70,7 +70,7 @@ def _lifted(demos: DemonstrationSet, spec: LiftingSpec):
         raise ValueError("demonstration layout does not match the lifting spec layout")
     require_valid(demos)
     for i, traj in enumerate(demos.trajectories):
-        raw = np.stack([s.full for s in traj.states])
+        raw = np.concatenate([traj.x_r, traj.x_o], axis=1)
         phi = lift_matrix(spec, raw)
         if not np.isfinite(phi).all():
             raise ValueError(f"lifted values overflow in trajectory {i}")

@@ -1,10 +1,9 @@
-"""Imitation error, task success predicates, and wall-clock timing."""
+"""Imitation error and task success predicates."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,12 +64,11 @@ def imitation_error(reference: np.ndarray, demo: np.ndarray) -> float:
 
 
 def _extracted(traj: Trajectory, criterion: SuccessCriterion) -> np.ndarray:
-    m = traj.states[0].x_o.shape[0]
+    m = traj.x_o.shape[1]
     for d in criterion.extractor:
         if not (0 <= d < m):
             raise ValueError(f"extractor dim {d} out of range for object dimension {m}")
-    idx = list(criterion.extractor)
-    return np.stack([s.x_o[idx] for s in traj.states])
+    return traj.x_o[:, list(criterion.extractor)]
 
 
 def evaluate_success(traj: Trajectory, criterion: SuccessCriterion) -> SuccessResult:
@@ -96,34 +94,3 @@ def success_rate(trajectories: Sequence[Trajectory], criterion: SuccessCriterion
         raise ValueError("success_rate needs at least one trajectory")
     wins = sum(evaluate_success(t, criterion).success for t in trajectories)
     return 100.0 * wins / len(trajectories)
-
-
-@dataclass(frozen=True)
-class TimingStats:
-    label: str
-    times: tuple[float, ...]
-
-    @property
-    def mean_s(self) -> float:
-        return float(np.mean(self.times))
-
-    @property
-    def std_s(self) -> float:
-        return float(np.std(self.times))
-
-
-def timing(label: str, thunk: Callable[[], object], repeats: int = 1):
-    """Run thunk under a monotonic clock; returns (last result, TimingStats).
-
-    With repeats > 1 the thunk runs repeatedly (it must be repeatable) and the
-    stats carry every measurement so variance can be reported alongside means.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    times = []
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = thunk()
-        times.append(time.perf_counter() - t0)
-    return result, TimingStats(label, tuple(times))

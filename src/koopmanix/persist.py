@@ -18,7 +18,7 @@ import numpy as np
 from .controller import ControllerModel
 from .koopman import FitMeta, KoopmanModel
 from .lifting import KINDS, LiftingSpec, dimension
-from .statespace import CompositeState, DemonstrationSet, StateLayout, Trajectory, require_valid
+from .statespace import DemonstrationSet, StateLayout, Trajectory, require_valid
 
 SCHEMA_VERSION = 1
 
@@ -111,12 +111,9 @@ def _write_trajectory(traj: Trajectory, layout: StateLayout, path: Path) -> None
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_header(layout))
-        horizon = traj.horizon
-        for t, state in enumerate(traj.states):
-            row = [str(t + 1)]
-            row += [format_float(v) for v in state.x_r]
-            row += [format_float(v) for v in state.x_o]
-            if traj.torques is not None and t < horizon - 1:
+        for t, state in enumerate(np.concatenate([traj.x_r, traj.x_o], axis=1)):
+            row = [str(t + 1)] + [format_float(v) for v in state]
+            if traj.torques is not None and t < traj.horizon - 1:
                 row += [format_float(v) for v in traj.torques[t]]
             else:
                 row += [""] * layout.a
@@ -131,7 +128,6 @@ def _parse_cell(cell: str, path: Path, line: int, column: str) -> float:
 
 
 def _read_trajectory(path: Path, layout: StateLayout) -> Trajectory:
-    path = Path(path)
     if not path.exists():
         raise PersistError(f"{path}: no such file")
     expected = _header(layout)
@@ -139,50 +135,32 @@ def _read_trajectory(path: Path, layout: StateLayout) -> Trajectory:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != expected:
         raise PersistError(f"{path}: line 1: header does not match layout {expected}")
-    states = []
-    torques = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    d = layout.n + layout.m
+    T = len(rows) - 1
+    # row t holds [x_r | x_o | tau]; has_tau[t] is False where the torque cells are empty
+    values = np.empty((T, d + layout.a))
+    has_tau = np.zeros(T, dtype=bool)
+    for t, row in enumerate(rows[1:]):
+        lineno = t + 2
         if len(row) != len(expected):
-            raise PersistError(
-                f"{path}: line {lineno}: {len(row)} cells, expected {len(expected)}"
-            )
-        t = lineno - 1
-        if row[0] != str(t):
-            raise PersistError(f"{path}: line {lineno}: t={row[0]!r}, expected {t}")
-        values = {
-            name: cell for name, cell in zip(expected[1:], row[1:], strict=True)
-        }
-        x_r = np.array(
-            [_parse_cell(values[f"xr_{i}"], path, lineno, f"xr_{i}") for i in range(layout.n)]
-        )
-        x_o = np.array(
-            [_parse_cell(values[f"xo_{i}"], path, lineno, f"xo_{i}") for i in range(layout.m)]
-        )
-        states.append(CompositeState(x_r, x_o))
-        tau_cells = [values[f"tau_{i}"] for i in range(layout.a)]
-        if all(cell == "" for cell in tau_cells):
-            torques.append(None)
-        elif any(cell == "" for cell in tau_cells):
+            raise PersistError(f"{path}: line {lineno}: {len(row)} cells, expected {len(expected)}")
+        if row[0] != str(t + 1):
+            raise PersistError(f"{path}: line {lineno}: t={row[0]!r}, expected {t + 1}")
+        has_tau[t] = all(cell != "" for cell in row[1 + d :])
+        for j in range(d + layout.a if has_tau[t] else d):
+            values[t, j] = _parse_cell(row[1 + j], path, lineno, expected[1 + j])
+        if not has_tau[t] and any(cell != "" for cell in row[1 + d :]):
             raise PersistError(f"{path}: line {lineno}: partially empty torque cells")
-        else:
-            torques.append(
-                np.array(
-                    [_parse_cell(c, path, lineno, f"tau_{i}") for i, c in enumerate(tau_cells)]
-                )
-            )
-    if len(states) < 2:
-        raise PersistError(f"{path}: a trajectory needs at least 2 rows, got {len(states)}")
-    if torques[-1] is not None:
+    if T < 2:
+        raise PersistError(f"{path}: a trajectory needs at least 2 rows, got {T}")
+    if has_tau[-1]:
         raise PersistError(f"{path}: line {len(rows)}: final row must have empty torque cells")
-    body = torques[:-1]
-    if all(tq is None for tq in body):
-        recorded = None
-    elif any(tq is None for tq in body):
-        missing = body.index(None) + 2
+    body = has_tau[:-1]
+    if body.any() and not body.all():
+        missing = int(np.argmin(body)) + 2
         raise PersistError(f"{path}: line {missing}: torque cells empty on a non-final row")
-    else:
-        recorded = tuple(body)
-    return Trajectory(tuple(states), recorded)
+    recorded = values[:-1, d:] if body.all() else None
+    return Trajectory.from_arrays(values[:, : layout.n], values[:, layout.n : d], recorded)
 
 
 def save_demos(
@@ -198,11 +176,9 @@ def save_demos(
         raise PersistError(f"refusing to save invalid demos: {exc}") from None
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, traj in enumerate(demos.trajectories):
-        name = f"traj_{i:04d}.csv"
+    names = [f"traj_{i:04d}.csv" for i in range(demos.n_demos)]
+    for traj, name in zip(demos.trajectories, names):
         _write_trajectory(traj, demos.layout, directory / name)
-        names.append(name)
     manifest = {
         "schema": SCHEMA_VERSION,
         "layout": _layout_to_dict(demos.layout),
@@ -230,6 +206,9 @@ def load_demos(manifest_path) -> DemonstrationSet:
     names = obj.get("trajectories")
     if not isinstance(names, list) or not names:
         raise PersistError(f"{path}: manifest lists no trajectories")
+    for i, name in enumerate(names):
+        if not isinstance(name, str) or not name:
+            raise PersistError(f"{path}: trajectories[{i}] must be a file name, got {name!r}")
     trajectories = tuple(_read_trajectory(path.parent / name, layout) for name in names)
     demos = DemonstrationSet(layout, trajectories)
     try:

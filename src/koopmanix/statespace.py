@@ -3,6 +3,10 @@
 A composite state stacks the robot configuration x_r (length n) and the
 task-object configuration x_o (length m).  Torques actuate transitions, so a
 trajectory of T states carries T-1 torque vectors.
+
+A trajectory is three read-only arrays, x_r (T, n), x_o (T, m) and torques
+(T-1, a) or None, and every module reads those; its `states` tuple of
+CompositeStates is a view derived from them on each access.
 """
 
 from __future__ import annotations
@@ -12,13 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _vector(values, name: str) -> np.ndarray:
-    """Copy into a read-only float64 1-D array."""
+def _frozen(values, name: str, ndim: int = 1) -> np.ndarray:
+    """Copy into a read-only float64 array: a vector (ndim 1) or a (T, width) matrix (ndim 2)."""
     arr = np.array(values, dtype=np.float64, copy=True)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        shape = "a 1-D vector" if ndim == 1 else "a (T, width) matrix"
+        raise ValueError(f"{name} must be {shape}, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def _stacked(vectors: list[np.ndarray], name: str) -> np.ndarray:
+    """(T, width) matrix of T vectors; a width that differs from step 0's is an error naming its step."""
+    for t, vec in enumerate(vectors):
+        if vec.shape != vectors[0].shape:
+            raise ValueError(f"{name} length {vec.shape[0]} at step {t} != length {vectors[0].shape[0]} at step 0")
+    return np.stack(vectors) if vectors else np.empty((0, 0))
 
 
 @dataclass(frozen=True)
@@ -60,8 +73,8 @@ class CompositeState:
     x_o: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x_r", _vector(self.x_r, "x_r"))
-        object.__setattr__(self, "x_o", _vector(self.x_o, "x_o"))
+        object.__setattr__(self, "x_r", _frozen(self.x_r, "x_r"))
+        object.__setattr__(self, "x_o", _frozen(self.x_o, "x_o"))
 
     @property
     def full(self) -> np.ndarray:
@@ -69,29 +82,51 @@ class CompositeState:
         return np.concatenate([self.x_r, self.x_o])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Trajectory:
     """T composite states plus the T-1 torques that produced the transitions.
 
-    torques[t] actuates the transition states[t] -> states[t+1].  Systems
-    recorded without actuation may pass torques=None.
+    Trajectory(states, torques) stacks CompositeStates and torque vectors
+    into read-only arrays x_r (T, n), x_o (T, m) and torques (T-1, a), or
+    None for systems recorded without actuation; `from_arrays` takes the
+    arrays directly.  torques[t] actuates the transition from row t to t+1.
     """
 
-    states: tuple[CompositeState, ...]
-    torques: tuple[np.ndarray, ...] | None = None
+    x_r: np.ndarray
+    x_o: np.ndarray
+    torques: np.ndarray | None = None
 
-    def __post_init__(self):
-        states = tuple(self.states)
+    def __init__(self, states, torques=None):
+        states = tuple(states)
         if not all(isinstance(s, CompositeState) for s in states):
             raise ValueError("states must contain CompositeState entries")
-        object.__setattr__(self, "states", states)
-        if self.torques is not None:
-            taus = tuple(_vector(tau, "torque") for tau in self.torques)
-            object.__setattr__(self, "torques", taus)
+        if torques is not None:
+            torques = _stacked([_frozen(tau, "torque") for tau in torques], "torque")
+        self._freeze(_stacked([s.x_r for s in states], "x_r"), _stacked([s.x_o for s in states], "x_o"), torques)
+
+    @classmethod
+    def from_arrays(cls, x_r, x_o, torques=None) -> "Trajectory":
+        """Build from x_r (T, n), x_o (T, m) and torques (T-1, a) or None; the arrays are copied."""
+        traj = cls.__new__(cls)
+        traj._freeze(x_r, x_o, torques)
+        return traj
+
+    def _freeze(self, x_r, x_o, torques) -> None:
+        x_r, x_o = _frozen(x_r, "x_r", 2), _frozen(x_o, "x_o", 2)
+        if x_r.shape[0] != x_o.shape[0]:
+            raise ValueError(f"x_r has {x_r.shape[0]} rows but x_o has {x_o.shape[0]}")
+        object.__setattr__(self, "x_r", x_r)
+        object.__setattr__(self, "x_o", x_o)
+        object.__setattr__(self, "torques", None if torques is None else _frozen(torques, "torques", 2))
 
     @property
     def horizon(self) -> int:
-        return len(self.states)
+        return self.x_r.shape[0]
+
+    @property
+    def states(self) -> tuple[CompositeState, ...]:
+        """One CompositeState per row, built on each access."""
+        return tuple(map(CompositeState, self.x_r, self.x_o))
 
 
 @dataclass(frozen=True)
@@ -130,11 +165,22 @@ class ValidationReport:
         return not self.violations
 
 
+def _row_violations(i: int, widths: list[str], finite: np.ndarray, message: str) -> list[Violation]:
+    """Per-row violations in time order; on each row the width messages, then the non-finite one."""
+    rows = range(finite.shape[0]) if widths else np.flatnonzero(~finite)
+    found = []
+    for t in rows:
+        found += [Violation(i, int(t), w) for w in widths]
+        if not finite[t]:
+            found.append(Violation(i, int(t), message))
+    return found
+
+
 def validate(demos: DemonstrationSet) -> ValidationReport:
     """Check every invariant of a demonstration set; report, never raise.
 
     Violations carry (trajectory index, time index) so a bad entry can be
-    located in saved files.  Time indices are 0-based positions in `states`.
+    located in saved files.  Time indices are 0-based row positions.
     """
     lay = demos.layout
     found: list[Violation] = []
@@ -142,21 +188,19 @@ def validate(demos: DemonstrationSet) -> ValidationReport:
         T = traj.horizon
         if T < 2:
             found.append(Violation(i, None, f"horizon {T} < 2"))
-        for t, s in enumerate(traj.states):
-            if s.x_r.shape[0] != lay.n:
-                found.append(Violation(i, t, f"x_r length {s.x_r.shape[0]} != n={lay.n}"))
-            if s.x_o.shape[0] != lay.m:
-                found.append(Violation(i, t, f"x_o length {s.x_o.shape[0]} != m={lay.m}"))
-            if not np.isfinite(s.x_r).all() or not np.isfinite(s.x_o).all():
-                found.append(Violation(i, t, "non-finite state entry"))
+        widths = []
+        if traj.x_r.shape[1] != lay.n:
+            widths.append(f"x_r length {traj.x_r.shape[1]} != n={lay.n}")
+        if traj.x_o.shape[1] != lay.m:
+            widths.append(f"x_o length {traj.x_o.shape[1]} != m={lay.m}")
+        finite = np.isfinite(traj.x_r).all(axis=1) & np.isfinite(traj.x_o).all(axis=1)
+        found += _row_violations(i, widths, finite, "non-finite state entry")
         if traj.torques is not None:
-            if len(traj.torques) != T - 1:
-                found.append(Violation(i, None, f"{len(traj.torques)} torques for horizon {T}, expected {T - 1}"))
-            for t, tau in enumerate(traj.torques):
-                if tau.shape[0] != lay.a:
-                    found.append(Violation(i, t, f"torque length {tau.shape[0]} != a={lay.a}"))
-                if not np.isfinite(tau).all():
-                    found.append(Violation(i, t, "non-finite torque entry"))
+            taus = traj.torques
+            if taus.shape[0] != T - 1:
+                found.append(Violation(i, None, f"{taus.shape[0]} torques for horizon {T}, expected {T - 1}"))
+            widths = [f"torque length {taus.shape[1]} != a={lay.a}"] if taus.shape[1] != lay.a else []
+            found += _row_violations(i, widths, np.isfinite(taus).all(axis=1), "non-finite torque entry")
     return ValidationReport(tuple(found))
 
 
@@ -182,6 +226,6 @@ def consecutive_pairs(
     require_valid(demos)
     pairs = []
     for i, traj in enumerate(demos.trajectories):
-        for t in range(traj.horizon - 1):
-            pairs.append((traj.states[t], traj.states[t + 1], i))
+        states = [CompositeState(x_r, x_o) for x_r, x_o in zip(traj.x_r, traj.x_o)]
+        pairs += [(states[t], states[t + 1], i) for t in range(traj.horizon - 1)]
     return pairs

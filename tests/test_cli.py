@@ -150,6 +150,35 @@ def test_non_object_manifest_is_a_persist_error(tmp_path, capsys):
     assert err.startswith("error: persist:") and "top level must be an object" in err
 
 
+def test_non_string_manifest_entry_is_a_persist_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "schema": 1,
+        "layout": {"n": 1, "m": 0, "a": 1, "robot_names": None, "object_names": None},
+        "trajectories": [5],
+    }))
+    assert main(["fit", "--demos", str(manifest), "--out-dir", str(tmp_path / "f")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: persist:") and "trajectories[0] must be a file name, got 5" in err
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("gen-demos", {"env": []}, "env must be an object, got []"),
+    ("gen-demos", {"env": {"kind": "pendulum", "overrides": [1]}}, "env.overrides must be an object, got [1]"),
+    ("train-controller", {"train": []}, "train must be an object, got []"),
+    ("eval", {"demo_counts": 5}, "demo_counts must be a list, got 5"),
+])
+def test_config_block_types_checked(tmp_path, capsys, command, config, key):
+    cfg = _write_config(tmp_path, config)
+    argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]
+    if command == "train-controller":
+        argv += ["--demos", str(FIXTURES / "demo_set" / "manifest.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid: ") and f"config {cfg}: {key}" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_rollout_index_out_of_range(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"env": {"kind": "pendulum"}, "n_demos": 2, "horizon": 10})
     assert main(["gen-demos", "--config", str(cfg), "--out-dir", str(tmp_path / "d")]) == 0

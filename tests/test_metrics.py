@@ -1,4 +1,4 @@
-"""Imitation error, success predicates, timing helpers."""
+"""Imitation error and success predicates."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from koopmanix import (
     imitation_error,
     success_rate,
 )
-from koopmanix.metrics import TimingStats, timing
 
 
 def _object_traj(values):
@@ -127,27 +126,3 @@ def test_success_rate_percentage():
     with pytest.raises(ValueError, match="at least one"):
         success_rate([], crit)
 
-
-# ---- timing ----
-
-
-def test_timing_returns_result_and_stats():
-    result, stats = timing("probe", lambda: 7, repeats=3)
-    assert result == 7
-    assert stats.label == "probe"
-    assert len(stats.times) == 3
-    assert all(t >= 0.0 for t in stats.times)
-    assert stats.mean_s == pytest.approx(np.mean(stats.times))
-    assert stats.std_s == pytest.approx(np.std(stats.times))
-
-
-def test_timing_counts_work():
-    calls = []
-    _, stats = timing("count", lambda: calls.append(1), repeats=5)
-    assert len(calls) == 5
-    assert len(stats.times) == 5
-
-
-def test_timing_rejects_bad_repeats():
-    with pytest.raises(ValueError, match="repeats"):
-        timing("x", lambda: None, repeats=0)

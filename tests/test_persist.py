@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,13 @@ def test_missing_trajectory_file(tmp_path):
     manifest = _mini_manifest(tmp_path, names=("traj_0000.csv", "traj_0001.csv"))
     (tmp_path / "traj_0000.csv").write_text("t,xr_0,tau_0\n1,0.0,1.0\n2,1.0,\n")
     with pytest.raises(PersistError, match="traj_0001.csv: no such file"):
+        load_demos(manifest)
+
+
+@pytest.mark.parametrize("entry, shown", [(5, "5"), ("", "''"), (None, "None"), (["a.csv"], "['a.csv']")])
+def test_manifest_entry_must_be_a_file_name(tmp_path, entry, shown):
+    manifest = _mini_manifest(tmp_path, names=("traj_0000.csv", entry))
+    with pytest.raises(PersistError, match=r"trajectories\[1\] must be a file name, got " + re.escape(shown)):
         load_demos(manifest)
 
 

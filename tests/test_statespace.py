@@ -1,4 +1,4 @@
-"""Composite states, trajectories, validation, and pair extraction."""
+"""Composite states, columnar trajectories, validation, and pair extraction."""
 
 import numpy as np
 import pytest
@@ -59,6 +59,64 @@ def test_composite_state_rejects_matrices():
         CompositeState(np.zeros((2, 2)), [])
 
 
+# ---------------------------------------------------------- columnar arrays
+
+def test_trajectory_arrays_are_read_only():
+    layout = StateLayout(n=2, m=1, a=1)
+    traj = _traj(layout, 4, rng=np.random.default_rng(1))
+    for arr in (traj.x_r, traj.x_o, traj.torques):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 9.0
+    with pytest.raises(AttributeError):
+        traj.x_r = np.zeros((4, 2))
+
+
+def test_states_and_from_arrays_give_bit_identical_arrays():
+    rng = np.random.default_rng(5)
+    x_r, x_o, taus = rng.standard_normal((6, 2)), rng.standard_normal((6, 3)), rng.standard_normal((5, 2))
+    x_r[2, 1] = -0.0
+    x_o[4, 0] = 5e-324
+    stacked = Trajectory(tuple(CompositeState(r, o) for r, o in zip(x_r, x_o)), tuple(taus))
+    direct = Trajectory.from_arrays(x_r, x_o, taus)
+    for got, want in ((stacked.x_r, direct.x_r), (stacked.x_o, direct.x_o), (stacked.torques, direct.torques)):
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(direct.x_r, x_r) and direct.x_r is not x_r
+    assert direct.horizon == stacked.horizon == 6
+    assert Trajectory.from_arrays(x_r, x_o).torques is None
+
+
+def test_states_view_round_trips():
+    layout = StateLayout(n=2, m=1, a=1)
+    traj = _traj(layout, 5, rng=np.random.default_rng(2))
+    states = traj.states
+    assert isinstance(states, tuple) and len(states) == 5
+    assert all(isinstance(s, CompositeState) for s in states)
+    again = Trajectory(states, traj.torques)
+    assert np.array_equal(again.x_r, traj.x_r) and np.array_equal(again.x_o, traj.x_o)
+    assert np.array_equal(again.torques, traj.torques)
+    assert np.array_equal(np.stack([s.full for s in states]), np.concatenate([traj.x_r, traj.x_o], axis=1))
+
+
+def test_ragged_widths_rejected_at_construction_naming_the_step():
+    with pytest.raises(ValueError, match="x_r length 2 at step 2 != length 1 at step 0"):
+        Trajectory((CompositeState([0.0], []), CompositeState([1.0], []), CompositeState([1.0, 2.0], [])))
+    with pytest.raises(ValueError, match="x_o length 0 at step 1 != length 1 at step 0"):
+        Trajectory((CompositeState([0.0], [1.0]), CompositeState([1.0], [])))
+    states = tuple(CompositeState([float(t)], []) for t in range(4))
+    with pytest.raises(ValueError, match="torque length 3 at step 2 != length 1 at step 0"):
+        Trajectory(states, (np.zeros(1), np.zeros(1), np.zeros(3)))
+
+
+def test_from_arrays_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="matrix"):
+        Trajectory.from_arrays(np.zeros(3), np.zeros((3, 0)))
+    with pytest.raises(ValueError, match="rows"):
+        Trajectory.from_arrays(np.zeros((3, 1)), np.zeros((2, 0)))
+    with pytest.raises(ValueError, match="matrix"):
+        Trajectory.from_arrays(np.zeros((3, 1)), np.zeros((3, 0)), np.zeros(2))
+
+
 # ---------------------------------------------------------------- validation
 
 def test_well_formed_set_is_ok():
@@ -102,9 +160,25 @@ def test_torque_count_and_width_flagged():
     off_count = Trajectory(states, (np.zeros(2),))
     report = validate(DemonstrationSet(layout, (off_count,)))
     assert any("expected 2" in v.message for v in report.violations)
-    off_width = Trajectory(states, (np.zeros(2), np.zeros(1)))
+    off_width = Trajectory(states, (np.zeros(1), np.zeros(1)))
     report = validate(DemonstrationSet(layout, (off_width,)))
     assert any("torque length 1 != a=2" in v.message for v in report.violations)
+    with pytest.raises(ValueError, match="torque length 1 at step 1 != length 2 at step 0"):
+        Trajectory(states, (np.zeros(2), np.zeros(1)))
+
+
+def test_one_violation_per_bad_row_in_time_order():
+    layout = StateLayout(n=2, m=0, a=1)
+    x_r = np.zeros((4, 1))
+    x_r[1, 0], x_r[3, 0] = np.nan, np.inf
+    taus = np.zeros((3, 1))
+    taus[2, 0] = np.nan
+    report = validate(DemonstrationSet(layout, (Trajectory.from_arrays(x_r, np.zeros((4, 0)), taus),)))
+    width = "x_r length 1 != n=2"
+    assert [(v.traj, v.t, v.message) for v in report.violations] == [
+        (0, 0, width), (0, 1, width), (0, 1, "non-finite state entry"), (0, 2, width),
+        (0, 3, width), (0, 3, "non-finite state entry"), (0, 2, "non-finite torque entry"),
+    ]
 
 
 def test_empty_set_rejected_at_construction():
