@@ -75,6 +75,9 @@ def _load_config(args) -> dict:
         if not isinstance(value, kind):
             what = "an object" if kind is dict else "a list"
             raise ValueError(f"config {path}: {key} must be {what}, got {json.dumps(value)}")
+    for i, count in enumerate(obj.get("demo_counts", [])):
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ValueError(f"config {path}: demo_counts[{i}] must be a positive integer, got {json.dumps(count)}")
     return obj
 
 

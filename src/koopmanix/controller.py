@@ -11,6 +11,7 @@ loss is invariant to duplicating trajectories.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,6 +19,8 @@ import numpy as np
 from .statespace import DemonstrationSet, StateLayout
 
 STD_FLOOR = 1e-8  # clamp for per-dimension input std
+
+logger = logging.getLogger(__name__)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -181,25 +184,57 @@ def _net_forward(weights, biases, Z):
     last = len(weights) - 1
     H = Z
     for l, (W, b) in enumerate(zip(weights, biases)):
-        pre = H @ W.T + b
+        pre = H @ W.T
+        pre += b
         zs.append(pre)
         H = pre if l == last else np.maximum(pre, 0.0)
         hs.append(H)
     return hs, zs
 
 
-def _net_backward(weights, hs, zs, dY):
-    """Gradients of a scalar loss given dL/d(output) rows.  Returns (dWs, dbs)."""
-    L = len(weights)
-    dWs = [None] * L
-    dbs = [None] * L
-    delta = dY
-    for l in range(L - 1, -1, -1):
-        dWs[l] = delta.T @ hs[l]
-        dbs[l] = delta.sum(axis=0)
+def _weighted_sse(err, w) -> float:
+    """sum_k w_k |err_k|^2 for output residual rows err."""
+    return float(np.sum(w * np.sum(err * err, axis=1)))
+
+
+def _loss_value(weights, biases, Z, tau, w) -> float:
+    """Forward-only loss sum_k w_k |net(Z_k) - tau_k|^2."""
+    hs, _ = _net_forward(weights, biases, Z)
+    return _weighted_sse(hs[-1] - tau, w)
+
+
+def _backprop(weights, biases, Z, tau, w, gWs, gbs) -> np.ndarray:
+    """Gradients of sum_k w_k |net(Z_k) - tau_k|^2, written into gWs, gbs.
+
+    Returns the residual net(Z) - tau of the forward pass it ran.
+    """
+    hs, zs = _net_forward(weights, biases, Z)
+    err = hs[-1] - tau
+    delta = 2.0 * w[:, None] * err
+    for l in range(len(weights) - 1, -1, -1):
+        np.matmul(delta.T, hs[l], out=gWs[l])
+        delta.sum(axis=0, out=gbs[l])
         if l > 0:
             delta = (delta @ weights[l]) * (zs[l - 1] > 0)
-    return dWs, dbs
+    return err
+
+
+def _flat_views(sizes, theta):
+    """Shaped (weights, biases) views into one flat buffer laid out W_0..W_L-1, b_0..b_L-1."""
+    shapes = [(o, i) for i, o in zip(sizes[:-1], sizes[1:])] + [(o,) for o in sizes[1:]]
+    views = []
+    at = 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(theta[at : at + size].reshape(shape))
+        at += size
+    L = len(sizes) - 1
+    return views[:L], views[L:]
+
+
+def _flat_params(model: ControllerModel) -> np.ndarray:
+    """A writable copy of the model's weights then biases as one float64 vector."""
+    return np.concatenate([W.ravel() for W in model.weights] + list(model.biases))
 
 
 def _normalize(model: ControllerModel, Z: np.ndarray) -> np.ndarray:
@@ -230,19 +265,7 @@ def forward(model: ControllerModel, x_now, x_next) -> np.ndarray:
 def loss(model: ControllerModel, triples: TrainingTriples) -> float:
     """Weighted mean squared torque error over the triples."""
     Z = _normalize(model, np.concatenate([triples.x_now, triples.x_next], axis=1))
-    hs, _ = _net_forward(model.weights, model.biases, Z)
-    err = hs[-1] - triples.tau
-    return float(np.sum(triples.weights * np.sum(err * err, axis=1)))
-
-
-def _grads(weights, biases, Z, tau, w):
-    """Loss sum_k w_k |net(Z_k) - tau_k|^2 and its parameter gradients."""
-    hs, zs = _net_forward(weights, biases, Z)
-    err = hs[-1] - tau
-    value = float(np.sum(w * np.sum(err * err, axis=1)))
-    dY = 2.0 * w[:, None] * err
-    dWs, dbs = _net_backward(weights, hs, zs, dY)
-    return value, dWs, dbs
+    return _loss_value(model.weights, model.biases, Z, triples.tau, triples.weights)
 
 
 def train(
@@ -251,11 +274,16 @@ def train(
 ) -> tuple[ControllerModel, np.ndarray]:
     """Train a controller on demonstration transitions.
 
-    Returns the model and the per-iteration loss history (full training loss
-    evaluated before each update, so history[0] is the initial loss).  One
-    iteration is one pass over the triples: a single step at batch=None, or a
-    seeded-shuffle sweep of minibatches otherwise.  Identical inputs give
-    bit-identical weights.
+    Returns the model and the per-iteration loss history: history[it] is the
+    full-batch training loss before iteration it, so history[0] equals
+    `loss` of the initial model.  One iteration is one pass over the triples:
+    a single full-batch step at batch=None, whose own forward pass gives the
+    history entry, or else a forward-only full-batch loss followed by a
+    seeded-shuffle sweep of minibatch steps.  All weights and biases live in
+    one flat float64 vector; the per-layer arrays are shaped views into it,
+    gradients land in a matching flat buffer, and Adam or SGD updates the
+    vector in a few array operations.  Identical inputs give bit-identical
+    weights.
     """
     triples = supervision(demos)
     inputs = np.concatenate([triples.x_now, triples.x_next], axis=1)
@@ -266,48 +294,55 @@ def train(
     Z = (inputs - mean) / std
     tau = triples.tau
     w = triples.weights
-    weights = [W.copy() for W in model.weights]
-    biases = [b.copy() for b in model.biases]
+    theta = _flat_params(model)
+    grad = np.zeros_like(theta)
+    weights, biases = _flat_views(model.layer_sizes, theta)
+    gWs, gbs = _flat_views(model.layer_sizes, grad)
     shuffle_rng = np.random.default_rng([config.seed, 1])
 
-    adam_m = [np.zeros_like(W) for W in weights] + [np.zeros_like(b) for b in biases]
-    adam_v = [np.zeros_like(g) for g in adam_m]
+    lr = config.learning_rate
+    adam_m = np.zeros_like(theta)
+    adam_v = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
-    def apply(dWs, dbs):
+    def apply():
         nonlocal step
         step += 1
-        grads = list(dWs) + list(dbs)
-        params = weights + biases
         if config.optimizer == "sgd":
-            for pmod, g in zip(params, grads):
-                pmod -= config.learning_rate * g
+            theta[:] -= lr * grad
             return
-        for k, (pmod, g) in enumerate(zip(params, grads)):
-            adam_m[k] = beta1 * adam_m[k] + (1 - beta1) * g
-            adam_v[k] = beta2 * adam_v[k] + (1 - beta2) * g * g
-            m_hat = adam_m[k] / (1 - beta1**step)
-            v_hat = adam_v[k] / (1 - beta2**step)
-            pmod -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        adam_m[:] = beta1 * adam_m + (1 - beta1) * grad
+        adam_v[:] = beta2 * adam_v + (1 - beta2) * grad * grad
+        m_hat = adam_m / (1 - beta1**step)
+        v_hat = adam_v / (1 - beta2**step)
+        theta[:] -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
     P = triples.count
+    full = config.batch is None or config.batch >= P
     history = np.empty(config.iterations)
     for it in range(config.iterations):
-        value, dWs, dbs = _grads(weights, biases, Z, tau, w)
+        if full:
+            value = _weighted_sse(_backprop(weights, biases, Z, tau, w, gWs, gbs), w)
+        else:
+            value = _loss_value(weights, biases, Z, tau, w)
         history[it] = value
         if not np.isfinite(value):
             raise ValueError(f"non-finite training loss at iteration {it}")
-        if config.batch is None or config.batch >= P:
-            apply(dWs, dbs)
+        if full:
+            apply()
             continue
         perm = shuffle_rng.permutation(P)
         for lo in range(0, P, config.batch):
             idx = perm[lo : lo + config.batch]
             wb = w[idx]
-            _, dWs, dbs = _grads(weights, biases, Z[idx], tau[idx], wb / wb.sum())
-            apply(dWs, dbs)
+            _backprop(weights, biases, Z[idx], tau[idx], wb / wb.sum(), gWs, gbs)
+            apply()
 
+    logger.info(
+        "train: pairs=%d batch=%s updates=%d loss_first=%.6g loss_last=%.6g",
+        P, "full" if full else config.batch, step, history[0], history[-1],
+    )
     final = replace(model, weights=tuple(weights), biases=tuple(biases))
     return final, history
 
@@ -328,26 +363,20 @@ def gradient_check(model: ControllerModel, triple, epsilon: float = 1e-5) -> flo
     tau = np.asarray(tau, dtype=np.float64)[None, :]
     one = np.ones(1)
 
-    weights = [W.copy() for W in model.weights]
-    biases = [b.copy() for b in model.biases]
-    _, dWs, dbs = _grads(weights, biases, Z, tau, one)
-
-    def probe() -> float:
-        v, _, _ = _grads(weights, biases, Z, tau, one)
-        return v
+    theta = _flat_params(model)
+    grad = np.zeros_like(theta)
+    weights, biases = _flat_views(model.layer_sizes, theta)
+    _backprop(weights, biases, Z, tau, one, *_flat_views(model.layer_sizes, grad))
 
     worst = 0.0
-    for analytic, param in zip(dWs + dbs, weights + biases):
-        flat = param.reshape(-1)
-        aflat = analytic.reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + epsilon
-            up = probe()
-            flat[k] = orig - epsilon
-            down = probe()
-            flat[k] = orig
-            numeric = (up - down) / (2 * epsilon)
-            gap = abs(aflat[k] - numeric) / max(abs(aflat[k]), abs(numeric), 1e-8)
-            worst = max(worst, gap)
+    for k in range(theta.size):
+        orig = theta[k]
+        theta[k] = orig + epsilon
+        up = _loss_value(weights, biases, Z, tau, one)
+        theta[k] = orig - epsilon
+        down = _loss_value(weights, biases, Z, tau, one)
+        theta[k] = orig
+        numeric = (up - down) / (2 * epsilon)
+        gap = abs(grad[k] - numeric) / max(abs(grad[k]), abs(numeric), 1e-8)
+        worst = max(worst, gap)
     return worst

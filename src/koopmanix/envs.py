@@ -18,6 +18,7 @@ in-distribution samplers; those constants are frozen and tests pin them.
 
 from __future__ import annotations
 
+import inspect
 import logging
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -218,25 +219,30 @@ def pointmass_env(
 def make_env(kind: str, dt: float | None = None, **overrides) -> EnvSpec:
     """Build an environment by kind name (the CLI entry point).
 
-    linear takes dim/spectral_radius/seed and builds a seeded stable matrix;
-    other kinds forward keyword overrides to their factory.
+    linear takes dim/spectral_radius/seed (dim 5 by default) and builds a
+    seeded stable matrix; other kinds forward keyword overrides to their
+    factory.  An override the factory does not take is a ValueError.
     """
-    if kind == "linear":
-        args = {"dim": 5, "spectral_radius": 0.9, "seed": 0}
-        args.update(overrides)
-        if dt is not None:
-            args["dt"] = dt
-        return linear_env_random(**args)
     factories = {
+        "linear": linear_env_random,
         "pendulum": pendulum_env,
         "vanderpol": vanderpol_env,
         "pointmass-relocation": pointmass_env,
     }
     if kind not in factories:
         raise ValueError(f"unknown env kind {kind!r}")
+    factory = factories[kind]
+    accepted = tuple(inspect.signature(factory).parameters)
+    unknown = [key for key in overrides if key not in accepted]
+    if unknown:
+        raise ValueError(
+            f"env kind {kind!r} takes no override {unknown[0]!r}; accepted keys: {', '.join(accepted)}"
+        )
+    args = {"dim": 5} if kind == "linear" else {}
+    args.update(overrides)
     if dt is not None:
-        overrides = {**overrides, "dt": dt}
-    return factories[kind](**overrides)
+        args["dt"] = dt
+    return factory(**args)
 
 
 # ---------------------------------------------------------------- reset/step

@@ -167,6 +167,10 @@ def test_non_string_manifest_entry_is_a_persist_error(tmp_path, capsys):
     ("gen-demos", {"env": {"kind": "pendulum", "overrides": [1]}}, "env.overrides must be an object, got [1]"),
     ("train-controller", {"train": []}, "train must be an object, got []"),
     ("eval", {"demo_counts": 5}, "demo_counts must be a list, got 5"),
+    ("eval", {"demo_counts": [[3]]}, "demo_counts[0] must be a positive integer, got [3]"),
+    ("eval", {"demo_counts": [2, True]}, "demo_counts[1] must be a positive integer, got true"),
+    ("eval", {"demo_counts": [0]}, "demo_counts[0] must be a positive integer, got 0"),
+    ("eval", {"demo_counts": [2.5]}, "demo_counts[0] must be a positive integer, got 2.5"),
 ])
 def test_config_block_types_checked(tmp_path, capsys, command, config, key):
     cfg = _write_config(tmp_path, config)
@@ -176,6 +180,15 @@ def test_config_block_types_checked(tmp_path, capsys, command, config, key):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid: ") and f"config {cfg}: {key}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_unknown_env_override_rejected(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"env": {"kind": "pendulum", "overrides": {"bogus": 1}}})
+    assert main(["gen-demos", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid: ")
+    assert "'pendulum'" in err and "'bogus'" in err and "mass" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -16,6 +16,7 @@ from koopmanix import (
     train,
 )
 from koopmanix.controller import evaluate, forward, init, loss
+from koopmanix.envs import default_expert, generate_demos, pointmass_env
 
 LAYOUT_1D = StateLayout(n=1, m=0, a=1)
 
@@ -343,3 +344,125 @@ def test_train_requires_torques():
     bare = Trajectory(tuple(CompositeState([float(t)], []) for t in range(3)))
     with pytest.raises(ValueError, match="torques"):
         train(DemonstrationSet(LAYOUT_1D, (bare,)), TrainConfig(iterations=1))
+
+
+# ---- pin: the flat-vector trainer against the per-array reference loop ----
+
+
+def _reference_train(demos, config):
+    """The per-array trainer the flat-vector `train` replaced, kept as an oracle.
+
+    Each iteration runs a full-batch forward and backward pass for the history
+    entry, then per-array Adam or SGD updates, exactly as before the rewrite.
+    """
+
+    def net_forward(weights, biases, Z):
+        hs, zs, H = [Z], [], Z
+        last = len(weights) - 1
+        for l, (W, b) in enumerate(zip(weights, biases)):
+            pre = H @ W.T + b
+            zs.append(pre)
+            H = pre if l == last else np.maximum(pre, 0.0)
+            hs.append(H)
+        return hs, zs
+
+    def grads(weights, biases, Z, tau, w):
+        hs, zs = net_forward(weights, biases, Z)
+        err = hs[-1] - tau
+        value = float(np.sum(w * np.sum(err * err, axis=1)))
+        delta = 2.0 * w[:, None] * err
+        L = len(weights)
+        dWs, dbs = [None] * L, [None] * L
+        for l in range(L - 1, -1, -1):
+            dWs[l] = delta.T @ hs[l]
+            dbs[l] = delta.sum(axis=0)
+            if l > 0:
+                delta = (delta @ weights[l]) * (zs[l - 1] > 0)
+        return value, dWs, dbs
+
+    triples = supervision(demos)
+    inputs = np.concatenate([triples.x_now, triples.x_next], axis=1)
+    mean = inputs.mean(axis=0)
+    std = np.maximum(inputs.std(axis=0), 1e-8)
+    m0 = init(demos.layout, config.seed)
+    Z = (inputs - mean) / std
+    tau, w = triples.tau, triples.weights
+    weights = [W.copy() for W in m0.weights]
+    biases = [b.copy() for b in m0.biases]
+    shuffle_rng = np.random.default_rng([config.seed, 1])
+    adam_m = [np.zeros_like(W) for W in weights] + [np.zeros_like(b) for b in biases]
+    adam_v = [np.zeros_like(g) for g in adam_m]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+
+    def apply(dWs, dbs):
+        nonlocal step
+        step += 1
+        grads_ = list(dWs) + list(dbs)
+        params = weights + biases
+        if config.optimizer == "sgd":
+            for pmod, g in zip(params, grads_):
+                pmod -= config.learning_rate * g
+            return
+        for k, (pmod, g) in enumerate(zip(params, grads_)):
+            adam_m[k] = beta1 * adam_m[k] + (1 - beta1) * g
+            adam_v[k] = beta2 * adam_v[k] + (1 - beta2) * g * g
+            m_hat = adam_m[k] / (1 - beta1**step)
+            v_hat = adam_v[k] / (1 - beta2**step)
+            pmod -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+
+    P = triples.count
+    history = np.empty(config.iterations)
+    for it in range(config.iterations):
+        value, dWs, dbs = grads(weights, biases, Z, tau, w)
+        history[it] = value
+        if config.batch is None or config.batch >= P:
+            apply(dWs, dbs)
+            continue
+        perm = shuffle_rng.permutation(P)
+        for lo in range(0, P, config.batch):
+            idx = perm[lo : lo + config.batch]
+            wb = w[idx]
+            _, dWs, dbs = grads(weights, biases, Z[idx], tau[idx], wb / wb.sum())
+            apply(dWs, dbs)
+    return weights, biases, history
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("config", [
+    TrainConfig(learning_rate=1e-3, iterations=12, batch=50, seed=7),
+    TrainConfig(learning_rate=1e-3, iterations=12, batch=None, seed=7),
+    TrainConfig(learning_rate=1e-3, iterations=12, batch=50, seed=7, optimizer="sgd"),
+], ids=["adam-minibatch", "adam-full", "sgd-minibatch"])
+def test_train_is_bit_identical_to_the_per_array_loop(config):
+    env = pointmass_env()
+    demos = generate_demos(env, default_expert(env), 6, 30, seed=42)
+    P = supervision(demos).count
+    assert P == 174 and P % 50 != 0
+    model, history = train(demos, config)
+    weights, biases, ref_history = _reference_train(demos, config)
+    assert np.array_equal(_bits(history), _bits(ref_history))
+    for got, want in zip(model.weights + model.biases, weights + biases):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_train_logs_one_summary_line(caplog, capsys):
+    demos = _walk_demos(4, n_traj=2, horizon=21)
+    cfg = TrainConfig(learning_rate=1e-4, iterations=3, batch=15, seed=11)
+    with caplog.at_level("INFO", logger="koopmanix.controller"):
+        _, history = train(demos, cfg)
+    lines = [r.getMessage() for r in caplog.records if r.name == "koopmanix.controller"]
+    assert lines == [
+        f"train: pairs=40 batch=15 updates=9 loss_first={history[0]:.6g} loss_last={history[-1]:.6g}"
+    ]
+
+    caplog.clear()
+    with caplog.at_level("INFO", logger="koopmanix.controller"):
+        train(demos, TrainConfig(iterations=2, batch=None))
+    assert [r.getMessage().split(" loss_first")[0] for r in caplog.records] == [
+        "train: pairs=40 batch=full updates=2"
+    ]
+    assert capsys.readouterr().out == ""

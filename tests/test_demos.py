@@ -1,0 +1,26 @@
+"""Smoke test: the fast demo scripts run to completion.
+
+The controller demos (04-06) train networks for tens of seconds each and
+are run by hand instead.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+FAST_DEMOS = ("01_linear_recovery.py", "02_polynomial_lifting.py", "03_vanderpol_prediction.py")
+
+
+@pytest.mark.parametrize("name", FAST_DEMOS)
+def test_demo_runs(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

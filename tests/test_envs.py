@@ -65,6 +65,11 @@ def test_make_env_kinds_and_overrides():
     assert make_env("pointmass-relocation").kind == "pointmass-relocation"
     with pytest.raises(ValueError, match="unknown env kind"):
         make_env("cartpole")
+    assert make_env("linear", dim=3, seed=4).layout.n == 3
+    with pytest.raises(ValueError, match="'pendulum' takes no override 'bogus'; accepted keys: dt, mass"):
+        make_env("pendulum", bogus=1)
+    with pytest.raises(ValueError, match="'linear' takes no override 'mu'; accepted keys: dim, spectral_radius, seed, dt"):
+        make_env("linear", mu=1.0)
 
 
 def test_env_spec_dict_round_trip():
