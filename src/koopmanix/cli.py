@@ -282,7 +282,7 @@ def _cmd_eval(args) -> int:
     for count in counts:
         demo_seed = int(rng.integers(SEED_CEILING))
         eval_seeds = [int(s) for s in rng.integers(SEED_CEILING, size=n_eval)]
-        demos = generate_demos(env, default_expert(env), int(count), horizon, demo_seed)
+        demos = generate_demos(env, default_expert(env), count, horizon, demo_seed)
         model = fit(demos, LiftingSpec(lifting, demos.layout),
                     rel_tolerance=None if tol is None else float(tol))
         controller, _ = train(demos, train_cfg)

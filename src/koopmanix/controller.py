@@ -192,22 +192,15 @@ def _net_forward(weights, biases, Z):
     return hs, zs
 
 
-def _weighted_sse(err, w) -> float:
-    """sum_k w_k |err_k|^2 for output residual rows err."""
-    return float(np.sum(w * np.sum(err * err, axis=1)))
-
-
 def _loss_value(weights, biases, Z, tau, w) -> float:
     """Forward-only loss sum_k w_k |net(Z_k) - tau_k|^2."""
     hs, _ = _net_forward(weights, biases, Z)
-    return _weighted_sse(hs[-1] - tau, w)
+    err = hs[-1] - tau
+    return float(np.sum(w * np.sum(err * err, axis=1)))
 
 
-def _backprop(weights, biases, Z, tau, w, gWs, gbs) -> np.ndarray:
-    """Gradients of sum_k w_k |net(Z_k) - tau_k|^2, written into gWs, gbs.
-
-    Returns the residual net(Z) - tau of the forward pass it ran.
-    """
+def _backprop(weights, biases, Z, tau, w, gWs, gbs) -> None:
+    """Gradients of sum_k w_k |net(Z_k) - tau_k|^2, written into gWs, gbs."""
     hs, zs = _net_forward(weights, biases, Z)
     err = hs[-1] - tau
     delta = 2.0 * w[:, None] * err
@@ -216,7 +209,6 @@ def _backprop(weights, biases, Z, tau, w, gWs, gbs) -> np.ndarray:
         delta.sum(axis=0, out=gbs[l])
         if l > 0:
             delta = (delta @ weights[l]) * (zs[l - 1] > 0)
-    return err
 
 
 def _flat_views(sizes, theta):
@@ -276,14 +268,13 @@ def train(
 
     Returns the model and the per-iteration loss history: history[it] is the
     full-batch training loss before iteration it, so history[0] equals
-    `loss` of the initial model.  One iteration is one pass over the triples:
-    a single full-batch step at batch=None, whose own forward pass gives the
-    history entry, or else a forward-only full-batch loss followed by a
-    seeded-shuffle sweep of minibatch steps.  All weights and biases live in
-    one flat float64 vector; the per-layer arrays are shaped views into it,
-    gradients land in a matching flat buffer, and Adam or SGD updates the
-    vector in a few array operations.  Identical inputs give bit-identical
-    weights.
+    `loss` of the initial model; it comes from a forward-only pass.  One
+    iteration is one pass over the triples: a single full-batch step at
+    batch=None, or else a seeded-shuffle sweep of minibatch steps.  All
+    weights and biases live in one flat float64 vector; the per-layer arrays
+    are shaped views into it, gradients land in a matching flat buffer, and
+    Adam or SGD updates the vector in a few array operations.  Identical
+    inputs give bit-identical weights.
     """
     triples = supervision(demos)
     inputs = np.concatenate([triples.x_now, triples.x_next], axis=1)
@@ -322,14 +313,12 @@ def train(
     full = config.batch is None or config.batch >= P
     history = np.empty(config.iterations)
     for it in range(config.iterations):
-        if full:
-            value = _weighted_sse(_backprop(weights, biases, Z, tau, w, gWs, gbs), w)
-        else:
-            value = _loss_value(weights, biases, Z, tau, w)
+        value = _loss_value(weights, biases, Z, tau, w)
         history[it] = value
         if not np.isfinite(value):
             raise ValueError(f"non-finite training loss at iteration {it}")
         if full:
+            _backprop(weights, biases, Z, tau, w, gWs, gbs)
             apply()
             continue
         perm = shuffle_rng.permutation(P)
