@@ -56,6 +56,20 @@ LIFTING_NAMES = {"identity": "identity", "kodex": "kodex-polynomial"}
 SEED_CEILING = 2**62
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# train block key -> (accepts the JSON value, what it must be)
+TRAIN_TYPES = {
+    "learning_rate": (lambda v: _is_int(v) or isinstance(v, float), "a real number"),
+    "iterations": (_is_int, "an integer"),
+    "batch": (lambda v: v is None or v == "full" or _is_int(v), 'an integer, null or "full"'),
+    "seed": (_is_int, "an integer"),
+    "optimizer": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def _load_config(args) -> dict:
     if args.config is None:
         return {}
@@ -76,8 +90,12 @@ def _load_config(args) -> dict:
             what = "an object" if kind is dict else "a list"
             raise ValueError(f"config {path}: {key} must be {what}, got {json.dumps(value)}")
     for i, count in enumerate(obj.get("demo_counts", [])):
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        if not _is_int(count) or count < 1:
             raise ValueError(f"config {path}: demo_counts[{i}] must be a positive integer, got {json.dumps(count)}")
+    train = obj.get("train", {})
+    for key, (accepts, what) in TRAIN_TYPES.items():
+        if key in train and not accepts(train[key]):
+            raise ValueError(f"config {path}: train.{key} must be {what}, got {json.dumps(train[key])}")
     return obj
 
 
@@ -110,10 +128,10 @@ def _train_config(args, config: dict) -> TrainConfig:
         learning_rate=float(
             _pick(getattr(args, "learning_rate", None), block, "learning_rate", TrainConfig.learning_rate)
         ),
-        iterations=int(_pick(getattr(args, "iterations", None), block, "iterations", TrainConfig.iterations)),
-        batch=None if batch in (None, "full") else int(batch),
-        seed=int(_pick(getattr(args, "seed", None), block, "seed", TrainConfig.seed)),
-        optimizer=str(_pick(getattr(args, "optimizer", None), block, "optimizer", TrainConfig.optimizer)),
+        iterations=_pick(getattr(args, "iterations", None), block, "iterations", TrainConfig.iterations),
+        batch=None if batch == "full" else batch,
+        seed=_pick(getattr(args, "seed", None), block, "seed", TrainConfig.seed),
+        optimizer=_pick(getattr(args, "optimizer", None), block, "optimizer", TrainConfig.optimizer),
     )
 
 

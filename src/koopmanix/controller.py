@@ -11,6 +11,7 @@ loss is invariant to duplicating trajectories.
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass, replace
 
@@ -177,38 +178,75 @@ def init(layout: StateLayout, seed: int) -> ControllerModel:
     )
 
 
-def _net_forward(weights, biases, Z):
-    """Hidden layers rectified, output linear.  Returns (activations, pre-activations)."""
-    hs = [Z]
-    zs = []
+class _Workspace:
+    """Preallocated arrays for forward, loss and backward passes over `rows` rows.
+
+    acts[l] receives layer l's output (rectified for hidden layers).  The
+    backward arrays are allocated only when `backward` is set.  `head(r)`
+    gives the same arrays cut to their first r rows, for a shorter batch.
+    """
+
+    def __init__(self, sizes, rows: int, backward: bool):
+        widths = sizes[1:]
+        self.acts = [np.empty((rows, k)) for k in widths]
+        self.err = np.empty((rows, widths[-1]))
+        self.row = np.empty(rows)  # per-row loss terms, or 2 w in backprop
+        if backward:
+            self.w = np.empty(rows)  # a minibatch's weights scaled to sum to one
+            self.deltas = [np.empty((rows, k)) for k in widths]
+            self.masks = [np.empty((rows, k), dtype=bool) for k in widths[:-1]]
+
+    def head(self, r: int) -> "_Workspace":
+        view = copy.copy(self)
+        for name, value in vars(self).items():
+            setattr(view, name, [a[:r] for a in value] if isinstance(value, list) else value[:r])
+        return view
+
+
+def _forward(weights, biases, Z, acts=None) -> list[np.ndarray]:
+    """Layer outputs on the rows of Z: hidden layers rectified, output linear.
+
+    Written into `acts` (one array per layer, as many rows as Z) when given,
+    else into new arrays.
+    """
     last = len(weights) - 1
+    outs = []
     H = Z
     for l, (W, b) in enumerate(zip(weights, biases)):
-        pre = H @ W.T
-        pre += b
-        zs.append(pre)
-        H = pre if l == last else np.maximum(pre, 0.0)
-        hs.append(H)
-    return hs, zs
+        H = np.matmul(H, W.T, out=None if acts is None else acts[l])
+        H += b
+        if l < last:
+            np.maximum(H, 0.0, out=H)
+        outs.append(H)
+    return outs
 
 
-def _loss_value(weights, biases, Z, tau, w) -> float:
-    """Forward-only loss sum_k w_k |net(Z_k) - tau_k|^2."""
-    hs, _ = _net_forward(weights, biases, Z)
-    err = hs[-1] - tau
-    return float(np.sum(w * np.sum(err * err, axis=1)))
+def _loss(out, tau, w, ws: _Workspace) -> float:
+    """sum_k w_k |out_k - tau_k|^2 for network outputs `out`."""
+    err = np.subtract(out, tau, out=ws.err)
+    np.multiply(err, err, out=err)
+    row = np.add.reduce(err, axis=1, out=ws.row)
+    np.multiply(w, row, out=row)
+    return float(np.add.reduce(row))
 
 
-def _backprop(weights, biases, Z, tau, w, gWs, gbs) -> None:
-    """Gradients of sum_k w_k |net(Z_k) - tau_k|^2, written into gWs, gbs."""
-    hs, zs = _net_forward(weights, biases, Z)
-    err = hs[-1] - tau
-    delta = 2.0 * w[:, None] * err
-    for l in range(len(weights) - 1, -1, -1):
-        np.matmul(delta.T, hs[l], out=gWs[l])
-        delta.sum(axis=0, out=gbs[l])
+def _backprop(weights, Z, acts, tau, w, gWs, gbs, ws: _Workspace) -> None:
+    """Gradients of sum_k w_k |net(Z_k) - tau_k|^2, written into gWs, gbs.
+
+    `acts` are the layer outputs of `_forward` on Z with the same weights.
+    A hidden unit passes gradient where its rectified output is positive,
+    which is where its pre-activation is.
+    """
+    last = len(weights) - 1
+    err = np.subtract(acts[last], tau, out=ws.err)
+    scale = np.multiply(w, 2.0, out=ws.row)
+    delta = np.multiply(scale[:, None], err, out=ws.deltas[last])
+    for l in range(last, -1, -1):
+        np.matmul(delta.T, acts[l - 1] if l > 0 else Z, out=gWs[l])
+        np.add.reduce(delta, axis=0, out=gbs[l])
         if l > 0:
-            delta = (delta @ weights[l]) * (zs[l - 1] > 0)
+            prev = np.matmul(delta, weights[l], out=ws.deltas[l - 1])
+            delta = np.multiply(prev, np.greater(acts[l - 1], 0.0, out=ws.masks[l - 1]), out=prev)
 
 
 def _flat_views(sizes, theta):
@@ -238,8 +276,7 @@ def evaluate(model: ControllerModel, z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (model.layer_sizes[0],):
         raise ValueError(f"input must have shape ({model.layer_sizes[0]},), got {z.shape}")
-    hs, _ = _net_forward(model.weights, model.biases, _normalize(model, z[None, :]))
-    return hs[-1][0]
+    return _forward(model.weights, model.biases, _normalize(model, z[None, :]))[-1][0]
 
 
 def forward(model: ControllerModel, x_now, x_next) -> np.ndarray:
@@ -257,7 +294,9 @@ def forward(model: ControllerModel, x_now, x_next) -> np.ndarray:
 def loss(model: ControllerModel, triples: TrainingTriples) -> float:
     """Weighted mean squared torque error over the triples."""
     Z = _normalize(model, np.concatenate([triples.x_now, triples.x_next], axis=1))
-    return _loss_value(model.weights, model.biases, Z, triples.tau, triples.weights)
+    ws = _Workspace(model.layer_sizes, triples.count, backward=False)
+    out = _forward(model.weights, model.biases, Z, ws.acts)[-1]
+    return _loss(out, triples.tau, triples.weights, ws)
 
 
 def train(
@@ -270,11 +309,14 @@ def train(
     full-batch training loss before iteration it, so history[0] equals
     `loss` of the initial model; it comes from a forward-only pass.  One
     iteration is one pass over the triples: a single full-batch step at
-    batch=None, or else a seeded-shuffle sweep of minibatch steps.  All
-    weights and biases live in one flat float64 vector; the per-layer arrays
-    are shaped views into it, gradients land in a matching flat buffer, and
-    Adam or SGD updates the vector in a few array operations.  Identical
-    inputs give bit-identical weights.
+    batch=None, or else a seeded-shuffle sweep of minibatch steps over
+    contiguous slices of a shuffled copy of the triples.  All weights and
+    biases live in one flat float64 vector; the per-layer arrays are shaped
+    views into it, gradients land in a matching flat buffer, and Adam or SGD
+    updates the vector in place.  Every buffer a pass writes is allocated
+    once per call and reused by every iteration; the full-batch step reuses
+    the history pass's layer outputs.  Identical inputs give bit-identical
+    weights.
     """
     triples = supervision(demos)
     inputs = np.concatenate([triples.x_now, triples.x_next], axis=1)
@@ -285,47 +327,69 @@ def train(
     Z = (inputs - mean) / std
     tau = triples.tau
     w = triples.weights
+    sizes = model.layer_sizes
     theta = _flat_params(model)
     grad = np.zeros_like(theta)
-    weights, biases = _flat_views(model.layer_sizes, theta)
-    gWs, gbs = _flat_views(model.layer_sizes, grad)
+    weights, biases = _flat_views(sizes, theta)
+    gWs, gbs = _flat_views(sizes, grad)
     shuffle_rng = np.random.default_rng([config.seed, 1])
 
     lr = config.learning_rate
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
+    s1 = np.empty_like(theta)
+    s2 = np.empty_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
     def apply():
+        # in place, with the operand order of m = beta1 m + (1 - beta1) g,
+        # v = beta2 v + (1 - beta2) g g, theta -= lr m_hat / (sqrt(v_hat) + eps),
+        # so every element rounds exactly as in those expressions
         nonlocal step
         step += 1
         if config.optimizer == "sgd":
-            theta[:] -= lr * grad
+            np.subtract(theta, np.multiply(grad, lr, out=s1), out=theta)
             return
-        adam_m[:] = beta1 * adam_m + (1 - beta1) * grad
-        adam_v[:] = beta2 * adam_v + (1 - beta2) * grad * grad
-        m_hat = adam_m / (1 - beta1**step)
-        v_hat = adam_v / (1 - beta2**step)
-        theta[:] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.add(np.multiply(adam_m, beta1, out=adam_m), np.multiply(grad, 1 - beta1, out=s1), out=adam_m)
+        np.multiply(np.multiply(grad, 1 - beta2, out=s1), grad, out=s1)
+        np.add(np.multiply(adam_v, beta2, out=adam_v), s1, out=adam_v)
+        np.divide(adam_m, 1 - beta1**step, out=s1)
+        np.add(np.sqrt(np.divide(adam_v, 1 - beta2**step, out=s2), out=s2), eps, out=s2)
+        np.subtract(theta, np.divide(np.multiply(s1, lr, out=s1), s2, out=s1), out=theta)
 
     P = triples.count
     full = config.batch is None or config.batch >= P
+    whole = _Workspace(sizes, P, backward=full)
+    if not full:
+        B = config.batch
+        part = _Workspace(sizes, B, backward=True)
+        tail = part.head(P % B)  # the ragged last minibatch
+        # a shuffled copy of the triples, refilled once per iteration, so
+        # every minibatch is a contiguous slice of it
+        Zs, taus, wsh = np.empty_like(Z), np.empty_like(tau), np.empty_like(w)
+
     history = np.empty(config.iterations)
     for it in range(config.iterations):
-        value = _loss_value(weights, biases, Z, tau, w)
+        acts = _forward(weights, biases, Z, whole.acts)
+        value = _loss(acts[-1], tau, w, whole)
         history[it] = value
         if not np.isfinite(value):
             raise ValueError(f"non-finite training loss at iteration {it}")
         if full:
-            _backprop(weights, biases, Z, tau, w, gWs, gbs)
+            _backprop(weights, Z, acts, tau, w, gWs, gbs, whole)
             apply()
             continue
         perm = shuffle_rng.permutation(P)
-        for lo in range(0, P, config.batch):
-            idx = perm[lo : lo + config.batch]
-            wb = w[idx]
-            _backprop(weights, biases, Z[idx], tau[idx], wb / wb.sum(), gWs, gbs)
+        # mode="clip" skips the bounds-check buffer; perm is always in range
+        np.take(Z, perm, axis=0, out=Zs, mode="clip")
+        np.take(tau, perm, axis=0, out=taus, mode="clip")
+        np.take(w, perm, out=wsh, mode="clip")
+        for lo in range(0, P, B):
+            Zb, taub, wb = Zs[lo : lo + B], taus[lo : lo + B], wsh[lo : lo + B]
+            ws = part if len(wb) == B else tail
+            np.divide(wb, wb.sum(), out=ws.w)
+            _backprop(weights, Zb, _forward(weights, biases, Zb, ws.acts), taub, ws.w, gWs, gbs, ws)
             apply()
 
     logger.info(
@@ -355,15 +419,20 @@ def gradient_check(model: ControllerModel, triple, epsilon: float = 1e-5) -> flo
     theta = _flat_params(model)
     grad = np.zeros_like(theta)
     weights, biases = _flat_views(model.layer_sizes, theta)
-    _backprop(weights, biases, Z, tau, one, *_flat_views(model.layer_sizes, grad))
+    ws = _Workspace(model.layer_sizes, 1, backward=True)
+    acts = _forward(weights, biases, Z, ws.acts)
+    _backprop(weights, Z, acts, tau, one, *_flat_views(model.layer_sizes, grad), ws)
+
+    def probe():
+        return _loss(_forward(weights, biases, Z, ws.acts)[-1], tau, one, ws)
 
     worst = 0.0
     for k in range(theta.size):
         orig = theta[k]
         theta[k] = orig + epsilon
-        up = _loss_value(weights, biases, Z, tau, one)
+        up = probe()
         theta[k] = orig - epsilon
-        down = _loss_value(weights, biases, Z, tau, one)
+        down = probe()
         theta[k] = orig
         numeric = (up - down) / (2 * epsilon)
         gap = abs(grad[k] - numeric) / max(abs(grad[k]), abs(numeric), 1e-8)

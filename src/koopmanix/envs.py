@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import inspect
 import logging
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -221,7 +222,8 @@ def make_env(kind: str, dt: float | None = None, **overrides) -> EnvSpec:
 
     linear takes dim/spectral_radius/seed (dim 5 by default) and builds a
     seeded stable matrix; other kinds forward keyword overrides to their
-    factory.  An override the factory does not take is a ValueError.
+    factory.  An override the factory does not take, or a value that is not
+    a real number (an integer for linear's dim and seed), is a ValueError.
     """
     factories = {
         "linear": linear_env_random,
@@ -242,6 +244,11 @@ def make_env(kind: str, dt: float | None = None, **overrides) -> EnvSpec:
     args.update(overrides)
     if dt is not None:
         args["dt"] = dt
+    integers = ("dim", "seed") if kind == "linear" else ()
+    for key, value in args.items():
+        want, what = (numbers.Integral, "an integer") if key in integers else (numbers.Real, "a real number")
+        if isinstance(value, bool) or not isinstance(value, want):
+            raise ValueError(f"env kind {kind!r}: override {key!r} must be {what}, got {value!r}")
     return factory(**args)
 
 

@@ -202,7 +202,11 @@ def rollout(
     for t in range(1, horizon):
         g = model.K @ g
         if not np.isfinite(g).all():
-            raise ValueError(f"non-finite reference state at step {t + 1} of {horizon}")
+            rho = float(np.max(np.abs(np.linalg.eigvals(model.K))))
+            raise ValueError(
+                f"non-finite reference state at step {t + 1} of {horizon} "
+                f"(spectral radius of K {rho:.6g} {'>' if rho > 1 else '<='} 1)"
+            )
         if mode == "relift":
             raw = np.concatenate([g[rs], g[os_]])
             g = lift_matrix(model.spec, raw[None, :])[0]

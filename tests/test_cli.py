@@ -171,6 +171,12 @@ def test_non_string_manifest_entry_is_a_persist_error(tmp_path, capsys):
     ("eval", {"demo_counts": [2, True]}, "demo_counts[1] must be a positive integer, got true"),
     ("eval", {"demo_counts": [0]}, "demo_counts[0] must be a positive integer, got 0"),
     ("eval", {"demo_counts": [2.5]}, "demo_counts[0] must be a positive integer, got 2.5"),
+    ("train-controller", {"train": {"iterations": [3]}}, "train.iterations must be an integer, got [3]"),
+    ("train-controller", {"train": {"batch": True}}, 'train.batch must be an integer, null or "full", got true'),
+    ("train-controller", {"train": {"iterations": 2.7}}, "train.iterations must be an integer, got 2.7"),
+    ("train-controller", {"train": {"seed": "7"}}, 'train.seed must be an integer, got "7"'),
+    ("train-controller", {"train": {"learning_rate": False}}, "train.learning_rate must be a real number, got false"),
+    ("train-controller", {"train": {"optimizer": 1}}, "train.optimizer must be a string, got 1"),
 ])
 def test_config_block_types_checked(tmp_path, capsys, command, config, key):
     cfg = _write_config(tmp_path, config)
@@ -189,6 +195,19 @@ def test_unknown_env_override_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid: ")
     assert "'pendulum'" in err and "'bogus'" in err and "mass" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("env, key, want", [
+    ({"kind": "pendulum", "overrides": {"mass": "heavy"}}, "'mass'", "a real number"),
+    ({"kind": "linear", "overrides": {"dim": 2.5}}, "'dim'", "an integer"),
+], ids=["pendulum-mass-string", "linear-dim-float"])
+def test_env_override_type_rejected(tmp_path, capsys, env, key, want):
+    cfg = _write_config(tmp_path, {"env": env})
+    assert main(["gen-demos", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid: ")
+    assert f"env kind {env['kind']!r}: override {key} must be {want}" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -436,7 +436,9 @@ def _bits(arr):
     TrainConfig(learning_rate=1e-3, iterations=12, batch=50, seed=7),
     TrainConfig(learning_rate=1e-3, iterations=12, batch=None, seed=7),
     TrainConfig(learning_rate=1e-3, iterations=12, batch=50, seed=7, optimizer="sgd"),
-], ids=["adam-minibatch", "adam-full", "sgd-minibatch"])
+    TrainConfig(learning_rate=1e-3, iterations=12, batch=174, seed=7),
+    TrainConfig(learning_rate=1e-3, iterations=12, batch=1, seed=7),
+], ids=["adam-minibatch", "adam-full", "sgd-minibatch", "adam-batch-is-P", "adam-batch-1"])
 def test_train_is_bit_identical_to_the_per_array_loop(config):
     env = pointmass_env()
     demos = generate_demos(env, default_expert(env), 6, 30, seed=42)

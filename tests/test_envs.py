@@ -70,6 +70,15 @@ def test_make_env_kinds_and_overrides():
         make_env("pendulum", bogus=1)
     with pytest.raises(ValueError, match="'linear' takes no override 'mu'; accepted keys: dim, spectral_radius, seed, dt"):
         make_env("linear", mu=1.0)
+    with pytest.raises(ValueError, match="'pendulum': override 'mass' must be a real number, got 'heavy'"):
+        make_env("pendulum", mass="heavy")
+    with pytest.raises(ValueError, match="'vanderpol': override 'dt' must be a real number, got True"):
+        make_env("vanderpol", dt=True)
+    with pytest.raises(ValueError, match="'linear': override 'dim' must be an integer, got 2.5"):
+        make_env("linear", dim=2.5)
+    with pytest.raises(ValueError, match="'linear': override 'seed' must be an integer, got False"):
+        make_env("linear", seed=False)
+    assert make_env("linear", dim=np.int64(2), spectral_radius=1).layout.n == 2
 
 
 def test_env_spec_dict_round_trip():

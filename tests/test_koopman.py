@@ -392,6 +392,14 @@ def test_rollout_reports_first_bad_step():
             rollout(model, CompositeState([1e200], []), 5)
 
 
+def test_rollout_overflow_quotes_the_spectral_radius():
+    layout = StateLayout(n=2, m=0, a=1)
+    model = KoopmanModel(2.0 * np.eye(2), LiftingSpec("identity", layout), layout)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=r"at step 1025 of 2000 \(spectral radius of K 2 > 1\)$"):
+            rollout(model, CompositeState([1.0, -1.0], []), 2000)
+
+
 def test_rollout_rejects_unknown_mode():
     model = KoopmanModel(np.eye(1), IDENT_1D, LAYOUT_1D)
     with pytest.raises(ValueError, match="mode"):
