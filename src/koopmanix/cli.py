@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -60,9 +61,29 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+
+# top-level key -> (accepts the JSON value, what it must be)
+TOP_TYPES = {
+    "n_demos": POSITIVE_INT,
+    "horizon": POSITIVE_INT,
+    "n_runs": POSITIVE_INT,
+    "n_eval": POSITIVE_INT,
+    "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "lifting": (lambda v: isinstance(v, str) and v in LIFTING_NAMES, '"identity" or "kodex"'),
+    "pinv_tol": (
+        lambda v: v is None or (_is_real(v) and math.isfinite(v) and v >= 0),
+        "null or a finite real number >= 0",
+    ),
+}
+
 # train block key -> (accepts the JSON value, what it must be)
 TRAIN_TYPES = {
-    "learning_rate": (lambda v: _is_int(v) or isinstance(v, float), "a real number"),
+    "learning_rate": (_is_real, "a real number"),
     "iterations": (_is_int, "an integer"),
     "batch": (lambda v: v is None or v == "full" or _is_int(v), 'an integer, null or "full"'),
     "seed": (_is_int, "an integer"),
@@ -92,10 +113,10 @@ def _load_config(args) -> dict:
     for i, count in enumerate(obj.get("demo_counts", [])):
         if not _is_int(count) or count < 1:
             raise ValueError(f"config {path}: demo_counts[{i}] must be a positive integer, got {json.dumps(count)}")
-    train = obj.get("train", {})
-    for key, (accepts, what) in TRAIN_TYPES.items():
-        if key in train and not accepts(train[key]):
-            raise ValueError(f"config {path}: train.{key} must be {what}, got {json.dumps(train[key])}")
+    for prefix, block, types in (("", obj, TOP_TYPES), ("train.", obj.get("train", {}), TRAIN_TYPES)):
+        for key, (accepts, what) in types.items():
+            if key in block and not accepts(block[key]):
+                raise ValueError(f"config {path}: {prefix}{key} must be {what}, got {json.dumps(block[key])}")
     return obj
 
 
@@ -117,7 +138,10 @@ def _env_for(args, config: dict, manifest: dict | None):
     if "env" in config:
         return _env_from_config(config)
     if manifest is not None and manifest.get("env"):
-        return env_spec_from_dict(manifest["env"])
+        try:
+            return env_spec_from_dict(manifest["env"])
+        except ValueError as exc:
+            raise ValueError(f"manifest {args.demos}: {exc}") from None
     raise ValueError("no environment: pass --config with an env block or a manifest that records one")
 
 
@@ -164,9 +188,9 @@ def _reset_seeds(root_seed: int, count: int) -> list[int]:
 def _cmd_gen_demos(args) -> int:
     config = _load_config(args)
     env = _env_from_config(config)
-    n = int(_pick(args.n_demos, config, "n_demos", 100))
-    horizon = int(_pick(args.horizon, config, "horizon", 100))
-    seed = int(_pick(args.seed, config, "seed", 0))
+    n = _pick(args.n_demos, config, "n_demos", 100)
+    horizon = _pick(args.horizon, config, "horizon", 100)
+    seed = _pick(args.seed, config, "seed", 0)
     out = _out_dir(args)
     demos = generate_demos(env, default_expert(env), n, horizon, seed, distribution=args.distribution)
     manifest = save_demos(demos, out / "demos", env=env_spec_to_dict(env), seed=seed)
@@ -182,7 +206,7 @@ def _cmd_fit(args) -> int:
     lifting = LIFTING_NAMES[_pick(args.lifting, config, "lifting", "kodex")]
     tol = _pick(args.pinv_tol, config, "pinv_tol", None)
     spec = LiftingSpec(lifting, demos.layout)
-    model = fit(demos, spec, rel_tolerance=None if tol is None else float(tol))
+    model = fit(demos, spec, rel_tolerance=tol)
     out = _out_dir(args)
     save_model(model, out / "model.json")
     meta = model.fit_meta
@@ -255,9 +279,9 @@ def _cmd_simulate(args) -> int:
     controller = load_controller(args.controller)
     manifest = load_manifest(args.demos) if args.demos else None
     env = _env_for(args, config, manifest)
-    n_runs = int(_pick(args.n_runs, config, "n_runs", 100))
-    horizon = int(_pick(args.horizon, config, "horizon", 100))
-    seed = int(_pick(args.seed, config, "seed", 0))
+    n_runs = _pick(args.n_runs, config, "n_runs", 100)
+    horizon = _pick(args.horizon, config, "horizon", 100)
+    seed = _pick(args.seed, config, "seed", 0)
     out = _out_dir(args)
     seeds = _reset_seeds(seed, n_runs)
     executed = _run_batch(model, controller, env, seeds, horizon, args.distribution, args.rollout_mode)
@@ -286,9 +310,9 @@ def _cmd_eval(args) -> int:
     config = _load_config(args)
     env = _env_from_config(config)
     counts = config.get("demo_counts", [10, 25, 50, 100, 150, 200])
-    horizon = int(_pick(args.horizon, config, "horizon", 100))
-    seed = int(_pick(args.seed, config, "seed", 0))
-    n_eval = int(config.get("n_eval", 100))
+    horizon = _pick(args.horizon, config, "horizon", 100)
+    seed = _pick(args.seed, config, "seed", 0)
+    n_eval = config.get("n_eval", 100)
     lifting = LIFTING_NAMES[_pick(args.lifting, config, "lifting", "kodex")]
     tol = _pick(args.pinv_tol, config, "pinv_tol", None)
     train_cfg = _train_config(args, config)
@@ -301,8 +325,7 @@ def _cmd_eval(args) -> int:
         demo_seed = int(rng.integers(SEED_CEILING))
         eval_seeds = [int(s) for s in rng.integers(SEED_CEILING, size=n_eval)]
         demos = generate_demos(env, default_expert(env), count, horizon, demo_seed)
-        model = fit(demos, LiftingSpec(lifting, demos.layout),
-                    rel_tolerance=None if tol is None else float(tol))
+        model = fit(demos, LiftingSpec(lifting, demos.layout), rel_tolerance=tol)
         controller, _ = train(demos, train_cfg)
         errors = []
         for traj in demos.trajectories:
@@ -340,10 +363,10 @@ def _cmd_retune(args) -> int:
     manifest = load_manifest(args.demos) if args.demos else None
     env = _env_for(args, config, manifest)
     perturbed = perturb_params(env, args.variation)
-    n_demos = int(_pick(args.n_demos, config, "n_demos", 100))
-    horizon = int(_pick(args.horizon, config, "horizon", 100))
-    seed = int(_pick(args.seed, config, "seed", 0))
-    n_runs = int(_pick(args.n_runs, config, "n_runs", 100))
+    n_demos = _pick(args.n_demos, config, "n_demos", 100)
+    horizon = _pick(args.horizon, config, "horizon", 100)
+    seed = _pick(args.seed, config, "seed", 0)
+    n_runs = _pick(args.n_runs, config, "n_runs", 100)
     train_cfg = _train_config(args, config)
     criterion = default_criterion(env)
     if criterion is None:

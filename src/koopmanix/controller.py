@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,8 +90,8 @@ class TrainConfig:
     optimizer: str = "adam"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.batch is not None and self.batch < 1:
@@ -289,6 +290,32 @@ def forward(model: ControllerModel, x_now, x_next) -> np.ndarray:
             f"x_now and x_next must be 1-D and jointly match the input width {n2}"
         )
     return evaluate(model, np.concatenate([x_now, x_next]))
+
+
+def _row_forward(model: ControllerModel, layout: StateLayout):
+    """`forward` for repeated calls on one model, checked once against a layout.
+
+    Returns act(x_now, x_next), which runs `_forward` on one preallocated row
+    with no per-call checks.  The torque act returns is a view that the next
+    call overwrites.
+    """
+    n, sizes = layout.n, model.layer_sizes
+    if (sizes[0], sizes[-1]) != (2 * n, layout.a):
+        raise ValueError(
+            f"controller maps {sizes[0]} inputs to {sizes[-1]} torques; the layout needs {2 * n} to {layout.a}"
+        )
+    row = np.empty((1, sizes[0]))
+    now, nxt = row[0, :n], row[0, n:]
+    acts = [np.empty((1, k)) for k in sizes[1:]]
+
+    def act(x_now, x_next):
+        now[:] = x_now
+        nxt[:] = x_next
+        np.subtract(row, model.input_mean, out=row)
+        np.divide(row, model.input_std, out=row)
+        return _forward(model.weights, model.biases, row, acts)[-1][0]
+
+    return act
 
 
 def loss(model: ControllerModel, triples: TrainingTriples) -> float:

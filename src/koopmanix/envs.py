@@ -14,26 +14,27 @@ first, then position with the new velocity.  Object states store positions
 relative to the task target so success predicates read distances directly.
 Episode difficulty is tuned so the scripted experts are perfect on the
 in-distribution samplers; those constants are frozen and tests pin them.
+Rollouts step B states in lockstep on (B, ...) arrays; one episode is B = 1.
 """
 
 from __future__ import annotations
 
 import inspect
 import logging
+import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import koopman
-from .controller import ControllerModel, forward as controller_forward
+from .controller import ControllerModel, _row_forward
 from .metrics import SuccessCriterion, evaluate_success
 from .statespace import CompositeState, DemonstrationSet, StateLayout, Trajectory
 
 logger = logging.getLogger(__name__)
-
-KINDS = ("linear", "pendulum", "vanderpol", "pointmass-relocation")
 
 # mass variations as ratios of the reference masses
 VARIATIONS = {
@@ -67,12 +68,15 @@ class EnvSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown env kind {self.kind!r}, expected one of {KINDS}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        for name, value in self.params.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{self.kind} param {name!r} must be finite, got {value}")
         disjoint = 0
         for name, (rin, rout) in self.sampler.items():
-            if rin[0] >= rin[1] or rout[0] >= rout[1]:
-                raise ValueError(f"sampler range for {name!r} must have low < high")
+            if not (all(map(math.isfinite, rin + rout)) and rin[0] < rin[1] and rout[0] < rout[1]):
+                raise ValueError(f"sampler range for {name!r} must be finite with low < high")
             if rin == rout:
                 continue
             if rout[0] < rin[1] and rin[0] < rout[1]:
@@ -90,6 +94,8 @@ class EnvSpec:
                 raise ValueError(f"matrix must be ({d}, {d}), got {M.shape}")
             if B.shape != (d, self.layout.a):
                 raise ValueError(f"input_map must be ({d}, {self.layout.a}), got {B.shape}")
+            if not (np.isfinite(M).all() and np.isfinite(B).all()):
+                raise ValueError("matrix and input_map must be finite")
             M.setflags(write=False)
             B.setflags(write=False)
             object.__setattr__(self, "matrix", M)
@@ -126,8 +132,12 @@ class ScriptedExpert:
 def linear_env(matrix, input_map=None, dt: float = 1.0) -> EnvSpec:
     """Discrete linear system; dt is nominal (the map itself is the step)."""
     M = np.asarray(matrix, dtype=np.float64)
+    if M.ndim != 2:
+        raise ValueError(f"matrix must be 2-D, got shape {M.shape}")
     d = M.shape[0]
     B = np.eye(d) if input_map is None else np.asarray(input_map, dtype=np.float64)
+    if B.ndim != 2:
+        raise ValueError(f"input_map must be 2-D, got shape {B.shape}")
     layout = StateLayout(n=d, m=0, a=B.shape[1])
     sampler = {f"init_{i}": ((-1.0, 1.0), (-1.0, 1.0)) for i in range(d)}
     sampler["init_0"] = ((-1.0, 1.0), (1.0, 1.5))
@@ -217,6 +227,15 @@ def pointmass_env(
     return EnvSpec("pointmass-relocation", dt, layout, params, sampler)
 
 
+_FACTORIES = {
+    "linear": linear_env_random,
+    "pendulum": pendulum_env,
+    "vanderpol": vanderpol_env,
+    "pointmass-relocation": pointmass_env,
+}
+KINDS = tuple(_FACTORIES)
+
+
 def make_env(kind: str, dt: float | None = None, **overrides) -> EnvSpec:
     """Build an environment by kind name (the CLI entry point).
 
@@ -225,15 +244,9 @@ def make_env(kind: str, dt: float | None = None, **overrides) -> EnvSpec:
     factory.  An override the factory does not take, or a value that is not
     a real number (an integer for linear's dim and seed), is a ValueError.
     """
-    factories = {
-        "linear": linear_env_random,
-        "pendulum": pendulum_env,
-        "vanderpol": vanderpol_env,
-        "pointmass-relocation": pointmass_env,
-    }
-    if kind not in factories:
+    if kind not in KINDS:
         raise ValueError(f"unknown env kind {kind!r}")
-    factory = factories[kind]
+    factory = _FACTORIES[kind]
     accepted = tuple(inspect.signature(factory).parameters)
     unknown = [key for key in overrides if key not in accepted]
     if unknown:
@@ -289,6 +302,53 @@ def reset(spec: EnvSpec, seed: int, distribution: str = "in") -> EnvState:
     return EnvState(comp, (target[0], target[1], 0.0))
 
 
+def _transition(spec: EnvSpec, x_r, x_o, inner, tau, next_r, next_o) -> None:
+    """One step of B states: rows x_r (B, n), x_o (B, m), tau (B, a) -> next_r, next_o.
+
+    inner (B, k), the rows of EnvState.internal, is updated in place.  Only
+    plain ufuncs run: on one row np.clip, np.where and norm cost several times more.
+    """
+    dt, p = spec.dt, spec.params
+    if spec.kind == "linear":
+        np.matmul(x_r, spec.matrix.T, out=next_r)
+        next_r += tau @ spec.input_map.T
+    elif spec.kind == "pendulum":
+        theta, omega = x_r[:, 0], x_r[:, 1]
+        inertia = p["mass"] * p["length"] ** 2
+        alpha = (
+            tau[:, 0]
+            - p["damping"] * omega
+            - p["mass"] * p["gravity"] * p["length"] * np.sin(theta)
+        ) / inertia
+        omega_new = np.add(omega, dt * alpha, out=next_r[:, 1])
+        theta_new = np.add(theta, dt * omega_new, out=next_r[:, 0])
+        np.subtract(theta_new, inner[:, 0], out=next_o[:, 0])
+    elif spec.kind == "vanderpol":
+        x0, x1 = x_r[:, 0], x_r[:, 1]
+        x1_new = np.add(x1, dt * (p["mu"] * (1.0 - x0**2) * x1 - x0 + tau[:, 0]), out=next_r[:, 1])
+        np.add(x0, dt * x1_new, out=next_r[:, 0])
+    else:  # pointmass-relocation; inner rows are (target_x, target_y, attached)
+        hand, vel = x_r[:, :2], x_r[:, 2:]
+        target, attached = inner[:, :2], inner[:, 2:]
+        ball = x_o[:, :2] + target
+        gap = hand - ball
+        np.logical_or(attached, np.hypot(gap[:, :1], gap[:, 1:]) <= p["attach_radius"], out=attached)
+        held = attached > 0.0
+        m_eff = p["hand_mass"] + p["ball_mass"] * attached
+        acc = np.minimum(np.maximum(tau, -p["tau_limit"]), p["tau_limit"])
+        acc -= p["damping"] * vel
+        acc -= m_eff * (0.0, p["gravity"])  # the weight
+        acc /= m_eff
+        vel_new = np.add(vel, dt * acc, out=next_r[:, 2:])
+        hand_new = np.add(hand, dt * vel_new, out=next_r[:, :2])
+        # a carried ball moves with the hand; a free ball stays put with
+        # velocity +0.0 (vel * attached would write -0.0 into the demos)
+        np.copyto(ball, hand_new, where=held)
+        np.subtract(ball, target, out=next_o[:, :2])
+        next_o[:, 2:] = 0.0
+        np.copyto(next_o[:, 2:], vel_new, where=held)
+
+
 def step(spec: EnvSpec, state: EnvState, tau) -> EnvState:
     """Advance one step (one dt for the continuous kinds)."""
     tau = np.asarray(tau, dtype=np.float64)
@@ -296,56 +356,10 @@ def step(spec: EnvSpec, state: EnvState, tau) -> EnvState:
         raise ValueError(f"torque must have shape ({spec.layout.a},), got {tau.shape}")
     if not np.isfinite(tau).all():
         raise ValueError(f"non-finite torque at step {state.t}")
-    dt = spec.dt
-    if spec.kind == "linear":
-        x = spec.matrix @ state.composite.x_r + spec.input_map @ tau
-        return EnvState(CompositeState(x, np.empty(0)), (), state.t + 1)
-    if spec.kind == "pendulum":
-        p = spec.params
-        theta, omega = state.composite.x_r
-        (target,) = state.internal
-        inertia = p["mass"] * p["length"] ** 2
-        alpha = (
-            tau[0]
-            - p["damping"] * omega
-            - p["mass"] * p["gravity"] * p["length"] * np.sin(theta)
-        ) / inertia
-        omega_new = omega + dt * alpha
-        theta_new = theta + dt * omega_new
-        comp = CompositeState(np.array([theta_new, omega_new]), np.array([theta_new - target]))
-        return EnvState(comp, state.internal, state.t + 1)
-    if spec.kind == "vanderpol":
-        mu = spec.params["mu"]
-        x0, x1 = state.composite.x_r
-        x1_new = x1 + dt * (mu * (1.0 - x0**2) * x1 - x0 + tau[0])
-        x0_new = x0 + dt * x1_new
-        return EnvState(CompositeState(np.array([x0_new, x1_new]), np.empty(0)), (), state.t + 1)
-    # pointmass-relocation
-    p = spec.params
-    hand = state.composite.x_r[:2]
-    vel = state.composite.x_r[2:]
-    tx, ty, attached = state.internal
-    target = np.array([tx, ty])
-    ball = state.composite.x_o[:2] + target
-    if not attached and np.linalg.norm(hand - ball) <= p["attach_radius"]:
-        attached = 1.0
-    tau = np.clip(tau, -p["tau_limit"], p["tau_limit"])
-    m_eff = p["hand_mass"] + (p["ball_mass"] if attached else 0.0)
-    weight = np.array([0.0, m_eff * p["gravity"]])
-    acc = (tau - p["damping"] * vel - weight) / m_eff
-    vel_new = vel + dt * acc
-    hand_new = hand + dt * vel_new
-    if attached:
-        ball_new = hand_new
-        ball_vel = vel_new
-    else:
-        ball_new = ball
-        ball_vel = np.zeros(2)
-    comp = CompositeState(
-        np.concatenate([hand_new, vel_new]),
-        np.concatenate([ball_new - target, ball_vel]),
-    )
-    return EnvState(comp, (tx, ty, attached), state.t + 1)
+    inner = np.array([state.internal], dtype=np.float64)
+    next_r, next_o = np.empty((1, spec.layout.n)), np.empty((1, spec.layout.m))
+    _transition(spec, state.composite.x_r[None], state.composite.x_o[None], inner, tau[None], next_r, next_o)
+    return EnvState(CompositeState(next_r[0], next_o[0]), tuple(inner[0].tolist()), state.t + 1)
 
 
 # ---------------------------------------------------------------- experts
@@ -368,42 +382,38 @@ def default_expert(spec: EnvSpec) -> ScriptedExpert:
     return ScriptedExpert(spec.kind, {})
 
 
+def _expert_law(spec: EnvSpec, expert: ScriptedExpert, t, x_r, x_o, inner, noise, out) -> None:
+    """The expert's torques at step t for B rows, written into out (B, a): a `_run` torque."""
+    g, p = expert.gains, spec.params
+    if spec.kind in ("linear", "vanderpol"):
+        out[:] = 0.0
+    elif spec.kind == "pendulum":
+        theta, omega = x_r[:, 0], x_r[:, 1]
+        grav = p["mass"] * p["gravity"] * p["length"] * np.sin(theta)
+        out[:, 0] = g["kp"] * (inner[:, 0] - theta) - g["kd"] * omega + grav
+    else:
+        vel, rel, attached = x_r[:, 2:], x_o[:, :2], inner[:, 2:]
+        # both laws on every row; the attach flag picks one per row
+        law = g["kp_reach"] * (rel + inner[:, :2] - x_r[:, :2]) - g["kd_reach"] * vel
+        np.copyto(law, -g["kp_carry"] * rel - g["kd_carry"] * vel, where=attached > 0.0)
+        m_eff = p["hand_mass"] + p["ball_mass"] * attached
+        np.add(law, m_eff * (0.0, p["gravity"]), out=out)  # holds the weight
+    if noise is not None:
+        out += expert.noise_scale * noise[t]
+    if spec.kind == "pointmass-relocation":
+        np.minimum(np.maximum(out, -p["tau_limit"], out=out), p["tau_limit"], out=out)
+    if not np.isfinite(out).all():
+        raise ValueError(f"non-finite torque at step {t}")
+
+
 def expert_torque(
     spec: EnvSpec,
     expert: ScriptedExpert,
     state: EnvState,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Scripted feedback torque (experts may read the hidden internal state)."""
-    if expert.kind != spec.kind:
-        raise ValueError(f"expert kind {expert.kind!r} does not match env kind {spec.kind!r}")
-    g = expert.gains
-    if spec.kind in ("linear", "vanderpol"):
-        tau = np.zeros(spec.layout.a)
-    elif spec.kind == "pendulum":
-        p = spec.params
-        theta, omega = state.composite.x_r
-        (target,) = state.internal
-        grav = p["mass"] * p["gravity"] * p["length"] * np.sin(theta)
-        tau = np.array([g["kp"] * (target - theta) - g["kd"] * omega + grav])
-    else:
-        hand = state.composite.x_r[:2]
-        vel = state.composite.x_r[2:]
-        tx, ty, attached = state.internal
-        rel = state.composite.x_o[:2]
-        p = spec.params
-        m_eff = p["hand_mass"] + (p["ball_mass"] if attached else 0.0)
-        comp = np.array([0.0, m_eff * p["gravity"]])
-        if attached:
-            tau = -g["kp_carry"] * rel - g["kd_carry"] * vel + comp
-        else:
-            ball = rel + np.array([tx, ty])
-            tau = g["kp_reach"] * (ball - hand) - g["kd_reach"] * vel + comp
-    if expert.noise_scale > 0.0 and rng is not None:
-        tau = tau + expert.noise_scale * rng.standard_normal(spec.layout.a)
-    if spec.kind == "pointmass-relocation":
-        tau = np.clip(tau, -spec.params["tau_limit"], spec.params["tau_limit"])
-    return tau
+    """Scripted feedback torque: the first torque of a one-step expert rollout."""
+    return _run_expert(spec, expert, [state], 2, None if rng is None else [rng])[0].torques[0]
 
 
 def default_criterion(spec: EnvSpec) -> SuccessCriterion | None:
@@ -419,19 +429,34 @@ def default_criterion(spec: EnvSpec) -> SuccessCriterion | None:
 
 # ---------------------------------------------------------------- rollouts
 
-def _run(spec: EnvSpec, init: EnvState, horizon: int, torque) -> Trajectory:
-    """Step from init with torque(t, state), filling preallocated state and torque arrays."""
-    lay = spec.layout
-    x_r, x_o = np.empty((horizon, lay.n)), np.empty((horizon, lay.m))
-    torques = np.empty((horizon - 1, lay.a))
-    x_r[0], x_o[0] = init.composite.x_r, init.composite.x_o
-    state = init
+def _run(spec: EnvSpec, inits, horizon: int, torque, rngs=None) -> list[Trajectory]:
+    """Step B initial states in lockstep into preallocated (T, B, ...) arrays.
+
+    torque(t, x_r, x_o, inner, noise, out) writes step t's torques into out.
+    noise is None or, with one generator per state in rngs, their (T-1, B, a)
+    standard normal draws, made up front: the stream of T-1 draws of size a.
+    """
+    if horizon < 2:
+        raise ValueError(f"horizon must be >= 2, got {horizon}")
+    lay, B = spec.layout, len(inits)
+    x_r, x_o = np.empty((horizon, B, lay.n)), np.empty((horizon, B, lay.m))
+    torques = np.empty((horizon - 1, B, lay.a))
+    x_r[0] = [s.composite.x_r for s in inits]
+    x_o[0] = [s.composite.x_o for s in inits]
+    inner = np.array([s.internal for s in inits], dtype=np.float64)
+    noise = None if rngs is None else np.stack(
+        [rng.standard_normal((horizon - 1, lay.a)) for rng in rngs], axis=1)
     for t in range(horizon - 1):
-        tau = torque(t, state)
-        state = step(spec, state, tau)
-        torques[t] = tau
-        x_r[t + 1], x_o[t + 1] = state.composite.x_r, state.composite.x_o
-    return Trajectory.from_arrays(x_r, x_o, torques)
+        torque(t, x_r[t], x_o[t], inner, noise, torques[t])
+        _transition(spec, x_r[t], x_o[t], inner, torques[t], x_r[t + 1], x_o[t + 1])
+    return [Trajectory.from_arrays(x_r[:, i], x_o[:, i], torques[:, i]) for i in range(B)]
+
+
+def _run_expert(spec: EnvSpec, expert: ScriptedExpert, inits, horizon: int, rngs) -> list[Trajectory]:
+    """The expert from B states in lockstep; rngs holds one noise generator per state, or is None."""
+    if expert.kind != spec.kind:
+        raise ValueError(f"expert kind {expert.kind!r} does not match env kind {spec.kind!r}")
+    return _run(spec, inits, horizon, partial(_expert_law, spec, expert), rngs if expert.noise_scale > 0.0 else None)
 
 
 def run_expert(
@@ -442,9 +467,7 @@ def run_expert(
     noise_rng: np.random.Generator | None = None,
 ) -> Trajectory:
     """Roll the scripted expert from an initial state; T states, T-1 torques."""
-    if horizon < 2:
-        raise ValueError(f"horizon must be >= 2, got {horizon}")
-    return _run(spec, init, horizon, lambda t, state: expert_torque(spec, expert, state, noise_rng))
+    return _run_expert(spec, expert, [init], horizon, None if noise_rng is None else [noise_rng])[0]
 
 
 def generate_demos(
@@ -455,7 +478,7 @@ def generate_demos(
     seed: int,
     distribution: str = "in",
 ) -> DemonstrationSet:
-    """Collect expert demonstrations from seeded resets.
+    """Collect expert demonstrations from seeded resets, stepped in one lockstep batch.
 
     Per-trajectory reset and noise seeds derive from one root seed, so the
     whole set is reproducible.  Logs the expert success rate when the kind
@@ -463,15 +486,9 @@ def generate_demos(
     """
     if n_demos < 1:
         raise ValueError(f"n_demos must be >= 1, got {n_demos}")
-    root = np.random.default_rng(seed)
-    trajs = []
-    for _ in range(n_demos):
-        reset_seed = int(root.integers(2**62))
-        noise_seed = int(root.integers(2**62))
-        init = reset(spec, reset_seed, distribution)
-        noise_rng = np.random.default_rng(noise_seed)
-        trajs.append(run_expert(spec, expert, init, horizon, noise_rng))
-    demos = DemonstrationSet(spec.layout, tuple(trajs))
+    seeds = np.random.default_rng(seed).integers(2**62, size=(n_demos, 2)).tolist()
+    inits = [reset(spec, reset_seed, distribution) for reset_seed, _ in seeds]
+    trajs = _run_expert(spec, expert, inits, horizon, [np.random.default_rng(s) for _, s in seeds])
     criterion = default_criterion(spec)
     if criterion is not None:
         wins = sum(evaluate_success(t, criterion).success for t in trajs)
@@ -479,7 +496,7 @@ def generate_demos(
             "generate_demos: kind=%s n=%d expert success %.1f%%",
             spec.kind, n_demos, 100.0 * wins / n_demos,
         )
-    return demos
+    return DemonstrationSet(spec.layout, tuple(trajs))
 
 
 def execute_policy(
@@ -497,23 +514,24 @@ def execute_policy(
     torque.  controller is a ControllerModel or any callable with that
     signature.
     """
-    if horizon < 2:
-        raise ValueError(f"horizon must be >= 2, got {horizon}")
-    ref = koopman.rollout(model, init.composite, horizon, mode=mode)
+    lay = spec.layout
     if isinstance(controller, ControllerModel):
-        act = lambda x_now, x_next: controller_forward(controller, x_now, x_next)
+        act = _row_forward(controller, lay)
     elif callable(controller):
         act = controller
     else:
         raise ValueError("controller must be a ControllerModel or a callable")
+    ref = koopman.rollout(model, init.composite, horizon, mode=mode)
 
-    def torque(t, state):
-        tau = np.asarray(act(state.composite.x_r, ref[t + 1]), dtype=np.float64)
+    def torque(t, x_r, x_o, inner, noise, out):
+        tau = np.asarray(act(x_r[0], ref[t + 1]), dtype=np.float64)
         if not np.isfinite(tau).all():
             raise ValueError(f"controller produced non-finite torque at step {t + 1}")
-        return tau
+        if tau.shape != (lay.a,):
+            raise ValueError(f"torque must have shape ({lay.a},), got {tau.shape}")
+        out[0] = tau
 
-    return _run(spec, init, horizon, torque)
+    return _run(spec, [init], horizon, torque)[0]
 
 
 def perfect_tracker(spec: EnvSpec) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -559,22 +577,19 @@ def env_spec_to_dict(spec: EnvSpec) -> dict:
 
 
 def env_spec_from_dict(data: dict) -> EnvSpec:
-    kind = data["kind"]
-    params = {k: float(v) for k, v in data.get("params", {}).items()}
+    """Inverse of env_spec_to_dict; params and sampler entries left out take the kind's defaults."""
+    if not isinstance(data, dict):
+        raise ValueError(f"env block must be an object, got {data!r}")
+    kind = data.get("kind")
+    for key in ("kind", "dt") + (("matrix", "input_map") if kind == "linear" else ()):
+        if key not in data:
+            raise ValueError(f"env block has no {key!r} key")
+    if kind not in KINDS:
+        raise ValueError(f"unknown env kind {kind!r}")
+    base = linear_env(data["matrix"], data["input_map"]) if kind == "linear" else _FACTORIES[kind]()
+    params = {k: float(v) for k, v in {**base.params, **data.get("params", {})}.items()}
     sampler = {
         k: ((float(v[0][0]), float(v[0][1])), (float(v[1][0]), float(v[1][1])))
-        for k, v in data.get("sampler", {}).items()
+        for k, v in {**base.sampler, **data.get("sampler", {})}.items()
     }
-    if kind == "linear":
-        M = np.asarray(data["matrix"], dtype=np.float64)
-        B = np.asarray(data["input_map"], dtype=np.float64)
-        layout = StateLayout(n=M.shape[0], m=0, a=B.shape[1])
-        return EnvSpec(kind, float(data["dt"]), layout, params, sampler, matrix=M, input_map=B)
-    layouts = {
-        "pendulum": StateLayout(n=2, m=1, a=1),
-        "vanderpol": StateLayout(n=2, m=0, a=1),
-        "pointmass-relocation": pointmass_env().layout,
-    }
-    if kind not in layouts:
-        raise ValueError(f"unknown env kind {kind!r}")
-    return EnvSpec(kind, float(data["dt"]), layouts[kind], params, sampler)
+    return replace(base, dt=float(data["dt"]), params=params, sampler=sampler)

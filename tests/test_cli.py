@@ -177,11 +177,21 @@ def test_non_string_manifest_entry_is_a_persist_error(tmp_path, capsys):
     ("train-controller", {"train": {"seed": "7"}}, 'train.seed must be an integer, got "7"'),
     ("train-controller", {"train": {"learning_rate": False}}, "train.learning_rate must be a real number, got false"),
     ("train-controller", {"train": {"optimizer": 1}}, "train.optimizer must be a string, got 1"),
+    ("gen-demos", {"n_demos": [3]}, "n_demos must be a positive integer, got [3]"),
+    ("gen-demos", {"n_demos": 2.7}, "n_demos must be a positive integer, got 2.7"),
+    ("gen-demos", {"horizon": True}, "horizon must be a positive integer, got true"),
+    ("gen-demos", {"n_runs": 0}, "n_runs must be a positive integer, got 0"),
+    ("gen-demos", {"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ("fit", {"lifting": "bogus"}, 'lifting must be "identity" or "kodex", got "bogus"'),
+    ("eval", {"n_eval": 0}, "n_eval must be a positive integer, got 0"),
+    ("fit", {"pinv_tol": "x"}, 'pinv_tol must be null or a finite real number >= 0, got "x"'),
+    ("fit", {"pinv_tol": float("nan")}, "pinv_tol must be null or a finite real number >= 0, got NaN"),
+    ("fit", {"pinv_tol": -1e-9}, "pinv_tol must be null or a finite real number >= 0, got -1e-09"),
 ])
 def test_config_block_types_checked(tmp_path, capsys, command, config, key):
     cfg = _write_config(tmp_path, config)
     argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]
-    if command == "train-controller":
+    if command in ("train-controller", "fit"):
         argv += ["--demos", str(FIXTURES / "demo_set" / "manifest.json")]
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -208,6 +218,45 @@ def test_env_override_type_rejected(tmp_path, capsys, env, key, want):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid: ")
     assert f"env kind {env['kind']!r}: override {key} must be {want}" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("gen-demos", {"env": {"kind": "pendulum", "overrides": {"mass": float("nan")}}},
+     "pendulum param 'mass' must be finite, got nan"),
+    ("gen-demos", {"env": {"kind": "vanderpol", "overrides": {"dt": float("inf")}}},
+     "dt must be finite and > 0, got inf"),
+    ("train-controller", {"train": {"learning_rate": float("nan")}}, "learning_rate must be finite and > 0, got nan"),
+    ("train-controller", {"train": {"learning_rate": float("inf")}}, "learning_rate must be finite and > 0, got inf"),
+], ids=["env-mass-nan", "env-dt-inf", "learning-rate-nan", "learning-rate-inf"])
+def test_non_finite_numbers_rejected(tmp_path, capsys, command, config, key):
+    cfg = _write_config(tmp_path, config)
+    argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]
+    if command == "train-controller":
+        argv += ["--demos", str(FIXTURES / "demo_set" / "manifest.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid: ") and key in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("env, key", [
+    ({"dt": 0.05}, "'kind'"),
+    ({"kind": "pendulum"}, "'dt'"),
+    ({"kind": "linear", "dt": 1.0, "matrix": [[0.5]]}, "'input_map'"),
+], ids=["no-kind", "no-dt", "linear-no-input-map"])
+def test_manifest_env_block_missing_key(tmp_path, capsys, env, key):
+    manifest = json.loads((FIXTURES / "demo_set" / "manifest.json").read_text())
+    manifest["env"] = env
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main([
+        "simulate", "--model", str(FIXTURES / "model.json"),
+        "--controller", str(FIXTURES / "controller.json"),
+        "--demos", str(path), "--out-dir", str(tmp_path / "o"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: invalid: manifest {path}: env block has no {key} key\n"
     assert not (tmp_path / "o").exists()
 
 

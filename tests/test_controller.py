@@ -275,6 +275,9 @@ def test_gradient_check_epsilon_domain():
 def test_train_config_validation():
     with pytest.raises(ValueError, match="learning_rate"):
         TrainConfig(learning_rate=0.0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"learning_rate must be finite and > 0, got {value}"):
+            TrainConfig(learning_rate=value)
     with pytest.raises(ValueError, match="iterations"):
         TrainConfig(iterations=0)
     with pytest.raises(ValueError, match="batch"):

@@ -33,6 +33,7 @@ from koopmanix.envs import (
     step,
     vanderpol_env,
 )
+from koopmanix.controller import init as controller_init
 from koopmanix.metrics import evaluate_success
 
 
@@ -56,6 +57,14 @@ def test_spec_rejects_bad_configuration():
         EnvSpec("linear", 1.0, layout, {}, sampler)
     with pytest.raises(ValueError, match="does not take"):
         EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, sampler, matrix=np.eye(2), input_map=np.eye(2))
+    with pytest.raises(ValueError, match="dt must be finite and > 0, got nan"):
+        EnvSpec("vanderpol", float("nan"), layout, {"mu": 1.0}, sampler)
+    with pytest.raises(ValueError, match="vanderpol param 'mu' must be finite, got inf"):
+        EnvSpec("vanderpol", 0.1, layout, {"mu": float("inf")}, sampler)
+    with pytest.raises(ValueError, match="sampler range for 'x' must be finite"):
+        EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, {"x": ((0.0, 1.0), (1.0, float("nan")))})
+    with pytest.raises(ValueError, match="matrix and input_map must be finite"):
+        linear_env(np.array([[np.nan, 0.0], [0.0, 0.5]]))
 
 
 def test_make_env_kinds_and_overrides():
@@ -79,6 +88,10 @@ def test_make_env_kinds_and_overrides():
     with pytest.raises(ValueError, match="'linear': override 'seed' must be an integer, got False"):
         make_env("linear", seed=False)
     assert make_env("linear", dim=np.int64(2), spectral_radius=1).layout.n == 2
+    with pytest.raises(ValueError, match="pendulum param 'mass' must be finite, got nan"):
+        make_env("pendulum", mass=float("nan"))
+    with pytest.raises(ValueError, match="matrix and input_map must be finite"):
+        make_env("linear", spectral_radius=float("inf"))
 
 
 def test_env_spec_dict_round_trip():
@@ -91,6 +104,20 @@ def test_env_spec_dict_round_trip():
         if spec.matrix is not None:
             assert np.array_equal(back.matrix, spec.matrix)
             assert np.array_equal(back.input_map, spec.input_map)
+    assert env_spec_from_dict(env_spec_to_dict(pointmass_env())).layout == pointmass_env().layout
+    for block, key in (({"dt": 0.05}, "'kind'"), ({"kind": "vanderpol"}, "'dt'"),
+                       ({"kind": "linear", "dt": 1.0, "input_map": [[1.0]]}, "'matrix'")):
+        with pytest.raises(ValueError, match=f"env block has no {key} key"):
+            env_spec_from_dict(block)
+    with pytest.raises(ValueError, match="unknown env kind 'maze'"):
+        env_spec_from_dict({"kind": "maze", "dt": 0.1})
+    with pytest.raises(ValueError, match="env block must be an object"):
+        env_spec_from_dict(["pendulum"])
+    partial = env_spec_from_dict({"kind": "pendulum", "dt": 0.01, "params": {"mass": 2}})
+    assert partial.params == {**pendulum_env().params, "mass": 2.0}
+    assert partial.sampler == pendulum_env().sampler
+    with pytest.raises(ValueError, match=r"input_map must be 2-D, got shape \(1,\)"):
+        env_spec_from_dict({"kind": "linear", "dt": 1.0, "matrix": [[0.5]], "input_map": [1.0]})
 
 
 # ---- reset and samplers ----
@@ -235,6 +262,19 @@ def test_pointmass_free_ball_rests():
     assert np.array_equal(st.composite.x_o[2:], [0.0, 0.0])
 
 
+def test_pointmass_free_ball_velocity_has_no_sign_bit():
+    # the hand moves in -x/-y, away from the ball, so the ball stays free and
+    # its velocity must be written as +0.0 (the demo CSVs would show -0.0)
+    spec = pointmass_env()
+    st = reset(spec, seed=11)
+    st = EnvState(CompositeState([-0.5, -0.5, -1.0, -1.0], st.composite.x_o), st.internal)
+    for _ in range(3):
+        st = step(spec, st, np.array([-5.0, -5.0]))
+    assert st.internal[2] == 0.0
+    assert np.array_equal(st.composite.x_o[2:], [0.0, 0.0])
+    assert not np.signbit(st.composite.x_o[2:]).any()
+
+
 def test_pointmass_attaches_and_ball_tracks_hand():
     spec = pointmass_env()
     expert = default_expert(spec)
@@ -334,6 +374,28 @@ def test_generate_demos_is_seeded():
     assert not np.array_equal(a.trajectories[0].states[-1].full, c.trajectories[0].states[-1].full)
 
 
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.int64)
+
+
+@pytest.mark.parametrize("kind", ["pendulum", "vanderpol", "pointmass-relocation", "linear"])
+def test_lockstep_demos_equal_single_rollouts(kind):
+    # generate_demos steps every trajectory in one batch; each must equal the
+    # one-row rollout from its re-derived reset and noise seeds
+    spec = make_env(kind, dim=3, seed=2) if kind == "linear" else make_env(kind)
+    expert = default_expert(spec)
+    demos = generate_demos(spec, expert, 7, 40, seed=13, distribution="out")
+    root = np.random.default_rng(13)
+    for traj in demos.trajectories:
+        reset_seed, noise_seed = int(root.integers(2**62)), int(root.integers(2**62))
+        one = run_expert(spec, expert, reset(spec, reset_seed, "out"), 40, np.random.default_rng(noise_seed))
+        for got, want in ((traj.x_r, one.x_r), (traj.x_o, one.x_o), (traj.torques, one.torques)):
+            if kind == "linear":  # a batched matmul may round differently from one row
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+            else:
+                assert np.array_equal(_bits(got), _bits(want))
+
+
 def test_run_expert_shapes():
     spec = pendulum_env()
     traj = run_expert(spec, default_expert(spec), reset(spec, 1), horizon=30)
@@ -341,6 +403,9 @@ def test_run_expert_shapes():
     assert len(traj.torques) == 29
     with pytest.raises(ValueError, match="horizon"):
         run_expert(spec, default_expert(spec), reset(spec, 1), horizon=1)
+    far = EnvState(CompositeState([1e308, 0.0], [1e308]), (1.0,))
+    with pytest.raises(ValueError, match="non-finite torque at step 0"), np.errstate(over="ignore"):
+        run_expert(spec, default_expert(spec), far, horizon=5)
 
 
 def test_default_criterion_kinds():
@@ -376,6 +441,24 @@ def test_execute_policy_validation():
     bad = lambda x_now, x_next: np.array([np.nan])
     with pytest.raises(ValueError, match="non-finite torque at step 1"):
         execute_policy(model, bad, spec, init, horizon=5)
+    wide = lambda x_now, x_next: np.zeros(spec.layout.a + 1)
+    with pytest.raises(ValueError, match=r"torque must have shape \(2,\), got \(3,\)"):
+        execute_policy(model, wide, spec, init, horizon=5)
+    wide_nan = lambda x_now, x_next: np.full(spec.layout.a + 1, np.nan)
+    with pytest.raises(ValueError, match="non-finite torque at step 1"):
+        execute_policy(model, wide_nan, spec, init, horizon=5)
+
+
+def test_execute_policy_rejects_controller_for_another_layout():
+    spec = linear_env_random(2, seed=0)
+    demos = generate_demos(spec, default_expert(spec), 5, 10, seed=0)
+    model = fit(demos, LiftingSpec("identity", spec.layout))
+    init = reset(spec, seed=1)
+    for layout in (StateLayout(n=3, m=0, a=2), StateLayout(n=2, m=0, a=1)):
+        other = controller_init(layout, seed=0)
+        want = f"controller maps {2 * layout.n} inputs to {layout.a} torques; the layout needs 4 to 2"
+        with pytest.raises(ValueError, match=want):
+            execute_policy(model, other, spec, init, horizon=5)
 
 
 def test_perfect_tracker_linear_only():
