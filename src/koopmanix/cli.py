@@ -120,6 +120,14 @@ def _load_config(args) -> dict:
     return obj
 
 
+def _check_flags(args) -> None:
+    """Flags pass the same checks as the config keys they override."""
+    for key, (accepts, what) in TOP_TYPES.items():
+        value = getattr(args, key, None)
+        if value is not None and not accepts(value):
+            raise ValueError(f"--{key.replace('_', '-')} must be {what}, got {value}")
+
+
 def _pick(flag, config: dict, key: str, default):
     if flag is not None:
         return flag
@@ -482,6 +490,7 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
+        _check_flags(args)
         return args.func(args)
     except PersistError as exc:
         print(f"error: persist: {exc}", file=sys.stderr)

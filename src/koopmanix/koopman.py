@@ -195,23 +195,36 @@ def rollout(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     rs = robot_slice(model.spec)
+    g = lift(model.spec, init).values
+    if mode == "linear":
+        G = np.empty((horizon, g.shape[0]))
+        G[0] = g
+        with np.errstate(all="ignore"):
+            for t in range(1, horizon):
+                np.dot(model.K, G[t - 1], out=G[t])
+            finite = np.isfinite(G[1:]).all(axis=1)
+        if not finite.all():
+            raise _non_finite_reference(model, int(np.argmin(finite)) + 2, horizon)
+        return G[:, rs].copy()
     os_ = object_slice(model.spec)
-    g = lift(model.spec, init).values.copy()
     out = np.empty((horizon, model.layout.n))
     out[0] = g[rs]
     for t in range(1, horizon):
         g = model.K @ g
         if not np.isfinite(g).all():
-            rho = float(np.max(np.abs(np.linalg.eigvals(model.K))))
-            raise ValueError(
-                f"non-finite reference state at step {t + 1} of {horizon} "
-                f"(spectral radius of K {rho:.6g} {'>' if rho > 1 else '<='} 1)"
-            )
-        if mode == "relift":
-            raw = np.concatenate([g[rs], g[os_]])
-            g = lift_matrix(model.spec, raw[None, :])[0]
+            raise _non_finite_reference(model, t + 1, horizon)
+        raw = np.concatenate([g[rs], g[os_]])
+        g = lift_matrix(model.spec, raw[None, :])[0]
         out[t] = g[rs]
     return out
+
+
+def _non_finite_reference(model: KoopmanModel, step: int, horizon: int) -> ValueError:
+    rho = float(np.max(np.abs(np.linalg.eigvals(model.K))))
+    return ValueError(
+        f"non-finite reference state at step {step} of {horizon} "
+        f"(spectral radius of K {rho:.6g} {'>' if rho > 1 else '<='} 1)"
+    )
 
 
 def prediction_errors(model: KoopmanModel, demos: DemonstrationSet) -> np.ndarray:

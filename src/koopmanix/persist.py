@@ -37,7 +37,7 @@ class PersistError(ValueError):
 
 
 def format_float(value: float) -> str:
-    """Shortest decimal that parses back to the same double; every float written to CSV uses it."""
+    """Shortest decimal that parses back to the same double: the form of every float in the CSV files."""
     return repr(float(value))
 
 
@@ -108,16 +108,64 @@ def _header(layout: StateLayout) -> list[str]:
 
 
 def _write_trajectory(traj: Trajectory, layout: StateLayout, path: Path) -> None:
+    # The bytes csv.writer writes for format_float cells: repr of a Python
+    # float is format_float, and no cell needs quoting.  A row without
+    # torques ends in `a` empty cells.
+    states = np.concatenate([traj.x_r, traj.x_o], axis=1)
+    empty = "," * layout.a
+    if traj.torques is None:
+        body, end = states[:-1], empty
+    else:
+        body, end = np.concatenate([states[:-1], traj.torques], axis=1), ""
+    lines = [",".join(_header(layout))]
+    lines += [f"{t},{','.join(map(repr, row.tolist()))}{end}" for t, row in enumerate(body, start=1)]
+    lines += [f"{traj.horizon},{','.join(map(repr, states[-1].tolist()))}{empty}", ""]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_header(layout))
-        for t, state in enumerate(np.concatenate([traj.x_r, traj.x_o], axis=1)):
-            row = [str(t + 1)] + [format_float(v) for v in state]
-            if traj.torques is not None and t < traj.horizon - 1:
-                row += [format_float(v) for v in traj.torques[t]]
-            else:
-                row += [""] * layout.a
-            writer.writerow(row)
+        fh.write("\n".join(lines))
+
+
+def _parse_trajectory(text: str, layout: StateLayout) -> Trajectory | None:
+    """Parse a trajectory file with torques, as the writer lays it out, with numpy's C parser; else None.
+
+    None means the file has quotes, carriage returns, no final newline,
+    fewer than 2 rows, a blank line, a `t` cell other than the bare row
+    number, a cell numpy rejects, a wrong row width, or torque cells that are
+    not filled on every row but the last.  The per-cell reader then decides
+    the file, so every error keeps its line and column.  Every cell numpy
+    accepts, float() accepts with the same bits.
+    """
+    if '"' in text or "\r" in text or not text.endswith("\n"):
+        return None
+    header, *rows = text.split("\n")[:-1]
+    if header != ",".join(_header(layout)) or len(rows) < 2:
+        return None
+    # csv.reader rejects a cell longer than this, so such a file is not well formed
+    if max(map(len, rows)) > csv.field_size_limit():
+        return None
+    if not all(row.startswith(f"{t},") for t, row in enumerate(rows, start=1)):
+        return None
+    # the final row's empty torque cells become zeros so that every row parses at full width
+    a = layout.a
+    if not rows[-1].endswith("," * a):
+        return None
+    rows[-1] = rows[-1][:-a] + ",0" * a
+    n, d = layout.n, layout.n + layout.m
+    try:
+        values = np.loadtxt(rows, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(rows), 1 + d + a):
+        return None
+    return Trajectory.from_arrays(values[:, 1 : 1 + n], values[:, 1 + n : 1 + d], values[:-1, 1 + d :])
+
+
+def _read_trajectory(path: Path, layout: StateLayout) -> Trajectory:
+    if not path.exists():
+        raise PersistError(f"{path}: no such file")
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    traj = _parse_trajectory(text, layout)
+    return traj if traj is not None else _read_trajectory_cells(path, layout)
 
 
 def _parse_cell(cell: str, path: Path, line: int, column: str) -> float:
@@ -127,9 +175,8 @@ def _parse_cell(cell: str, path: Path, line: int, column: str) -> float:
         raise PersistError(f"{path}: line {line}, column {column}: bad float {cell!r}")
 
 
-def _read_trajectory(path: Path, layout: StateLayout) -> Trajectory:
-    if not path.exists():
-        raise PersistError(f"{path}: no such file")
+def _read_trajectory_cells(path: Path, layout: StateLayout) -> Trajectory:
+    """The per-cell reader: accepts any CSV quoting and reports the line and column of a fault."""
     expected = _header(layout)
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))

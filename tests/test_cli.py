@@ -199,6 +199,28 @@ def test_config_block_types_checked(tmp_path, capsys, command, config, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen-demos", "--n-demos", "0"], "--n-demos must be a positive integer, got 0"),
+    (["gen-demos", "--horizon", "-4"], "--horizon must be a positive integer, got -4"),
+    (["gen-demos", "--seed", "-3"], "--seed must be a non-negative integer, got -3"),
+    (["simulate", "--model", "m.json", "--controller", "c.json", "--n-runs", "0"],
+     "--n-runs must be a positive integer, got 0"),
+    (["simulate", "--model", "m.json", "--controller", "c.json", "--seed", "-1"],
+     "--seed must be a non-negative integer, got -1"),
+    (["retune", "--model", "m.json", "--controller", "c.json", "--variation", "heavy-hand", "--n-demos", "0"],
+     "--n-demos must be a positive integer, got 0"),
+    (["rollout", "--model", "m.json", "--demos", "d.json", "--horizon", "0"],
+     "--horizon must be a positive integer, got 0"),
+    (["fit", "--demos", "d.json", "--pinv-tol", "nan"],
+     "--pinv-tol must be null or a finite real number >= 0, got nan"),
+], ids=["gen-demos-n-demos", "gen-demos-horizon", "gen-demos-seed", "simulate-n-runs", "simulate-seed",
+        "retune-n-demos", "rollout-horizon", "fit-pinv-tol"])
+def test_flags_checked_like_config_keys(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: invalid: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_env_override_rejected(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"env": {"kind": "pendulum", "overrides": {"bogus": 1}}})
     assert main(["gen-demos", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1

@@ -1,5 +1,7 @@
 """File formats: exact float round trips, ordering tags, error positions."""
 
+import csv
+import io
 import json
 import math
 import re
@@ -24,8 +26,10 @@ from koopmanix import (
     save_demos,
     save_model,
 )
+from koopmanix import persist
 from koopmanix.controller import ControllerModel, evaluate, init
 from koopmanix.koopman import FitMeta
+from koopmanix.persist import _parse_trajectory, _read_trajectory_cells, format_float
 
 FIXTURES = Path(__file__).parent / "fixtures"
 LAYOUT_1D = StateLayout(n=1, m=0, a=1)
@@ -46,6 +50,15 @@ AWKWARD = [
 
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _random_doubles(rng, count: int) -> list[float]:
+    """Finite doubles drawn uniformly over bit patterns, so every exponent shows up."""
+    values = []
+    while len(values) < count:
+        raw = rng.integers(-(2**63), 2**63, size=256, dtype=np.int64).view(np.float64)
+        values.extend(raw[np.isfinite(raw)].tolist())
+    return values[:count]
 
 
 def _mini_manifest(directory: Path, a: int = 1, names=("traj_0000.csv",)) -> Path:
@@ -146,11 +159,7 @@ def test_torqueless_round_trip(tmp_path):
 
 def test_thousand_random_doubles_round_trip(tmp_path):
     rng = np.random.default_rng(17)
-    values = []
-    while len(values) < 1000 - len(AWKWARD):
-        raw = rng.integers(-(2**63), 2**63, size=256, dtype=np.int64).view(np.float64)
-        values.extend(raw[np.isfinite(raw)].tolist())
-    values = np.array(values[: 1000 - len(AWKWARD)] + AWKWARD)
+    values = np.array(_random_doubles(rng, 1000 - len(AWKWARD)) + AWKWARD)
     states = tuple(CompositeState([v], []) for v in values)
     demos = DemonstrationSet(LAYOUT_1D, (Trajectory(states),))
 
@@ -217,6 +226,129 @@ def test_controller_round_trip(tmp_path):
         assert np.array_equal(_bits(got), _bits(want))
     z = np.random.default_rng(0).normal(size=4)
     assert np.array_equal(evaluate(back, z), evaluate(model, z))
+
+
+def _csv_writer_text(traj: Trajectory, layout: StateLayout) -> str:
+    """Reference writer: csv.writer over format_float cells, one row at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t"] + [f"xr_{i}" for i in range(layout.n)] + [f"xo_{i}" for i in range(layout.m)]
+                    + [f"tau_{i}" for i in range(layout.a)])
+    for t, state in enumerate(np.concatenate([traj.x_r, traj.x_o], axis=1)):
+        row = [str(t + 1)] + [format_float(v) for v in state]
+        if traj.torques is not None and t < traj.horizon - 1:
+            row += [format_float(v) for v in traj.torques[t]]
+        else:
+            row += [""] * layout.a
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_writer_bytes_match_csv_writer(tmp_path, m):
+    rng = np.random.default_rng(23 + m)
+    layout = StateLayout(n=3, m=m, a=2)
+    pool = np.array(_random_doubles(rng, 400) + [-0.0, 5e-324, 1e16, 1.0 / 3.0, *AWKWARD])
+    trajs = []
+    for horizon, torques in ((6, True), (9, True), (4, False), (2, True)):
+        x_r, x_o = rng.choice(pool, size=(horizon, 3)), rng.choice(pool, size=(horizon, m))
+        trajs.append(Trajectory.from_arrays(x_r, x_o, rng.choice(pool, size=(horizon - 1, 2)) if torques else None))
+    save_demos(DemonstrationSet(layout, tuple(trajs)), tmp_path)
+    for i, traj in enumerate(trajs):
+        assert (tmp_path / f"traj_{i:04d}.csv").read_bytes() == _csv_writer_text(traj, layout).encode("utf-8")
+
+
+def _same_trajectory(got: Trajectory, want: Trajectory) -> bool:
+    if (got.torques is None) != (want.torques is None):
+        return False
+    pairs = [(got.x_r, want.x_r), (got.x_o, want.x_o)]
+    if got.torques is not None:
+        pairs.append((got.torques, want.torques))
+    return all(g.shape == w.shape and np.array_equal(_bits(g), _bits(w)) for g, w in pairs)
+
+
+def test_saved_files_take_the_c_parser(tmp_path, monkeypatch):
+    rng = np.random.default_rng(31)
+    layout = StateLayout(n=2, m=1, a=2)
+    pool = np.array(_random_doubles(rng, 300) + AWKWARD)
+    trajs = tuple(Trajectory.from_arrays(rng.choice(pool, size=(h, 2)), rng.choice(pool, size=(h, 1)),
+                                         rng.choice(pool, size=(h - 1, 2))) for h in (2, 3, 50))
+    manifest = save_demos(DemonstrationSet(layout, trajs), tmp_path)
+    for i, want in enumerate(trajs):
+        assert _same_trajectory(_read_trajectory_cells(tmp_path / f"traj_{i:04d}.csv", layout), want)
+
+    def per_cell_reader(path, layout):
+        raise AssertionError(f"{path} fell back to the per-cell reader")
+
+    monkeypatch.setattr(persist, "_read_trajectory_cells", per_cell_reader)
+    for got, want in zip(load_demos(manifest).trajectories, trajs):
+        assert _same_trajectory(got, want)
+
+
+def test_c_parser_never_accepts_what_the_per_cell_reader_rejects(tmp_path):
+    # random one- and two-character edits of a well-formed file
+    rng = np.random.default_rng(5)
+    layout = StateLayout(n=2, m=1, a=2)
+    good = "t,xr_0,xr_1,xo_0,tau_0,tau_1\n1,0.5,-0.0,5e-324,1.5,-2.0\n2,1e+16,0.25,3.0,,\n"
+    alphabet = list("0123456789,\n.e-+ _\"\r#") + ["nan", "\x00", "\N{FULLWIDTH DIGIT ONE}"]
+    path = tmp_path / "traj.csv"
+    for _ in range(400):
+        chars = list(good)
+        for _ in range(rng.integers(1, 3)):
+            i = int(rng.integers(len(chars)))
+            edit = rng.integers(3)
+            if edit == 0:
+                chars.insert(i, str(rng.choice(alphabet)))
+            elif edit == 1:
+                del chars[i]
+            else:
+                chars[i] = str(rng.choice(alphabet))
+        text = "".join(chars)
+        fast = _parse_trajectory(text, layout)
+        if fast is None:
+            continue
+        path.write_bytes(text.encode("utf-8"))
+        assert _same_trajectory(fast, _read_trajectory_cells(path, layout)), repr(text)
+
+
+# Files the C parser must leave to the per-cell reader, with what that reader
+# makes of them: None where the file loads, else the start of its error.
+ODD_FILES = [
+    ("quoted-cell", 't,xr_0,tau_0\n1,"1.5",1.0\n2,1.0,\n', None),
+    ("crlf", "t,xr_0,tau_0\r\n1,0.5,1.0\r\n2,1.5,\r\n", None),
+    ("blank-line", "t,xr_0,tau_0\n1,0.5,1.0\n\n2,1.5,\n", "line 3: 0 cells, expected 3"),
+    ("extra-cell-on-every-row", "t,xr_0,tau_0\n1,0.5,1.0,9\n2,1.5,7,\n", "line 2: 4 cells, expected 3"),
+    ("t-written-as-float", "t,xr_0,tau_0\n1.0,0.5,1.0\n2,1.5,\n", "line 2: t='1.0', expected 1"),
+    ("underscore-digits", "t,xr_0,tau_0\n1,1_0,1.0\n2,1.5,\n", None),
+    ("torqueless", "t,xr_0,tau_0\n1,0.5,\n2,1.5,\n3,2.5,\n", None),
+    ("no-final-newline", "t,xr_0,tau_0\n1,0.5,1.0\n2,1.5,", None),
+]
+
+
+@pytest.mark.parametrize("text, error", [case[1:] for case in ODD_FILES], ids=[case[0] for case in ODD_FILES])
+def test_odd_files_take_the_per_cell_reader(tmp_path, text, error):
+    manifest = _mini_manifest(tmp_path)
+    path = tmp_path / "traj_0000.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _parse_trajectory(text, LAYOUT_1D) is None
+    if error is None:
+        (got,) = load_demos(manifest).trajectories
+        assert _same_trajectory(got, _read_trajectory_cells(path, LAYOUT_1D))
+    else:
+        with pytest.raises(PersistError) as per_cell:
+            _read_trajectory_cells(path, LAYOUT_1D)
+        with pytest.raises(PersistError) as loaded:
+            load_demos(manifest)
+        assert str(loaded.value) == str(per_cell.value) == f"{path}: {error}"
+
+
+def test_overlong_cell_takes_the_per_cell_reader(tmp_path):
+    manifest = _mini_manifest(tmp_path)
+    text = "t,xr_0,tau_0\n1," + "0" * csv.field_size_limit() + "1.5,1.0\n2,1.5,\n"
+    (tmp_path / "traj_0000.csv").write_text(text)
+    assert _parse_trajectory(text, LAYOUT_1D) is None
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        load_demos(manifest)
 
 
 # ---- trajectory file errors cite the position ----
