@@ -25,11 +25,11 @@ from . import __version__
 from .controller import TrainConfig, train
 from .envs import (
     VARIATIONS,
+    _closed_loop,
     default_criterion,
     default_expert,
     env_spec_from_dict,
     env_spec_to_dict,
-    execute_policy,
     generate_demos,
     make_env,
     perturb_params,
@@ -37,7 +37,7 @@ from .envs import (
 )
 from .koopman import fit, rollout
 from .lifting import LiftingSpec
-from .metrics import evaluate_success, imitation_error
+from .metrics import evaluate_success, imitation_error, outcome_summary
 from .statespace import CompositeState, DemonstrationSet
 from .persist import (
     PersistError,
@@ -267,17 +267,18 @@ def _cmd_train_controller(args) -> int:
 
 
 def _run_batch(model, controller, env, seeds, horizon, distribution, mode):
-    trajectories = []
-    for s in seeds:
-        init = reset(env, s, distribution)
-        trajectories.append(execute_policy(model, controller, env, init, horizon, mode=mode))
-    return trajectories
+    """One closed-loop episode per reset seed, all stepped in one lockstep batch."""
+    inits = [reset(env, s, distribution) for s in seeds]
+    return _closed_loop(model, controller, env, inits, horizon, mode)
 
 
-def _success_pct(trajectories, criterion):
+def _success_pct(trajectories, criterion, label: str):
+    """Success percentage and per-run flags; logs the batch's outcome summary under label."""
     if criterion is None:
         return None, []
-    flags = [bool(evaluate_success(t, criterion).success) for t in trajectories]
+    results = [evaluate_success(t, criterion) for t in trajectories]
+    logger.info("%s: %s", label, outcome_summary(results, criterion))
+    flags = [bool(r.success) for r in results]
     return 100.0 * sum(flags) / len(flags), flags
 
 
@@ -295,7 +296,7 @@ def _cmd_simulate(args) -> int:
     executed = _run_batch(model, controller, env, seeds, horizon, args.distribution, args.rollout_mode)
     save_demos(DemonstrationSet(env.layout, tuple(executed)), out / "executed",
                env=env_spec_to_dict(env), seed=seed)
-    rate, flags = _success_pct(executed, default_criterion(env))
+    rate, flags = _success_pct(executed, default_criterion(env), f"simulate ({args.distribution})")
     report = {
         "n_runs": n_runs,
         "distribution": args.distribution,
@@ -344,7 +345,7 @@ def _cmd_eval(args) -> int:
         else:
             executed = _run_batch(model, controller, env, eval_seeds, horizon,
                                   args.distribution, "linear")
-            rate, _ = _success_pct(executed, criterion)
+            rate, _ = _success_pct(executed, criterion, f"eval N={count}")
             rate_cell = format_float(rate)
         rows.append([env.kind, str(count), str(demo_seed),
                      format_float(model.fit_meta.wall_time_s),
@@ -387,10 +388,12 @@ def _cmd_retune(args) -> int:
 
     seeds = _reset_seeds(seed, n_runs)
     before, _ = _success_pct(
-        _run_batch(model, controller, perturbed, seeds, horizon, "in", "linear"), criterion
+        _run_batch(model, controller, perturbed, seeds, horizon, "in", "linear"), criterion,
+        f"retune {args.variation} before",
     )
     after, _ = _success_pct(
-        _run_batch(model, retuned, perturbed, seeds, horizon, "in", "linear"), criterion
+        _run_batch(model, retuned, perturbed, seeds, horizon, "in", "linear"), criterion,
+        f"retune {args.variation} after",
     )
     report = {
         "variation": args.variation,

@@ -292,32 +292,6 @@ def forward(model: ControllerModel, x_now, x_next) -> np.ndarray:
     return evaluate(model, np.concatenate([x_now, x_next]))
 
 
-def _row_forward(model: ControllerModel, layout: StateLayout):
-    """`forward` for repeated calls on one model, checked once against a layout.
-
-    Returns act(x_now, x_next), which runs `_forward` on one preallocated row
-    with no per-call checks.  The torque act returns is a view that the next
-    call overwrites.
-    """
-    n, sizes = layout.n, model.layer_sizes
-    if (sizes[0], sizes[-1]) != (2 * n, layout.a):
-        raise ValueError(
-            f"controller maps {sizes[0]} inputs to {sizes[-1]} torques; the layout needs {2 * n} to {layout.a}"
-        )
-    row = np.empty((1, sizes[0]))
-    now, nxt = row[0, :n], row[0, n:]
-    acts = [np.empty((1, k)) for k in sizes[1:]]
-
-    def act(x_now, x_next):
-        now[:] = x_now
-        nxt[:] = x_next
-        np.subtract(row, model.input_mean, out=row)
-        np.divide(row, model.input_std, out=row)
-        return _forward(model.weights, model.biases, row, acts)[-1][0]
-
-    return act
-
-
 def loss(model: ControllerModel, triples: TrainingTriples) -> float:
     """Weighted mean squared torque error over the triples."""
     Z = _normalize(model, np.concatenate([triples.x_now, triples.x_next], axis=1))

@@ -14,7 +14,8 @@ first, then position with the new velocity.  Object states store positions
 relative to the task target so success predicates read distances directly.
 Episode difficulty is tuned so the scripted experts are perfect on the
 in-distribution samplers; those constants are frozen and tests pin them.
-Rollouts step B states in lockstep on (B, ...) arrays; one episode is B = 1.
+Rollouts, expert and closed loop alike, step B states in lockstep on (B, ...)
+arrays; one episode is B = 1.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import koopman
-from .controller import ControllerModel, _row_forward
+from .controller import ControllerModel, _forward
 from .metrics import SuccessCriterion, evaluate_success
 from .statespace import CompositeState, DemonstrationSet, StateLayout, Trajectory
 
@@ -302,51 +303,69 @@ def reset(spec: EnvSpec, seed: int, distribution: str = "in") -> EnvState:
     return EnvState(comp, (target[0], target[1], 0.0))
 
 
-def _transition(spec: EnvSpec, x_r, x_o, inner, tau, next_r, next_o) -> None:
-    """One step of B states: rows x_r (B, n), x_o (B, m), tau (B, a) -> next_r, next_o.
+def _plant(spec: EnvSpec):
+    """spec's transition with its constants bound once: advance(x_r, x_o, inner, tau, next_r, next_o).
 
-    inner (B, k), the rows of EnvState.internal, is updated in place.  Only
-    plain ufuncs run: on one row np.clip, np.where and norm cost several times more.
+    advance steps B states: rows x_r (B, n), x_o (B, m) and tau (B, a) give
+    next_r and next_o, and inner (B, k), the rows of EnvState.internal, is
+    updated in place.  Only plain ufuncs run: on one row np.clip, np.where and
+    norm cost several times more.
     """
     dt, p = spec.dt, spec.params
     if spec.kind == "linear":
-        np.matmul(x_r, spec.matrix.T, out=next_r)
-        next_r += tau @ spec.input_map.T
+        M_T, B_T = spec.matrix.T, spec.input_map.T
+
+        def advance(x_r, x_o, inner, tau, next_r, next_o):
+            np.matmul(x_r, M_T, out=next_r)
+            next_r += tau @ B_T
+
     elif spec.kind == "pendulum":
-        theta, omega = x_r[:, 0], x_r[:, 1]
         inertia = p["mass"] * p["length"] ** 2
-        alpha = (
-            tau[:, 0]
-            - p["damping"] * omega
-            - p["mass"] * p["gravity"] * p["length"] * np.sin(theta)
-        ) / inertia
-        omega_new = np.add(omega, dt * alpha, out=next_r[:, 1])
-        theta_new = np.add(theta, dt * omega_new, out=next_r[:, 0])
-        np.subtract(theta_new, inner[:, 0], out=next_o[:, 0])
+        damping = p["damping"]
+        mgl = p["mass"] * p["gravity"] * p["length"]
+
+        def advance(x_r, x_o, inner, tau, next_r, next_o):
+            theta, omega = x_r[:, 0], x_r[:, 1]
+            alpha = (tau[:, 0] - damping * omega - mgl * np.sin(theta)) / inertia
+            omega_new = np.add(omega, dt * alpha, out=next_r[:, 1])
+            theta_new = np.add(theta, dt * omega_new, out=next_r[:, 0])
+            np.subtract(theta_new, inner[:, 0], out=next_o[:, 0])
+
     elif spec.kind == "vanderpol":
-        x0, x1 = x_r[:, 0], x_r[:, 1]
-        x1_new = np.add(x1, dt * (p["mu"] * (1.0 - x0**2) * x1 - x0 + tau[:, 0]), out=next_r[:, 1])
-        np.add(x0, dt * x1_new, out=next_r[:, 0])
+        mu = p["mu"]
+
+        def advance(x_r, x_o, inner, tau, next_r, next_o):
+            x0, x1 = x_r[:, 0], x_r[:, 1]
+            x1_new = np.add(x1, dt * (mu * (1.0 - x0**2) * x1 - x0 + tau[:, 0]), out=next_r[:, 1])
+            np.add(x0, dt * x1_new, out=next_r[:, 0])
+
     else:  # pointmass-relocation; inner rows are (target_x, target_y, attached)
-        hand, vel = x_r[:, :2], x_r[:, 2:]
-        target, attached = inner[:, :2], inner[:, 2:]
-        ball = x_o[:, :2] + target
-        gap = hand - ball
-        np.logical_or(attached, np.hypot(gap[:, :1], gap[:, 1:]) <= p["attach_radius"], out=attached)
-        held = attached > 0.0
-        m_eff = p["hand_mass"] + p["ball_mass"] * attached
-        acc = np.minimum(np.maximum(tau, -p["tau_limit"]), p["tau_limit"])
-        acc -= p["damping"] * vel
-        acc -= m_eff * (0.0, p["gravity"])  # the weight
-        acc /= m_eff
-        vel_new = np.add(vel, dt * acc, out=next_r[:, 2:])
-        hand_new = np.add(hand, dt * vel_new, out=next_r[:, :2])
-        # a carried ball moves with the hand; a free ball stays put with
-        # velocity +0.0 (vel * attached would write -0.0 into the demos)
-        np.copyto(ball, hand_new, where=held)
-        np.subtract(ball, target, out=next_o[:, :2])
-        next_o[:, 2:] = 0.0
-        np.copyto(next_o[:, 2:], vel_new, where=held)
+        hand_mass, ball_mass, damping = p["hand_mass"], p["ball_mass"], p["damping"]
+        radius, limit = p["attach_radius"], p["tau_limit"]
+        weight = np.array([0.0, p["gravity"]])
+
+        def advance(x_r, x_o, inner, tau, next_r, next_o):
+            hand, vel = x_r[:, :2], x_r[:, 2:]
+            target, attached = inner[:, :2], inner[:, 2:]
+            ball = x_o[:, :2] + target
+            gap = hand - ball
+            np.logical_or(attached, np.hypot(gap[:, :1], gap[:, 1:]) <= radius, out=attached)
+            held = attached > 0.0
+            m_eff = hand_mass + ball_mass * attached
+            acc = np.minimum(np.maximum(tau, -limit), limit)
+            acc -= damping * vel
+            acc -= m_eff * weight  # the weight
+            acc /= m_eff
+            vel_new = np.add(vel, dt * acc, out=next_r[:, 2:])
+            hand_new = np.add(hand, dt * vel_new, out=next_r[:, :2])
+            # a carried ball moves with the hand; a free ball stays put with
+            # velocity +0.0 (vel * attached would write -0.0 into the demos)
+            np.copyto(ball, hand_new, where=held)
+            np.subtract(ball, target, out=next_o[:, :2])
+            next_o[:, 2:] = 0.0
+            np.copyto(next_o[:, 2:], vel_new, where=held)
+
+    return advance
 
 
 def step(spec: EnvSpec, state: EnvState, tau) -> EnvState:
@@ -358,7 +377,7 @@ def step(spec: EnvSpec, state: EnvState, tau) -> EnvState:
         raise ValueError(f"non-finite torque at step {state.t}")
     inner = np.array([state.internal], dtype=np.float64)
     next_r, next_o = np.empty((1, spec.layout.n)), np.empty((1, spec.layout.m))
-    _transition(spec, state.composite.x_r[None], state.composite.x_o[None], inner, tau[None], next_r, next_o)
+    _plant(spec)(state.composite.x_r[None], state.composite.x_o[None], inner, tau[None], next_r, next_o)
     return EnvState(CompositeState(next_r[0], next_o[0]), tuple(inner[0].tolist()), state.t + 1)
 
 
@@ -430,26 +449,34 @@ def default_criterion(spec: EnvSpec) -> SuccessCriterion | None:
 # ---------------------------------------------------------------- rollouts
 
 def _run(spec: EnvSpec, inits, horizon: int, torque, rngs=None) -> list[Trajectory]:
-    """Step B initial states in lockstep into preallocated (T, B, ...) arrays.
+    """Step B initial states in lockstep into preallocated trajectory-major arrays.
 
-    torque(t, x_r, x_o, inner, noise, out) writes step t's torques into out.
-    noise is None or, with one generator per state in rngs, their (T-1, B, a)
-    standard normal draws, made up front: the stream of T-1 draws of size a.
+    torque(t, x_r, x_o, inner, noise, out) writes step t's torques into out,
+    the (B, a) torque rows of step t.  noise is None or, with one generator
+    per state in rngs, their (T-1, B, a) standard normal draws, made up
+    front: the stream of T-1 draws of size a.  States and torques fill
+    (B, T, ...) arrays that turn read-only after the loop, and trajectory i
+    holds block i of each, uncopied.
     """
     if horizon < 2:
         raise ValueError(f"horizon must be >= 2, got {horizon}")
     lay, B = spec.layout, len(inits)
-    x_r, x_o = np.empty((horizon, B, lay.n)), np.empty((horizon, B, lay.m))
-    torques = np.empty((horizon - 1, B, lay.a))
-    x_r[0] = [s.composite.x_r for s in inits]
-    x_o[0] = [s.composite.x_o for s in inits]
+    x_r, x_o = np.empty((B, horizon, lay.n)), np.empty((B, horizon, lay.m))
+    torques = np.empty((B, horizon - 1, lay.a))
+    x_r[:, 0] = [s.composite.x_r for s in inits]
+    x_o[:, 0] = [s.composite.x_o for s in inits]
     inner = np.array([s.internal for s in inits], dtype=np.float64)
     noise = None if rngs is None else np.stack(
         [rng.standard_normal((horizon - 1, lay.a)) for rng in rngs], axis=1)
+    advance = _plant(spec)
+    # the (B, ...) rows of each step, as views made once
+    rows_r, rows_o, rows_tau = (list(arr.swapaxes(0, 1)) for arr in (x_r, x_o, torques))
     for t in range(horizon - 1):
-        torque(t, x_r[t], x_o[t], inner, noise, torques[t])
-        _transition(spec, x_r[t], x_o[t], inner, torques[t], x_r[t + 1], x_o[t + 1])
-    return [Trajectory.from_arrays(x_r[:, i], x_o[:, i], torques[:, i]) for i in range(B)]
+        torque(t, rows_r[t], rows_o[t], inner, noise, rows_tau[t])
+        advance(rows_r[t], rows_o[t], inner, rows_tau[t], rows_r[t + 1], rows_o[t + 1])
+    for arr in (x_r, x_o, torques):
+        arr.setflags(write=False)
+    return [Trajectory._adopt(x_r[i], x_o[i], torques[i]) for i in range(B)]
 
 
 def _run_expert(spec: EnvSpec, expert: ScriptedExpert, inits, horizon: int, rngs) -> list[Trajectory]:
@@ -499,6 +526,95 @@ def generate_demos(
     return DemonstrationSet(spec.layout, tuple(trajs))
 
 
+def _all_finite(rows: np.ndarray) -> bool:
+    # a finite float sum means every term is finite; on a few values the
+    # Python sum costs a fraction of np.isfinite(rows).all()
+    return math.isfinite(sum(rows.ravel().tolist())) or bool(np.isfinite(rows).all())
+
+
+def _non_finite_torque(t: int, row: int, rows: int) -> ValueError:
+    where = f"step {t + 1}" if rows == 1 else f"step {t + 1}, row {row}"
+    return ValueError(f"controller produced non-finite torque at {where}")
+
+
+def _network_policy(model: ControllerModel, ref: np.ndarray, layout: StateLayout):
+    """A `_run` torque that runs the network once per step on the B rows [x_r(t) | ref(t+1)].
+
+    ref (T, B, n) holds the references.  The reference half of every step's
+    input is standardized up front; a step standardizes x_r(t) into its half
+    and the output layer writes straight into the step's torque rows.  The
+    rows go through the network as a (B, 1, 2n) stack, one product per row,
+    so each row rounds exactly as an episode of its own.
+    """
+    n, B = layout.n, ref.shape[1]
+    mean, std = model.input_mean, model.input_std
+    Z = np.empty((ref.shape[0] - 1, B, 1, 2 * n))
+    np.divide(np.subtract(ref[1:, :, None], mean[n:], out=Z[..., n:]), std[n:], out=Z[..., n:])
+    inputs = list(Z)
+    nows = [z[:, 0, :n] for z in inputs]
+    # constants shaped like one row: for B = 1 a ufunc then skips broadcasting
+    mean_r, std_r = mean[None, :n], std[None, :n]
+    biases = [b[None, None] for b in model.biases]
+    acts = [np.empty((B, 1, k)) for k in model.layer_sizes[1:]]
+
+    def torque(t, x_r, x_o, inner, noise, out):
+        now = nows[t]
+        np.divide(np.subtract(x_r, mean_r, out=now), std_r, out=now)
+        acts[-1] = out[:, None]
+        _forward(model.weights, biases, inputs[t], acts)
+        if not _all_finite(out):
+            raise _non_finite_torque(t, int(np.argmin(np.isfinite(out).all(axis=1))), len(out))
+
+    return torque
+
+
+def _callable_policy(act, ref: np.ndarray, layout: StateLayout):
+    """A `_run` torque that calls act(x_now, x_next) once per row and checks each torque."""
+    a = layout.a
+
+    def torque(t, x_r, x_o, inner, noise, out):
+        for i, (x_now, x_next) in enumerate(zip(x_r, ref[t + 1])):
+            tau = np.asarray(act(x_now, x_next), dtype=np.float64)
+            if not np.isfinite(tau).all():
+                raise _non_finite_torque(t, i, len(out))
+            if tau.shape != (a,):
+                raise ValueError(f"torque must have shape ({a},), got {tau.shape}")
+            out[i] = tau
+
+    return torque
+
+
+def _closed_loop(
+    model: koopman.KoopmanModel,
+    controller,
+    spec: EnvSpec,
+    inits,
+    horizon: int,
+    mode: str = "linear",
+) -> list[Trajectory]:
+    """B closed-loop episodes in lockstep, each tracking its own reference.
+
+    The references of all B initial states are rolled out together.  A
+    ControllerModel, checked against the layout once, runs once per step on
+    all B rows; any other callable is called once per row.
+    """
+    lay = spec.layout
+    if isinstance(controller, ControllerModel):
+        sizes = controller.layer_sizes
+        if (sizes[0], sizes[-1]) != (2 * lay.n, lay.a):
+            raise ValueError(
+                f"controller maps {sizes[0]} inputs to {sizes[-1]} torques; "
+                f"the layout needs {2 * lay.n} to {lay.a}"
+            )
+        policy = _network_policy
+    elif callable(controller):
+        policy = _callable_policy
+    else:
+        raise ValueError("controller must be a ControllerModel or a callable")
+    ref = koopman._rollout(model, [s.composite for s in inits], horizon, mode)
+    return _run(spec, inits, horizon, policy(controller, ref, lay))
+
+
 def execute_policy(
     model: koopman.KoopmanModel,
     controller,
@@ -512,26 +628,9 @@ def execute_policy(
     The reference is rolled out once from the initial composite state; at each
     step the controller maps (current robot state, next reference state) to a
     torque.  controller is a ControllerModel or any callable with that
-    signature.
+    signature.  One episode is a batch of one of the lockstep closed loop.
     """
-    lay = spec.layout
-    if isinstance(controller, ControllerModel):
-        act = _row_forward(controller, lay)
-    elif callable(controller):
-        act = controller
-    else:
-        raise ValueError("controller must be a ControllerModel or a callable")
-    ref = koopman.rollout(model, init.composite, horizon, mode=mode)
-
-    def torque(t, x_r, x_o, inner, noise, out):
-        tau = np.asarray(act(x_r[0], ref[t + 1]), dtype=np.float64)
-        if not np.isfinite(tau).all():
-            raise ValueError(f"controller produced non-finite torque at step {t + 1}")
-        if tau.shape != (lay.a,):
-            raise ValueError(f"torque must have shape ({lay.a},), got {tau.shape}")
-        out[0] = tau
-
-    return _run(spec, [init], horizon, torque)[0]
+    return _closed_loop(model, controller, spec, [init], horizon, mode)[0]
 
 
 def perfect_tracker(spec: EnvSpec) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lifting import LiftingSpec, ObservableVector, dimension, lift, lift_matrix, object_slice, robot_slice
+from .lifting import LiftingSpec, ObservableVector, _raw_rows, dimension, lift_matrix, object_slice, robot_slice
 from .statespace import CompositeState, DemonstrationSet, StateLayout, require_valid
 
 logger = logging.getLogger(__name__)
@@ -188,34 +188,46 @@ def rollout(
     mode="linear" propagates purely in observable space (the default: the
     lifted state is never rebuilt from its slices).  mode="relift" extracts
     the raw state after each step and lifts it again, re-imposing the
-    polynomial relations between slots.
+    polynomial relations between slots.  One reference is a batch of one of
+    the lockstep rollout.
+    """
+    return _rollout(model, [init], horizon, mode)[:, 0]
+
+
+def _rollout(model: KoopmanModel, inits, horizon: int, mode: str) -> np.ndarray:
+    """The references of B initial composite states in lockstep, shape (horizon, B, n).
+
+    Each step multiplies the (B, 1, p) stack of lifted rows by K^T, one
+    product per row, so each reference rounds exactly as a rollout of its own;
+    for one row that product equals K @ g bit for bit.
     """
     if mode not in ("linear", "relift"):
         raise ValueError(f"unknown rollout mode {mode!r}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    rs = robot_slice(model.spec)
-    g = lift(model.spec, init).values
+    spec, K_T = model.spec, model.K.T
+    rs = robot_slice(spec)
+    g = lift_matrix(spec, _raw_rows(spec, inits))
     if mode == "linear":
-        G = np.empty((horizon, g.shape[0]))
-        G[0] = g
+        G = np.empty((horizon, g.shape[0], 1, g.shape[1]))
+        G[0, :, 0] = g
+        steps = list(G)
         with np.errstate(all="ignore"):
             for t in range(1, horizon):
-                np.dot(model.K, G[t - 1], out=G[t])
-            finite = np.isfinite(G[1:]).all(axis=1)
+                np.matmul(steps[t - 1], K_T, out=steps[t])
+        finite = np.isfinite(G.reshape(horizon, -1)[1:]).all(axis=1)
         if not finite.all():
             raise _non_finite_reference(model, int(np.argmin(finite)) + 2, horizon)
-        return G[:, rs].copy()
-    os_ = object_slice(model.spec)
-    out = np.empty((horizon, model.layout.n))
-    out[0] = g[rs]
+        return G[:, :, 0, rs].copy()
+    os_ = object_slice(spec)
+    out = np.empty((horizon, g.shape[0], model.layout.n))
+    out[0] = g[:, rs]
     for t in range(1, horizon):
-        g = model.K @ g
+        g = (g[:, None] @ K_T)[:, 0]
         if not np.isfinite(g).all():
             raise _non_finite_reference(model, t + 1, horizon)
-        raw = np.concatenate([g[rs], g[os_]])
-        g = lift_matrix(model.spec, raw[None, :])[0]
-        out[t] = g[rs]
+        g = lift_matrix(spec, np.concatenate([g[:, rs], g[:, os_]], axis=1))
+        out[t] = g[:, rs]
     return out
 
 

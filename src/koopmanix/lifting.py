@@ -143,16 +143,21 @@ def lift_matrix(spec: LiftingSpec, raw: np.ndarray) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
+def _raw_rows(spec: LiftingSpec, states) -> np.ndarray:
+    """The (B, n+m) rows [x_r | x_o] of B composite states, each checked against the layout."""
+    n, m = spec.layout.n, spec.layout.m
+    for state in states:
+        if state.x_r.shape[0] != n or state.x_o.shape[0] != m:
+            raise ValueError(
+                f"state dims ({state.x_r.shape[0]}, {state.x_o.shape[0]}) do not match "
+                f"layout ({n}, {m})"
+            )
+    return np.array([state.full for state in states])
+
+
 def lift(spec: LiftingSpec, state: CompositeState) -> ObservableVector:
     """Lift one composite state.  Raw slots are copied through bit-exactly."""
-    n, m = spec.layout.n, spec.layout.m
-    if state.x_r.shape[0] != n or state.x_o.shape[0] != m:
-        raise ValueError(
-            f"state dims ({state.x_r.shape[0]}, {state.x_o.shape[0]}) do not match "
-            f"layout ({n}, {m})"
-        )
-    row = lift_matrix(spec, state.full[None, :])[0]
-    return ObservableVector(row, spec)
+    return ObservableVector(lift_matrix(spec, _raw_rows(spec, [state]))[0], spec)
 
 
 def monomial_exponents(spec: LiftingSpec) -> np.ndarray:

@@ -50,8 +50,16 @@ class SuccessCriterion:
 
 @dataclass(frozen=True)
 class SuccessResult:
+    """Outcome of one trajectory under a criterion.
+
+    closest is how near the trajectory came to its threshold at any step:
+    the smallest extracted distance, or the largest extracted value for the
+    alignment kinds.
+    """
+
     success: bool
     rho_sum: int  # satisfied-step count (0 or 1 for terminal kinds)
+    closest: float
 
 
 def imitation_error(reference: np.ndarray, demo: np.ndarray) -> float:
@@ -74,18 +82,42 @@ def _extracted(traj: Trajectory, criterion: SuccessCriterion) -> np.ndarray:
 def evaluate_success(traj: Trajectory, criterion: SuccessCriterion) -> SuccessResult:
     """Apply a success predicate to one executed trajectory."""
     vals = _extracted(traj, criterion)
+    if criterion.kind in ("terminal-distance", "cumulative-proximity"):
+        score = np.linalg.norm(vals, axis=1)
+        closest = float(np.min(score))
+    else:  # the alignment kinds read the first extracted dim
+        score = vals[:, 0]
+        closest = float(np.max(score))
     if criterion.kind == "terminal-distance":
         ok = bool(np.linalg.norm(vals[-1]) < criterion.threshold)
-        return SuccessResult(ok, int(ok))
+        return SuccessResult(ok, int(ok), closest)
     if criterion.kind == "terminal-angle":
         ok = bool(vals[-1, 0] > criterion.threshold)
-        return SuccessResult(ok, int(ok))
+        return SuccessResult(ok, int(ok), closest)
     if criterion.kind == "cumulative-proximity":
-        rho = np.linalg.norm(vals, axis=1) < criterion.threshold
+        rho = score < criterion.threshold
     else:  # cumulative-alignment
-        rho = vals[:, 0] > criterion.threshold
+        rho = score > criterion.threshold
     total = int(np.count_nonzero(rho))
-    return SuccessResult(total > criterion.count_threshold, total)
+    return SuccessResult(total > criterion.count_threshold, total, closest)
+
+
+def outcome_summary(results: Sequence[SuccessResult], criterion: SuccessCriterion) -> str:
+    """One line on a batch: the success count and, over the failed runs, the
+    range of satisfied steps and of `closest`, each against its threshold."""
+    failed = [r for r in results if not r.success]
+    text = f"{len(results) - len(failed)}/{len(results)} succeeded"
+    if not failed:
+        return text
+    cumulative = criterion.kind.startswith("cumulative")
+    steps = [r.rho_sum for r in failed]
+    closest = [r.closest for r in failed]
+    need_steps = f"> {criterion.count_threshold}" if cumulative else "1"
+    need_close = f"{'<' if criterion.kind.endswith(('distance', 'proximity')) else '>'} {criterion.threshold:g}"
+    return (
+        f"{text}; failed runs: satisfied steps {min(steps)}..{max(steps)} (need {need_steps}), "
+        f"closest {min(closest):.4g}..{max(closest):.4g} (need {need_close})"
+    )
 
 
 def success_rate(trajectories: Sequence[Trajectory], criterion: SuccessCriterion) -> float:

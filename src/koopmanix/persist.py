@@ -179,7 +179,11 @@ def _read_trajectory_cells(path: Path, layout: StateLayout) -> Trajectory:
     """The per-cell reader: accepts any CSV quoting and reports the line and column of a fault."""
     expected = _header(layout)
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+            raise PersistError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows or rows[0] != expected:
         raise PersistError(f"{path}: line 1: header does not match layout {expected}")
     d = layout.n + layout.m

@@ -111,6 +111,18 @@ class Trajectory:
         traj._freeze(x_r, x_o, torques)
         return traj
 
+    @classmethod
+    def _adopt(cls, x_r, x_o, torques) -> "Trajectory":
+        """Wrap read-only float64 blocks x_r (T, n), x_o (T, m) and torques (T-1, a) uncopied.
+
+        For arrays the caller built, made read-only and no longer writes.
+        """
+        traj = cls.__new__(cls)
+        object.__setattr__(traj, "x_r", x_r)
+        object.__setattr__(traj, "x_o", x_o)
+        object.__setattr__(traj, "torques", torques)
+        return traj
+
     def _freeze(self, x_r, x_o, torques) -> None:
         x_r, x_o = _frozen(x_r, "x_r", 2), _frozen(x_o, "x_o", 2)
         if x_r.shape[0] != x_o.shape[0]:

@@ -47,6 +47,7 @@ from koopmanix import (
 from koopmanix.cli import main as cli_main
 from koopmanix.controller import init as controller_init, loss as controller_loss
 from koopmanix.envs import (
+    _closed_loop,
     default_criterion,
     default_expert,
     generate_demos,
@@ -319,6 +320,37 @@ def test_09_perturbation_and_retune():
         9, "perturbation-retune", ok,
         f"base={base:.0f}%, perturbed={before:.0f}% (drop {drop:.0f}), "
         f"retuned={after:.0f}% (gap {gap:.0f})",
+    )
+
+
+def test_batched_closed_loop_matches_single_episodes():
+    """The acceptance seeds of tests 07 and 09 in one lockstep batch each."""
+    pipe = _pointmass_pipeline()
+    env, model, controller = pipe["env"], pipe["model"], pipe["controller"]
+    criterion = default_criterion(env)
+    heavy = perturb_params(env, "heavy-hand")
+    gap, flag_mismatches, t_batch, t_single = 0.0, 0, 0.0, 0.0
+    for spec, root, distribution in ((env, 5000, "in"), (env, 6000, "out"), (heavy, 5000, "in")):
+        seeds = np.random.default_rng(root).integers(2**62, size=100)
+        inits = [reset(spec, int(s), distribution) for s in seeds]
+        t0 = time.perf_counter()
+        batch = _closed_loop(model, controller, spec, inits, 100)
+        t1 = time.perf_counter()
+        singles = [execute_policy(model, controller, spec, init, 100) for init in inits]
+        t_batch, t_single = t_batch + t1 - t0, t_single + time.perf_counter() - t1
+        for got, one in zip(batch, singles):
+            for have, want in ((got.x_r, one.x_r), (got.x_o, one.x_o), (got.torques, one.torques)):
+                gap = max(gap, float(np.abs(have - want).max()))
+            flag_mismatches += (
+                evaluate_success(got, criterion).success != evaluate_success(one, criterion).success
+            )
+    # each row of a batch goes through its own products, so the episodes match
+    # bit for bit, well inside the 1e-12 the lockstep contract allows
+    ok = gap == 0.0 and flag_mismatches == 0
+    assert _report(
+        12, "batched-closed-loop", ok,
+        f"max gap {gap:.1e}, {flag_mismatches} success flags differ over 300 episodes, "
+        f"batches {t_batch:.2f}s vs one at a time {t_single:.2f}s",
     )
 
 

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from koopmanix import load_controller, load_demos, load_model
-from koopmanix.cli import main
+from koopmanix import execute_policy, load_controller, load_demos, load_model
+from koopmanix.cli import _reset_seeds, main
+from koopmanix.envs import env_spec_from_dict, reset
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -346,3 +347,64 @@ def test_eval_deterministic_except_wall_time(tmp_path, capsys):
 
     stamp_one = (tmp_path / "one" / "stamp.json").read_bytes()
     assert stamp_one == (tmp_path / "two" / "stamp.json").read_bytes()
+
+
+def test_overlong_csv_cell_is_a_persist_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "schema": 1,
+        "layout": {"n": 1, "m": 0, "a": 1, "robot_names": None, "object_names": None},
+        "trajectories": ["traj_0000.csv"],
+    }))
+    (tmp_path / "traj_0000.csv").write_text("t,xr_0,tau_0\n1," + "0" * csv.field_size_limit() + "1.5,1.0\n2,1.5,\n")
+    assert main(["fit", "--demos", str(manifest), "--out-dir", str(tmp_path / "f")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: persist: {tmp_path / 'traj_0000.csv'}: line 2: field larger than field limit")
+    assert "Traceback" not in err
+
+
+def _pointmass_artifacts(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "env": {"kind": "pointmass-relocation"}, "n_demos": 20, "horizon": 60, "seed": 5,
+        "train": {"learning_rate": 1e-3, "iterations": 60, "batch": 128, "seed": 0},
+    })
+    assert main(["gen-demos", "--config", str(cfg), "--out-dir", str(tmp_path / "d")]) == 0
+    manifest = tmp_path / "d" / "demos" / "manifest.json"
+    assert main(["fit", "--demos", str(manifest), "--out-dir", str(tmp_path / "f")]) == 0
+    assert main(["train-controller", "--config", str(cfg), "--demos", str(manifest),
+                 "--out-dir", str(tmp_path / "c")]) == 0
+    capsys.readouterr()
+    return cfg, manifest
+
+
+def test_simulate_batch_equals_episodes_run_one_at_a_time(tmp_path, capsys):
+    cfg, manifest = _pointmass_artifacts(tmp_path, capsys)
+    assert main(["simulate", "--config", str(cfg), "--model", str(tmp_path / "f" / "model.json"),
+                 "--controller", str(tmp_path / "c" / "controller.json"), "--n-runs", "6",
+                 "--horizon", "40", "--distribution", "out", "--out-dir", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    executed = load_demos(tmp_path / "s" / "executed" / "manifest.json")
+    env = env_spec_from_dict(json.loads(manifest.read_text())["env"])
+    model, controller = load_model(tmp_path / "f" / "model.json"), load_controller(tmp_path / "c" / "controller.json")
+    for seed, got in zip(_reset_seeds(5, 6), executed.trajectories):
+        one = execute_policy(model, controller, env, reset(env, seed, "out"), 40)
+        for have, want in ((got.x_r, one.x_r), (got.x_o, one.x_o), (got.torques, one.torques)):
+            assert np.array_equal(have.view(np.int64), want.view(np.int64))
+
+
+def test_batches_log_why_runs_failed(tmp_path, capsys, caplog):
+    cfg, _ = _pointmass_artifacts(tmp_path, capsys)
+    with caplog.at_level("INFO", logger="koopmanix.cli"):
+        assert main(["simulate", "--config", str(cfg), "--model", str(tmp_path / "f" / "model.json"),
+                     "--controller", str(tmp_path / "c" / "controller.json"), "--n-runs", "5",
+                     "--horizon", "30", "--out-dir", str(tmp_path / "s")]) == 0
+        assert main(["retune", "--config", str(cfg), "--model", str(tmp_path / "f" / "model.json"),
+                     "--controller", str(tmp_path / "c" / "controller.json"), "--variation", "heavy-hand",
+                     "--n-demos", "3", "--n-runs", "4", "--horizon", "30", "--out-dir", str(tmp_path / "v")]) == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == "koopmanix.cli"]
+    # horizon 30 leaves at most 30 satisfied steps, short of the 36 success needs
+    assert [line.split(": ")[0] for line in lines] == [
+        "simulate (in)", "retune heavy-hand before", "retune heavy-hand after"]
+    assert lines[0].startswith("simulate (in): 0/5 succeeded; failed runs: satisfied steps ")
+    assert "(need > 35), closest " in lines[0] and lines[0].endswith("(need < 0.1)")
+    assert lines[1].startswith("retune heavy-hand before: 0/4 succeeded; failed runs:")

@@ -5,19 +5,23 @@ import pytest
 
 from koopmanix import (
     CompositeState,
+    ControllerModel,
     EnvSpec,
     LiftingSpec,
     ScriptedExpert,
     StateLayout,
+    TrainConfig,
     execute_policy,
     fit,
     generate_demos,
     make_env,
     perturb_params,
     rollout,
+    train,
 )
 from koopmanix.envs import (
     EnvState,
+    _closed_loop,
     default_criterion,
     default_expert,
     env_spec_from_dict,
@@ -33,7 +37,8 @@ from koopmanix.envs import (
     step,
     vanderpol_env,
 )
-from koopmanix.controller import init as controller_init
+from koopmanix.controller import forward, init as controller_init
+from koopmanix.lifting import lift, lift_matrix, object_slice, robot_slice
 from koopmanix.metrics import evaluate_success
 
 
@@ -464,3 +469,146 @@ def test_execute_policy_rejects_controller_for_another_layout():
 def test_perfect_tracker_linear_only():
     with pytest.raises(ValueError, match="linear"):
         perfect_tracker(pendulum_env())
+
+
+# ---- the lockstep closed loop against the per-step loop it replaced ----
+
+
+def _oracle_reference(model, init, horizon, mode):
+    """The one-reference loop `rollout` ran before the lockstep rollout: K @ g per step."""
+    rs, os_ = robot_slice(model.spec), object_slice(model.spec)
+    g = lift(model.spec, init).values
+    out = np.empty((horizon, model.layout.n))
+    out[0] = g[rs]
+    for t in range(1, horizon):
+        g = np.dot(model.K, g)
+        if mode == "relift":
+            g = lift_matrix(model.spec, np.concatenate([g[rs], g[os_]])[None, :])[0]
+        out[t] = g[rs]
+    return out
+
+
+def _oracle_episode(model, controller, spec, init, horizon, mode):
+    """The per-step loop `execute_policy` ran before the lockstep closed loop,
+    kept as an oracle: one reference row, one checked `forward` call and one
+    `step` per time step."""
+    ref = _oracle_reference(model, init.composite, horizon, mode)
+    state, x_r, x_o, taus = init, [init.composite.x_r], [init.composite.x_o], []
+    for t in range(horizon - 1):
+        tau = forward(controller, state.composite.x_r, ref[t + 1])
+        state = step(spec, state, tau)
+        x_r.append(state.composite.x_r)
+        x_o.append(state.composite.x_o)
+        taus.append(tau)
+    return np.stack(x_r), np.stack(x_o), np.stack(taus)
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.int64)
+
+
+_KIND_ENVS = {
+    "linear": lambda: linear_env_random(3, seed=8),
+    "pendulum": pendulum_env,
+    "vanderpol": vanderpol_env,
+    "pointmass-relocation": pointmass_env,
+}
+
+
+@pytest.fixture(scope="module")
+def kind_pipelines():
+    """Per kind: env, kodex model and a briefly trained controller."""
+    out = {}
+    for kind, make in _KIND_ENVS.items():
+        env = make()
+        demos = generate_demos(env, default_expert(env), 30, 60, seed=4)
+        model = fit(demos, LiftingSpec("kodex-polynomial", env.layout))
+        controller, _ = train(demos, TrainConfig(learning_rate=1e-3, iterations=80, batch=256, seed=7))
+        out[kind] = (env, model, controller)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["linear", "relift"])
+@pytest.mark.parametrize("kind", list(_KIND_ENVS))
+def test_execute_policy_matches_per_step_oracle_bit_for_bit(kind_pipelines, kind, mode):
+    env, model, controller = kind_pipelines[kind]
+    # the relifted pointmass reference of this small fit overflows after ~15 steps
+    horizon = 50 if mode == "linear" else 12
+    for seed in range(3):
+        init = reset(env, seed)
+        got = execute_policy(model, controller, env, init, horizon, mode=mode)
+        want = _oracle_episode(model, controller, env, init, horizon, mode)
+        for have, exp in zip((got.x_r, got.x_o, got.torques), want):
+            assert np.array_equal(_bits(have), _bits(exp))
+
+
+def test_oracle_episodes_reach_the_carry_branch(kind_pipelines):
+    # the pointmass case above only covers the plant if some episode carries the ball
+    env, model, controller = kind_pipelines["pointmass-relocation"]
+    carried = [
+        np.any(execute_policy(model, controller, env, reset(env, seed), 50).x_o[:, 2:] != 0.0)
+        for seed in range(3)
+    ]
+    assert any(carried)
+
+
+@pytest.mark.parametrize("kind", list(_KIND_ENVS))
+def test_batch_matches_single_episodes(kind_pipelines, kind):
+    env, model, controller = kind_pipelines[kind]
+    inits = [reset(env, seed, distribution) for seed in range(6) for distribution in ("in", "out")]
+    batch = _closed_loop(model, controller, env, inits, 50)
+    assert len(batch) == len(inits)
+    for init, got in zip(inits, batch):
+        one = execute_policy(model, controller, env, init, 50)
+        for have, exp in ((got.x_r, one.x_r), (got.x_o, one.x_o), (got.torques, one.torques)):
+            if kind == "linear":
+                # the linear plant multiplies all B rows by M^T in one BLAS
+                # product, which may round a row differently from a lone row
+                assert np.allclose(have, exp, rtol=1e-12, atol=1e-12)
+            else:
+                assert np.array_equal(_bits(have), _bits(exp))
+
+
+def test_batch_trajectories_are_read_only_blocks():
+    spec = pendulum_env()
+    ctrl = controller_init(spec.layout, seed=0)
+    model = fit(generate_demos(spec, default_expert(spec), 5, 20, seed=0), LiftingSpec("identity", spec.layout))
+    trajs = _closed_loop(model, ctrl, spec, [reset(spec, s) for s in range(3)], 10)
+    # each trajectory is a block of the batch's arrays, not a copy of it
+    assert all(traj.x_r.base is trajs[0].x_r.base is not None for traj in trajs)
+    for traj in trajs:
+        assert traj.x_r.shape == (10, 2) and traj.x_o.shape == (10, 1) and traj.torques.shape == (9, 1)
+        for arr in (traj.x_r, traj.x_o, traj.torques):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+
+def test_non_finite_torque_names_step_and_row():
+    spec = linear_env_random(2, seed=0)
+    model = fit(generate_demos(spec, default_expert(spec), 5, 10, seed=0), LiftingSpec("identity", spec.layout))
+    inits = [reset(spec, seed=s) for s in range(4)]
+    calls = []
+
+    def flaky(x_now, x_next):
+        calls.append(None)
+        return np.array([np.nan, 0.0]) if len(calls) == 3 * 4 + 3 else np.zeros(2)
+
+    with pytest.raises(ValueError, match=r"non-finite torque at step 4, row 2$"):
+        _closed_loop(model, flaky, spec, inits, 6)
+
+    # a network whose first output overflows on row 1 only, at the first step
+    big = np.zeros((2, 4))
+    big[0, 0] = 1e308
+    net = ControllerModel((4, 2), (big,), (np.zeros(2),), np.zeros(4), np.ones(4))
+    far = [EnvState(CompositeState([0.5 if i != 1 else 10.0, 0.0], []), ()) for i in range(3)]
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=r"non-finite torque at step 1, row 1$"):
+            _closed_loop(model, net, spec, far, 6)
+        with pytest.raises(ValueError, match=r"non-finite torque at step 1$"):
+            execute_policy(model, net, spec, far[1], 6)
+    # finite torques whose sum overflows are still finite
+    huge = ControllerModel((4, 2), (np.zeros((2, 4)),), (np.full(2, 1e308),), np.zeros(4), np.ones(4))
+    with np.errstate(over="ignore"):
+        (traj,) = _closed_loop(model, huge, spec, far[:1], 2)
+    assert (traj.torques == 1e308).all()

@@ -11,6 +11,7 @@ from koopmanix import (
     imitation_error,
     success_rate,
 )
+from koopmanix.metrics import outcome_summary
 
 
 def _object_traj(values):
@@ -126,3 +127,37 @@ def test_success_rate_percentage():
     with pytest.raises(ValueError, match="at least one"):
         success_rate([], crit)
 
+
+
+# ---- why runs fail ----
+
+
+def test_closest_is_the_nearest_approach():
+    traj = _object_traj([[0.3, 0.4], [0.06, 0.08], [-1.0, 2.0]])
+    for kind in ("terminal-distance", "cumulative-proximity"):
+        res = evaluate_success(traj, SuccessCriterion(kind, threshold=0.05, extractor=(0, 1)))
+        assert not res.success and res.closest == pytest.approx(0.1)
+    # the alignment kinds read the largest first-dim value
+    for kind in ("terminal-angle", "cumulative-alignment"):
+        res = evaluate_success(traj, SuccessCriterion(kind, threshold=0.5))
+        assert res.closest == 0.3
+
+
+def test_outcome_summary_reports_failed_runs_against_thresholds():
+    crit = SuccessCriterion("cumulative-proximity", threshold=0.1, count_threshold=2)
+    runs = [
+        _object_traj([[0.0], [0.0], [0.0]]),  # 3 steps near: success
+        _object_traj([[0.05], [0.5], [0.5]]),  # 1 step, closest 0.05
+        _object_traj([[0.3], [0.2], [0.25]]),  # 0 steps, closest 0.2
+    ]
+    results = [evaluate_success(t, crit) for t in runs]
+    assert outcome_summary(results, crit) == (
+        "1/3 succeeded; failed runs: satisfied steps 0..1 (need > 2), "
+        "closest 0.05..0.2 (need < 0.1)"
+    )
+    assert outcome_summary(results[:1], crit) == "1/1 succeeded"
+    angle = SuccessCriterion("terminal-angle", threshold=0.9)
+    low = evaluate_success(_object_traj([[0.5], [0.7], [0.2]]), angle)
+    assert outcome_summary([low], angle) == (
+        "0/1 succeeded; failed runs: satisfied steps 0..0 (need 1), closest 0.7..0.7 (need > 0.9)"
+    )

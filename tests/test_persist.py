@@ -347,8 +347,9 @@ def test_overlong_cell_takes_the_per_cell_reader(tmp_path):
     text = "t,xr_0,tau_0\n1," + "0" * csv.field_size_limit() + "1.5,1.0\n2,1.5,\n"
     (tmp_path / "traj_0000.csv").write_text(text)
     assert _parse_trajectory(text, LAYOUT_1D) is None
-    with pytest.raises(csv.Error, match="field larger than field limit"):
+    with pytest.raises(PersistError) as loaded:
         load_demos(manifest)
+    assert str(loaded.value).startswith(f"{tmp_path / 'traj_0000.csv'}: line 2: field larger than field limit")
 
 
 # ---- trajectory file errors cite the position ----
