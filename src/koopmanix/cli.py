@@ -35,12 +35,14 @@ from .envs import (
     perturb_params,
     reset,
 )
-from .koopman import fit, rollout
+from .koopman import _rollout, fit, rollout
 from .lifting import LiftingSpec
 from .metrics import evaluate_success, imitation_error, outcome_summary
 from .statespace import CompositeState, DemonstrationSet
 from .persist import (
     PersistError,
+    _is_int,
+    _write_json,
     format_float,
     load_controller,
     load_demos,
@@ -57,37 +59,37 @@ LIFTING_NAMES = {"identity": "identity", "kodex": "kodex-polynomial"}
 SEED_CEILING = 2**62
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_real(value) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
 POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
 
-# top-level key -> (accepts the JSON value, what it must be)
-TOP_TYPES = {
-    "n_demos": POSITIVE_INT,
-    "horizon": POSITIVE_INT,
-    "n_runs": POSITIVE_INT,
-    "n_eval": POSITIVE_INT,
-    "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
-    "lifting": (lambda v: isinstance(v, str) and v in LIFTING_NAMES, '"identity" or "kodex"'),
+# top-level key -> (default, accepts the JSON value, what it must be); a flag
+# of the same name overrides the key
+SETTINGS = {
+    "n_demos": (100, *POSITIVE_INT),
+    "horizon": (100, *POSITIVE_INT),
+    "n_runs": (100, *POSITIVE_INT),
+    "n_eval": (100, *POSITIVE_INT),
+    "seed": (0, lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "lifting": ("kodex", lambda v: isinstance(v, str) and v in LIFTING_NAMES, '"identity" or "kodex"'),
     "pinv_tol": (
+        None,
         lambda v: v is None or (_is_real(v) and math.isfinite(v) and v >= 0),
         "null or a finite real number >= 0",
     ),
+    "demo_counts": ((10, 25, 50, 100, 150, 200), lambda v: isinstance(v, list), "a list"),
 }
 
-# train block key -> (accepts the JSON value, what it must be)
-TRAIN_TYPES = {
-    "learning_rate": (_is_real, "a real number"),
-    "iterations": (_is_int, "an integer"),
-    "batch": (lambda v: v is None or v == "full" or _is_int(v), 'an integer, null or "full"'),
-    "seed": (_is_int, "an integer"),
-    "optimizer": (lambda v: isinstance(v, str), "a string"),
+# train block key -> (default, accepts the JSON value, what it must be); the
+# defaults are TrainConfig's
+TRAIN_SETTINGS = {
+    "learning_rate": (TrainConfig.learning_rate, _is_real, "a real number"),
+    "iterations": (TrainConfig.iterations, _is_int, "an integer"),
+    "batch": (TrainConfig.batch, lambda v: v is None or v == "full" or _is_int(v), 'an integer, null or "full"'),
+    "seed": (TrainConfig.seed, _is_int, "an integer"),
+    "optimizer": (TrainConfig.optimizer, lambda v: isinstance(v, str), "a string"),
 }
 
 
@@ -105,33 +107,42 @@ def _load_config(args) -> dict:
         raise ValueError(f"config {path}: top level must be an object")
     env = obj.get("env", {})
     overrides = env.get("overrides", {}) if isinstance(env, dict) else {}
-    for key, value, kind in (("env", env, dict), ("env.overrides", overrides, dict),
-                             ("train", obj.get("train", {}), dict), ("demo_counts", obj.get("demo_counts", []), list)):
-        if not isinstance(value, kind):
-            what = "an object" if kind is dict else "a list"
-            raise ValueError(f"config {path}: {key} must be {what}, got {json.dumps(value)}")
+    for key, value in (("env", env), ("env.overrides", overrides), ("train", obj.get("train", {}))):
+        if not isinstance(value, dict):
+            raise ValueError(f"config {path}: {key} must be an object, got {json.dumps(value)}")
+    for prefix, block, table in (("", obj, SETTINGS), ("train.", obj.get("train", {}), TRAIN_SETTINGS)):
+        for key, (_, accepts, what) in table.items():
+            if key in block and not accepts(block[key]):
+                raise ValueError(f"config {path}: {prefix}{key} must be {what}, got {json.dumps(block[key])}")
     for i, count in enumerate(obj.get("demo_counts", [])):
         if not _is_int(count) or count < 1:
             raise ValueError(f"config {path}: demo_counts[{i}] must be a positive integer, got {json.dumps(count)}")
-    for prefix, block, types in (("", obj, TOP_TYPES), ("train.", obj.get("train", {}), TRAIN_TYPES)):
-        for key, (accepts, what) in types.items():
-            if key in block and not accepts(block[key]):
-                raise ValueError(f"config {path}: {prefix}{key} must be {what}, got {json.dumps(block[key])}")
     return obj
 
 
 def _check_flags(args) -> None:
     """Flags pass the same checks as the config keys they override."""
-    for key, (accepts, what) in TOP_TYPES.items():
+    for key, (_, accepts, what) in SETTINGS.items():
         value = getattr(args, key, None)
         if value is not None and not accepts(value):
             raise ValueError(f"--{key.replace('_', '-')} must be {what}, got {value}")
 
 
-def _pick(flag, config: dict, key: str, default):
-    if flag is not None:
-        return flag
-    return config.get(key, default)
+def _settings(args, block: dict, table: dict) -> dict:
+    """Every setting of table: its flag if given, else block's key, else its default."""
+    resolved = {}
+    for key, (default, _, _) in table.items():
+        flag = getattr(args, key, None)
+        resolved[key] = flag if flag is not None else block.get(key, default)
+    return resolved
+
+
+def _train_config(args, config: dict) -> TrainConfig:
+    resolved = _settings(args, config.get("train", {}), TRAIN_SETTINGS)
+    return TrainConfig(**resolved | {
+        "learning_rate": float(resolved["learning_rate"]),
+        "batch": None if resolved["batch"] == "full" else resolved["batch"],
+    })
 
 
 def _env_from_config(config: dict):
@@ -141,30 +152,23 @@ def _env_from_config(config: dict):
     return make_env(kind, **overrides)
 
 
-def _env_for(args, config: dict, manifest: dict | None):
-    """Env precedence: explicit config block, then the demos manifest."""
+def _load_policy(args, config: dict):
+    """The model, controller and environment of a closed-loop command.
+
+    The environment comes from the config's env block, else from the one the
+    demos manifest records.
+    """
+    model = load_model(args.model)
+    controller = load_controller(args.controller)
+    manifest = load_manifest(args.demos) if args.demos else None
     if "env" in config:
-        return _env_from_config(config)
-    if manifest is not None and manifest.get("env"):
-        try:
-            return env_spec_from_dict(manifest["env"])
-        except ValueError as exc:
-            raise ValueError(f"manifest {args.demos}: {exc}") from None
-    raise ValueError("no environment: pass --config with an env block or a manifest that records one")
-
-
-def _train_config(args, config: dict) -> TrainConfig:
-    block = config.get("train", {})
-    batch = _pick(getattr(args, "batch", None), block, "batch", TrainConfig.batch)
-    return TrainConfig(
-        learning_rate=float(
-            _pick(getattr(args, "learning_rate", None), block, "learning_rate", TrainConfig.learning_rate)
-        ),
-        iterations=_pick(getattr(args, "iterations", None), block, "iterations", TrainConfig.iterations),
-        batch=None if batch == "full" else batch,
-        seed=_pick(getattr(args, "seed", None), block, "seed", TrainConfig.seed),
-        optimizer=_pick(getattr(args, "optimizer", None), block, "optimizer", TrainConfig.optimizer),
-    )
+        return model, controller, _env_from_config(config)
+    if manifest is None or not manifest.get("env"):
+        raise ValueError("no environment: pass --config with an env block or a manifest that records one")
+    try:
+        return model, controller, env_spec_from_dict(manifest["env"])
+    except ValueError as exc:
+        raise ValueError(f"manifest {args.demos}: {exc}") from None
 
 
 def _out_dir(args) -> Path:
@@ -173,17 +177,21 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _stamp(out: Path, command: str, resolved: dict, seeds) -> None:
     canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    obj = {
+    _write_json({
         "command": command,
         "config_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         "seeds": seeds,
         "versions": {"koopmanix": __version__, "numpy": np.__version__},
-    }
-    (out / "stamp.json").write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    }, out / "stamp.json")
 
 
 def _reset_seeds(root_seed: int, count: int) -> list[int]:
@@ -196,9 +204,8 @@ def _reset_seeds(root_seed: int, count: int) -> list[int]:
 def _cmd_gen_demos(args) -> int:
     config = _load_config(args)
     env = _env_from_config(config)
-    n = _pick(args.n_demos, config, "n_demos", 100)
-    horizon = _pick(args.horizon, config, "horizon", 100)
-    seed = _pick(args.seed, config, "seed", 0)
+    s = _settings(args, config, SETTINGS)
+    n, horizon, seed = s["n_demos"], s["horizon"], s["seed"]
     out = _out_dir(args)
     demos = generate_demos(env, default_expert(env), n, horizon, seed, distribution=args.distribution)
     manifest = save_demos(demos, out / "demos", env=env_spec_to_dict(env), seed=seed)
@@ -211,10 +218,9 @@ def _cmd_gen_demos(args) -> int:
 def _cmd_fit(args) -> int:
     config = _load_config(args)
     demos = load_demos(args.demos)
-    lifting = LIFTING_NAMES[_pick(args.lifting, config, "lifting", "kodex")]
-    tol = _pick(args.pinv_tol, config, "pinv_tol", None)
-    spec = LiftingSpec(lifting, demos.layout)
-    model = fit(demos, spec, rel_tolerance=tol)
+    s = _settings(args, config, SETTINGS)
+    lifting, tol = LIFTING_NAMES[s["lifting"]], s["pinv_tol"]
+    model = fit(demos, LiftingSpec(lifting, demos.layout), rel_tolerance=tol)
     out = _out_dir(args)
     save_model(model, out / "model.json")
     meta = model.fit_meta
@@ -237,11 +243,8 @@ def _cmd_rollout(args) -> int:
     ref = rollout(model, CompositeState(traj.x_r[0], traj.x_o[0]), horizon, mode=args.rollout_mode)
     out = _out_dir(args)
     path = out / "reference.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"xr_{i}" for i in range(model.layout.n)])
-        for t, row in enumerate(ref):
-            writer.writerow([str(t + 1)] + [format_float(v) for v in row])
+    _write_csv(path, ["t"] + [f"xr_{i}" for i in range(model.layout.n)],
+               ([str(t + 1)] + [format_float(v) for v in row] for t, row in enumerate(ref)))
     _stamp(out, "rollout", {"model": str(args.model), "demos": str(args.demos),
                             "traj_index": index, "horizon": horizon,
                             "mode": args.rollout_mode}, [])
@@ -256,11 +259,8 @@ def _cmd_train_controller(args) -> int:
     model, history = train(demos, train_cfg)
     out = _out_dir(args)
     save_controller(model, out / "controller.json")
-    with open(out / "loss_history.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "loss"])
-        for i, value in enumerate(history):
-            writer.writerow([str(i), format_float(value)])
+    _write_csv(out / "loss_history.csv", ["iteration", "loss"],
+               ([str(i), format_float(value)] for i, value in enumerate(history)))
     _stamp(out, "train-controller", {"demos": str(args.demos), "train": vars(train_cfg) | {}}, [train_cfg.seed])
     print(f"trained controller: {len(history)} iterations, final loss {history[-1]:.3e}")
     return 0
@@ -284,27 +284,17 @@ def _success_pct(trajectories, criterion, label: str):
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
-    model = load_model(args.model)
-    controller = load_controller(args.controller)
-    manifest = load_manifest(args.demos) if args.demos else None
-    env = _env_for(args, config, manifest)
-    n_runs = _pick(args.n_runs, config, "n_runs", 100)
-    horizon = _pick(args.horizon, config, "horizon", 100)
-    seed = _pick(args.seed, config, "seed", 0)
+    model, controller, env = _load_policy(args, config)
+    s = _settings(args, config, SETTINGS)
+    n_runs, horizon, seed = s["n_runs"], s["horizon"], s["seed"]
     out = _out_dir(args)
     seeds = _reset_seeds(seed, n_runs)
     executed = _run_batch(model, controller, env, seeds, horizon, args.distribution, args.rollout_mode)
     save_demos(DemonstrationSet(env.layout, tuple(executed)), out / "executed",
                env=env_spec_to_dict(env), seed=seed)
     rate, flags = _success_pct(executed, default_criterion(env), f"simulate ({args.distribution})")
-    report = {
-        "n_runs": n_runs,
-        "distribution": args.distribution,
-        "success_rate": rate,
-        "successes": flags,
-    }
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                     encoding="utf-8")
+    _write_json({"n_runs": n_runs, "distribution": args.distribution,
+                 "success_rate": rate, "successes": flags}, out / "report.json")
     _stamp(out, "simulate", {"model": str(args.model), "controller": str(args.controller),
                              "env": env_spec_to_dict(env), "n_runs": n_runs,
                              "horizon": horizon, "seed": seed,
@@ -318,12 +308,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_eval(args) -> int:
     config = _load_config(args)
     env = _env_from_config(config)
-    counts = config.get("demo_counts", [10, 25, 50, 100, 150, 200])
-    horizon = _pick(args.horizon, config, "horizon", 100)
-    seed = _pick(args.seed, config, "seed", 0)
-    n_eval = config.get("n_eval", 100)
-    lifting = LIFTING_NAMES[_pick(args.lifting, config, "lifting", "kodex")]
-    tol = _pick(args.pinv_tol, config, "pinv_tol", None)
+    s = _settings(args, config, SETTINGS)
+    counts, horizon, seed, n_eval = s["demo_counts"], s["horizon"], s["seed"], s["n_eval"]
+    lifting, tol = LIFTING_NAMES[s["lifting"]], s["pinv_tol"]
     train_cfg = _train_config(args, config)
     criterion = default_criterion(env)
     out = _out_dir(args)
@@ -332,14 +319,12 @@ def _cmd_eval(args) -> int:
     rows = []
     for count in counts:
         demo_seed = int(rng.integers(SEED_CEILING))
-        eval_seeds = [int(s) for s in rng.integers(SEED_CEILING, size=n_eval)]
+        eval_seeds = [int(v) for v in rng.integers(SEED_CEILING, size=n_eval)]
         demos = generate_demos(env, default_expert(env), count, horizon, demo_seed)
         model = fit(demos, LiftingSpec(lifting, demos.layout), rel_tolerance=tol)
         controller, _ = train(demos, train_cfg)
-        errors = []
-        for traj in demos.trajectories:
-            ref = rollout(model, CompositeState(traj.x_r[0], traj.x_o[0]), traj.horizon)
-            errors.append(imitation_error(ref, traj.x_r))
+        refs = _rollout(model, [CompositeState(t.x_r[0], t.x_o[0]) for t in demos.trajectories], horizon, "linear")
+        errors = [imitation_error(refs[:, i], t.x_r) for i, t in enumerate(demos.trajectories)]
         if criterion is None:
             rate_cell = ""
         else:
@@ -352,10 +337,7 @@ def _cmd_eval(args) -> int:
                      format_float(float(np.mean(errors))), rate_cell])
         logger.info("eval: N=%s done", count)
     path = out / "eval.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["env", "N_demos", "seed", "train_time_s", "imitation_error", "success_rate"])
-        writer.writerows(rows)
+    _write_csv(path, ["env", "N_demos", "seed", "train_time_s", "imitation_error", "success_rate"], rows)
     _stamp(out, "eval", {"env": env_spec_to_dict(env), "demo_counts": list(counts),
                          "horizon": horizon, "seed": seed, "n_eval": n_eval,
                          "lifting": lifting, "pinv_tol": tol,
@@ -367,15 +349,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_retune(args) -> int:
     config = _load_config(args)
-    model = load_model(args.model)
-    controller = load_controller(args.controller)
-    manifest = load_manifest(args.demos) if args.demos else None
-    env = _env_for(args, config, manifest)
+    model, controller, env = _load_policy(args, config)
     perturbed = perturb_params(env, args.variation)
-    n_demos = _pick(args.n_demos, config, "n_demos", 100)
-    horizon = _pick(args.horizon, config, "horizon", 100)
-    seed = _pick(args.seed, config, "seed", 0)
-    n_runs = _pick(args.n_runs, config, "n_runs", 100)
+    s = _settings(args, config, SETTINGS)
+    n_demos, horizon, seed, n_runs = s["n_demos"], s["horizon"], s["seed"], s["n_runs"]
     train_cfg = _train_config(args, config)
     criterion = default_criterion(env)
     if criterion is None:
@@ -395,14 +372,8 @@ def _cmd_retune(args) -> int:
         _run_batch(model, retuned, perturbed, seeds, horizon, "in", "linear"), criterion,
         f"retune {args.variation} after",
     )
-    report = {
-        "variation": args.variation,
-        "n_runs": n_runs,
-        "before_success_rate": before,
-        "after_success_rate": after,
-    }
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                     encoding="utf-8")
+    _write_json({"variation": args.variation, "n_runs": n_runs,
+                 "before_success_rate": before, "after_success_rate": after}, out / "report.json")
     _stamp(out, "retune", {"model": str(args.model), "controller": str(args.controller),
                            "env": env_spec_to_dict(env), "variation": args.variation,
                            "n_demos": n_demos, "horizon": horizon, "seed": seed,
@@ -413,78 +384,59 @@ def _cmd_retune(args) -> int:
 
 # --------------------------------------------------------------------- parser
 
+# flag -> its add_argument keywords; a flag named like a setting overrides
+# that config key
+FLAGS = {
+    "--config": {"help": "JSON config file; flags override its keys"},
+    "--out-dir": {"default": "out", "help": "output directory (created)"},
+    "--demos": {"help": "demos manifest.json"},
+    "--model": {"help": "model.json from fit"},
+    "--controller": {"help": "controller.json from train-controller"},
+    "--seed": {"type": int},
+    "--n-demos": {"type": int},
+    "--horizon": {"type": int},
+    "--n-runs": {"type": int},
+    "--lifting": {"choices": tuple(LIFTING_NAMES)},
+    "--pinv-tol": {"type": float},
+    "--learning-rate": {"type": float},
+    "--iterations": {"type": int},
+    "--batch": {"type": int},
+    "--optimizer": {"choices": ("adam", "sgd")},
+    "--traj-index": {"type": int, "default": 0},
+    "--distribution": {"choices": ("in", "out"), "default": "in"},
+    "--rollout-mode": {"choices": ("linear", "relift"), "default": "linear"},
+    "--variation": {"choices": tuple(VARIATIONS)},
+}
+
+# subcommand -> (handler, help, the flags it reads besides --out-dir; "!" marks a required one)
+COMMANDS = {
+    "gen-demos": (_cmd_gen_demos, "run the scripted expert and save demonstrations",
+                  "--config --seed --n-demos --horizon --distribution"),
+    "fit": (_cmd_fit, "fit a lifted linear model from saved demonstrations",
+            "--config --demos! --lifting --pinv-tol"),
+    "rollout": (_cmd_rollout, "write a model's open-loop reference trajectory",
+                "--model! --demos! --traj-index --horizon --rollout-mode"),
+    "train-controller": (_cmd_train_controller, "train the tracking controller on demonstrations",
+                         "--config --seed --demos! --learning-rate --iterations --batch --optimizer"),
+    "simulate": (_cmd_simulate, "closed-loop runs of model + controller",
+                 "--config --seed --model! --controller! --demos --n-runs --horizon --distribution --rollout-mode"),
+    "eval": (_cmd_eval, "sweep demo counts; one metrics row per count",
+             "--config --seed --horizon --lifting --pinv-tol --distribution"),
+    "retune": (_cmd_retune, "re-train only the controller for a perturbed environment",
+               "--config --seed --model! --controller! --demos --variation! --n-demos --horizon --n-runs"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="koopmanix",
                                      description="Koopman imitation pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out-dir", default="out", help="output directory (created)")
-
-    p = sub.add_parser("gen-demos", help="run the scripted expert and save demonstrations")
-    common(p)
-    p.add_argument("--n-demos", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--distribution", choices=("in", "out"), default="in")
-    p.set_defaults(func=_cmd_gen_demos)
-
-    p = sub.add_parser("fit", help="fit a lifted linear model from saved demonstrations")
-    common(p)
-    p.add_argument("--demos", required=True, help="demos manifest.json")
-    p.add_argument("--lifting", choices=tuple(LIFTING_NAMES), default=None)
-    p.add_argument("--pinv-tol", type=float, default=None)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("rollout", help="write a model's open-loop reference trajectory")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--demos", required=True, help="manifest whose trajectory provides the start state")
-    p.add_argument("--traj-index", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--rollout-mode", choices=("linear", "relift"), default="linear")
-    p.set_defaults(func=_cmd_rollout)
-
-    p = sub.add_parser("train-controller", help="train the tracking controller on demonstrations")
-    common(p)
-    p.add_argument("--demos", required=True)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
-    p.set_defaults(func=_cmd_train_controller)
-
-    p = sub.add_parser("simulate", help="closed-loop runs of model + controller")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--controller", required=True)
-    p.add_argument("--demos", default=None, help="manifest recording the environment")
-    p.add_argument("--n-runs", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--distribution", choices=("in", "out"), default="in")
-    p.add_argument("--rollout-mode", choices=("linear", "relift"), default="linear")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("eval", help="sweep demo counts; one metrics row per count")
-    common(p)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--lifting", choices=tuple(LIFTING_NAMES), default=None)
-    p.add_argument("--pinv-tol", type=float, default=None)
-    p.add_argument("--distribution", choices=("in", "out"), default="in")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("retune", help="re-train only the controller for a perturbed environment")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--controller", required=True)
-    p.add_argument("--demos", default=None, help="manifest recording the environment")
-    p.add_argument("--variation", choices=tuple(VARIATIONS), required=True)
-    p.add_argument("--n-demos", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--n-runs", type=int, default=None)
-    p.set_defaults(func=_cmd_retune)
-
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split() + ["--out-dir"]:
+            option = flag.rstrip("!")
+            p.add_argument(option, required=flag.endswith("!"), **FLAGS[option])
+        p.set_defaults(func=func)
     return parser
 
 

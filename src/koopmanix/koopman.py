@@ -71,7 +71,8 @@ def _lifted(demos: DemonstrationSet, spec: LiftingSpec):
     require_valid(demos)
     for i, traj in enumerate(demos.trajectories):
         raw = np.concatenate([traj.x_r, traj.x_o], axis=1)
-        phi = lift_matrix(spec, raw)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = lift_matrix(spec, raw)
         if not np.isfinite(phi).all():
             raise ValueError(f"lifted values overflow in trajectory {i}")
         yield raw, phi
@@ -97,13 +98,18 @@ def accumulate(demos: DemonstrationSet, spec: LiftingSpec) -> FitAccumulators:
     return FitAccumulators(A, G, pair_count)
 
 
-def _svd_pinv(mat: np.ndarray, rel_tolerance: float) -> tuple[np.ndarray, int, float]:
-    """Truncated-SVD pseudoinverse, its rank and the condition number of the retained part."""
+def _svd_pinv(mat: np.ndarray, rel_tolerance: float | None) -> tuple[np.ndarray, int, float]:
+    """Truncated-SVD pseudoinverse, its rank and the condition number of the retained part.
+
+    rel_tolerance=None uses default_pinv_tolerance of the matrix size.
+    """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     if not np.isfinite(mat).all():
         raise ValueError("matrix has non-finite entries")
+    if rel_tolerance is None:
+        rel_tolerance = default_pinv_tolerance(mat.shape[0])
     if rel_tolerance < 0:
         raise ValueError(f"rel_tolerance must be >= 0, got {rel_tolerance}")
     U, s, Vt = np.linalg.svd(mat)  # LinAlgError on non-convergence propagates
@@ -127,24 +133,18 @@ def pseudo_inverse(mat: np.ndarray, rel_tolerance: float) -> tuple[np.ndarray, i
     return pinv, rank
 
 
-def _solve(A: np.ndarray, G: np.ndarray, rel_tolerance: float | None) -> tuple[np.ndarray, int, float]:
-    if rel_tolerance is None:
-        rel_tolerance = default_pinv_tolerance(G.shape[0])
-    pinv, rank, cond = _svd_pinv(G, rel_tolerance)
-    return A @ pinv, rank, cond
-
-
 def solve_koopman(A: np.ndarray, G: np.ndarray, rel_tolerance: float | None = None) -> tuple[np.ndarray, int]:
     """K = A G+ from accumulators.  rel_tolerance=None uses the default cutoff."""
-    K, rank, _ = _solve(A, G, rel_tolerance)
-    return K, rank
+    pinv, rank, _ = _svd_pinv(G, rel_tolerance)
+    return A @ pinv, rank
 
 
 def fit(demos: DemonstrationSet, spec: LiftingSpec, rel_tolerance: float | None = None) -> KoopmanModel:
     """Fit the lifted linear model analytically: accumulate, then one solve K = A G+."""
     t0 = time.perf_counter()
     acc = accumulate(demos, spec)
-    K, rank, cond = _solve(acc.A, acc.G, rel_tolerance)
+    pinv, rank, cond = _svd_pinv(acc.G, rel_tolerance)
+    K = acc.A @ pinv
     wall = time.perf_counter() - t0
     meta = FitMeta(
         n_demos=demos.n_demos,
@@ -222,12 +222,13 @@ def _rollout(model: KoopmanModel, inits, horizon: int, mode: str) -> np.ndarray:
     os_ = object_slice(spec)
     out = np.empty((horizon, g.shape[0], model.layout.n))
     out[0] = g[:, rs]
-    for t in range(1, horizon):
-        g = (g[:, None] @ K_T)[:, 0]
-        if not np.isfinite(g).all():
-            raise _non_finite_reference(model, t + 1, horizon)
-        g = lift_matrix(spec, np.concatenate([g[:, rs], g[:, os_]], axis=1))
-        out[t] = g[:, rs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, horizon):
+            g = (g[:, None] @ K_T)[:, 0]
+            if not np.isfinite(g).all():
+                raise _non_finite_reference(model, t + 1, horizon)
+            g = lift_matrix(spec, np.concatenate([g[:, rs], g[:, os_]], axis=1))
+            out[t] = g[:, rs]
     return out
 
 

@@ -41,6 +41,18 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int(value, key: str) -> int:
+    """value itself if it is a JSON integer; int() would truncate 2.7 and parse "2"."""
+    if not _is_int(value):
+        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _require_finite(arr, path: Path, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise PersistError(f"{path}: {what} contains non-finite values")
@@ -59,9 +71,9 @@ def _layout_to_dict(layout: StateLayout) -> dict:
 def _layout_from_dict(obj: dict, path: Path) -> StateLayout:
     try:
         return StateLayout(
-            n=int(obj["n"]),
-            m=int(obj["m"]),
-            a=int(obj["a"]),
+            n=_int(obj["n"], "n"),
+            m=_int(obj["m"], "m"),
+            a=_int(obj["a"], "a"),
             robot_names=tuple(obj["robot_names"]) if obj.get("robot_names") else None,
             object_names=tuple(obj["object_names"]) if obj.get("object_names") else None,
         )
@@ -323,11 +335,12 @@ def load_model(path) -> KoopmanModel:
     if lifting.get("n") != layout.n or lifting.get("m") != layout.m:
         raise PersistError(f"{path}: lifting dims disagree with layout")
     monomials = lifting.get("monomials")
-    spec = LiftingSpec(
-        kind,
-        layout,
-        tuple(tuple(int(e) for e in mono) for mono in monomials) if monomials else None,
-    )
+    try:
+        exponents = tuple(tuple(_int(e, f"monomials[{i}][{j}]") for j, e in enumerate(mono))
+                          for i, mono in enumerate(monomials or ()))
+    except (TypeError, ValueError) as exc:
+        raise PersistError(f"{path}: bad lifting block: {exc}") from exc
+    spec = LiftingSpec(kind, layout, exponents or None)
     K = np.array(obj.get("K"), dtype=np.float64)
     p = dimension(spec)
     if K.ndim != 2 or K.shape != (p, p):
@@ -338,10 +351,10 @@ def load_model(path) -> KoopmanModel:
     if meta is not None:
         try:
             fit_meta = FitMeta(
-                n_demos=int(meta["n_demos"]),
-                n_pairs=int(meta["n_pairs"]),
+                n_demos=_int(meta["n_demos"], "n_demos"),
+                n_pairs=_int(meta["n_pairs"], "n_pairs"),
                 wall_time_s=float(meta["wall_time_s"]),
-                rank=int(meta["rank"]),
+                rank=_int(meta["rank"], "rank"),
                 cond=float(meta["cond"]) if meta["cond"] is not None else math.inf,
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -379,7 +392,7 @@ def load_controller(path) -> ControllerModel:
     obj = _read_json(path)
     _check_schema(obj, path)
     try:
-        sizes = tuple(int(s) for s in obj["layer_sizes"])
+        sizes = tuple(_int(s, f"layer_sizes[{i}]") for i, s in enumerate(obj["layer_sizes"]))
         weights = tuple(np.array(w, dtype=np.float64) for w in obj["weights"])
         biases = tuple(np.array(b, dtype=np.float64) for b in obj["biases"])
         norm = obj["input_norm"]

@@ -8,8 +8,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from koopmanix import execute_policy, load_controller, load_demos, load_model
-from koopmanix.cli import _reset_seeds, main
+from koopmanix import (
+    DemonstrationSet,
+    KoopmanModel,
+    LiftingSpec,
+    StateLayout,
+    Trajectory,
+    execute_policy,
+    load_controller,
+    load_demos,
+    load_model,
+    save_demos,
+    save_model,
+)
+from koopmanix.cli import _build_parser, _reset_seeds, main
 from koopmanix.envs import env_spec_from_dict, reset
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -308,6 +320,86 @@ def test_simulate_needs_an_environment(tmp_path, capsys):
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         main(["compress"])
+
+
+# subcommand -> (values for its required flags, the defaults of the flags it may omit)
+PARSER_SURFACE = {
+    "gen-demos": ({}, {"config": None, "seed": None, "n_demos": None, "horizon": None, "distribution": "in"}),
+    "fit": ({"demos": "d.json"}, {"config": None, "lifting": None, "pinv_tol": None}),
+    "rollout": ({"model": "m.json", "demos": "d.json"},
+                {"traj_index": 0, "horizon": None, "rollout_mode": "linear"}),
+    "train-controller": ({"demos": "d.json"}, {"config": None, "seed": None, "learning_rate": None,
+                                               "iterations": None, "batch": None, "optimizer": None}),
+    "simulate": ({"model": "m.json", "controller": "c.json"},
+                 {"config": None, "seed": None, "demos": None, "n_runs": None, "horizon": None,
+                  "distribution": "in", "rollout_mode": "linear"}),
+    "eval": ({}, {"config": None, "seed": None, "horizon": None, "lifting": None, "pinv_tol": None,
+                  "distribution": "in"}),
+    "retune": ({"model": "m.json", "controller": "c.json", "variation": "heavy-hand"},
+               {"config": None, "seed": None, "demos": None, "n_demos": None, "horizon": None, "n_runs": None}),
+}
+
+
+def _flag_args(values: dict) -> list[str]:
+    return [arg for key, value in values.items() for arg in (f"--{key.replace('_', '-')}", value)]
+
+
+def test_parser_lists_every_subcommand():
+    assert "{" + ",".join(PARSER_SURFACE) + "}" in _build_parser().format_usage()
+
+
+@pytest.mark.parametrize("command", PARSER_SURFACE)
+def test_parser_surface(command, capsys):
+    required, defaults = PARSER_SURFACE[command]
+    parsed = vars(_build_parser().parse_args([command] + _flag_args(required)))
+    assert parsed.pop("command") == command
+    assert parsed.pop("func").__name__ == "_cmd_" + command.replace("-", "_")
+    assert parsed == required | defaults | {"out_dir": "out"}
+    for key in required:
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args([command] + _flag_args({k: v for k, v in required.items() if k != key}))
+        assert exc.value.code == 2
+        assert f"--{key.replace('_', '-')}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["rollout", "--model", "m.json", "--demos", "d.json", "--config", "/nonexistent.json"], "--config"),
+    (["rollout", "--model", "m.json", "--demos", "d.json", "--seed", "3"], "--seed"),
+    (["fit", "--demos", "d.json", "--seed", "3"], "--seed"),
+], ids=["rollout-config", "rollout-seed", "fit-seed"])
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out-dir", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflow_is_one_error_line(tmp_path, capsys):
+    # kodex lifts x to [x, x^2, x^3]: 1e200 overflows the lift, and K = 10 I
+    # overflows the relifted reference once x^3 passes the largest double
+    layout = StateLayout(n=1, m=0, a=1)
+    for name, x in (("big", [1e200, 1.0, 2.0]), ("ok", [1.0, 2.0, 3.0])):
+        traj = Trajectory.from_arrays(np.array(x)[:, None], np.empty((3, 0)), np.zeros((2, 1)))
+        save_demos(DemonstrationSet(layout, (traj,)), tmp_path / name)
+    save_model(KoopmanModel(10.0 * np.eye(3), LiftingSpec("kodex-polynomial", layout), layout),
+               tmp_path / "model.json")
+    assert main(["fit", "--demos", str(tmp_path / "big" / "manifest.json"), "--out-dir", str(tmp_path / "f")]) == 1
+    assert capsys.readouterr().err == "error: invalid: lifted values overflow in trajectory 0\n"
+    assert main(["rollout", "--model", str(tmp_path / "model.json"), "--demos", str(tmp_path / "ok" / "manifest.json"),
+                 "--rollout-mode", "relift", "--horizon", "400", "--out-dir", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid: non-finite reference state at step 105 of 400 (spectral radius of K 10 > 1)\n")
+
+
+def test_non_integer_layout_size_is_a_persist_error(tmp_path, capsys):
+    manifest = json.loads((FIXTURES / "demo_set" / "manifest.json").read_text())
+    manifest["layout"]["n"] = 2.7
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["fit", "--demos", str(path), "--out-dir", str(tmp_path / "f")]) == 1
+    assert capsys.readouterr().err == f"error: persist: {path}: bad layout block: n must be an integer, got 2.7\n"
 
 
 def test_gen_demos_byte_identical(tmp_path, capsys):

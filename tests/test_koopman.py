@@ -260,6 +260,18 @@ def test_fit_is_the_accumulate_then_solve_koopman_path():
     assert model.fit_meta.rank == rank
 
 
+def test_no_tolerance_is_the_default_tolerance_on_both_solve_paths():
+    rng = np.random.default_rng(9)
+    layout = StateLayout(n=2, m=1, a=1)
+    spec = LiftingSpec("kodex-polynomial", layout)
+    demos = _demos_nd(layout, [[rng.standard_normal(3) for _ in range(T)] for T in (6, 10)])
+    acc = accumulate(demos, spec)
+    tol = default_pinv_tolerance(acc.G.shape[0])
+    K, _ = solve_koopman(acc.A, acc.G, tol)
+    assert solve_koopman(acc.A, acc.G)[0].tobytes() == K.tobytes()
+    assert fit(demos, spec).K.tobytes() == fit(demos, spec, rel_tolerance=tol).K.tobytes() == K.tobytes()
+
+
 def test_negative_tolerance_rejected_on_every_solve_path():
     demos = _demos_1d([1, 2, 4])
     acc = accumulate(demos, IDENT_1D)
@@ -390,6 +402,17 @@ def test_rollout_reports_first_bad_step():
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="step 2"):
             rollout(model, CompositeState([1e200], []), 5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflow_raises_without_a_floating_point_warning():
+    layout = StateLayout(n=1, m=0, a=1)
+    spec = LiftingSpec("kodex-polynomial", layout)
+    with pytest.raises(ValueError, match="lifted values overflow in trajectory 0"):
+        fit(_demos_nd(layout, [[[1e200], [1.0]]]), spec)
+    model = KoopmanModel(10.0 * np.eye(3), spec, layout)
+    with pytest.raises(ValueError, match=r"at step 105 of 400 \(spectral radius of K 10 > 1\)$"):
+        rollout(model, CompositeState([1.0], []), 400, mode="relift")
 
 
 def test_rollout_overflow_quotes_the_spectral_radius():

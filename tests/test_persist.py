@@ -501,6 +501,50 @@ def test_bad_fit_meta_block(tmp_path):
         load_model(path)
 
 
+# json.loads gives 2.7, "2" and true for these; int() would load them as 2, 2 and 1
+@pytest.mark.parametrize("value, shown", [(2.7, "2.7"), ("2", '"2"'), (True, "true")])
+def test_manifest_layout_sizes_must_be_integers(tmp_path, value, shown):
+    path = _rewrite(_mini_manifest(tmp_path), lambda obj: obj["layout"].update(n=value))
+    with pytest.raises(PersistError) as exc:
+        load_demos(path)
+    assert str(exc.value) == f"{path}: bad layout block: n must be an integer, got {shown}"
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda obj: obj["layout"].update(a=1.0), "bad layout block: a must be an integer, got 1.0"),
+    (lambda obj: obj.update(fit_meta={"n_demos": 1, "n_pairs": 1, "wall_time_s": 0.0, "rank": 9.9, "cond": 1.0}),
+     "bad fit_meta block: rank must be an integer, got 9.9"),
+    (lambda obj: obj.update(fit_meta={"n_demos": "1", "n_pairs": 1, "wall_time_s": 0.0, "rank": 1, "cond": 1.0}),
+     'bad fit_meta block: n_demos must be an integer, got "1"'),
+], ids=["layout-a", "fit-meta-rank", "fit-meta-n-demos"])
+def test_model_integer_fields_are_not_truncated(tmp_path, mutate, message):
+    path = tmp_path / "model.json"
+    path.write_text((FIXTURES / "model.json").read_text())
+    _rewrite(path, mutate)
+    with pytest.raises(PersistError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_monomial_exponents_must_be_integers(tmp_path):
+    layout = StateLayout(n=1, m=1, a=1)
+    spec = LiftingSpec("monomial-list", layout, ((2, 0), (1, 1)))
+    path = save_model(KoopmanModel(np.eye(4), spec, layout), tmp_path / "model.json")
+    _rewrite(path, lambda obj: obj["lifting"].update(monomials=[[2, 0], [1.5, 1]]))
+    with pytest.raises(PersistError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: bad lifting block: monomials[1][0] must be an integer, got 1.5"
+
+
+def test_controller_layer_sizes_must_be_integers(tmp_path):
+    path = tmp_path / "ctrl.json"
+    path.write_text((FIXTURES / "controller.json").read_text())
+    _rewrite(path, lambda obj: obj.update(layer_sizes=[1, 1.0]))
+    with pytest.raises(PersistError) as exc:
+        load_controller(path)
+    assert str(exc.value) == f"{path}: bad controller block: layer_sizes[1] must be an integer, got 1.0"
+
+
 def test_controller_missing_block(tmp_path):
     path = tmp_path / "ctrl.json"
     path.write_text((FIXTURES / "controller.json").read_text())
