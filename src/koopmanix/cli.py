@@ -64,6 +64,7 @@ def _is_real(value) -> bool:
 
 
 POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+_NON_NEGATIVE_INT = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
 
 # top-level key -> (default, accepts the JSON value, what it must be); a flag
 # of the same name overrides the key
@@ -72,7 +73,7 @@ SETTINGS = {
     "horizon": (100, *POSITIVE_INT),
     "n_runs": (100, *POSITIVE_INT),
     "n_eval": (100, *POSITIVE_INT),
-    "seed": (0, lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "seed": (0, *_NON_NEGATIVE_INT),
     "lifting": ("kodex", lambda v: isinstance(v, str) and v in LIFTING_NAMES, '"identity" or "kodex"'),
     "pinv_tol": (
         None,
@@ -88,7 +89,7 @@ TRAIN_SETTINGS = {
     "learning_rate": (TrainConfig.learning_rate, _is_real, "a real number"),
     "iterations": (TrainConfig.iterations, _is_int, "an integer"),
     "batch": (TrainConfig.batch, lambda v: v is None or v == "full" or _is_int(v), 'an integer, null or "full"'),
-    "seed": (TrainConfig.seed, _is_int, "an integer"),
+    "seed": (TrainConfig.seed, *_NON_NEGATIVE_INT),
     "optimizer": (TrainConfig.optimizer, lambda v: isinstance(v, str), "a string"),
 }
 

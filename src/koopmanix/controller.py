@@ -11,14 +11,13 @@ loss is invariant to duplicating trajectories.
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .statespace import DemonstrationSet, StateLayout
+from .statespace import DemonstrationSet, StateLayout, require_valid
 
 STD_FLOOR = 1e-8  # clamp for per-dimension input std
 
@@ -45,14 +44,11 @@ class ControllerModel:
     biases: tuple[np.ndarray, ...]
     input_mean: np.ndarray
     input_std: np.ndarray
-    activation: str = "relu"
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ValueError(f"layer_sizes must be >= 2 positive entries, got {sizes}")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
         if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
             raise ValueError("need one weight matrix and one bias per layer transition")
         Ws = []
@@ -96,6 +92,8 @@ class TrainConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.batch is not None and self.batch < 1:
             raise ValueError(f"batch must be None or >= 1, got {self.batch}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
 
@@ -145,6 +143,7 @@ class TrainingTriples:
 
 def supervision(demos: DemonstrationSet) -> TrainingTriples:
     """Extract (x_r(t), x_r(t+1), tau(t)) from every transition of every demo."""
+    require_valid(demos)
     x_now, x_next, tau, w = [], [], [], []
     N = demos.n_demos
     for i, traj in enumerate(demos.trajectories):
@@ -183,8 +182,7 @@ class _Workspace:
     """Preallocated arrays for forward, loss and backward passes over `rows` rows.
 
     acts[l] receives layer l's output (rectified for hidden layers).  The
-    backward arrays are allocated only when `backward` is set.  `head(r)`
-    gives the same arrays cut to their first r rows, for a shorter batch.
+    backward arrays are allocated only when `backward` is set.
     """
 
     def __init__(self, sizes, rows: int, backward: bool):
@@ -196,12 +194,6 @@ class _Workspace:
             self.w = np.empty(rows)  # a minibatch's weights scaled to sum to one
             self.deltas = [np.empty((rows, k)) for k in widths]
             self.masks = [np.empty((rows, k), dtype=bool) for k in widths[:-1]]
-
-    def head(self, r: int) -> "_Workspace":
-        view = copy.copy(self)
-        for name, value in vars(self).items():
-            setattr(view, name, [a[:r] for a in value] if isinstance(value, list) else value[:r])
-        return view
 
 
 def _forward(weights, biases, Z, acts=None) -> list[np.ndarray]:
@@ -365,7 +357,7 @@ def train(
     if not full:
         B = config.batch
         part = _Workspace(sizes, B, backward=True)
-        tail = part.head(P % B)  # the ragged last minibatch
+        tail = _Workspace(sizes, P % B, backward=True)  # the shorter last minibatch
         # a shuffled copy of the triples, refilled once per iteration, so
         # every minibatch is a contiguous slice of it
         Zs, taus, wsh = np.empty_like(Z), np.empty_like(tau), np.empty_like(w)

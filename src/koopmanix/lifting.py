@@ -1,15 +1,12 @@
 """Observable lifting maps from composite states to lifted vectors.
 
-Three kinds:
+Two kinds:
 
 * ``identity``          g(x) = [x_r | x_o]
 * ``kodex-polynomial``  g(x) = [x_r | psi_r(x_r) | x_o | psi_o(x_o)] where
   psi_r holds the quadratics x_r[i]*x_r[j] for i <= j followed by the cubes
   x_r[i]**3, and psi_o holds the quadratics x_o[i]*x_o[j] for i <= j followed
   by x_o[i]**2 * x_o[j] over all ordered (i, j) pairs, i = j included.
-* ``monomial-list``     g(x) = [x_r | x_o | explicit monomials], each monomial
-  an exponent vector over the n+m raw dimensions.  Exists so tests can express
-  arbitrary observables; the default pipeline never uses it.
 
 Every kind passes the raw state through untransformed, so the original state
 is recovered from a lifted vector by slicing alone.  Slot order is part of the
@@ -25,33 +22,17 @@ import numpy as np
 
 from .statespace import CompositeState, StateLayout
 
-KINDS = ("identity", "kodex-polynomial", "monomial-list")
+KINDS = ("identity", "kodex-polynomial")
 
 
 @dataclass(frozen=True)
 class LiftingSpec:
     kind: str
     layout: StateLayout
-    # monomial-list only: exponent vectors over the n+m raw dims, e.g. (2, 1)
-    # for x0**2 * x1 when n+m == 2.
-    monomials: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown lifting kind {self.kind!r}, expected one of {KINDS}")
-        if self.kind == "monomial-list":
-            if self.monomials is None:
-                raise ValueError("monomial-list lifting needs explicit monomials")
-            d = self.layout.n + self.layout.m
-            mono = tuple(tuple(int(e) for e in m) for m in self.monomials)
-            for m in mono:
-                if len(m) != d:
-                    raise ValueError(f"monomial {m} has {len(m)} exponents, expected {d}")
-                if any(e < 0 for e in m):
-                    raise ValueError(f"monomial {m} has a negative exponent")
-            object.__setattr__(self, "monomials", mono)
-        elif self.monomials is not None:
-            raise ValueError(f"kind {self.kind!r} does not take explicit monomials")
 
 
 @dataclass(frozen=True)
@@ -84,10 +65,8 @@ def dimension(spec: LiftingSpec) -> int:
     n, m = spec.layout.n, spec.layout.m
     if spec.kind == "identity":
         return n + m
-    if spec.kind == "kodex-polynomial":
-        n_extra, m_extra = _poly_counts(n, m)
-        return n + n_extra + m + m_extra
-    return n + m + len(spec.monomials)
+    n_extra, m_extra = _poly_counts(n, m)
+    return n + n_extra + m + m_extra
 
 
 def robot_slice(spec: LiftingSpec) -> slice:
@@ -125,22 +104,16 @@ def lift_matrix(spec: LiftingSpec, raw: np.ndarray) -> np.ndarray:
     xo = raw[:, n:]
     if spec.kind == "identity":
         return raw.copy()
-    if spec.kind == "kodex-polynomial":
-        qr_i, qr_j, qo_i, qo_j, so_i, so_j = _poly_indices(n, m)
-        blocks = [
-            xr,
-            xr[:, qr_i] * xr[:, qr_j],
-            xr**3,
-            xo,
-            xo[:, qo_i] * xo[:, qo_j],
-            xo[:, so_i] ** 2 * xo[:, so_j],
-        ]
-        return np.concatenate(blocks, axis=1)
-    cols = [raw]
-    for mono in spec.monomials:
-        exps = np.asarray(mono, dtype=np.float64)
-        cols.append(np.prod(raw ** exps[None, :], axis=1, keepdims=True))
-    return np.concatenate(cols, axis=1)
+    qr_i, qr_j, qo_i, qo_j, so_i, so_j = _poly_indices(n, m)
+    blocks = [
+        xr,
+        xr[:, qr_i] * xr[:, qr_j],
+        xr**3,
+        xo,
+        xo[:, qo_i] * xo[:, qo_j],
+        xo[:, so_i] ** 2 * xo[:, so_j],
+    ]
+    return np.concatenate(blocks, axis=1)
 
 
 def _raw_rows(spec: LiftingSpec, states) -> np.ndarray:
@@ -168,25 +141,16 @@ def monomial_exponents(spec: LiftingSpec) -> np.ndarray:
     """
     n, m = spec.layout.n, spec.layout.m
     d = n + m
-    rows: list[np.ndarray] = [np.eye(d, dtype=np.int64)[:n]]
-    if spec.kind == "kodex-polynomial":
-        qr_i, qr_j, qo_i, qo_j, so_i, so_j = _poly_indices(n, m)
-        quad_r = np.zeros((len(qr_i), d), dtype=np.int64)
-        for k, (i, j) in enumerate(zip(qr_i, qr_j)):
-            quad_r[k, i] += 1
-            quad_r[k, j] += 1
-        cube_r = 3 * np.eye(d, dtype=np.int64)[:n]
-        quad_o = np.zeros((len(qo_i), d), dtype=np.int64)
-        for k, (i, j) in enumerate(zip(qo_i, qo_j)):
-            quad_o[k, n + i] += 1
-            quad_o[k, n + j] += 1
-        sq_o = np.zeros((len(so_i), d), dtype=np.int64)
-        for k, (i, j) in enumerate(zip(so_i, so_j)):
-            sq_o[k, n + i] += 2
-            sq_o[k, n + j] += 1
-        rows += [quad_r, cube_r, np.eye(d, dtype=np.int64)[n:], quad_o, sq_o]
-    else:
-        rows.append(np.eye(d, dtype=np.int64)[n:])
-        if spec.kind == "monomial-list":
-            rows.append(np.asarray(spec.monomials, dtype=np.int64).reshape(len(spec.monomials), d))
-    return np.concatenate(rows, axis=0)
+    eye = np.eye(d, dtype=np.int64)
+    if spec.kind == "identity":
+        return eye
+    qr_i, qr_j, qo_i, qo_j, so_i, so_j = _poly_indices(n, m)
+    # in lift_matrix's block order, each slot's exponents as a sum of unit rows
+    return np.concatenate([
+        eye[:n],
+        eye[qr_i] + eye[qr_j],
+        3 * eye[:n],
+        eye[n:],
+        eye[n + qo_i] + eye[n + qo_j],
+        2 * eye[n + so_i] + eye[n + so_j],
+    ])

@@ -28,8 +28,11 @@ SCHEMA_VERSION = 1
 ORDERING_TAGS = {
     "identity": "identity-v1",
     "kodex-polynomial": "kodex-v1",
-    "monomial-list": "monomial-v1",
 }
+
+# The one activation a controller file may name: the network's hidden layers
+# are rectified.
+_ACTIVATION = "relu"
 
 
 class PersistError(ValueError):
@@ -89,7 +92,8 @@ def _write_json(obj: dict, path: Path) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _read_json(path: Path) -> dict:
+def _read_json(path) -> dict:
+    """The top-level object of a JSON file written at SCHEMA_VERSION."""
     path = Path(path)
     if not path.exists():
         raise PersistError(f"{path}: no such file")
@@ -99,13 +103,10 @@ def _read_json(path: Path) -> dict:
         raise PersistError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(obj, dict):
         raise PersistError(f"{path}: top level must be an object")
-    return obj
-
-
-def _check_schema(obj: dict, path: Path) -> None:
     version = obj.get("schema")
     if version != SCHEMA_VERSION:
         raise PersistError(f"{path}: schema version {version!r}, expected {SCHEMA_VERSION}")
+    return obj
 
 
 # ------------------------------------------------------------ demonstrations
@@ -256,10 +257,7 @@ def save_demos(
 
 def load_manifest(manifest_path) -> dict:
     """Raw manifest dict (callers needing env/seed read them from here)."""
-    path = Path(manifest_path)
-    obj = _read_json(path)
-    _check_schema(obj, path)
-    return obj
+    return _read_json(manifest_path)
 
 
 def load_demos(manifest_path) -> DemonstrationSet:
@@ -292,8 +290,6 @@ def save_model(model: KoopmanModel, path) -> Path:
         "m": model.layout.m,
         "ordering": ORDERING_TAGS[model.spec.kind],
     }
-    if model.spec.monomials is not None:
-        lifting["monomials"] = [list(mono) for mono in model.spec.monomials]
     meta = None
     if model.fit_meta is not None:
         meta = {
@@ -307,7 +303,7 @@ def save_model(model: KoopmanModel, path) -> Path:
         "schema": SCHEMA_VERSION,
         "layout": _layout_to_dict(model.layout),
         "lifting": lifting,
-        "K": [[float(v) for v in row] for row in model.K],
+        "K": model.K.tolist(),
         "fit_meta": meta,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -318,7 +314,6 @@ def save_model(model: KoopmanModel, path) -> Path:
 def load_model(path) -> KoopmanModel:
     path = Path(path)
     obj = _read_json(path)
-    _check_schema(obj, path)
     layout = _layout_from_dict(obj.get("layout", {}), path)
     lifting = obj.get("lifting")
     if not isinstance(lifting, dict):
@@ -334,13 +329,7 @@ def load_model(path) -> KoopmanModel:
         )
     if lifting.get("n") != layout.n or lifting.get("m") != layout.m:
         raise PersistError(f"{path}: lifting dims disagree with layout")
-    monomials = lifting.get("monomials")
-    try:
-        exponents = tuple(tuple(_int(e, f"monomials[{i}][{j}]") for j, e in enumerate(mono))
-                          for i, mono in enumerate(monomials or ()))
-    except (TypeError, ValueError) as exc:
-        raise PersistError(f"{path}: bad lifting block: {exc}") from exc
-    spec = LiftingSpec(kind, layout, exponents or None)
+    spec = LiftingSpec(kind, layout)
     K = np.array(obj.get("K"), dtype=np.float64)
     p = dimension(spec)
     if K.ndim != 2 or K.shape != (p, p):
@@ -374,13 +363,10 @@ def save_controller(model: ControllerModel, path) -> Path:
     obj = {
         "schema": SCHEMA_VERSION,
         "layer_sizes": list(model.layer_sizes),
-        "weights": [[[float(v) for v in row] for row in w] for w in model.weights],
-        "biases": [[float(v) for v in b] for b in model.biases],
-        "input_norm": {
-            "mean": [float(v) for v in model.input_mean],
-            "std": [float(v) for v in model.input_std],
-        },
-        "activation": model.activation,
+        "weights": [w.tolist() for w in model.weights],
+        "biases": [b.tolist() for b in model.biases],
+        "input_norm": {"mean": model.input_mean.tolist(), "std": model.input_std.tolist()},
+        "activation": _ACTIVATION,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     _write_json(obj, path)
@@ -390,7 +376,6 @@ def save_controller(model: ControllerModel, path) -> Path:
 def load_controller(path) -> ControllerModel:
     path = Path(path)
     obj = _read_json(path)
-    _check_schema(obj, path)
     try:
         sizes = tuple(_int(s, f"layer_sizes[{i}]") for i, s in enumerate(obj["layer_sizes"]))
         weights = tuple(np.array(w, dtype=np.float64) for w in obj["weights"])
@@ -401,7 +386,9 @@ def load_controller(path) -> ControllerModel:
         activation = obj["activation"]
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistError(f"{path}: bad controller block: {exc}") from exc
+    if activation != _ACTIVATION:
+        raise PersistError(f"{path}: unsupported activation {activation!r}, expected {_ACTIVATION!r}")
     try:
-        return ControllerModel(sizes, weights, biases, mean, std, activation)
+        return ControllerModel(sizes, weights, biases, mean, std)
     except ValueError as exc:
         raise PersistError(f"{path}: {exc}") from exc

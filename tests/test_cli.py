@@ -21,7 +21,8 @@ from koopmanix import (
     save_demos,
     save_model,
 )
-from koopmanix.cli import _build_parser, _reset_seeds, main
+from koopmanix import lifting, persist
+from koopmanix.cli import LIFTING_NAMES, _build_parser, _reset_seeds, main
 from koopmanix.envs import env_spec_from_dict, reset
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -187,7 +188,7 @@ def test_non_string_manifest_entry_is_a_persist_error(tmp_path, capsys):
     ("train-controller", {"train": {"iterations": [3]}}, "train.iterations must be an integer, got [3]"),
     ("train-controller", {"train": {"batch": True}}, 'train.batch must be an integer, null or "full", got true'),
     ("train-controller", {"train": {"iterations": 2.7}}, "train.iterations must be an integer, got 2.7"),
-    ("train-controller", {"train": {"seed": "7"}}, 'train.seed must be an integer, got "7"'),
+    ("train-controller", {"train": {"seed": "7"}}, 'train.seed must be a non-negative integer, got "7"'),
     ("train-controller", {"train": {"learning_rate": False}}, "train.learning_rate must be a real number, got false"),
     ("train-controller", {"train": {"optimizer": 1}}, "train.optimizer must be a string, got 1"),
     ("gen-demos", {"n_demos": [3]}, "n_demos must be a positive integer, got [3]"),
@@ -200,6 +201,7 @@ def test_non_string_manifest_entry_is_a_persist_error(tmp_path, capsys):
     ("fit", {"pinv_tol": "x"}, 'pinv_tol must be null or a finite real number >= 0, got "x"'),
     ("fit", {"pinv_tol": float("nan")}, "pinv_tol must be null or a finite real number >= 0, got NaN"),
     ("fit", {"pinv_tol": -1e-9}, "pinv_tol must be null or a finite real number >= 0, got -1e-09"),
+    ("train-controller", {"train": {"seed": -1}}, "train.seed must be a non-negative integer, got -1"),
 ])
 def test_config_block_types_checked(tmp_path, capsys, command, config, key):
     cfg = _write_config(tmp_path, config)
@@ -342,6 +344,14 @@ PARSER_SURFACE = {
 
 def _flag_args(values: dict) -> list[str]:
     return [arg for key, value in values.items() for arg in (f"--{key.replace('_', '-')}", value)]
+
+
+def test_lifting_kind_tables_agree():
+    # every kind can be written (an ordering tag) and chosen (a CLI name), and
+    # every tag and name belongs to a kind
+    assert set(persist.ORDERING_TAGS) == set(lifting.KINDS)
+    assert len(set(persist.ORDERING_TAGS.values())) == len(lifting.KINDS)
+    assert set(LIFTING_NAMES.values()) == set(lifting.KINDS)
 
 
 def test_parser_lists_every_subcommand():

@@ -69,15 +69,6 @@ def test_model_rejects_bad_shapes():
         _tiny_model([[[1.0]]], [[0.0]], (1, 1), mean=[0.0, 0.0], std=[1.0, 1.0])
     with pytest.raises(ValueError, match="positive"):
         _tiny_model([[[1.0]]], [[0.0]], (1, 1), std=[0.0])
-    with pytest.raises(ValueError, match="activation"):
-        ControllerModel(
-            layer_sizes=(1, 1),
-            weights=(np.eye(1),),
-            biases=(np.zeros(1),),
-            input_mean=np.zeros(1),
-            input_std=np.ones(1),
-            activation="tanh",
-        )
 
 
 def test_model_arrays_are_frozen():
@@ -284,6 +275,8 @@ def test_train_config_validation():
         TrainConfig(batch=0)
     with pytest.raises(ValueError, match="optimizer"):
         TrainConfig(optimizer="lbfgs")
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
 
 
 def test_history_starts_at_initial_loss():
@@ -347,6 +340,17 @@ def test_train_requires_torques():
     bare = Trajectory(tuple(CompositeState([float(t)], []) for t in range(3)))
     with pytest.raises(ValueError, match="torques"):
         train(DemonstrationSet(LAYOUT_1D, (bare,)), TrainConfig(iterations=1))
+
+
+def test_train_names_the_invalid_demo_step():
+    good, bad = _walk_demos(0, n_traj=2, horizon=6).trajectories
+    x_r = bad.x_r.copy()
+    x_r[4, 0] = np.nan
+    demos = DemonstrationSet(LAYOUT_1D, (good, Trajectory.from_arrays(x_r, bad.x_o, bad.torques)))
+    message = "invalid demonstrations (1 violations; first: traj 1, t 4: non-finite state entry)"
+    with pytest.raises(ValueError) as exc:
+        train(demos, TrainConfig(iterations=1))
+    assert str(exc.value) == message
 
 
 # ---- pin: the flat-vector trainer against the per-array reference loop ----

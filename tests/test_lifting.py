@@ -156,29 +156,7 @@ def test_retrieval_identity_is_exact():
         assert np.array_equal(values[object_slice(spec)], state.x_o)
 
 
-# ------------------------------------------------------------- monomial kind
-
-def test_monomial_list_requires_exponents():
-    layout = StateLayout(n=1, m=1, a=1)
-    with pytest.raises(ValueError):
-        LiftingSpec("monomial-list", layout)
-
-
-def test_monomial_list_evaluation_matches_naive():
-    layout = StateLayout(n=2, m=1, a=1)
-    monomials = ((2, 0, 1), (1, 1, 1), (0, 0, 3))
-    spec = LiftingSpec("monomial-list", layout, monomials)
-    assert dimension(spec) == 3 + len(monomials)
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        xr = rng.uniform(-1.5, 1.5, 2)
-        xo = rng.uniform(-1.5, 1.5, 1)
-        got = lift(spec, CompositeState(xr, xo)).values
-        full = np.concatenate([xr, xo])
-        naive = [np.prod(full**np.array(e)) for e in monomials]
-        np.testing.assert_allclose(got[:3], full, rtol=0, atol=0)
-        np.testing.assert_allclose(got[3:], naive, rtol=1e-12, atol=0)
-
+# -------------------------------------------------------- slot exponents
 
 def test_monomial_exponents_describe_every_slot():
     rng = np.random.default_rng(6)

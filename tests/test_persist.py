@@ -202,19 +202,6 @@ def test_model_round_trip_infinite_condition(tmp_path):
     assert load_model(tmp_path / "model.json").fit_meta.cond == math.inf
 
 
-def test_monomial_model_round_trip(tmp_path):
-    layout = StateLayout(n=1, m=1, a=1)
-    monos = ((2, 0), (1, 1))
-    spec = LiftingSpec("monomial-list", layout, monos)
-    from koopmanix import dimension
-
-    p = dimension(spec)
-    model = KoopmanModel(np.eye(p), spec, layout)
-    save_model(model, tmp_path / "model.json")
-    back = load_model(tmp_path / "model.json")
-    assert back.spec.monomials == monos
-
-
 def test_controller_round_trip(tmp_path):
     model = init(StateLayout(n=2, m=0, a=2), seed=13)
     save_controller(model, tmp_path / "ctrl.json")
@@ -526,14 +513,14 @@ def test_model_integer_fields_are_not_truncated(tmp_path, mutate, message):
     assert str(exc.value) == f"{path}: {message}"
 
 
-def test_monomial_exponents_must_be_integers(tmp_path):
-    layout = StateLayout(n=1, m=1, a=1)
-    spec = LiftingSpec("monomial-list", layout, ((2, 0), (1, 1)))
-    path = save_model(KoopmanModel(np.eye(4), spec, layout), tmp_path / "model.json")
-    _rewrite(path, lambda obj: obj["lifting"].update(monomials=[[2, 0], [1.5, 1]]))
+def test_monomial_list_model_is_an_unknown_kind(tmp_path):
+    # the lifting block a monomial-list model was once written with
+    path = tmp_path / "model.json"
+    path.write_text((FIXTURES / "model.json").read_text())
+    _rewrite(path, lambda obj: obj["lifting"].update(kind="monomial-list", ordering="monomial-v1", monomials=[]))
     with pytest.raises(PersistError) as exc:
         load_model(path)
-    assert str(exc.value) == f"{path}: bad lifting block: monomials[1][0] must be an integer, got 1.5"
+    assert str(exc.value) == f"{path}: unknown lifting kind 'monomial-list'"
 
 
 def test_controller_layer_sizes_must_be_integers(tmp_path):
@@ -543,6 +530,15 @@ def test_controller_layer_sizes_must_be_integers(tmp_path):
     with pytest.raises(PersistError) as exc:
         load_controller(path)
     assert str(exc.value) == f"{path}: bad controller block: layer_sizes[1] must be an integer, got 1.0"
+
+
+def test_controller_activation_must_be_relu(tmp_path):
+    path = tmp_path / "ctrl.json"
+    path.write_text((FIXTURES / "controller.json").read_text())
+    _rewrite(path, lambda obj: obj.update(activation="tanh"))
+    with pytest.raises(PersistError) as exc:
+        load_controller(path)
+    assert str(exc.value) == f"{path}: unsupported activation 'tanh', expected 'relu'"
 
 
 def test_controller_missing_block(tmp_path):
