@@ -38,10 +38,9 @@ from .envs import (
 from .koopman import _rollout, fit, rollout
 from .lifting import LiftingSpec
 from .metrics import evaluate_success, imitation_error, outcome_summary
-from .statespace import CompositeState, DemonstrationSet
+from .statespace import CompositeState, DemonstrationSet, _is_int
 from .persist import (
     PersistError,
-    _is_int,
     _write_json,
     format_float,
     load_controller,

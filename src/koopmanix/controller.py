@@ -17,9 +17,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .statespace import DemonstrationSet, StateLayout, require_valid
+from .statespace import DemonstrationSet, StateLayout, _is_int, require_valid
 
 STD_FLOOR = 1e-8  # clamp for per-dimension input std
+
+# the rectifier's 0-d zero: a Python float operand costs every ufunc call a
+# conversion, a tenth of a one-row layer
+_ZERO = np.zeros(())
+_ZERO.setflags(write=False)
 
 logger = logging.getLogger(__name__)
 
@@ -88,6 +93,11 @@ class TrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for name in ("iterations", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not (self.batch is None or _is_int(self.batch)):
+            raise ValueError(f"batch must be None or an integer, got {self.batch!r}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.batch is not None and self.batch < 1:
@@ -181,13 +191,16 @@ def init(layout: StateLayout, seed: int) -> ControllerModel:
 class _Workspace:
     """Preallocated arrays for forward, loss and backward passes over `rows` rows.
 
-    acts[l] receives layer l's output (rectified for hidden layers).  The
-    backward arrays are allocated only when `backward` is set.
+    acts[l] receives layer l's output (rectified for hidden layers), and
+    layers binds the given weights and biases to those buffers for
+    `_forward`.  The backward arrays are allocated only when `backward` is
+    set.
     """
 
-    def __init__(self, sizes, rows: int, backward: bool):
-        widths = sizes[1:]
+    def __init__(self, weights, biases, rows: int, backward: bool):
+        widths = [W.shape[0] for W in weights]
         self.acts = [np.empty((rows, k)) for k in widths]
+        self.layers = _bind(weights, biases, self.acts)
         self.err = np.empty((rows, widths[-1]))
         self.row = np.empty(rows)  # per-row loss terms, or 2 w in backprop
         if backward:
@@ -196,22 +209,33 @@ class _Workspace:
             self.masks = [np.empty((rows, k), dtype=bool) for k in widths[:-1]]
 
 
-def _forward(weights, biases, Z, acts=None) -> list[np.ndarray]:
-    """Layer outputs on the rows of Z: hidden layers rectified, output linear.
+def _bind(weights, biases, acts=None) -> list[tuple]:
+    """Layers bound once for `_forward`: (transposed weight view, bias, output buffer) each.
 
-    Written into `acts` (one array per layer, as many rows as Z) when given,
-    else into new arrays.
+    Biases may come shaped for the caller's rows.  acts holds one output
+    buffer per layer; without it, or where an entry is None, the layer
+    writes a new array.  The views follow the weights, so a caller that
+    updates its weights in place binds them only once.
     """
-    last = len(weights) - 1
-    outs = []
+    acts = acts or [None] * len(weights)
+    return [(W.T, b, H) for W, b, H in zip(weights, biases, acts)]
+
+
+def _forward(layers, Z, out=None) -> np.ndarray:
+    """The output of the network bound in `layers` on the rows of Z.
+
+    Hidden layers are rectified in their buffers; the linear output layer
+    writes into out when given, else into its own buffer.
+    """
     H = Z
-    for l, (W, b) in enumerate(zip(weights, biases)):
-        H = np.matmul(H, W.T, out=None if acts is None else acts[l])
+    for W_T, b, buf in layers[:-1]:
+        H = np.matmul(H, W_T, out=buf)
         H += b
-        if l < last:
-            np.maximum(H, 0.0, out=H)
-        outs.append(H)
-    return outs
+        np.maximum(H, _ZERO, out=H)
+    W_T, b, buf = layers[-1]
+    H = np.matmul(H, W_T, out=buf if out is None else out)
+    H += b
+    return H
 
 
 def _loss(out, tau, w, ws: _Workspace) -> float:
@@ -269,7 +293,7 @@ def evaluate(model: ControllerModel, z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (model.layer_sizes[0],):
         raise ValueError(f"input must have shape ({model.layer_sizes[0]},), got {z.shape}")
-    return _forward(model.weights, model.biases, _normalize(model, z[None, :]))[-1][0]
+    return _forward(_bind(model.weights, model.biases), _normalize(model, z[None, :]))[0]
 
 
 def forward(model: ControllerModel, x_now, x_next) -> np.ndarray:
@@ -287,9 +311,8 @@ def forward(model: ControllerModel, x_now, x_next) -> np.ndarray:
 def loss(model: ControllerModel, triples: TrainingTriples) -> float:
     """Weighted mean squared torque error over the triples."""
     Z = _normalize(model, np.concatenate([triples.x_now, triples.x_next], axis=1))
-    ws = _Workspace(model.layer_sizes, triples.count, backward=False)
-    out = _forward(model.weights, model.biases, Z, ws.acts)[-1]
-    return _loss(out, triples.tau, triples.weights, ws)
+    ws = _Workspace(model.weights, model.biases, triples.count, backward=False)
+    return _loss(_forward(ws.layers, Z), triples.tau, triples.weights, ws)
 
 
 def train(
@@ -353,24 +376,23 @@ def train(
 
     P = triples.count
     full = config.batch is None or config.batch >= P
-    whole = _Workspace(sizes, P, backward=full)
+    whole = _Workspace(weights, biases, P, backward=full)
     if not full:
         B = config.batch
-        part = _Workspace(sizes, B, backward=True)
-        tail = _Workspace(sizes, P % B, backward=True)  # the shorter last minibatch
+        part = _Workspace(weights, biases, B, backward=True)
+        tail = _Workspace(weights, biases, P % B, backward=True)  # the shorter last minibatch
         # a shuffled copy of the triples, refilled once per iteration, so
         # every minibatch is a contiguous slice of it
         Zs, taus, wsh = np.empty_like(Z), np.empty_like(tau), np.empty_like(w)
 
     history = np.empty(config.iterations)
     for it in range(config.iterations):
-        acts = _forward(weights, biases, Z, whole.acts)
-        value = _loss(acts[-1], tau, w, whole)
+        value = _loss(_forward(whole.layers, Z), tau, w, whole)
         history[it] = value
         if not np.isfinite(value):
             raise ValueError(f"non-finite training loss at iteration {it}")
         if full:
-            _backprop(weights, Z, acts, tau, w, gWs, gbs, whole)
+            _backprop(weights, Z, whole.acts, tau, w, gWs, gbs, whole)
             apply()
             continue
         perm = shuffle_rng.permutation(P)
@@ -382,7 +404,8 @@ def train(
             Zb, taub, wb = Zs[lo : lo + B], taus[lo : lo + B], wsh[lo : lo + B]
             ws = part if len(wb) == B else tail
             np.divide(wb, wb.sum(), out=ws.w)
-            _backprop(weights, Zb, _forward(weights, biases, Zb, ws.acts), taub, ws.w, gWs, gbs, ws)
+            _forward(ws.layers, Zb)
+            _backprop(weights, Zb, ws.acts, taub, ws.w, gWs, gbs, ws)
             apply()
 
     logger.info(
@@ -412,12 +435,12 @@ def gradient_check(model: ControllerModel, triple, epsilon: float = 1e-5) -> flo
     theta = _flat_params(model)
     grad = np.zeros_like(theta)
     weights, biases = _flat_views(model.layer_sizes, theta)
-    ws = _Workspace(model.layer_sizes, 1, backward=True)
-    acts = _forward(weights, biases, Z, ws.acts)
-    _backprop(weights, Z, acts, tau, one, *_flat_views(model.layer_sizes, grad), ws)
+    ws = _Workspace(weights, biases, 1, backward=True)
+    _forward(ws.layers, Z)
+    _backprop(weights, Z, ws.acts, tau, one, *_flat_views(model.layer_sizes, grad), ws)
 
     def probe():
-        return _loss(_forward(weights, biases, Z, ws.acts)[-1], tau, one, ws)
+        return _loss(_forward(ws.layers, Z), tau, one, ws)
 
     worst = 0.0
     for k in range(theta.size):

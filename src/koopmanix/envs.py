@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import koopman
-from .controller import ControllerModel, _forward
+from .controller import ControllerModel, _bind, _forward
 from .metrics import SuccessCriterion, evaluate_success
 from .statespace import CompositeState, DemonstrationSet, StateLayout, Trajectory
 
@@ -340,30 +340,38 @@ def _plant(spec: EnvSpec):
             np.add(x0, dt * x1_new, out=next_r[:, 0])
 
     else:  # pointmass-relocation; inner rows are (target_x, target_y, attached)
-        hand_mass, ball_mass, damping = p["hand_mass"], p["ball_mass"], p["damping"]
-        radius, limit = p["attach_radius"], p["tau_limit"]
+        # 0-d constants: a Python float operand costs every ufunc call a conversion
+        dt, hand_mass, ball_mass, damping, radius, limit = (np.array(float(v)) for v in (
+            dt, p["hand_mass"], p["ball_mass"], p["damping"], p["attach_radius"], p["tau_limit"]))
+        neg_limit, zero = -limit, np.array(0.0)
         weight = np.array([0.0, p["gravity"]])
 
         def advance(x_r, x_o, inner, tau, next_r, next_o):
             hand, vel = x_r[:, :2], x_r[:, 2:]
             target, attached = inner[:, :2], inner[:, 2:]
-            ball = x_o[:, :2] + target
-            gap = hand - ball
-            np.logical_or(attached, np.hypot(gap[:, :1], gap[:, 1:]) <= radius, out=attached)
-            held = attached > 0.0
-            m_eff = hand_mass + ball_mass * attached
-            acc = np.minimum(np.maximum(tau, -limit), limit)
-            acc -= damping * vel
-            acc -= m_eff * weight  # the weight
+            ball = np.add(x_o[:, :2], target, out=next_o[:, :2])
+            gap = np.subtract(hand, ball)
+            near = np.less_equal(np.hypot(gap[:, :1], gap[:, 1:]), radius)
+            held = np.greater(np.logical_or(attached, near, out=attached), zero)
+            m_eff = np.multiply(attached, ball_mass)
+            m_eff += hand_mass
+            # acc = (clip(tau) - damping vel - m_eff weight) / m_eff, built in
+            # a contiguous temporary (in place on the strided next-row views
+            # it runs slower for a large batch); gap is scratch from here on
+            acc = np.maximum(tau, neg_limit)
+            np.minimum(acc, limit, out=acc)
+            acc -= np.multiply(vel, damping, out=gap)
+            acc -= np.multiply(m_eff, weight, out=gap)
             acc /= m_eff
-            vel_new = np.add(vel, dt * acc, out=next_r[:, 2:])
-            hand_new = np.add(hand, dt * vel_new, out=next_r[:, :2])
-            # a carried ball moves with the hand; a free ball stays put with
-            # velocity +0.0 (vel * attached would write -0.0 into the demos)
-            np.copyto(ball, hand_new, where=held)
-            np.subtract(ball, target, out=next_o[:, :2])
+            acc *= dt
+            vel_new = np.add(vel, acc, out=next_r[:, 2:])
+            np.add(hand, np.multiply(vel_new, dt, out=acc), out=next_r[:, :2])
+            # a carried ball takes the hand's new row [position | velocity];
+            # a free ball stays put with velocity +0.0 (vel * attached would
+            # write -0.0 into the demos)
             next_o[:, 2:] = 0.0
-            np.copyto(next_o[:, 2:], vel_new, where=held)
+            np.copyto(next_o, next_r, where=held)
+            ball -= target
 
     return advance
 
@@ -448,15 +456,15 @@ def default_criterion(spec: EnvSpec) -> SuccessCriterion | None:
 
 # ---------------------------------------------------------------- rollouts
 
-def _run(spec: EnvSpec, inits, horizon: int, torque, rngs=None) -> list[Trajectory]:
+def _run(spec: EnvSpec, inits, horizon: int, torque, rngs=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step B initial states in lockstep into preallocated trajectory-major arrays.
 
     torque(t, x_r, x_o, inner, noise, out) writes step t's torques into out,
     the (B, a) torque rows of step t.  noise is None or, with one generator
     per state in rngs, their (T-1, B, a) standard normal draws, made up
-    front: the stream of T-1 draws of size a.  States and torques fill
-    (B, T, ...) arrays that turn read-only after the loop, and trajectory i
-    holds block i of each, uncopied.
+    front: the stream of T-1 draws of size a.  Returns the (B, T, n),
+    (B, T, m) and (B, T-1, a) state and torque arrays, read-only after the
+    loop.
     """
     if horizon < 2:
         raise ValueError(f"horizon must be >= 2, got {horizon}")
@@ -476,14 +484,20 @@ def _run(spec: EnvSpec, inits, horizon: int, torque, rngs=None) -> list[Trajecto
         advance(rows_r[t], rows_o[t], inner, rows_tau[t], rows_r[t + 1], rows_o[t + 1])
     for arr in (x_r, x_o, torques):
         arr.setflags(write=False)
-    return [Trajectory._adopt(x_r[i], x_o[i], torques[i]) for i in range(B)]
+    return x_r, x_o, torques
+
+
+def _trajectories(x_r, x_o, torques) -> list[Trajectory]:
+    """The B trajectories of a `_run`: trajectory i holds block i of each array, uncopied."""
+    return [Trajectory._adopt(x_r[i], x_o[i], torques[i]) for i in range(len(x_r))]
 
 
 def _run_expert(spec: EnvSpec, expert: ScriptedExpert, inits, horizon: int, rngs) -> list[Trajectory]:
     """The expert from B states in lockstep; rngs holds one noise generator per state, or is None."""
     if expert.kind != spec.kind:
         raise ValueError(f"expert kind {expert.kind!r} does not match env kind {spec.kind!r}")
-    return _run(spec, inits, horizon, partial(_expert_law, spec, expert), rngs if expert.noise_scale > 0.0 else None)
+    law = partial(_expert_law, spec, expert)
+    return _trajectories(*_run(spec, inits, horizon, law, rngs if expert.noise_scale > 0.0 else None))
 
 
 def run_expert(
@@ -526,25 +540,30 @@ def generate_demos(
     return DemonstrationSet(spec.layout, tuple(trajs))
 
 
-def _all_finite(rows: np.ndarray) -> bool:
-    # a finite float sum means every term is finite; on a few values the
-    # Python sum costs a fraction of np.isfinite(rows).all()
-    return math.isfinite(sum(rows.ravel().tolist())) or bool(np.isfinite(rows).all())
-
-
 def _non_finite_torque(t: int, row: int, rows: int) -> ValueError:
     where = f"step {t + 1}" if rows == 1 else f"step {t + 1}, row {row}"
     return ValueError(f"controller produced non-finite torque at {where}")
+
+
+def _check_torques(torques: np.ndarray) -> None:
+    """Raise for the first non-finite torque of a (B, T-1, a) block: its earliest step, then its lowest row."""
+    finite = np.isfinite(torques).all(axis=2)
+    if finite.all():
+        return
+    t = int(np.argmin(finite.all(axis=0)))
+    raise _non_finite_torque(t, int(np.argmin(finite[:, t])), len(torques))
 
 
 def _network_policy(model: ControllerModel, ref: np.ndarray, layout: StateLayout):
     """A `_run` torque that runs the network once per step on the B rows [x_r(t) | ref(t+1)].
 
     ref (T, B, n) holds the references.  The reference half of every step's
-    input is standardized up front; a step standardizes x_r(t) into its half
-    and the output layer writes straight into the step's torque rows.  The
-    rows go through the network as a (B, 1, 2n) stack, one product per row,
-    so each row rounds exactly as an episode of its own.
+    input is standardized up front, and the layers are bound once, hidden
+    outputs to buffers of their own; a step standardizes x_r(t) into its
+    half and the output layer writes straight into the step's torque rows.
+    The rows go through the network as a (B, 1, 2n) stack, one product per
+    row, so each row rounds exactly as an episode of its own.  Torques are
+    not checked here: `_closed_loop` checks them all after the loop.
     """
     n, B = layout.n, ref.shape[1]
     mean, std = model.input_mean, model.input_std
@@ -554,16 +573,13 @@ def _network_policy(model: ControllerModel, ref: np.ndarray, layout: StateLayout
     nows = [z[:, 0, :n] for z in inputs]
     # constants shaped like one row: for B = 1 a ufunc then skips broadcasting
     mean_r, std_r = mean[None, :n], std[None, :n]
-    biases = [b[None, None] for b in model.biases]
-    acts = [np.empty((B, 1, k)) for k in model.layer_sizes[1:]]
+    hidden = [np.empty((B, 1, k)) for k in model.layer_sizes[1:-1]]
+    layers = _bind(model.weights, [b[None, None] for b in model.biases], hidden + [None])
 
     def torque(t, x_r, x_o, inner, noise, out):
         now = nows[t]
         np.divide(np.subtract(x_r, mean_r, out=now), std_r, out=now)
-        acts[-1] = out[:, None]
-        _forward(model.weights, biases, inputs[t], acts)
-        if not _all_finite(out):
-            raise _non_finite_torque(t, int(np.argmin(np.isfinite(out).all(axis=1))), len(out))
+        _forward(layers, inputs[t], out[:, None])
 
     return torque
 
@@ -596,7 +612,11 @@ def _closed_loop(
 
     The references of all B initial states are rolled out together.  A
     ControllerModel, checked against the layout once, runs once per step on
-    all B rows; any other callable is called once per row.
+    all B rows; any other callable is called once per row, and each torque
+    it returns is checked at once.  The network's torques are checked once,
+    after a loop that steps past a non-finite one with invalid-value
+    warnings off: the error names the earliest such step and, in a batch,
+    the lowest row at that step.
     """
     lay = spec.layout
     if isinstance(controller, ControllerModel):
@@ -612,7 +632,10 @@ def _closed_loop(
     else:
         raise ValueError("controller must be a ControllerModel or a callable")
     ref = koopman._rollout(model, [s.composite for s in inits], horizon, mode)
-    return _run(spec, inits, horizon, policy(controller, ref, lay))
+    with np.errstate(invalid="ignore"):
+        x_r, x_o, torques = _run(spec, inits, horizon, policy(controller, ref, lay))
+    _check_torques(torques)
+    return _trajectories(x_r, x_o, torques)
 
 
 def execute_policy(

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .statespace import Trajectory
+from .statespace import Trajectory, _is_int
 
 CRITERION_KINDS = (
     "terminal-distance",
@@ -42,8 +44,15 @@ class SuccessCriterion:
     def __post_init__(self):
         if self.kind not in CRITERION_KINDS:
             raise ValueError(f"unknown criterion kind {self.kind!r}")
+        real = isinstance(self.threshold, numbers.Real) and not isinstance(self.threshold, bool)
+        if not (real and math.isfinite(self.threshold)):
+            raise ValueError(f"threshold must be a finite real number, got {self.threshold!r}")
         if len(self.extractor) < 1:
             raise ValueError("extractor needs at least one object dim")
+        if not all(map(_is_int, self.extractor)):
+            raise ValueError(f"extractor dims must be integers, got {self.extractor!r}")
+        if not _is_int(self.count_threshold):
+            raise ValueError(f"count_threshold must be an integer, got {self.count_threshold!r}")
         if self.count_threshold < 0:
             raise ValueError(f"count_threshold must be >= 0, got {self.count_threshold}")
 

@@ -18,7 +18,7 @@ import numpy as np
 from .controller import ControllerModel
 from .koopman import FitMeta, KoopmanModel
 from .lifting import KINDS, LiftingSpec, dimension
-from .statespace import DemonstrationSet, StateLayout, Trajectory, require_valid
+from .statespace import DemonstrationSet, StateLayout, Trajectory, _is_int, require_valid
 
 SCHEMA_VERSION = 1
 
@@ -42,11 +42,6 @@ class PersistError(ValueError):
 def format_float(value: float) -> str:
     """Shortest decimal that parses back to the same double: the form of every float in the CSV files."""
     return repr(float(value))
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _int(value, key: str) -> int:

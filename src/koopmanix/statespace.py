@@ -11,9 +11,15 @@ CompositeStates is a view derived from them on each access.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _is_int(value) -> bool:
+    """An integer, Python's or numpy's, that is not a bool: the one integer check of config and file fields."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _frozen(values, name: str, ndim: int = 1) -> np.ndarray:

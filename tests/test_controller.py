@@ -1,5 +1,7 @@
 """Inverse-dynamics network: forward math, gradients, training behavior."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,24 @@ def test_train_config_validation():
         TrainConfig(optimizer="lbfgs")
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         TrainConfig(seed=-1)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("iterations", 2.5, "iterations must be an integer, got 2.5"),
+    ("iterations", True, "iterations must be an integer, got True"),
+    ("batch", 64.5, "batch must be None or an integer, got 64.5"),
+    ("batch", True, "batch must be None or an integer, got True"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", False, "seed must be an integer, got False"),
+])
+def test_train_config_integer_fields(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_takes_numpy_integers():
+    cfg = TrainConfig(iterations=np.int64(3), batch=np.int32(16), seed=np.uint8(2))
+    assert (cfg.iterations, cfg.batch, cfg.seed) == (3, 16, 2)
 
 
 def test_history_starts_at_initial_loss():

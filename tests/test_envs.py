@@ -21,7 +21,9 @@ from koopmanix import (
 )
 from koopmanix.envs import (
     EnvState,
+    _check_torques,
     _closed_loop,
+    _plant,
     default_criterion,
     default_expert,
     env_spec_from_dict,
@@ -314,6 +316,72 @@ def test_pointmass_torque_saturates():
     assert np.array_equal(huge.composite.x_r, capped.composite.x_r)
 
 
+def _pointmass_row(spec, x_r, x_o, inner, tau):
+    """One pointmass transition written out on one row, in the plant's operand order."""
+    p, dt = spec.params, spec.dt
+    hand, vel, target = x_r[:2], x_r[2:], inner[:2]
+    ball = x_o[:2] + target
+    gap = hand - ball
+    attached = 1.0 if inner[2] or np.hypot(gap[0], gap[1]) <= p["attach_radius"] else 0.0
+    m_eff = p["hand_mass"] + p["ball_mass"] * attached
+    acc = np.minimum(np.maximum(tau, -p["tau_limit"]), p["tau_limit"])
+    acc = (acc - p["damping"] * vel - m_eff * np.array([0.0, p["gravity"]])) / m_eff
+    vel_new = vel + dt * acc
+    hand_new = hand + dt * vel_new
+    ball_vel = vel_new if attached else np.zeros(2)
+    if attached:
+        ball = hand_new
+    return np.concatenate([hand_new, vel_new]), np.concatenate([ball - target, ball_vel]), attached
+
+
+def test_batched_pointmass_plant_matches_step_on_edge_rows():
+    spec = pointmass_env()
+    lim = spec.params["tau_limit"]
+    target = (0.125, 0.25)  # binary fractions: x_o = -target puts the ball exactly at the origin
+    rows = [  # (x_r, x_o, attached, tau)
+        # free and far, torques past the limit on both axes, either sign
+        ([-0.5, -0.5, 0.3, -0.2], [-0.125, -0.25, 0.0, 0.0], 0.0, [3 * lim, -3 * lim]),
+        ([-0.5, -0.5, 0.0, 0.0], [-0.125, -0.25, 0.0, 0.0], 0.0, [-1e6, 1e6]),
+        # attached before the step, torques at and past the limit
+        ([0.4, 0.3, 0.5, -0.7], [0.3, 0.1, 0.5, -0.7], 1.0, [lim, -2 * lim]),
+        ([0.4, 0.3, -0.5, 0.7], [0.3, 0.1, -0.5, 0.7], 1.0, [-lim, 10.0]),
+        # attaches during the step: within the radius, and exactly on it
+        ([0.1, 0.05, -0.2, 0.1], [-0.125, -0.25, 0.0, 0.0], 0.0, [5.0, 50.0]),
+        ([0.2, 0.0, 0.0, 0.0], [-0.125, -0.25, 0.0, 0.0], 0.0, [0.0, 0.0]),
+        # one ulp outside the radius stays free
+        ([np.nextafter(0.2, 1.0), 0.0, 0.0, 0.0], [-0.125, -0.25, 0.0, 0.0], 0.0, [0.0, 0.0]),
+        # free, the hand moving off in -x/-y: the ball's velocity is written
+        # as +0.0 even where the input row held -0.0
+        ([-0.5, -0.5, -1.0, -1.0], [-0.125, -0.25, -0.0, -0.0], 0.0, [-5.0, -5.0]),
+        ([-0.6, -0.4, -2.0, 0.0], [-0.125, -0.25, 0.0, -0.0], 0.0, [-2 * lim, -2 * lim]),
+    ]
+    B = len(rows)
+    # strided rows, as `_run` hands them over: step 0 and step 1 of (B, 2, ...) arrays
+    X, O, tau = np.zeros((B, 2, 4)), np.zeros((B, 2, 4)), np.zeros((B, 1, 2))
+    inner = np.empty((B, 3))
+    for i, (x_r, x_o, attached, torque) in enumerate(rows):
+        X[i, 0], O[i, 0], inner[i], tau[i, 0] = x_r, x_o, (*target, attached), torque
+    before = inner.copy()
+    _plant(spec)(X[:, 0], O[:, 0], inner, tau[:, 0], X[:, 1], O[:, 1])
+    assert inner[:, 2].tolist() == [0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+    for i, (x_r, x_o, attached, torque) in enumerate(rows):
+        one = step(spec, EnvState(CompositeState(x_r, x_o), tuple(before[i])), np.array(torque))
+        assert np.array_equal(_bits(X[i, 1]), _bits(one.composite.x_r))
+        assert np.array_equal(_bits(O[i, 1]), _bits(one.composite.x_o))
+        assert inner[i].tolist() == list(one.internal)
+        want_r, want_o, want_attached = _pointmass_row(spec, X[i, 0], O[i, 0], before[i], tau[i, 0])
+        assert np.array_equal(_bits(X[i, 1]), _bits(want_r))
+        assert np.array_equal(_bits(O[i, 1]), _bits(want_o))
+        assert inner[i, 2] == want_attached
+    free = inner[:, 2] == 0.0
+    assert not np.signbit(O[free, 1, 2:]).any()
+    # the clip: each axis past the limit moves as one at the limit
+    capped = np.clip(tau[:2, 0], -lim, lim)
+    again = X.copy()
+    _plant(spec)(X[:2, 0], O[:2, 0], before[:2].copy(), capped, again[:2, 1], O[:2, 1].copy())
+    assert np.array_equal(_bits(again[:2, 1]), _bits(X[:2, 1]))
+
+
 def test_perturb_params_ratios():
     spec = pointmass_env()
     assert perturb_params(spec, "heavy-object").params["ball_mass"] == pytest.approx(1.88)
@@ -582,6 +650,51 @@ def test_batch_trajectories_are_read_only_blocks():
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
+
+
+def test_torque_check_names_the_earliest_step_then_the_lowest_row():
+    torques = np.zeros((4, 8, 2))
+    _check_torques(torques)
+    torques[2, 4, 1] = np.nan  # row 2 at step 5
+    torques[0, 2, 0] = np.inf  # row 0 at step 3
+    with pytest.raises(ValueError, match=r"non-finite torque at step 3, row 0$"):
+        _check_torques(torques)
+    # the earliest step wins over the lowest row
+    torques[0, 2, 0], torques[0, 6, 0], torques[3, 1, 1] = 0.0, np.nan, -np.inf
+    with pytest.raises(ValueError, match=r"non-finite torque at step 2, row 3$"):
+        _check_torques(torques)
+    # at one step, the lowest row
+    torques[1, 1, 0] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite torque at step 2, row 1$"):
+        _check_torques(torques)
+    # one row names no row
+    with pytest.raises(ValueError, match=r"non-finite torque at step 7$"):
+        _check_torques(torques[:1])
+    # finite values whose sum overflows are finite
+    _check_torques(np.full((2, 3, 2), 1e308))
+
+
+@pytest.mark.filterwarnings("error")
+def test_network_torque_overflow_is_named_after_the_loop_without_warnings():
+    spec = pendulum_env()
+    model = fit(generate_demos(spec, default_expert(spec), 5, 20, seed=0), LiftingSpec("identity", spec.layout))
+    # torque = 1e308 theta: theta = 2 overflows at step 1; theta = 0.5 gives
+    # a finite torque that flings the joint, and the next one overflows
+    big = np.zeros((1, 4))
+    big[0, 0] = 1e308
+    net = ControllerModel((4, 1), (big,), (np.zeros(1),), np.zeros(4), np.ones(4))
+    starts = [EnvState(CompositeState([theta, 0.0], [theta - 1.0]), (1.0,)) for theta in (0.5, 2.0, 0.0)]
+    # the loop steps past the inf torque: sin(inf) and inf - inf on later
+    # steps must not warn, or the warning filter would raise first
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=r"non-finite torque at step 1, row 1$"):
+            _closed_loop(model, net, spec, starts, 8)
+        with pytest.raises(ValueError, match=r"non-finite torque at step 2, row 0$"):
+            _closed_loop(model, net, spec, starts[::2], 8)
+        with pytest.raises(ValueError, match=r"non-finite torque at step 1$"):
+            execute_policy(model, net, spec, starts[1], 8)
+        (calm,) = _closed_loop(model, net, spec, starts[2:], 8)
+    assert np.isfinite(calm.torques).all()
 
 
 def test_non_finite_torque_names_step_and_row():

@@ -1,5 +1,7 @@
 """Imitation error and success predicates."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,26 @@ def test_criterion_validation():
         SuccessCriterion("terminal-distance", threshold=0.1, extractor=())
     with pytest.raises(ValueError, match="count_threshold"):
         SuccessCriterion("terminal-distance", threshold=0.1, count_threshold=-1)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"threshold": float("nan")}, "threshold must be a finite real number, got nan"),
+    ({"threshold": float("-inf")}, "threshold must be a finite real number, got -inf"),
+    ({"threshold": "0.1"}, "threshold must be a finite real number, got '0.1'"),
+    ({"threshold": 0.1, "count_threshold": 2.5}, "count_threshold must be an integer, got 2.5"),
+    ({"threshold": 0.1, "count_threshold": True}, "count_threshold must be an integer, got True"),
+    ({"threshold": 0.1, "extractor": (0.5,)}, "extractor dims must be integers, got (0.5,)"),
+    ({"threshold": 0.1, "extractor": (0, True)}, "extractor dims must be integers, got (0, True)"),
+])
+def test_criterion_rejects_bad_field_types(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SuccessCriterion("terminal-distance", **kwargs)
+
+
+def test_criterion_takes_numpy_numbers():
+    crit = SuccessCriterion("cumulative-proximity", threshold=np.float64(0.5), count_threshold=np.int64(0),
+                            extractor=(np.int64(0),))
+    assert evaluate_success(_object_traj([[0.1], [1.0]]), crit).success
 
 
 def test_success_rate_percentage():
