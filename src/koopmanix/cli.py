@@ -38,7 +38,7 @@ from .envs import (
 from .koopman import _rollout, fit, rollout
 from .lifting import LiftingSpec
 from .metrics import evaluate_success, imitation_error, outcome_summary
-from .statespace import CompositeState, DemonstrationSet, _is_int
+from .statespace import CompositeState, DemonstrationSet, _is_int, _is_real
 from .persist import (
     PersistError,
     _write_json,
@@ -56,10 +56,6 @@ logger = logging.getLogger(__name__)
 
 LIFTING_NAMES = {"identity": "identity", "kodex": "kodex-polynomial"}
 SEED_CEILING = 2**62
-
-
-def _is_real(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
 
 
 POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")

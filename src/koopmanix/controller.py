@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .statespace import DemonstrationSet, StateLayout, _is_int, require_valid
+from .statespace import DemonstrationSet, StateLayout, _is_int, _is_real, require_valid
 
 STD_FLOOR = 1e-8  # clamp for per-dimension input std
 
@@ -91,8 +91,8 @@ class TrainConfig:
     optimizer: str = "adam"
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (_is_real(self.learning_rate) and math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         for name in ("iterations", "seed"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .statespace import Trajectory, _is_int
+from .statespace import Trajectory, _is_int, _is_real
 
 CRITERION_KINDS = (
     "terminal-distance",
@@ -44,9 +43,10 @@ class SuccessCriterion:
     def __post_init__(self):
         if self.kind not in CRITERION_KINDS:
             raise ValueError(f"unknown criterion kind {self.kind!r}")
-        real = isinstance(self.threshold, numbers.Real) and not isinstance(self.threshold, bool)
-        if not (real and math.isfinite(self.threshold)):
+        if not (_is_real(self.threshold) and math.isfinite(self.threshold)):
             raise ValueError(f"threshold must be a finite real number, got {self.threshold!r}")
+        if not isinstance(self.extractor, (tuple, list)):
+            raise ValueError(f"extractor must be a tuple or list of object dims, got {self.extractor!r}")
         if len(self.extractor) < 1:
             raise ValueError("extractor needs at least one object dim")
         if not all(map(_is_int, self.extractor)):

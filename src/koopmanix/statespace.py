@@ -6,7 +6,7 @@ trajectory of T states carries T-1 torque vectors.
 
 A trajectory is three read-only arrays, x_r (T, n), x_o (T, m) and torques
 (T-1, a) or None, and every module reads those; its `states` tuple of
-CompositeStates is a view derived from them on each access.
+CompositeStates wraps their rows, uncopied, on each access.
 """
 
 from __future__ import annotations
@@ -20,6 +20,11 @@ import numpy as np
 def _is_int(value) -> bool:
     """An integer, Python's or numpy's, that is not a bool: the one integer check of config and file fields."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real number, Python's or numpy's, that is not a bool: the one real check of config and constructor fields."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _frozen(values, name: str, ndim: int = 1) -> np.ndarray:
@@ -71,8 +76,10 @@ class StateLayout:
 class CompositeState:
     """One time slice: robot part x_r and object part x_o.
 
-    Arrays are copied and frozen.  Finiteness is not enforced here so that
-    `validate` can report bad entries instead of refusing to construct them.
+    Arrays are copied and frozen, with one exception: the states of
+    `Trajectory.states` hold read-only row views of the trajectory's arrays.
+    Finiteness is not enforced here so that `validate` can report bad
+    entries instead of refusing to construct them.
     """
 
     x_r: np.ndarray
@@ -81,6 +88,14 @@ class CompositeState:
     def __post_init__(self):
         object.__setattr__(self, "x_r", _frozen(self.x_r, "x_r"))
         object.__setattr__(self, "x_o", _frozen(self.x_o, "x_o"))
+
+    @classmethod
+    def _adopt(cls, x_r, x_o) -> "CompositeState":
+        """Wrap read-only float64 vectors x_r and x_o uncopied, as `Trajectory._adopt` wraps its blocks."""
+        state = cls.__new__(cls)
+        object.__setattr__(state, "x_r", x_r)
+        object.__setattr__(state, "x_o", x_o)
+        return state
 
     @property
     def full(self) -> np.ndarray:
@@ -143,8 +158,8 @@ class Trajectory:
 
     @property
     def states(self) -> tuple[CompositeState, ...]:
-        """One CompositeState per row, built on each access."""
-        return tuple(map(CompositeState, self.x_r, self.x_o))
+        """One CompositeState per row, built on each access from read-only row views of x_r and x_o."""
+        return tuple(map(CompositeState._adopt, self.x_r, self.x_o))
 
 
 @dataclass(frozen=True)
@@ -183,8 +198,16 @@ class ValidationReport:
         return not self.violations
 
 
-def _row_violations(i: int, widths: list[str], finite: np.ndarray, message: str) -> list[Violation]:
-    """Per-row violations in time order; on each row the width messages, then the non-finite one."""
+def _row_violations(i: int, widths: list[str], arrays: tuple[np.ndarray, ...], message: str) -> list[Violation]:
+    """Per-row violations in time order; on each row the width messages, then the non-finite one.
+
+    A row is non-finite if any of the (T, ·) arrays has a non-finite entry
+    in it.  Arrays of the right width that are finite throughout are
+    cleared by one whole-array check each, with no per-row work.
+    """
+    if not widths and all([np.isfinite(arr).all() for arr in arrays]):
+        return []
+    finite = np.logical_and.reduce([np.isfinite(arr).all(axis=1) for arr in arrays])
     rows = range(finite.shape[0]) if widths else np.flatnonzero(~finite)
     found = []
     for t in rows:
@@ -211,14 +234,13 @@ def validate(demos: DemonstrationSet) -> ValidationReport:
             widths.append(f"x_r length {traj.x_r.shape[1]} != n={lay.n}")
         if traj.x_o.shape[1] != lay.m:
             widths.append(f"x_o length {traj.x_o.shape[1]} != m={lay.m}")
-        finite = np.isfinite(traj.x_r).all(axis=1) & np.isfinite(traj.x_o).all(axis=1)
-        found += _row_violations(i, widths, finite, "non-finite state entry")
+        found += _row_violations(i, widths, (traj.x_r, traj.x_o), "non-finite state entry")
         if traj.torques is not None:
             taus = traj.torques
             if taus.shape[0] != T - 1:
                 found.append(Violation(i, None, f"{taus.shape[0]} torques for horizon {T}, expected {T - 1}"))
             widths = [f"torque length {taus.shape[1]} != a={lay.a}"] if taus.shape[1] != lay.a else []
-            found += _row_violations(i, widths, np.isfinite(taus).all(axis=1), "non-finite torque entry")
+            found += _row_violations(i, widths, (taus,), "non-finite torque entry")
     return ValidationReport(tuple(found))
 
 
@@ -244,6 +266,6 @@ def consecutive_pairs(
     require_valid(demos)
     pairs = []
     for i, traj in enumerate(demos.trajectories):
-        states = [CompositeState(x_r, x_o) for x_r, x_o in zip(traj.x_r, traj.x_o)]
+        states = traj.states
         pairs += [(states[t], states[t + 1], i) for t in range(traj.horizon - 1)]
     return pairs

@@ -271,6 +271,9 @@ def test_train_config_validation():
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match=f"learning_rate must be finite and > 0, got {value}"):
             TrainConfig(learning_rate=value)
+    for value in ("0.1", True):
+        with pytest.raises(ValueError, match=re.escape(f"learning_rate must be finite and > 0, got {value!r}")):
+            TrainConfig(learning_rate=value)
     with pytest.raises(ValueError, match="iterations"):
         TrainConfig(iterations=0)
     with pytest.raises(ValueError, match="batch"):

@@ -1,8 +1,9 @@
 """Smoke test: the fast demo scripts run to completion.
 
-Demo 04 trains a small pendulum controller in about 3 s.  Demos 05 and 06
-train for about 6 s and 11 s (2-core machine, Python 3.11, numpy 2.4) and
-are run by hand instead.
+Demo 04 trains a small pendulum controller in about 3 s.  Demo 05 runs the
+acceptance pointmass pipeline, including the save_demos / load_demos /
+save_model round trip, in about 6 s.  Demo 06 trains for about 11 s
+(2-core machine, Python 3.11, numpy 2.4) and is run by hand instead.
 """
 
 import os
@@ -18,6 +19,7 @@ FAST_DEMOS = (
     "02_polynomial_lifting.py",
     "03_vanderpol_prediction.py",
     "04_pendulum_tracking.py",
+    "05_relocation_pipeline.py",
 )
 
 

@@ -128,6 +128,7 @@ def test_criterion_validation():
     ({"threshold": 0.1, "count_threshold": True}, "count_threshold must be an integer, got True"),
     ({"threshold": 0.1, "extractor": (0.5,)}, "extractor dims must be integers, got (0.5,)"),
     ({"threshold": 0.1, "extractor": (0, True)}, "extractor dims must be integers, got (0, True)"),
+    ({"threshold": 0.1, "extractor": 0}, "extractor must be a tuple or list of object dims, got 0"),
 ])
 def test_criterion_rejects_bad_field_types(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

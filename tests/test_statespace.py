@@ -9,8 +9,11 @@ from koopmanix import (
     StateLayout,
     Trajectory,
     consecutive_pairs,
+    load_demos,
+    save_demos,
     validate,
 )
+from koopmanix.envs import default_expert, generate_demos, pointmass_env
 
 
 def _traj(layout, T, fill=0.0, torques=True, rng=None):
@@ -86,16 +89,37 @@ def test_states_and_from_arrays_give_bit_identical_arrays():
     assert Trajectory.from_arrays(x_r, x_o).torques is None
 
 
-def test_states_view_round_trips():
+def test_states_view_round_trips(tmp_path):
     layout = StateLayout(n=2, m=1, a=1)
-    traj = _traj(layout, 5, rng=np.random.default_rng(2))
-    states = traj.states
-    assert isinstance(states, tuple) and len(states) == 5
-    assert all(isinstance(s, CompositeState) for s in states)
-    again = Trajectory(states, traj.torques)
-    assert np.array_equal(again.x_r, traj.x_r) and np.array_equal(again.x_o, traj.x_o)
-    assert np.array_equal(again.torques, traj.torques)
-    assert np.array_equal(np.stack([s.full for s in states]), np.concatenate([traj.x_r, traj.x_o], axis=1))
+    stacked = _traj(layout, 5, rng=np.random.default_rng(2))
+    env = pointmass_env()
+    demos = generate_demos(env, default_expert(env), 2, 6, seed=3)  # blocks wrapped by Trajectory._adopt
+    loaded = load_demos(save_demos(demos, tmp_path / "demos"))
+    arrays = Trajectory.from_arrays(stacked.x_r, stacked.x_o, stacked.torques)
+    for traj in (stacked, arrays, demos.trajectories[1], loaded.trajectories[1]):
+        states = traj.states
+        assert isinstance(states, tuple) and len(states) == traj.horizon
+        assert all(isinstance(s, CompositeState) for s in states)
+        assert traj.states is not states  # rebuilt on each access
+        for t, s in enumerate(states):
+            # each row is a read-only view of the trajectory's arrays, not a copy
+            assert np.shares_memory(s.x_r, traj.x_r) and np.array_equal(s.x_r, traj.x_r[t])
+            assert np.shares_memory(s.x_o, traj.x_o) and np.array_equal(s.x_o, traj.x_o[t])
+            assert not s.x_r.flags.writeable and not s.x_o.flags.writeable
+        with pytest.raises(ValueError):
+            states[1].x_o[0] = 9.0
+        with pytest.raises(ValueError):
+            states[1].x_r.setflags(write=True)
+        # the public constructor still copies
+        row = traj.x_r[0].copy()
+        copied = CompositeState(row, traj.x_o[0])
+        assert not np.shares_memory(copied.x_r, row) and not np.shares_memory(copied.x_o, traj.x_o)
+        row[0] = 9.0
+        assert np.array_equal(copied.x_r, traj.x_r[0])
+        again = Trajectory(states, traj.torques)
+        for got, want in ((again.x_r, traj.x_r), (again.x_o, traj.x_o), (again.torques, traj.torques)):
+            assert np.array_equal(got, want) and not np.shares_memory(got, want) and not got.flags.writeable
+        assert np.array_equal(np.stack([s.full for s in states]), np.concatenate([traj.x_r, traj.x_o], axis=1))
 
 
 def test_ragged_widths_rejected_at_construction_naming_the_step():
@@ -178,6 +202,20 @@ def test_one_violation_per_bad_row_in_time_order():
     assert [(v.traj, v.t, v.message) for v in report.violations] == [
         (0, 0, width), (0, 1, width), (0, 1, "non-finite state entry"), (0, 2, width),
         (0, 3, width), (0, 3, "non-finite state entry"), (0, 2, "non-finite torque entry"),
+    ]
+    # a clean trajectory on either side of one whose only fault is a NaN
+    # object entry, and of one whose only fault is an infinite torque
+    layout = StateLayout(n=1, m=1, a=1)
+    clean = Trajectory.from_arrays(np.zeros((6, 1)), np.zeros((6, 1)), np.zeros((5, 1)))
+    x_o = np.zeros((6, 1))
+    x_o[2, 0] = np.nan
+    nan_object = Trajectory.from_arrays(np.zeros((6, 1)), x_o, np.zeros((5, 1)))
+    taus = np.zeros((5, 1))
+    taus[4, 0] = np.inf
+    inf_torque = Trajectory.from_arrays(np.zeros((6, 1)), np.zeros((6, 1)), taus)
+    report = validate(DemonstrationSet(layout, (clean, nan_object, clean, inf_torque, clean)))
+    assert [(v.traj, v.t, v.message) for v in report.violations] == [
+        (1, 2, "non-finite state entry"), (3, 4, "non-finite torque entry"),
     ]
 
 
