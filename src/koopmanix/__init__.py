@@ -1,7 +1,7 @@
 """Lifted linear reference dynamics from demonstrations, plus tracking control.
 
 Modules: statespace (states, array trajectories, demos), lifting (observable maps),
-koopman (analytical fit, prediction, rollout), controller (learned inverse
+koopman (analytical fit, linear rollout), controller (learned inverse
 dynamics), envs (synthetic benchmarks and scripted experts), metrics (errors,
 success predicates), persist (CSV/JSON round trips), cli (pipeline
 subcommands).
@@ -14,11 +14,10 @@ from .statespace import (
     Trajectory,
     ValidationReport,
     Violation,
-    consecutive_pairs,
     validate,
 )
 from .lifting import LiftingSpec, ObservableVector, dimension, lift, lift_matrix, object_slice, robot_slice
-from .koopman import FitAccumulators, FitMeta, KoopmanModel, accumulate, cost, fit, predict_step, pseudo_inverse, rollout
+from .koopman import FitAccumulators, FitMeta, KoopmanModel, accumulate, cost, fit, rollout
 from .controller import ControllerModel, TrainConfig, TrainingTriples, gradient_check, supervision, train
 from .envs import EnvSpec, EnvState, ScriptedExpert, execute_policy, generate_demos, make_env, perturb_params
 from .metrics import SuccessCriterion, SuccessResult, evaluate_success, imitation_error, success_rate
@@ -37,11 +36,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CompositeState", "DemonstrationSet", "StateLayout", "Trajectory",
-    "ValidationReport", "Violation", "consecutive_pairs", "validate",
+    "ValidationReport", "Violation", "validate",
     "LiftingSpec", "ObservableVector", "dimension", "lift", "lift_matrix",
     "object_slice", "robot_slice",
     "FitAccumulators", "FitMeta", "KoopmanModel", "accumulate", "cost", "fit",
-    "predict_step", "pseudo_inverse", "rollout",
+    "rollout",
     "ControllerModel", "TrainConfig", "TrainingTriples", "gradient_check",
     "supervision", "train",
     "EnvSpec", "EnvState", "ScriptedExpert", "execute_policy", "generate_demos",

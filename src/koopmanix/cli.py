@@ -236,14 +236,16 @@ def _cmd_rollout(args) -> int:
         raise ValueError(f"--traj-index {index} out of range for {demos.n_demos} trajectories")
     traj = demos.trajectories[index]
     horizon = args.horizon if args.horizon is not None else traj.horizon
-    ref = rollout(model, CompositeState(traj.x_r[0], traj.x_o[0]), horizon, mode=args.rollout_mode)
+    ref = rollout(model, CompositeState(traj.x_r[0], traj.x_o[0]), horizon)
     out = _out_dir(args)
     path = out / "reference.csv"
     _write_csv(path, ["t"] + [f"xr_{i}" for i in range(model.layout.n)],
                ([str(t + 1)] + [format_float(v) for v in row] for t, row in enumerate(ref)))
+    # "mode" names the one rollout, linear propagation; it stays in the hashed
+    # settings so config_sha256 is stable for the same inputs across versions
     _stamp(out, "rollout", {"model": str(args.model), "demos": str(args.demos),
                             "traj_index": index, "horizon": horizon,
-                            "mode": args.rollout_mode}, [])
+                            "mode": "linear"}, [])
     print(f"wrote {horizon}-step reference to {path}")
     return 0
 
@@ -262,10 +264,10 @@ def _cmd_train_controller(args) -> int:
     return 0
 
 
-def _run_batch(model, controller, env, seeds, horizon, distribution, mode):
+def _run_batch(model, controller, env, seeds, horizon, distribution):
     """One closed-loop episode per reset seed, all stepped in one lockstep batch."""
     inits = [reset(env, s, distribution) for s in seeds]
-    return _closed_loop(model, controller, env, inits, horizon, mode)
+    return _closed_loop(model, controller, env, inits, horizon)
 
 
 def _success_pct(trajectories, criterion, label: str):
@@ -285,7 +287,7 @@ def _cmd_simulate(args) -> int:
     n_runs, horizon, seed = s["n_runs"], s["horizon"], s["seed"]
     out = _out_dir(args)
     seeds = _reset_seeds(seed, n_runs)
-    executed = _run_batch(model, controller, env, seeds, horizon, args.distribution, args.rollout_mode)
+    executed = _run_batch(model, controller, env, seeds, horizon, args.distribution)
     save_demos(DemonstrationSet(env.layout, tuple(executed)), out / "executed",
                env=env_spec_to_dict(env), seed=seed)
     rate, flags = _success_pct(executed, default_criterion(env), f"simulate ({args.distribution})")
@@ -295,7 +297,7 @@ def _cmd_simulate(args) -> int:
                              "env": env_spec_to_dict(env), "n_runs": n_runs,
                              "horizon": horizon, "seed": seed,
                              "distribution": args.distribution,
-                             "mode": args.rollout_mode}, seeds)
+                             "mode": "linear"}, seeds)
     shown = "n/a" if rate is None else f"{rate:.1f}%"
     print(f"simulated {n_runs} runs ({args.distribution}): success rate {shown}")
     return 0
@@ -319,13 +321,12 @@ def _cmd_eval(args) -> int:
         demos = generate_demos(env, default_expert(env), count, horizon, demo_seed)
         model = fit(demos, LiftingSpec(lifting, demos.layout), rel_tolerance=tol)
         controller, _ = train(demos, train_cfg)
-        refs = _rollout(model, [CompositeState(t.x_r[0], t.x_o[0]) for t in demos.trajectories], horizon, "linear")
+        refs = _rollout(model, [CompositeState(t.x_r[0], t.x_o[0]) for t in demos.trajectories], horizon)
         errors = [imitation_error(refs[:, i], t.x_r) for i, t in enumerate(demos.trajectories)]
         if criterion is None:
             rate_cell = ""
         else:
-            executed = _run_batch(model, controller, env, eval_seeds, horizon,
-                                  args.distribution, "linear")
+            executed = _run_batch(model, controller, env, eval_seeds, horizon, args.distribution)
             rate, _ = _success_pct(executed, criterion, f"eval N={count}")
             rate_cell = format_float(rate)
         rows.append([env.kind, str(count), str(demo_seed),
@@ -361,11 +362,11 @@ def _cmd_retune(args) -> int:
 
     seeds = _reset_seeds(seed, n_runs)
     before, _ = _success_pct(
-        _run_batch(model, controller, perturbed, seeds, horizon, "in", "linear"), criterion,
+        _run_batch(model, controller, perturbed, seeds, horizon, "in"), criterion,
         f"retune {args.variation} before",
     )
     after, _ = _success_pct(
-        _run_batch(model, retuned, perturbed, seeds, horizon, "in", "linear"), criterion,
+        _run_batch(model, retuned, perturbed, seeds, horizon, "in"), criterion,
         f"retune {args.variation} after",
     )
     _write_json({"variation": args.variation, "n_runs": n_runs,
@@ -400,7 +401,6 @@ FLAGS = {
     "--optimizer": {"choices": ("adam", "sgd")},
     "--traj-index": {"type": int, "default": 0},
     "--distribution": {"choices": ("in", "out"), "default": "in"},
-    "--rollout-mode": {"choices": ("linear", "relift"), "default": "linear"},
     "--variation": {"choices": tuple(VARIATIONS)},
 }
 
@@ -411,11 +411,11 @@ COMMANDS = {
     "fit": (_cmd_fit, "fit a lifted linear model from saved demonstrations",
             "--config --demos! --lifting --pinv-tol"),
     "rollout": (_cmd_rollout, "write a model's open-loop reference trajectory",
-                "--model! --demos! --traj-index --horizon --rollout-mode"),
+                "--model! --demos! --traj-index --horizon"),
     "train-controller": (_cmd_train_controller, "train the tracking controller on demonstrations",
                          "--config --seed --demos! --learning-rate --iterations --batch --optimizer"),
     "simulate": (_cmd_simulate, "closed-loop runs of model + controller",
-                 "--config --seed --model! --controller! --demos --n-runs --horizon --distribution --rollout-mode"),
+                 "--config --seed --model! --controller! --demos --n-runs --horizon --distribution"),
     "eval": (_cmd_eval, "sweep demo counts; one metrics row per count",
              "--config --seed --horizon --lifting --pinv-tol --distribution"),
     "retune": (_cmd_retune, "re-train only the controller for a perturbed environment",

@@ -606,7 +606,6 @@ def _closed_loop(
     spec: EnvSpec,
     inits,
     horizon: int,
-    mode: str = "linear",
 ) -> list[Trajectory]:
     """B closed-loop episodes in lockstep, each tracking its own reference.
 
@@ -631,7 +630,7 @@ def _closed_loop(
         policy = _callable_policy
     else:
         raise ValueError("controller must be a ControllerModel or a callable")
-    ref = koopman._rollout(model, [s.composite for s in inits], horizon, mode)
+    ref = koopman._rollout(model, [s.composite for s in inits], horizon)
     with np.errstate(invalid="ignore"):
         x_r, x_o, torques = _run(spec, inits, horizon, policy(controller, ref, lay))
     _check_torques(torques)
@@ -644,16 +643,16 @@ def execute_policy(
     spec: EnvSpec,
     init: EnvState,
     horizon: int,
-    mode: str = "linear",
 ) -> Trajectory:
     """Closed-loop execution: track the model's robot reference with a controller.
 
-    The reference is rolled out once from the initial composite state; at each
-    step the controller maps (current robot state, next reference state) to a
+    The reference is rolled out once from the initial composite state, by
+    linear propagation of its lifted state (`koopman.rollout`); at each step
+    the controller maps (current robot state, next reference state) to a
     torque.  controller is a ControllerModel or any callable with that
     signature.  One episode is a batch of one of the lockstep closed loop.
     """
-    return _closed_loop(model, controller, spec, [init], horizon, mode)[0]
+    return _closed_loop(model, controller, spec, [init], horizon)[0]
 
 
 def perfect_tracker(spec: EnvSpec) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:

@@ -5,6 +5,9 @@ closed form: K = A G+ where A and G accumulate the lifted outer products
 g(x(t+1)) g(x(t))^T and g(x(t)) g(x(t))^T over all consecutive pairs, each
 trajectory weighted by 1 / (N (T_i - 1)) so trajectory count and length do
 not bias the solution.  G+ is a truncated-SVD pseudoinverse.
+
+A reference is rolled out by propagating the lifted initial state linearly,
+g(t+1) = K g(t), and reading the robot slots of each step.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lifting import LiftingSpec, ObservableVector, _raw_rows, dimension, lift_matrix, object_slice, robot_slice
+from .lifting import LiftingSpec, _raw_rows, dimension, lift_matrix, object_slice, robot_slice
 from .statespace import CompositeState, DemonstrationSet, StateLayout, require_valid
 
 logger = logging.getLogger(__name__)
@@ -123,16 +126,6 @@ def _svd_pinv(mat: np.ndarray, rel_tolerance: float | None) -> tuple[np.ndarray,
     return pinv, rank, cond
 
 
-def pseudo_inverse(mat: np.ndarray, rel_tolerance: float) -> tuple[np.ndarray, int]:
-    """Moore-Penrose pseudoinverse with relative singular-value truncation.
-
-    Singular values s_i <= rel_tolerance * s_max are treated as zero.  Returns
-    the pseudoinverse and the retained rank.
-    """
-    pinv, rank, _ = _svd_pinv(mat, rel_tolerance)
-    return pinv, rank
-
-
 def solve_koopman(A: np.ndarray, G: np.ndarray, rel_tolerance: float | None = None) -> tuple[np.ndarray, int]:
     """K = A G+ from accumulators.  rel_tolerance=None uses the default cutoff."""
     pinv, rank, _ = _svd_pinv(G, rel_tolerance)
@@ -169,67 +162,38 @@ def cost(model: KoopmanModel, demos: DemonstrationSet) -> float:
     return J
 
 
-def predict_step(model: KoopmanModel, lifted: ObservableVector) -> ObservableVector:
-    """One step in observable space: K @ g."""
-    p = dimension(model.spec)
-    if lifted.values.shape[0] != p:
-        raise ValueError(f"lifted vector has length {lifted.values.shape[0]}, model expects {p}")
-    return ObservableVector(model.K @ lifted.values, model.spec)
-
-
-def rollout(
-    model: KoopmanModel,
-    init: CompositeState,
-    horizon: int,
-    mode: str = "linear",
-) -> np.ndarray:
+def rollout(model: KoopmanModel, init: CompositeState, horizon: int) -> np.ndarray:
     """Roll the model forward; return the robot reference, shape (horizon, n).
 
-    mode="linear" propagates purely in observable space (the default: the
-    lifted state is never rebuilt from its slices).  mode="relift" extracts
-    the raw state after each step and lifts it again, re-imposing the
-    polynomial relations between slots.  One reference is a batch of one of
-    the lockstep rollout.
+    The lifted initial state is propagated purely in observable space,
+    g(t+1) = K g(t), and never rebuilt from its slices.  One reference is a
+    batch of one of the lockstep rollout.
     """
-    return _rollout(model, [init], horizon, mode)[:, 0]
+    return _rollout(model, [init], horizon)[:, 0]
 
 
-def _rollout(model: KoopmanModel, inits, horizon: int, mode: str) -> np.ndarray:
+def _rollout(model: KoopmanModel, inits, horizon: int) -> np.ndarray:
     """The references of B initial composite states in lockstep, shape (horizon, B, n).
 
     Each step multiplies the (B, 1, p) stack of lifted rows by K^T, one
     product per row, so each reference rounds exactly as a rollout of its own;
     for one row that product equals K @ g bit for bit.
     """
-    if mode not in ("linear", "relift"):
-        raise ValueError(f"unknown rollout mode {mode!r}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     spec, K_T = model.spec, model.K.T
     rs = robot_slice(spec)
     g = lift_matrix(spec, _raw_rows(spec, inits))
-    if mode == "linear":
-        G = np.empty((horizon, g.shape[0], 1, g.shape[1]))
-        G[0, :, 0] = g
-        steps = list(G)
-        with np.errstate(all="ignore"):
-            for t in range(1, horizon):
-                np.matmul(steps[t - 1], K_T, out=steps[t])
-        finite = np.isfinite(G.reshape(horizon, -1)[1:]).all(axis=1)
-        if not finite.all():
-            raise _non_finite_reference(model, int(np.argmin(finite)) + 2, horizon)
-        return G[:, :, 0, rs].copy()
-    os_ = object_slice(spec)
-    out = np.empty((horizon, g.shape[0], model.layout.n))
-    out[0] = g[:, rs]
-    with np.errstate(over="ignore", invalid="ignore"):
+    G = np.empty((horizon, g.shape[0], 1, g.shape[1]))
+    G[0, :, 0] = g
+    steps = list(G)
+    with np.errstate(all="ignore"):
         for t in range(1, horizon):
-            g = (g[:, None] @ K_T)[:, 0]
-            if not np.isfinite(g).all():
-                raise _non_finite_reference(model, t + 1, horizon)
-            g = lift_matrix(spec, np.concatenate([g[:, rs], g[:, os_]], axis=1))
-            out[t] = g[:, rs]
-    return out
+            np.matmul(steps[t - 1], K_T, out=steps[t])
+    finite = np.isfinite(G.reshape(horizon, -1)[1:]).all(axis=1)
+    if not finite.all():
+        raise _non_finite_reference(model, int(np.argmin(finite)) + 2, horizon)
+    return G[:, :, 0, rs].copy()
 
 
 def _non_finite_reference(model: KoopmanModel, step: int, horizon: int) -> ValueError:

@@ -253,19 +253,3 @@ def require_valid(demos: DemonstrationSet) -> None:
             f"invalid demonstrations ({len(report.violations)} violations; "
             f"first: traj {v.traj}, t {v.t}: {v.message})"
         )
-
-
-def consecutive_pairs(
-    demos: DemonstrationSet,
-) -> list[tuple[CompositeState, CompositeState, int]]:
-    """All (x(t), x(t+1), trajectory index) transition pairs.
-
-    Order is contractual: trajectories in set order, time order within each.
-    Pairs never straddle trajectory boundaries.
-    """
-    require_valid(demos)
-    pairs = []
-    for i, traj in enumerate(demos.trajectories):
-        states = traj.states
-        pairs += [(states[t], states[t + 1], i) for t in range(traj.horizon - 1)]
-    return pairs

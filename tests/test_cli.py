@@ -329,12 +329,12 @@ PARSER_SURFACE = {
     "gen-demos": ({}, {"config": None, "seed": None, "n_demos": None, "horizon": None, "distribution": "in"}),
     "fit": ({"demos": "d.json"}, {"config": None, "lifting": None, "pinv_tol": None}),
     "rollout": ({"model": "m.json", "demos": "d.json"},
-                {"traj_index": 0, "horizon": None, "rollout_mode": "linear"}),
+                {"traj_index": 0, "horizon": None}),
     "train-controller": ({"demos": "d.json"}, {"config": None, "seed": None, "learning_rate": None,
                                                "iterations": None, "batch": None, "optimizer": None}),
     "simulate": ({"model": "m.json", "controller": "c.json"},
                  {"config": None, "seed": None, "demos": None, "n_runs": None, "horizon": None,
-                  "distribution": "in", "rollout_mode": "linear"}),
+                  "distribution": "in"}),
     "eval": ({}, {"config": None, "seed": None, "horizon": None, "lifting": None, "pinv_tol": None,
                   "distribution": "in"}),
     "retune": ({"model": "m.json", "controller": "c.json", "variation": "heavy-hand"},
@@ -376,7 +376,9 @@ def test_parser_surface(command, capsys):
     (["rollout", "--model", "m.json", "--demos", "d.json", "--config", "/nonexistent.json"], "--config"),
     (["rollout", "--model", "m.json", "--demos", "d.json", "--seed", "3"], "--seed"),
     (["fit", "--demos", "d.json", "--seed", "3"], "--seed"),
-], ids=["rollout-config", "rollout-seed", "fit-seed"])
+    (["rollout", "--model", "m.json", "--demos", "d.json", "--rollout-mode", "linear"], "--rollout-mode"),
+    (["simulate", "--model", "m.json", "--controller", "c.json", "--rollout-mode", "linear"], "--rollout-mode"),
+], ids=["rollout-config", "rollout-seed", "fit-seed", "rollout-rollout-mode", "simulate-rollout-mode"])
 def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out-dir", str(tmp_path / "o")])
@@ -388,7 +390,7 @@ def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, argv, 
 @pytest.mark.filterwarnings("error")
 def test_overflow_is_one_error_line(tmp_path, capsys):
     # kodex lifts x to [x, x^2, x^3]: 1e200 overflows the lift, and K = 10 I
-    # overflows the relifted reference once x^3 passes the largest double
+    # overflows the reference once 10^t passes the largest double
     layout = StateLayout(n=1, m=0, a=1)
     for name, x in (("big", [1e200, 1.0, 2.0]), ("ok", [1.0, 2.0, 3.0])):
         traj = Trajectory.from_arrays(np.array(x)[:, None], np.empty((3, 0)), np.zeros((2, 1)))
@@ -398,9 +400,9 @@ def test_overflow_is_one_error_line(tmp_path, capsys):
     assert main(["fit", "--demos", str(tmp_path / "big" / "manifest.json"), "--out-dir", str(tmp_path / "f")]) == 1
     assert capsys.readouterr().err == "error: invalid: lifted values overflow in trajectory 0\n"
     assert main(["rollout", "--model", str(tmp_path / "model.json"), "--demos", str(tmp_path / "ok" / "manifest.json"),
-                 "--rollout-mode", "relift", "--horizon", "400", "--out-dir", str(tmp_path / "r")]) == 1
+                 "--horizon", "400", "--out-dir", str(tmp_path / "r")]) == 1
     assert capsys.readouterr().err == (
-        "error: invalid: non-finite reference state at step 105 of 400 (spectral radius of K 10 > 1)\n")
+        "error: invalid: non-finite reference state at step 310 of 400 (spectral radius of K 10 > 1)\n")
 
 
 def test_non_integer_layout_size_is_a_persist_error(tmp_path, capsys):

@@ -40,7 +40,7 @@ from koopmanix.envs import (
     vanderpol_env,
 )
 from koopmanix.controller import forward, init as controller_init
-from koopmanix.lifting import lift, lift_matrix, object_slice, robot_slice
+from koopmanix.lifting import lift, robot_slice
 from koopmanix.metrics import evaluate_success
 
 
@@ -542,25 +542,23 @@ def test_perfect_tracker_linear_only():
 # ---- the lockstep closed loop against the per-step loop it replaced ----
 
 
-def _oracle_reference(model, init, horizon, mode):
+def _oracle_reference(model, init, horizon):
     """The one-reference loop `rollout` ran before the lockstep rollout: K @ g per step."""
-    rs, os_ = robot_slice(model.spec), object_slice(model.spec)
+    rs = robot_slice(model.spec)
     g = lift(model.spec, init).values
     out = np.empty((horizon, model.layout.n))
     out[0] = g[rs]
     for t in range(1, horizon):
         g = np.dot(model.K, g)
-        if mode == "relift":
-            g = lift_matrix(model.spec, np.concatenate([g[rs], g[os_]])[None, :])[0]
         out[t] = g[rs]
     return out
 
 
-def _oracle_episode(model, controller, spec, init, horizon, mode):
+def _oracle_episode(model, controller, spec, init, horizon):
     """The per-step loop `execute_policy` ran before the lockstep closed loop,
     kept as an oracle: one reference row, one checked `forward` call and one
     `step` per time step."""
-    ref = _oracle_reference(model, init.composite, horizon, mode)
+    ref = _oracle_reference(model, init.composite, horizon)
     state, x_r, x_o, taus = init, [init.composite.x_r], [init.composite.x_o], []
     for t in range(horizon - 1):
         tau = forward(controller, state.composite.x_r, ref[t + 1])
@@ -596,16 +594,14 @@ def kind_pipelines():
     return out
 
 
-@pytest.mark.parametrize("mode", ["linear", "relift"])
 @pytest.mark.parametrize("kind", list(_KIND_ENVS))
-def test_execute_policy_matches_per_step_oracle_bit_for_bit(kind_pipelines, kind, mode):
+def test_execute_policy_matches_per_step_oracle_bit_for_bit(kind_pipelines, kind):
     env, model, controller = kind_pipelines[kind]
-    # the relifted pointmass reference of this small fit overflows after ~15 steps
-    horizon = 50 if mode == "linear" else 12
+    horizon = 50
     for seed in range(3):
         init = reset(env, seed)
-        got = execute_policy(model, controller, env, init, horizon, mode=mode)
-        want = _oracle_episode(model, controller, env, init, horizon, mode)
+        got = execute_policy(model, controller, env, init, horizon)
+        want = _oracle_episode(model, controller, env, init, horizon)
         for have, exp in zip((got.x_r, got.x_o, got.torques), want):
             assert np.array_equal(_bits(have), _bits(exp))
 

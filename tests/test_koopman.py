@@ -11,16 +11,14 @@ from koopmanix import (
     StateLayout,
     Trajectory,
     accumulate,
-    consecutive_pairs,
     cost,
     fit,
     lift,
-    predict_step,
-    pseudo_inverse,
+    lift_matrix,
     robot_slice,
     rollout,
 )
-from koopmanix.koopman import default_pinv_tolerance, prediction_errors, solve_koopman
+from koopmanix.koopman import _svd_pinv, default_pinv_tolerance, prediction_errors, solve_koopman
 
 LAYOUT_1D = StateLayout(n=1, m=0, a=1)
 IDENT_1D = LiftingSpec("identity", LAYOUT_1D)
@@ -109,13 +107,13 @@ def test_accumulate_layout_mismatch():
 # ------------------------------------------------------------- pseudoinverse
 
 def test_pinv_identity():
-    pinv, rank = pseudo_inverse(np.eye(3), 1e-12)
+    pinv, rank, _ = _svd_pinv(np.eye(3), 1e-12)
     np.testing.assert_allclose(pinv, np.eye(3))
     assert rank == 3
 
 
 def test_pinv_truncates_zero_singular_values():
-    pinv, rank = pseudo_inverse(np.diag([2.0, 0.0]), 1e-12)
+    pinv, rank, _ = _svd_pinv(np.diag([2.0, 0.0]), 1e-12)
     np.testing.assert_allclose(pinv, np.diag([0.5, 0.0]))
     assert rank == 1
 
@@ -124,7 +122,7 @@ def test_pinv_penrose_conditions():
     rng = np.random.default_rng(2)
     G = rng.standard_normal((5, 5))
     G = G @ G.T  # SPD, full rank almost surely
-    pinv, rank = pseudo_inverse(G, default_pinv_tolerance(5))
+    pinv, rank, _ = _svd_pinv(G, default_pinv_tolerance(5))
     assert rank == 5
     np.testing.assert_allclose(pinv @ G @ pinv, pinv, atol=1e-10)
     np.testing.assert_allclose(G @ pinv @ G, G, atol=1e-10)
@@ -133,8 +131,8 @@ def test_pinv_penrose_conditions():
 def test_pinv_relative_threshold():
     # second singular value sits below rel_tolerance * sigma_max: dropped
     G = np.diag([1.0, 1e-9])
-    _, rank_tight = pseudo_inverse(G, 1e-6)
-    _, rank_loose = pseudo_inverse(G, 1e-12)
+    _, rank_tight, _ = _svd_pinv(G, 1e-6)
+    _, rank_loose, _ = _svd_pinv(G, 1e-12)
     assert rank_tight == 1
     assert rank_loose == 2
 
@@ -278,7 +276,7 @@ def test_negative_tolerance_rejected_on_every_solve_path():
     for call in (
         lambda: fit(demos, IDENT_1D, rel_tolerance=-1),
         lambda: solve_koopman(acc.A, acc.G, rel_tolerance=-1),
-        lambda: pseudo_inverse(acc.G, -1),
+        lambda: _svd_pinv(acc.G, -1),
     ):
         with pytest.raises(ValueError, match="rel_tolerance must be >= 0"):
             call()
@@ -289,8 +287,7 @@ def test_negative_tolerance_rejected_on_every_solve_path():
 def test_cost_zero_for_exact_fit():
     demos = _demos_1d([1, 2, 4])
     model = fit(demos, IDENT_1D)
-    pairs = len(consecutive_pairs(demos))
-    assert cost(model, demos) < 1e-18 * pairs
+    assert cost(model, demos) < 1e-18 * model.fit_meta.n_pairs
 
 
 def test_cost_hand_example():
@@ -320,23 +317,6 @@ def test_lift_overflow_names_the_trajectory_on_every_lift_path():
 
 
 # ------------------------------------------------------------------- rollout
-
-def test_predict_step_scalar():
-    model = KoopmanModel(np.array([[2.0]]), IDENT_1D, LAYOUT_1D)
-    lifted = lift(IDENT_1D, CompositeState([3.0], []))
-    assert predict_step(model, lifted).values[0] == pytest.approx(6.0)
-
-
-def test_predict_step_linearity():
-    rng = np.random.default_rng(7)
-    layout = StateLayout(n=2, m=0, a=1)
-    spec = LiftingSpec("identity", layout)
-    K = rng.standard_normal((2, 2))
-    model = KoopmanModel(K, spec, layout)
-    lifted = lift(spec, CompositeState(rng.standard_normal(2), []))
-    twice = predict_step(model, predict_step(model, lifted)).values
-    np.testing.assert_allclose(twice, K @ K @ lifted.values, rtol=1e-12)
-
 
 def test_rollout_identity_model():
     layout = StateLayout(n=2, m=0, a=1)
@@ -375,26 +355,11 @@ def test_rollout_equals_iterated_predict_step():
     model = KoopmanModel(K, spec, layout)
     init = CompositeState(rng.standard_normal(2), rng.standard_normal(1))
     ref = rollout(model, init, 7)
-    lifted = lift(spec, init)
+    g = lift_matrix(spec, init.full[None, :])[0]
     rs = robot_slice(spec)
     for t in range(7):
-        np.testing.assert_array_equal(ref[t], lifted.values[rs])
-        lifted = predict_step(model, lifted)
-
-
-def test_rollout_modes_agree_for_identity_lifting():
-    # with no polynomial slots, re-lifting is a no-op
-    rng = np.random.default_rng(9)
-    layout = StateLayout(n=3, m=0, a=1)
-    spec = LiftingSpec("identity", layout)
-    K = rng.standard_normal((3, 3)) * 0.5
-    model = KoopmanModel(K, spec, layout)
-    init = CompositeState(rng.standard_normal(3), [])
-    np.testing.assert_allclose(
-        rollout(model, init, 20, mode="linear"),
-        rollout(model, init, 20, mode="relift"),
-        rtol=1e-12,
-    )
+        np.testing.assert_array_equal(ref[t], g[rs])
+        g = K @ g
 
 
 def test_rollout_reports_first_bad_step():
@@ -411,8 +376,8 @@ def test_overflow_raises_without_a_floating_point_warning():
     with pytest.raises(ValueError, match="lifted values overflow in trajectory 0"):
         fit(_demos_nd(layout, [[[1e200], [1.0]]]), spec)
     model = KoopmanModel(10.0 * np.eye(3), spec, layout)
-    with pytest.raises(ValueError, match=r"at step 105 of 400 \(spectral radius of K 10 > 1\)$"):
-        rollout(model, CompositeState([1.0], []), 400, mode="relift")
+    with pytest.raises(ValueError, match=r"at step 310 of 400 \(spectral radius of K 10 > 1\)$"):
+        rollout(model, CompositeState([1.0], []), 400)
 
 
 def test_rollout_overflow_quotes_the_spectral_radius():
@@ -421,9 +386,3 @@ def test_rollout_overflow_quotes_the_spectral_radius():
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match=r"at step 1025 of 2000 \(spectral radius of K 2 > 1\)$"):
             rollout(model, CompositeState([1.0, -1.0], []), 2000)
-
-
-def test_rollout_rejects_unknown_mode():
-    model = KoopmanModel(np.eye(1), IDENT_1D, LAYOUT_1D)
-    with pytest.raises(ValueError, match="mode"):
-        rollout(model, CompositeState([1.0], []), 3, mode="hybrid")

@@ -1,4 +1,4 @@
-"""Composite states, columnar trajectories, validation, and pair extraction."""
+"""Composite states, columnar trajectories, validation, and the pairs a fit sees."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,11 @@ import pytest
 from koopmanix import (
     CompositeState,
     DemonstrationSet,
+    LiftingSpec,
     StateLayout,
     Trajectory,
-    consecutive_pairs,
+    cost,
+    fit,
     load_demos,
     save_demos,
     validate,
@@ -225,57 +227,60 @@ def test_empty_set_rejected_at_construction():
         DemonstrationSet(layout, ())
 
 
-# ---------------------------------------------------------------- pair order
+# ------------------------------------------------ pairs, as the fit counts them
+
+def _fit_identity(layout, trajs):
+    demos = DemonstrationSet(layout, tuple(trajs))
+    return demos, fit(demos, LiftingSpec("identity", layout))
+
 
 def test_pair_counts():
     layout = StateLayout(n=1, m=0, a=1)
-    one = DemonstrationSet(layout, (_traj(layout, 3),))
-    assert len(consecutive_pairs(one)) == 2
-    two = DemonstrationSet(layout, (_traj(layout, 3), _traj(layout, 5)))
-    assert len(consecutive_pairs(two)) == 6
+    _, one = _fit_identity(layout, [_traj(layout, 3)])
+    assert one.fit_meta.n_pairs == 2
+    _, two = _fit_identity(layout, [_traj(layout, 3), _traj(layout, 5)])
+    assert two.fit_meta.n_pairs == 6
 
 
 def test_pairs_never_cross_trajectory_boundaries():
-    # tag each state with its trajectory id in x_r
+    # each trajectory holds its tag constant, so only pairs within one
+    # trajectory are fitted exactly by K = 1; a pair across a boundary is not
     layout = StateLayout(n=1, m=0, a=1)
-    trajs = []
-    for tag in range(3):
-        states = tuple(CompositeState([float(tag)], []) for _ in range(4))
-        trajs.append(Trajectory(states, tuple(np.zeros(1) for _ in range(3))))
-    pairs = consecutive_pairs(DemonstrationSet(layout, tuple(trajs)))
-    assert len(pairs) == 9
-    for x_now, x_next, idx in pairs:
-        assert x_now.x_r[0] == x_next.x_r[0] == float(idx)
+    trajs = [_traj(layout, 4, fill=float(tag)) for tag in range(3)]
+    demos, model = _fit_identity(layout, trajs)
+    assert model.fit_meta.n_pairs == 9
+    np.testing.assert_allclose(model.K, [[1.0]], rtol=1e-14)
+    assert cost(model, demos) < 1e-28
 
 
 def test_pair_order_is_trajectory_then_time():
+    # pairs run forward in time: x = 0, 1, 2 fits K = (0*1 + 1*2) / (0*0 + 1*1) = 2,
+    # where backward pairs would fit (1*0 + 2*1) / (1*1 + 2*2) = 0.4
     layout = StateLayout(n=1, m=0, a=1)
-    states = tuple(CompositeState([float(t)], []) for t in range(3))
-    traj = Trajectory(states, (np.zeros(1), np.zeros(1)))
-    pairs = consecutive_pairs(DemonstrationSet(layout, (traj,)))
-    assert [(p[0].x_r[0], p[1].x_r[0]) for p in pairs] == [(0.0, 1.0), (1.0, 2.0)]
+    traj = Trajectory.from_arrays(np.array([[0.0], [1.0], [2.0]]), np.empty((3, 0)), np.zeros((2, 1)))
+    _, model = _fit_identity(layout, [traj])
+    np.testing.assert_allclose(model.K, [[2.0]], rtol=1e-14)
 
 
 def test_pair_extraction_deterministic():
     layout = StateLayout(n=2, m=1, a=1)
     rng = np.random.default_rng(3)
-    demos = DemonstrationSet(layout, (_traj(layout, 6, rng=rng), _traj(layout, 4, rng=rng)))
-    first = consecutive_pairs(demos)
-    second = consecutive_pairs(demos)
-    assert len(first) == len(second)
-    for a, b in zip(first, second):
-        assert np.array_equal(a[0].full, b[0].full) and a[2] == b[2]
+    trajs = [_traj(layout, 6, rng=rng), _traj(layout, 4, rng=rng)]
+    _, first = _fit_identity(layout, trajs)
+    _, second = _fit_identity(layout, trajs)
+    assert first.fit_meta.n_pairs == second.fit_meta.n_pairs == 8
+    assert first.K.tobytes() == second.K.tobytes()
 
 
 def test_pairs_reject_invalid_demos():
     layout = StateLayout(n=1, m=0, a=1)
     bad = Trajectory((CompositeState([np.inf], []), CompositeState([0.0], [])))
     with pytest.raises(ValueError, match="invalid demonstrations"):
-        consecutive_pairs(DemonstrationSet(layout, (bad,)))
+        _fit_identity(layout, [bad])
 
 
 def test_variable_horizons_are_first_class():
     layout = StateLayout(n=1, m=0, a=1)
     demos = DemonstrationSet(layout, tuple(_traj(layout, T) for T in (2, 9, 5)))
     assert validate(demos).ok
-    assert len(consecutive_pairs(demos)) == 1 + 8 + 4
+    assert fit(demos, LiftingSpec("identity", layout)).fit_meta.n_pairs == 1 + 8 + 4
