@@ -85,7 +85,6 @@ TRAIN_SETTINGS = {
     "iterations": (TrainConfig.iterations, _is_int, "an integer"),
     "batch": (TrainConfig.batch, lambda v: v is None or v == "full" or _is_int(v), 'an integer, null or "full"'),
     "seed": (TrainConfig.seed, *_NON_NEGATIVE_INT),
-    "optimizer": (TrainConfig.optimizer, lambda v: isinstance(v, str), "a string"),
 }
 
 
@@ -101,12 +100,18 @@ def _load_config(args) -> dict:
         raise ValueError(f"config {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(obj, dict):
         raise ValueError(f"config {path}: top level must be an object")
-    env = obj.get("env", {})
+    env, train_block = obj.get("env", {}), obj.get("train", {})
     overrides = env.get("overrides", {}) if isinstance(env, dict) else {}
-    for key, value in (("env", env), ("env.overrides", overrides), ("train", obj.get("train", {}))):
+    for key, value in (("env", env), ("env.overrides", overrides), ("train", train_block)):
         if not isinstance(value, dict):
             raise ValueError(f"config {path}: {key} must be an object, got {json.dumps(value)}")
-    for prefix, block, table in (("", obj, SETTINGS), ("train.", obj.get("train", {}), TRAIN_SETTINGS)):
+    # env.overrides keys depend on the kind, so make_env checks them
+    for prefix, block, known in (("", obj, [*SETTINGS, "env", "train"]), ("env.", env, ["kind", "overrides"]),
+                                 ("train.", train_block, list(TRAIN_SETTINGS))):
+        unknown = [key for key in block if key not in known]
+        if unknown:
+            raise ValueError(f"config {path}: unknown key {prefix + unknown[0]!r}; accepted keys: {', '.join(known)}")
+    for prefix, block, table in (("", obj, SETTINGS), ("train.", train_block, TRAIN_SETTINGS)):
         for key, (_, accepts, what) in table.items():
             if key in block and not accepts(block[key]):
                 raise ValueError(f"config {path}: {prefix}{key} must be {what}, got {json.dumps(block[key])}")
@@ -139,6 +144,12 @@ def _train_config(args, config: dict) -> TrainConfig:
         "learning_rate": float(resolved["learning_rate"]),
         "batch": None if resolved["batch"] == "full" else resolved["batch"],
     })
+
+
+def _hashed_train(train_cfg: TrainConfig) -> dict:
+    # "optimizer" names the one update rule, Adam; it stays in the hashed
+    # settings so config_sha256 is stable for the same inputs across versions
+    return vars(train_cfg) | {"optimizer": "adam"}
 
 
 def _env_from_config(config: dict):
@@ -259,7 +270,7 @@ def _cmd_train_controller(args) -> int:
     save_controller(model, out / "controller.json")
     _write_csv(out / "loss_history.csv", ["iteration", "loss"],
                ([str(i), format_float(value)] for i, value in enumerate(history)))
-    _stamp(out, "train-controller", {"demos": str(args.demos), "train": vars(train_cfg) | {}}, [train_cfg.seed])
+    _stamp(out, "train-controller", {"demos": str(args.demos), "train": _hashed_train(train_cfg)}, [train_cfg.seed])
     print(f"trained controller: {len(history)} iterations, final loss {history[-1]:.3e}")
     return 0
 
@@ -338,7 +349,7 @@ def _cmd_eval(args) -> int:
     _stamp(out, "eval", {"env": env_spec_to_dict(env), "demo_counts": list(counts),
                          "horizon": horizon, "seed": seed, "n_eval": n_eval,
                          "lifting": lifting, "pinv_tol": tol,
-                         "train": vars(train_cfg) | {},
+                         "train": _hashed_train(train_cfg),
                          "distribution": args.distribution}, [seed])
     print(f"wrote {len(rows)} eval rows to {path}")
     return 0
@@ -374,7 +385,7 @@ def _cmd_retune(args) -> int:
     _stamp(out, "retune", {"model": str(args.model), "controller": str(args.controller),
                            "env": env_spec_to_dict(env), "variation": args.variation,
                            "n_demos": n_demos, "horizon": horizon, "seed": seed,
-                           "n_runs": n_runs, "train": vars(train_cfg) | {}}, seeds)
+                           "n_runs": n_runs, "train": _hashed_train(train_cfg)}, seeds)
     print(f"retune {args.variation}: before {before:.1f}% -> after {after:.1f}%")
     return 0
 
@@ -398,7 +409,6 @@ FLAGS = {
     "--learning-rate": {"type": float},
     "--iterations": {"type": int},
     "--batch": {"type": int},
-    "--optimizer": {"choices": ("adam", "sgd")},
     "--traj-index": {"type": int, "default": 0},
     "--distribution": {"choices": ("in", "out"), "default": "in"},
     "--variation": {"choices": tuple(VARIATIONS)},
@@ -413,7 +423,7 @@ COMMANDS = {
     "rollout": (_cmd_rollout, "write a model's open-loop reference trajectory",
                 "--model! --demos! --traj-index --horizon"),
     "train-controller": (_cmd_train_controller, "train the tracking controller on demonstrations",
-                         "--config --seed --demos! --learning-rate --iterations --batch --optimizer"),
+                         "--config --seed --demos! --learning-rate --iterations --batch"),
     "simulate": (_cmd_simulate, "closed-loop runs of model + controller",
                  "--config --seed --model! --controller! --demos --n-runs --horizon --distribution"),
     "eval": (_cmd_eval, "sweep demo counts; one metrics row per count",

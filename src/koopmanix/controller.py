@@ -88,7 +88,6 @@ class TrainConfig:
     iterations: int = 300
     batch: int | None = 64  # None = full batch
     seed: int = 0
-    optimizer: str = "adam"
 
     def __post_init__(self):
         if not (_is_real(self.learning_rate) and math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -104,16 +103,13 @@ class TrainConfig:
             raise ValueError(f"batch must be None or >= 1, got {self.batch}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
 
 
 @dataclass(frozen=True)
 class TrainingTriples:
     """Flattened supervision (x_r(t), x_r(t+1), tau(t)) with per-pair weights.
 
-    Weights sum to one.  `supervision` derives them from trajectory structure;
-    `from_arrays` defaults to uniform.
+    Weights sum to one; `supervision` derives them from trajectory structure.
     """
 
     x_now: np.ndarray
@@ -138,13 +134,6 @@ class TrainingTriples:
         for name, arr in (("x_now", x_now), ("x_next", x_next), ("tau", tau)):
             object.__setattr__(self, name, _frozen(arr))
         object.__setattr__(self, "weights", _frozen(w))
-
-    @classmethod
-    def from_arrays(cls, x_now, x_next, tau, weights=None) -> "TrainingTriples":
-        x_now = np.atleast_2d(np.asarray(x_now, dtype=np.float64))
-        if weights is None:
-            weights = np.full(x_now.shape[0], 1.0 / x_now.shape[0])
-        return cls(x_now, np.atleast_2d(x_next), np.atleast_2d(tau), weights)
 
     @property
     def count(self) -> int:
@@ -328,7 +317,7 @@ def train(
     batch=None, or else a seeded-shuffle sweep of minibatch steps over
     contiguous slices of a shuffled copy of the triples.  All weights and
     biases live in one flat float64 vector; the per-layer arrays are shaped
-    views into it, gradients land in a matching flat buffer, and Adam or SGD
+    views into it, gradients land in a matching flat buffer, and Adam
     updates the vector in place.  Every buffer a pass writes is allocated
     once per call and reused by every iteration; the full-batch step reuses
     the history pass's layer outputs.  Identical inputs give bit-identical
@@ -364,9 +353,6 @@ def train(
         # so every element rounds exactly as in those expressions
         nonlocal step
         step += 1
-        if config.optimizer == "sgd":
-            np.subtract(theta, np.multiply(grad, lr, out=s1), out=theta)
-            return
         np.add(np.multiply(adam_m, beta1, out=adam_m), np.multiply(grad, 1 - beta1, out=s1), out=adam_m)
         np.multiply(np.multiply(grad, 1 - beta2, out=s1), grad, out=s1)
         np.add(np.multiply(adam_v, beta2, out=adam_v), s1, out=adam_v)

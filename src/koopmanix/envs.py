@@ -23,7 +23,6 @@ from __future__ import annotations
 import inspect
 import logging
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
@@ -33,7 +32,7 @@ import numpy as np
 from . import koopman
 from .controller import ControllerModel, _bind, _forward
 from .metrics import SuccessCriterion, evaluate_success
-from .statespace import CompositeState, DemonstrationSet, StateLayout, Trajectory
+from .statespace import CompositeState, DemonstrationSet, StateLayout, Trajectory, _is_int, _is_real
 
 logger = logging.getLogger(__name__)
 
@@ -260,8 +259,8 @@ def make_env(kind: str, dt: float | None = None, **overrides) -> EnvSpec:
         args["dt"] = dt
     integers = ("dim", "seed") if kind == "linear" else ()
     for key, value in args.items():
-        want, what = (numbers.Integral, "an integer") if key in integers else (numbers.Real, "a real number")
-        if isinstance(value, bool) or not isinstance(value, want):
+        accepts, what = (_is_int, "an integer") if key in integers else (_is_real, "a real number")
+        if not accepts(value):
             raise ValueError(f"env kind {kind!r}: override {key!r} must be {what}, got {value!r}")
     return factory(**args)
 
@@ -376,13 +375,23 @@ def _plant(spec: EnvSpec):
     return advance
 
 
+def _non_finite_torque(source: str, t: int, row: int = 0, rows: int = 1) -> ValueError:
+    """The error for a non-finite torque in row `row` of `rows` at 0-based step t.
+
+    Steps count from 1, by the state the torque would produce; the row is
+    named only in a batch.
+    """
+    where = f"step {t + 1}" if rows == 1 else f"step {t + 1}, row {row}"
+    return ValueError(f"{source} non-finite torque at {where}")
+
+
 def step(spec: EnvSpec, state: EnvState, tau) -> EnvState:
     """Advance one step (one dt for the continuous kinds)."""
     tau = np.asarray(tau, dtype=np.float64)
     if tau.shape != (spec.layout.a,):
         raise ValueError(f"torque must have shape ({spec.layout.a},), got {tau.shape}")
     if not np.isfinite(tau).all():
-        raise ValueError(f"non-finite torque at step {state.t}")
+        raise _non_finite_torque("step was given", state.t)
     inner = np.array([state.internal], dtype=np.float64)
     next_r, next_o = np.empty((1, spec.layout.n)), np.empty((1, spec.layout.m))
     _plant(spec)(state.composite.x_r[None], state.composite.x_o[None], inner, tau[None], next_r, next_o)
@@ -430,17 +439,8 @@ def _expert_law(spec: EnvSpec, expert: ScriptedExpert, t, x_r, x_o, inner, noise
     if spec.kind == "pointmass-relocation":
         np.minimum(np.maximum(out, -p["tau_limit"], out=out), p["tau_limit"], out=out)
     if not np.isfinite(out).all():
-        raise ValueError(f"non-finite torque at step {t}")
-
-
-def expert_torque(
-    spec: EnvSpec,
-    expert: ScriptedExpert,
-    state: EnvState,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Scripted feedback torque: the first torque of a one-step expert rollout."""
-    return _run_expert(spec, expert, [state], 2, None if rng is None else [rng])[0].torques[0]
+        row = int(np.argmin(np.isfinite(out).all(axis=1)))
+        raise _non_finite_torque("expert produced", t, row, len(out))
 
 
 def default_criterion(spec: EnvSpec) -> SuccessCriterion | None:
@@ -540,18 +540,13 @@ def generate_demos(
     return DemonstrationSet(spec.layout, tuple(trajs))
 
 
-def _non_finite_torque(t: int, row: int, rows: int) -> ValueError:
-    where = f"step {t + 1}" if rows == 1 else f"step {t + 1}, row {row}"
-    return ValueError(f"controller produced non-finite torque at {where}")
-
-
 def _check_torques(torques: np.ndarray) -> None:
     """Raise for the first non-finite torque of a (B, T-1, a) block: its earliest step, then its lowest row."""
     finite = np.isfinite(torques).all(axis=2)
     if finite.all():
         return
     t = int(np.argmin(finite.all(axis=0)))
-    raise _non_finite_torque(t, int(np.argmin(finite[:, t])), len(torques))
+    raise _non_finite_torque("controller produced", t, int(np.argmin(finite[:, t])), len(torques))
 
 
 def _network_policy(model: ControllerModel, ref: np.ndarray, layout: StateLayout):
@@ -592,7 +587,7 @@ def _callable_policy(act, ref: np.ndarray, layout: StateLayout):
         for i, (x_now, x_next) in enumerate(zip(x_r, ref[t + 1])):
             tau = np.asarray(act(x_now, x_next), dtype=np.float64)
             if not np.isfinite(tau).all():
-                raise _non_finite_torque(t, i, len(out))
+                raise _non_finite_torque("controller produced", t, i, len(out))
             if tau.shape != (a,):
                 raise ValueError(f"torque must have shape ({a},), got {tau.shape}")
             out[i] = tau
@@ -697,20 +692,47 @@ def env_spec_to_dict(spec: EnvSpec) -> dict:
     return out
 
 
+def _is_range_pair(value) -> bool:
+    """Two [low, high] ranges of real numbers: a sampler entry as env_spec_to_dict writes it."""
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(
+        isinstance(r, (list, tuple)) and len(r) == 2 and all(map(_is_real, r)) for r in value)
+
+
 def env_spec_from_dict(data: dict) -> EnvSpec:
-    """Inverse of env_spec_to_dict; params and sampler entries left out take the kind's defaults."""
+    """Inverse of env_spec_to_dict; params and sampler entries left out take the kind's defaults.
+
+    A missing or unknown key, a params or sampler key the kind lacks, or a
+    value of the wrong type is a ValueError that names the key.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"env block must be an object, got {data!r}")
     kind = data.get("kind")
-    for key in ("kind", "dt") + (("matrix", "input_map") if kind == "linear" else ()):
+    required = ("kind", "dt") + (("matrix", "input_map") if kind == "linear" else ())
+    for key in required:
         if key not in data:
             raise ValueError(f"env block has no {key!r} key")
     if kind not in KINDS:
         raise ValueError(f"unknown env kind {kind!r}")
+    known = required + ("params", "sampler")
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise ValueError(f"env block: unknown key {unknown[0]!r}; accepted keys: {', '.join(known)}")
+    if not _is_real(data["dt"]):
+        raise ValueError(f"env dt must be a real number, got {data['dt']!r}")
     base = linear_env(data["matrix"], data["input_map"]) if kind == "linear" else _FACTORIES[kind]()
-    params = {k: float(v) for k, v in {**base.params, **data.get("params", {})}.items()}
-    sampler = {
-        k: ((float(v[0][0]), float(v[0][1])), (float(v[1][0]), float(v[1][1])))
-        for k, v in {**base.sampler, **data.get("sampler", {})}.items()
-    }
+    merged = {"params": dict(base.params), "sampler": dict(base.sampler)}
+    for block, accepts, what in (("params", _is_real, "a real number"),
+                                 ("sampler", _is_range_pair, "two [low, high] ranges")):
+        given = data.get(block, {})
+        if not isinstance(given, dict):
+            raise ValueError(f"env {block} must be an object, got {given!r}")
+        for key, value in given.items():
+            if key not in merged[block]:
+                known = ", ".join(merged[block]) or "none"
+                raise ValueError(f"env {block}: unknown key {key!r} for kind {kind!r}; accepted keys: {known}")
+            if not accepts(value):
+                raise ValueError(f"env {block} {key!r} must be {what}, got {value!r}")
+        merged[block].update(given)
+    params = {k: float(v) for k, v in merged["params"].items()}
+    sampler = {k: tuple((float(lo), float(hi)) for lo, hi in v) for k, v in merged["sampler"].items()}
     return replace(base, dt=float(data["dt"]), params=params, sampler=sampler)

@@ -10,12 +10,7 @@ import numpy as np
 
 from .statespace import Trajectory, _is_int, _is_real
 
-CRITERION_KINDS = (
-    "terminal-distance",
-    "terminal-angle",
-    "cumulative-proximity",
-    "cumulative-alignment",
-)
+CRITERION_KINDS = ("terminal-distance", "cumulative-proximity")
 
 
 @dataclass(frozen=True)
@@ -26,13 +21,10 @@ class SuccessCriterion:
     comparisons are strict, so a value exactly at the threshold fails.
 
     * terminal-distance:     |extracted(T)|_2 < threshold
-    * terminal-angle:        extracted(T)[0] > threshold
     * cumulative-proximity:  #steps with |extracted(t)|_2 < threshold  > count_threshold
-    * cumulative-alignment:  #steps with extracted(t)[0] > threshold   > count_threshold
 
-    Distance kinds expect the extracted dims to already encode the relative
-    quantity (e.g. object position minus goal).  Alignment reads the first
-    extracted dim, the convention for frames rotated so the goal is axis 0.
+    Both expect the extracted dims to already encode the relative quantity
+    (e.g. object position minus goal).
     """
 
     kind: str
@@ -62,8 +54,7 @@ class SuccessResult:
     """Outcome of one trajectory under a criterion.
 
     closest is how near the trajectory came to its threshold at any step:
-    the smallest extracted distance, or the largest extracted value for the
-    alignment kinds.
+    the smallest extracted distance.
     """
 
     success: bool
@@ -91,23 +82,13 @@ def _extracted(traj: Trajectory, criterion: SuccessCriterion) -> np.ndarray:
 def evaluate_success(traj: Trajectory, criterion: SuccessCriterion) -> SuccessResult:
     """Apply a success predicate to one executed trajectory."""
     vals = _extracted(traj, criterion)
-    if criterion.kind in ("terminal-distance", "cumulative-proximity"):
-        score = np.linalg.norm(vals, axis=1)
-        closest = float(np.min(score))
-    else:  # the alignment kinds read the first extracted dim
-        score = vals[:, 0]
-        closest = float(np.max(score))
+    score = np.linalg.norm(vals, axis=1)
+    closest = float(np.min(score))
     if criterion.kind == "terminal-distance":
+        # the final row's own 1-D norm, which may round apart from its row norm
         ok = bool(np.linalg.norm(vals[-1]) < criterion.threshold)
         return SuccessResult(ok, int(ok), closest)
-    if criterion.kind == "terminal-angle":
-        ok = bool(vals[-1, 0] > criterion.threshold)
-        return SuccessResult(ok, int(ok), closest)
-    if criterion.kind == "cumulative-proximity":
-        rho = score < criterion.threshold
-    else:  # cumulative-alignment
-        rho = score > criterion.threshold
-    total = int(np.count_nonzero(rho))
+    total = int(np.count_nonzero(score < criterion.threshold))
     return SuccessResult(total > criterion.count_threshold, total, closest)
 
 
@@ -118,14 +99,12 @@ def outcome_summary(results: Sequence[SuccessResult], criterion: SuccessCriterio
     text = f"{len(results) - len(failed)}/{len(results)} succeeded"
     if not failed:
         return text
-    cumulative = criterion.kind.startswith("cumulative")
     steps = [r.rho_sum for r in failed]
     closest = [r.closest for r in failed]
-    need_steps = f"> {criterion.count_threshold}" if cumulative else "1"
-    need_close = f"{'<' if criterion.kind.endswith(('distance', 'proximity')) else '>'} {criterion.threshold:g}"
+    need_steps = f"> {criterion.count_threshold}" if criterion.kind == "cumulative-proximity" else "1"
     return (
         f"{text}; failed runs: satisfied steps {min(steps)}..{max(steps)} (need {need_steps}), "
-        f"closest {min(closest):.4g}..{max(closest):.4g} (need {need_close})"
+        f"closest {min(closest):.4g}..{max(closest):.4g} (need < {criterion.threshold:g})"
     )
 
 

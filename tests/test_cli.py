@@ -1,6 +1,7 @@
 """Command-line pipeline: wiring, config precedence, error lines, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -22,7 +23,7 @@ from koopmanix import (
     save_model,
 )
 from koopmanix import lifting, persist
-from koopmanix.cli import LIFTING_NAMES, _build_parser, _reset_seeds, main
+from koopmanix.cli import COMMANDS, LIFTING_NAMES, _build_parser, _reset_seeds, main
 from koopmanix.envs import env_spec_from_dict, reset
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -190,7 +191,8 @@ def test_non_string_manifest_entry_is_a_persist_error(tmp_path, capsys):
     ("train-controller", {"train": {"iterations": 2.7}}, "train.iterations must be an integer, got 2.7"),
     ("train-controller", {"train": {"seed": "7"}}, 'train.seed must be a non-negative integer, got "7"'),
     ("train-controller", {"train": {"learning_rate": False}}, "train.learning_rate must be a real number, got false"),
-    ("train-controller", {"train": {"optimizer": 1}}, "train.optimizer must be a string, got 1"),
+    ("train-controller", {"train": {"optimizer": "sgd"}},
+     "unknown key 'train.optimizer'; accepted keys: learning_rate, iterations, batch, seed"),
     ("gen-demos", {"n_demos": [3]}, "n_demos must be a positive integer, got [3]"),
     ("gen-demos", {"n_demos": 2.7}, "n_demos must be a positive integer, got 2.7"),
     ("gen-demos", {"horizon": True}, "horizon must be a positive integer, got true"),
@@ -234,6 +236,31 @@ def test_flags_checked_like_config_keys(tmp_path, capsys, argv, message):
     assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: invalid: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config, key, known", [
+    ({"n_demo": 3}, "n_demo", "n_demos, horizon, n_runs, n_eval, seed, lifting, pinv_tol, demo_counts, env, train"),
+    ({"env": {"kind": "pendulum", "overide": {"mass": 2.0}}}, "env.overide", "kind, overrides"),
+    ({"train": {"optimiser": "adam"}}, "train.optimiser", "learning_rate, iterations, batch, seed"),
+], ids=["top-level", "env", "train"])
+def test_unknown_config_key_rejected(tmp_path, capsys, config, key, known):
+    cfg = _write_config(tmp_path, config)
+    assert main(["gen-demos", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: invalid: config {cfg}: unknown key '{key}'; accepted keys: {known}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_stamp_hash_is_unchanged_by_the_fixed_optimizer(tmp_path, capsys):
+    # the hashed settings keep "optimizer": "adam", so a stamp matches the
+    # ones written while TrainConfig had an optimizer field
+    manifest = str(FIXTURES / "demo_set" / "manifest.json")
+    assert main(["train-controller", "--demos", manifest, "--iterations", "2", "--seed", "3",
+                 "--out-dir", str(tmp_path)]) == 0
+    hashed = {"demos": manifest, "train": {"learning_rate": 1e-4, "iterations": 2, "batch": 64, "seed": 3,
+                                           "optimizer": "adam"}}
+    canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    stamp = json.loads((tmp_path / "stamp.json").read_text())
+    assert stamp["config_sha256"] == hashlib.sha256(canonical).hexdigest()
 
 
 def test_unknown_env_override_rejected(tmp_path, capsys):
@@ -297,6 +324,28 @@ def test_manifest_env_block_missing_key(tmp_path, capsys, env, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("env, message", [
+    ({"kind": "pendulum", "dt": 0.05, "params": [1]}, "env params must be an object, got [1]"),
+    ({"kind": "pendulum", "dt": 0.05, "sampler": {"target": [[0.6, 1.4]]}},
+     "env sampler 'target' must be two [low, high] ranges, got [[0.6, 1.4]]"),
+    ({"kind": "pendulum", "dt": 0.05, "params": {"mass": "abc"}}, "env params 'mass' must be a real number, got 'abc'"),
+    ({"kind": "pendulum", "dt": 0.05, "params": {"bogus": 1.0}},
+     "env params: unknown key 'bogus' for kind 'pendulum'; accepted keys: mass, length, gravity, damping"),
+], ids=["params-not-an-object", "sampler-one-range", "param-not-a-number", "unknown-param"])
+def test_manifest_env_block_bad_entry(tmp_path, capsys, env, message):
+    manifest = json.loads((FIXTURES / "demo_set" / "manifest.json").read_text())
+    manifest["env"] = env
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main([
+        "simulate", "--model", str(FIXTURES / "model.json"),
+        "--controller", str(FIXTURES / "controller.json"),
+        "--demos", str(path), "--out-dir", str(tmp_path / "o"),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: invalid: manifest {path}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_rollout_index_out_of_range(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"env": {"kind": "pendulum"}, "n_demos": 2, "horizon": 10})
     assert main(["gen-demos", "--config", str(cfg), "--out-dir", str(tmp_path / "d")]) == 0
@@ -331,7 +380,7 @@ PARSER_SURFACE = {
     "rollout": ({"model": "m.json", "demos": "d.json"},
                 {"traj_index": 0, "horizon": None}),
     "train-controller": ({"demos": "d.json"}, {"config": None, "seed": None, "learning_rate": None,
-                                               "iterations": None, "batch": None, "optimizer": None}),
+                                               "iterations": None, "batch": None}),
     "simulate": ({"model": "m.json", "controller": "c.json"},
                  {"config": None, "seed": None, "demos": None, "n_runs": None, "horizon": None,
                   "distribution": "in"}),
@@ -344,6 +393,13 @@ PARSER_SURFACE = {
 
 def _flag_args(values: dict) -> list[str]:
     return [arg for key, value in values.items() for arg in (f"--{key.replace('_', '-')}", value)]
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| command | flags besides `--out-dir` |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")] for line in table.splitlines()]
+    assert rows == [[name, flags] for name, (_, _, flags) in COMMANDS.items()]
 
 
 def test_lifting_kind_tables_agree():
@@ -378,7 +434,9 @@ def test_parser_surface(command, capsys):
     (["fit", "--demos", "d.json", "--seed", "3"], "--seed"),
     (["rollout", "--model", "m.json", "--demos", "d.json", "--rollout-mode", "linear"], "--rollout-mode"),
     (["simulate", "--model", "m.json", "--controller", "c.json", "--rollout-mode", "linear"], "--rollout-mode"),
-], ids=["rollout-config", "rollout-seed", "fit-seed", "rollout-rollout-mode", "simulate-rollout-mode"])
+    (["train-controller", "--demos", "d.json", "--optimizer", "adam"], "--optimizer"),
+], ids=["rollout-config", "rollout-seed", "fit-seed", "rollout-rollout-mode", "simulate-rollout-mode",
+        "train-controller-optimizer"])
 def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out-dir", str(tmp_path / "o")])

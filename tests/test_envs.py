@@ -1,5 +1,7 @@
 """Environment dynamics, samplers, scripted experts, closed-loop execution."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -24,11 +26,11 @@ from koopmanix.envs import (
     _check_torques,
     _closed_loop,
     _plant,
+    _run_expert,
     default_criterion,
     default_expert,
     env_spec_from_dict,
     env_spec_to_dict,
-    expert_torque,
     linear_env,
     linear_env_random,
     pendulum_env,
@@ -125,6 +127,8 @@ def test_env_spec_dict_round_trip():
     assert partial.sampler == pendulum_env().sampler
     with pytest.raises(ValueError, match=r"input_map must be 2-D, got shape \(1,\)"):
         env_spec_from_dict({"kind": "linear", "dt": 1.0, "matrix": [[0.5]], "input_map": [1.0]})
+    with pytest.raises(ValueError, match=r"^env params: unknown key 'mu' for kind 'linear'; accepted keys: none$"):
+        env_spec_from_dict({"kind": "linear", "dt": 1.0, "matrix": [[0.5]], "input_map": [[1.0]], "params": {"mu": 1}})
 
 
 # ---- reset and samplers ----
@@ -293,7 +297,7 @@ def test_pointmass_attaches_and_ball_tracks_hand():
         hand = st.composite.x_r[:2]
         ball = st.composite.x_o[:2] + target
         was_close = np.linalg.norm(hand - ball) <= spec.params["attach_radius"]
-        st = step(spec, st, expert_torque(spec, expert, st, rng))
+        st = step(spec, st, run_expert(spec, expert, st, 2, rng).torques[0])
         if was_close:
             # attachment is decided from the pre-step positions
             assert st.internal[2] == 1.0
@@ -402,16 +406,16 @@ def test_perturb_params_ratios():
 
 def test_expert_kind_must_match():
     with pytest.raises(ValueError, match="does not match"):
-        expert_torque(pendulum_env(), ScriptedExpert("vanderpol", {}), reset(pendulum_env(), 0))
+        run_expert(pendulum_env(), ScriptedExpert("vanderpol", {}), reset(pendulum_env(), 0), 2)
 
 
 def test_expert_noise_requires_rng():
     spec = pointmass_env()
     expert = default_expert(spec)
     st = reset(spec, seed=4)
-    quiet = expert_torque(spec, expert, st, None)
-    assert np.array_equal(quiet, expert_torque(spec, expert, st, None))
-    noisy = expert_torque(spec, expert, st, np.random.default_rng(0))
+    quiet = run_expert(spec, expert, st, 2, None).torques[0]
+    assert np.array_equal(quiet, run_expert(spec, expert, st, 2, None).torques[0])
+    noisy = run_expert(spec, expert, st, 2, np.random.default_rng(0)).torques[0]
     assert not np.array_equal(quiet, noisy)
     assert (np.abs(noisy) <= spec.params["tau_limit"]).all()
 
@@ -477,8 +481,50 @@ def test_run_expert_shapes():
     with pytest.raises(ValueError, match="horizon"):
         run_expert(spec, default_expert(spec), reset(spec, 1), horizon=1)
     far = EnvState(CompositeState([1e308, 0.0], [1e308]), (1.0,))
-    with pytest.raises(ValueError, match="non-finite torque at step 0"), np.errstate(over="ignore"):
+    with pytest.raises(ValueError, match="non-finite torque at step 1$"), np.errstate(over="ignore"):
         run_expert(spec, default_expert(spec), far, horizon=5)
+
+
+def test_torque_errors_number_the_first_transition_step_1():
+    # the plant, the expert and the closed loop count a torque's step by the
+    # state it would produce, and name the row only in a batch
+    spec = pendulum_env()
+    init = reset(spec, 0)
+    with pytest.raises(ValueError, match=r"^step was given non-finite torque at step 1$"):
+        step(spec, init, np.array([np.nan]))
+    later = step(spec, step(spec, init, np.zeros(1)), np.zeros(1))
+    with pytest.raises(ValueError, match=r"^step was given non-finite torque at step 3$"):
+        step(spec, later, np.array([np.inf]))
+    far = EnvState(CompositeState([1e308, 0.0], [1e308]), (1.0,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^expert produced non-finite torque at step 1$"):
+            run_expert(spec, default_expert(spec), far, horizon=5)
+        with pytest.raises(ValueError, match=r"^expert produced non-finite torque at step 1, row 1$"):
+            _run_expert(spec, default_expert(spec), [init, far, far], 5, None)
+    model = fit(generate_demos(spec, default_expert(spec), 3, 10, seed=0), LiftingSpec("identity", spec.layout))
+    with pytest.raises(ValueError, match=r"^controller produced non-finite torque at step 1$"):
+        execute_policy(model, lambda x_now, x_next: np.array([np.nan]), spec, init, horizon=5)
+
+
+@pytest.mark.parametrize("block, message", [
+    ({"dt": "0.05"}, "env dt must be a real number, got '0.05'"),
+    ({"params": [1]}, "env params must be an object, got [1]"),
+    ({"params": {"mass": "abc"}}, "env params 'mass' must be a real number, got 'abc'"),
+    ({"params": {"mass": True}}, "env params 'mass' must be a real number, got True"),
+    ({"params": {"bogus": 1.0}},
+     "env params: unknown key 'bogus' for kind 'pendulum'; accepted keys: mass, length, gravity, damping"),
+    ({"sampler": {"target": [[0.6, 1.4]]}}, "env sampler 'target' must be two [low, high] ranges, got [[0.6, 1.4]]"),
+    ({"sampler": {"target": [[0.6, 1.4], [1.4, "x"]]}},
+     "env sampler 'target' must be two [low, high] ranges, got [[0.6, 1.4], [1.4, 'x']]"),
+    ({"sampler": {"goal": [[0.6, 1.4], [1.4, 1.8]]}},
+     "env sampler: unknown key 'goal' for kind 'pendulum'; accepted keys: target"),
+    ({"parms": {"mass": 9.0}}, "env block: unknown key 'parms'; accepted keys: kind, dt, params, sampler"),
+    ({"matrix": [[0.5]]}, "env block: unknown key 'matrix'; accepted keys: kind, dt, params, sampler"),
+], ids=["dt-string", "params-list", "param-string", "param-bool", "param-unknown", "sampler-one-range",
+        "sampler-string-bound", "sampler-unknown", "block-unknown", "block-matrix-on-pendulum"])
+def test_env_spec_from_dict_names_the_bad_key(block, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        env_spec_from_dict({"kind": "pendulum", "dt": 0.05} | block)
 
 
 def test_default_criterion_kinds():
