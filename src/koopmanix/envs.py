@@ -43,6 +43,12 @@ VARIATIONS = {
     "heavy-hand": ("hand_mass", 5.0 / 4.0),
 }
 
+# params that a transition divides by or clips to, per kind, with the bound each must meet
+_SIGNS = {
+    "pendulum": {"mass": "> 0", "length": "> 0"},
+    "pointmass-relocation": {"hand_mass": "> 0", "ball_mass": ">= 0", "tau_limit": "> 0"},
+}
+
 Range = tuple[float, float]
 
 
@@ -73,6 +79,9 @@ class EnvSpec:
         for name, value in self.params.items():
             if not math.isfinite(value):
                 raise ValueError(f"{self.kind} param {name!r} must be finite, got {value}")
+            need = _SIGNS.get(self.kind, {}).get(name)
+            if need and not (value >= 0 if need == ">= 0" else value > 0):
+                raise ValueError(f"{self.kind} param {name!r} must be {need}, got {value}")
         disjoint = 0
         for name, (rin, rout) in self.sampler.items():
             if not (all(map(math.isfinite, rin + rout)) and rin[0] < rin[1] and rout[0] < rout[1]):
@@ -146,6 +155,8 @@ def linear_env(matrix, input_map=None, dt: float = 1.0) -> EnvSpec:
 
 def linear_env_random(dim: int, spectral_radius: float = 0.9, seed: int = 0, dt: float = 1.0) -> EnvSpec:
     """Random stable linear system: a seeded matrix rescaled to the given radius."""
+    if dim < 1:
+        raise ValueError(f"linear param 'dim' must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((dim, dim))
     M *= spectral_radius / max(abs(np.linalg.eigvals(M)))
@@ -418,8 +429,8 @@ def default_expert(spec: EnvSpec) -> ScriptedExpert:
     return ScriptedExpert(spec.kind, {})
 
 
-def _expert_law(spec: EnvSpec, expert: ScriptedExpert, t, x_r, x_o, inner, noise, out) -> None:
-    """The expert's torques at step t for B rows, written into out (B, a): a `_run` torque."""
+def _expert_law(spec: EnvSpec, expert: ScriptedExpert, noise, t, x_r, x_o, inner, out) -> None:
+    """The expert's torques at step t for B rows into out (B, a), jittered by noise[t] unless noise is None."""
     g, p = expert.gains, spec.params
     if spec.kind in ("linear", "vanderpol"):
         out[:] = 0.0
@@ -438,9 +449,6 @@ def _expert_law(spec: EnvSpec, expert: ScriptedExpert, t, x_r, x_o, inner, noise
         out += expert.noise_scale * noise[t]
     if spec.kind == "pointmass-relocation":
         np.minimum(np.maximum(out, -p["tau_limit"], out=out), p["tau_limit"], out=out)
-    if not np.isfinite(out).all():
-        row = int(np.argmin(np.isfinite(out).all(axis=1)))
-        raise _non_finite_torque("expert produced", t, row, len(out))
 
 
 def default_criterion(spec: EnvSpec) -> SuccessCriterion | None:
@@ -456,15 +464,16 @@ def default_criterion(spec: EnvSpec) -> SuccessCriterion | None:
 
 # ---------------------------------------------------------------- rollouts
 
-def _run(spec: EnvSpec, inits, horizon: int, torque, rngs=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _run(spec: EnvSpec, inits, horizon: int, torque, source: str) -> list[Trajectory]:
     """Step B initial states in lockstep into preallocated trajectory-major arrays.
 
-    torque(t, x_r, x_o, inner, noise, out) writes step t's torques into out,
-    the (B, a) torque rows of step t.  noise is None or, with one generator
-    per state in rngs, their (T-1, B, a) standard normal draws, made up
-    front: the stream of T-1 draws of size a.  Returns the (B, T, n),
-    (B, T, m) and (B, T-1, a) state and torque arrays, read-only after the
-    loop.
+    torque(t, x_r, x_o, inner, out) writes step t's torques into out, the
+    (B, a) torque rows of step t.  The loop steps past a non-finite torque
+    with invalid-value warnings off; the whole (B, T-1, a) torque block is
+    then checked once, and an error names source, the earliest bad step and,
+    in a batch, the lowest bad row at that step.  Returns the B trajectories,
+    each a read-only block of the batch's (B, T, n), (B, T, m) and
+    (B, T-1, a) arrays, uncopied.
     """
     if horizon < 2:
         raise ValueError(f"horizon must be >= 2, got {horizon}")
@@ -474,30 +483,30 @@ def _run(spec: EnvSpec, inits, horizon: int, torque, rngs=None) -> tuple[np.ndar
     x_r[:, 0] = [s.composite.x_r for s in inits]
     x_o[:, 0] = [s.composite.x_o for s in inits]
     inner = np.array([s.internal for s in inits], dtype=np.float64)
-    noise = None if rngs is None else np.stack(
-        [rng.standard_normal((horizon - 1, lay.a)) for rng in rngs], axis=1)
     advance = _plant(spec)
     # the (B, ...) rows of each step, as views made once
     rows_r, rows_o, rows_tau = (list(arr.swapaxes(0, 1)) for arr in (x_r, x_o, torques))
-    for t in range(horizon - 1):
-        torque(t, rows_r[t], rows_o[t], inner, noise, rows_tau[t])
-        advance(rows_r[t], rows_o[t], inner, rows_tau[t], rows_r[t + 1], rows_o[t + 1])
+    with np.errstate(invalid="ignore"):
+        for t in range(horizon - 1):
+            torque(t, rows_r[t], rows_o[t], inner, rows_tau[t])
+            advance(rows_r[t], rows_o[t], inner, rows_tau[t], rows_r[t + 1], rows_o[t + 1])
+    _check_torques(torques, source)
     for arr in (x_r, x_o, torques):
         arr.setflags(write=False)
-    return x_r, x_o, torques
-
-
-def _trajectories(x_r, x_o, torques) -> list[Trajectory]:
-    """The B trajectories of a `_run`: trajectory i holds block i of each array, uncopied."""
-    return [Trajectory._adopt(x_r[i], x_o[i], torques[i]) for i in range(len(x_r))]
+    return [Trajectory._adopt(x_r[i], x_o[i], torques[i]) for i in range(B)]
 
 
 def _run_expert(spec: EnvSpec, expert: ScriptedExpert, inits, horizon: int, rngs) -> list[Trajectory]:
-    """The expert from B states in lockstep; rngs holds one noise generator per state, or is None."""
+    """The expert from B states in lockstep; rngs holds one noise generator per state, or is None.
+
+    Each generator's T-1 draws of size a are made up front, as (T-1, B, a) noise.
+    """
     if expert.kind != spec.kind:
         raise ValueError(f"expert kind {expert.kind!r} does not match env kind {spec.kind!r}")
-    law = partial(_expert_law, spec, expert)
-    return _trajectories(*_run(spec, inits, horizon, law, rngs if expert.noise_scale > 0.0 else None))
+    noise = None
+    if rngs is not None and expert.noise_scale > 0.0 and horizon >= 2:  # a shorter horizon is _run's error
+        noise = np.stack([rng.standard_normal((horizon - 1, spec.layout.a)) for rng in rngs], axis=1)
+    return _run(spec, inits, horizon, partial(_expert_law, spec, expert, noise), "expert produced")
 
 
 def run_expert(
@@ -540,13 +549,13 @@ def generate_demos(
     return DemonstrationSet(spec.layout, tuple(trajs))
 
 
-def _check_torques(torques: np.ndarray) -> None:
+def _check_torques(torques: np.ndarray, source: str) -> None:
     """Raise for the first non-finite torque of a (B, T-1, a) block: its earliest step, then its lowest row."""
     finite = np.isfinite(torques).all(axis=2)
     if finite.all():
         return
     t = int(np.argmin(finite.all(axis=0)))
-    raise _non_finite_torque("controller produced", t, int(np.argmin(finite[:, t])), len(torques))
+    raise _non_finite_torque(source, t, int(np.argmin(finite[:, t])), len(torques))
 
 
 def _network_policy(model: ControllerModel, ref: np.ndarray, layout: StateLayout):
@@ -558,7 +567,7 @@ def _network_policy(model: ControllerModel, ref: np.ndarray, layout: StateLayout
     half and the output layer writes straight into the step's torque rows.
     The rows go through the network as a (B, 1, 2n) stack, one product per
     row, so each row rounds exactly as an episode of its own.  Torques are
-    not checked here: `_closed_loop` checks them all after the loop.
+    not checked here: `_run` checks them all after the loop.
     """
     n, B = layout.n, ref.shape[1]
     mean, std = model.input_mean, model.input_std
@@ -571,7 +580,7 @@ def _network_policy(model: ControllerModel, ref: np.ndarray, layout: StateLayout
     hidden = [np.empty((B, 1, k)) for k in model.layer_sizes[1:-1]]
     layers = _bind(model.weights, [b[None, None] for b in model.biases], hidden + [None])
 
-    def torque(t, x_r, x_o, inner, noise, out):
+    def torque(t, x_r, x_o, inner, out):
         now = nows[t]
         np.divide(np.subtract(x_r, mean_r, out=now), std_r, out=now)
         _forward(layers, inputs[t], out[:, None])
@@ -583,7 +592,9 @@ def _callable_policy(act, ref: np.ndarray, layout: StateLayout):
     """A `_run` torque that calls act(x_now, x_next) once per row and checks each torque."""
     a = layout.a
 
-    def torque(t, x_r, x_o, inner, noise, out):
+    def torque(t, x_r, x_o, inner, out):
+        # act is outside code: stop at its first bad torque rather than call
+        # it again on the states that torque would produce
         for i, (x_now, x_next) in enumerate(zip(x_r, ref[t + 1])):
             tau = np.asarray(act(x_now, x_next), dtype=np.float64)
             if not np.isfinite(tau).all():
@@ -606,11 +617,11 @@ def _closed_loop(
 
     The references of all B initial states are rolled out together.  A
     ControllerModel, checked against the layout once, runs once per step on
-    all B rows; any other callable is called once per row, and each torque
-    it returns is checked at once.  The network's torques are checked once,
-    after a loop that steps past a non-finite one with invalid-value
-    warnings off: the error names the earliest such step and, in a batch,
-    the lowest row at that step.
+    all B rows, and its torques are checked once, after the loop (`_run`).
+    Any other callable is called once per row, and each torque it returns is
+    checked at once, so it never sees a state that a non-finite torque made.
+    Either way the error names the earliest bad step and, in a batch, the
+    lowest bad row at that step.
     """
     lay = spec.layout
     if isinstance(controller, ControllerModel):
@@ -626,10 +637,7 @@ def _closed_loop(
     else:
         raise ValueError("controller must be a ControllerModel or a callable")
     ref = koopman._rollout(model, [s.composite for s in inits], horizon)
-    with np.errstate(invalid="ignore"):
-        x_r, x_o, torques = _run(spec, inits, horizon, policy(controller, ref, lay))
-    _check_torques(torques)
-    return _trajectories(x_r, x_o, torques)
+    return _run(spec, inits, horizon, policy(controller, ref, lay), "controller produced")
 
 
 def execute_policy(
@@ -692,10 +700,15 @@ def env_spec_to_dict(spec: EnvSpec) -> dict:
     return out
 
 
+def _is_real_matrix(value) -> bool:
+    """A non-empty list of equal-length lists of real numbers: a matrix as env_spec_to_dict writes it."""
+    return isinstance(value, (list, tuple)) and len(value) > 0 and all(
+        isinstance(row, (list, tuple)) and len(row) == len(value[0]) and all(map(_is_real, row)) for row in value)
+
+
 def _is_range_pair(value) -> bool:
     """Two [low, high] ranges of real numbers: a sampler entry as env_spec_to_dict writes it."""
-    return isinstance(value, (list, tuple)) and len(value) == 2 and all(
-        isinstance(r, (list, tuple)) and len(r) == 2 and all(map(_is_real, r)) for r in value)
+    return _is_real_matrix(value) and len(value) == 2 and len(value[0]) == 2
 
 
 def env_spec_from_dict(data: dict) -> EnvSpec:
@@ -719,6 +732,9 @@ def env_spec_from_dict(data: dict) -> EnvSpec:
         raise ValueError(f"env block: unknown key {unknown[0]!r}; accepted keys: {', '.join(known)}")
     if not _is_real(data["dt"]):
         raise ValueError(f"env dt must be a real number, got {data['dt']!r}")
+    for key in required[2:]:  # a linear block's matrix and input_map
+        if not _is_real_matrix(data[key]):
+            raise ValueError(f"env {key} must be a 2-D list of real numbers, got {data[key]!r}")
     base = linear_env(data["matrix"], data["input_map"]) if kind == "linear" else _FACTORIES[kind]()
     merged = {"params": dict(base.params), "sampler": dict(base.sampler)}
     for block, accepts, what in (("params", _is_real, "a real number"),

@@ -125,7 +125,7 @@ def test_env_spec_dict_round_trip():
     partial = env_spec_from_dict({"kind": "pendulum", "dt": 0.01, "params": {"mass": 2}})
     assert partial.params == {**pendulum_env().params, "mass": 2.0}
     assert partial.sampler == pendulum_env().sampler
-    with pytest.raises(ValueError, match=r"input_map must be 2-D, got shape \(1,\)"):
+    with pytest.raises(ValueError, match=r"^env input_map must be a 2-D list of real numbers, got \[1.0\]$"):
         env_spec_from_dict({"kind": "linear", "dt": 1.0, "matrix": [[0.5]], "input_map": [1.0]})
     with pytest.raises(ValueError, match=r"^env params: unknown key 'mu' for kind 'linear'; accepted keys: none$"):
         env_spec_from_dict({"kind": "linear", "dt": 1.0, "matrix": [[0.5]], "input_map": [[1.0]], "params": {"mu": 1}})
@@ -480,11 +480,15 @@ def test_run_expert_shapes():
     assert len(traj.torques) == 29
     with pytest.raises(ValueError, match="horizon"):
         run_expert(spec, default_expert(spec), reset(spec, 1), horizon=1)
+    # the noisy pointmass expert draws no noise for a horizon it cannot run
+    with pytest.raises(ValueError, match=r"^horizon must be >= 2, got 0$"):
+        generate_demos(pointmass_env(), default_expert(pointmass_env()), 2, 0, seed=0)
     far = EnvState(CompositeState([1e308, 0.0], [1e308]), (1.0,))
     with pytest.raises(ValueError, match="non-finite torque at step 1$"), np.errstate(over="ignore"):
         run_expert(spec, default_expert(spec), far, horizon=5)
 
 
+@pytest.mark.filterwarnings("error")
 def test_torque_errors_number_the_first_transition_step_1():
     # the plant, the expert and the closed loop count a torque's step by the
     # state it would produce, and name the row only in a batch
@@ -496,7 +500,8 @@ def test_torque_errors_number_the_first_transition_step_1():
     with pytest.raises(ValueError, match=r"^step was given non-finite torque at step 3$"):
         step(spec, later, np.array([np.inf]))
     far = EnvState(CompositeState([1e308, 0.0], [1e308]), (1.0,))
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the expert steps past its non-finite torque under _run's own invalid-value suppression
+    with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match=r"^expert produced non-finite torque at step 1$"):
             run_expert(spec, default_expert(spec), far, horizon=5)
         with pytest.raises(ValueError, match=r"^expert produced non-finite torque at step 1, row 1$"):
@@ -525,6 +530,48 @@ def test_torque_errors_number_the_first_transition_step_1():
 def test_env_spec_from_dict_names_the_bad_key(block, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         env_spec_from_dict({"kind": "pendulum", "dt": 0.05} | block)
+
+
+@pytest.mark.parametrize("block, message", [
+    ({"matrix": [["a"]]}, "env matrix must be a 2-D list of real numbers, got [['a']]"),
+    ({"matrix": [[0.5, 0.0], [0.0]]}, "env matrix must be a 2-D list of real numbers, got [[0.5, 0.0], [0.0]]"),
+    ({"matrix": [[True]]}, "env matrix must be a 2-D list of real numbers, got [[True]]"),
+    ({"matrix": []}, "env matrix must be a 2-D list of real numbers, got []"),
+    ({"matrix": "eye"}, "env matrix must be a 2-D list of real numbers, got 'eye'"),
+    ({"input_map": [[None]]}, "env input_map must be a 2-D list of real numbers, got [[None]]"),
+    ({"input_map": [[1.0], [1.0, 2.0]]}, "env input_map must be a 2-D list of real numbers, got [[1.0], [1.0, 2.0]]"),
+], ids=["matrix-string", "matrix-ragged", "matrix-bool", "matrix-empty", "matrix-not-a-list",
+        "input-map-null", "input-map-ragged"])
+def test_env_spec_from_dict_names_the_bad_linear_block_key(block, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        env_spec_from_dict({"kind": "linear", "dt": 1.0, "matrix": [[0.5]], "input_map": [[1.0]]} | block)
+
+
+@pytest.mark.parametrize("kind, key, value, message", [
+    ("pendulum", "mass", 0.0, "pendulum param 'mass' must be > 0, got 0.0"),
+    ("pendulum", "length", -1.0, "pendulum param 'length' must be > 0, got -1.0"),
+    ("pointmass-relocation", "hand_mass", 0.0, "pointmass-relocation param 'hand_mass' must be > 0, got 0.0"),
+    ("pointmass-relocation", "ball_mass", -0.1, "pointmass-relocation param 'ball_mass' must be >= 0, got -0.1"),
+    ("pointmass-relocation", "tau_limit", -1.0, "pointmass-relocation param 'tau_limit' must be > 0, got -1.0"),
+    ("pointmass-relocation", "tau_limit", 0.0, "pointmass-relocation param 'tau_limit' must be > 0, got 0.0"),
+    ("linear", "dim", 0, "linear param 'dim' must be >= 1, got 0"),
+], ids=["pendulum-mass", "pendulum-length", "hand-mass", "ball-mass", "tau-limit-negative", "tau-limit-zero",
+        "linear-dim"])
+def test_physical_params_are_bounded_at_the_spec(kind, key, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_env(kind, **{key: value})
+    if kind != "linear":  # a manifest env block reaches the same check
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            env_spec_from_dict({"kind": kind, "dt": 0.05, "params": {key: value}})
+
+
+def test_physical_params_at_their_bounds_and_perturbed_stay_valid():
+    assert make_env("pointmass-relocation", ball_mass=0.0).params["ball_mass"] == 0.0
+    assert make_env("linear", dim=1).layout.n == 1
+    spec = pointmass_env()
+    for variation in ("heavy-object", "light-hand", "heavy-hand", "light-hand"):
+        spec = perturb_params(spec, variation)
+    assert spec.params["hand_mass"] > 0 and spec.params["ball_mass"] > 0
 
 
 def test_default_criterion_kinds():
@@ -696,24 +743,24 @@ def test_batch_trajectories_are_read_only_blocks():
 
 def test_torque_check_names_the_earliest_step_then_the_lowest_row():
     torques = np.zeros((4, 8, 2))
-    _check_torques(torques)
+    _check_torques(torques, "controller produced")
     torques[2, 4, 1] = np.nan  # row 2 at step 5
     torques[0, 2, 0] = np.inf  # row 0 at step 3
     with pytest.raises(ValueError, match=r"non-finite torque at step 3, row 0$"):
-        _check_torques(torques)
+        _check_torques(torques, "controller produced")
     # the earliest step wins over the lowest row
     torques[0, 2, 0], torques[0, 6, 0], torques[3, 1, 1] = 0.0, np.nan, -np.inf
     with pytest.raises(ValueError, match=r"non-finite torque at step 2, row 3$"):
-        _check_torques(torques)
+        _check_torques(torques, "controller produced")
     # at one step, the lowest row
     torques[1, 1, 0] = np.nan
     with pytest.raises(ValueError, match=r"non-finite torque at step 2, row 1$"):
-        _check_torques(torques)
+        _check_torques(torques, "controller produced")
     # one row names no row
     with pytest.raises(ValueError, match=r"non-finite torque at step 7$"):
-        _check_torques(torques[:1])
+        _check_torques(torques[:1], "controller produced")
     # finite values whose sum overflows are finite
-    _check_torques(np.full((2, 3, 2), 1e308))
+    _check_torques(np.full((2, 3, 2), 1e308), "controller produced")
 
 
 @pytest.mark.filterwarnings("error")
