@@ -21,6 +21,10 @@ from .statespace import DemonstrationSet, StateLayout, _is_int, _is_real, requir
 
 STD_FLOOR = 1e-8  # clamp for per-dimension input std
 
+# rows per block of a loss pass: bounds the pass's workspace, while blocks
+# this large run as fast as one pass over all rows
+LOSS_BLOCK_ROWS = 4096
+
 # the rectifier's 0-d zero: a Python float operand costs every ufunc call a
 # conversion, a tenth of a one-row layer
 _ZERO = np.zeros(())
@@ -191,11 +195,20 @@ class _Workspace:
         self.acts = [np.empty((rows, k)) for k in widths]
         self.layers = _bind(weights, biases, self.acts)
         self.err = np.empty((rows, widths[-1]))
-        self.row = np.empty(rows)  # per-row loss terms, or 2 w in backprop
         if backward:
+            self.row = np.empty(rows)  # 2 w in backprop; the terms of a whole-batch loss pass
             self.w = np.empty(rows)  # a minibatch's weights scaled to sum to one
             self.deltas = [np.empty((rows, k)) for k in widths]
             self.masks = [np.empty((rows, k), dtype=bool) for k in widths[:-1]]
+
+    def head(self, rows: int) -> _Workspace:
+        """This workspace cut to its leading rows: views of the same buffers, bound alike."""
+        view = object.__new__(_Workspace)
+        for name, value in vars(self).items():
+            if name != "layers":
+                setattr(view, name, [a[:rows] for a in value] if isinstance(value, list) else value[:rows])
+        view.layers = [(W_T, b, H) for (W_T, b, _), H in zip(self.layers, view.acts)]
+        return view
 
 
 def _bind(weights, biases, acts=None) -> list[tuple]:
@@ -227,13 +240,43 @@ def _forward(layers, Z, out=None) -> np.ndarray:
     return H
 
 
-def _loss(out, tau, w, ws: _Workspace) -> float:
-    """sum_k w_k |out_k - tau_k|^2 for network outputs `out`."""
-    err = np.subtract(out, tau, out=ws.err)
-    np.multiply(err, err, out=err)
-    row = np.add.reduce(err, axis=1, out=ws.row)
-    np.multiply(w, row, out=row)
-    return float(np.add.reduce(row))
+def _loss_pass(weights, biases, Z, tau, w, whole: _Workspace | None = None):
+    """A function that returns sum_k w_k |net(Z_k) - tau_k|^2 under the current weights.
+
+    The rows run through one workspace in blocks of LOSS_BLOCK_ROWS, each
+    block writing its rows' terms into one vector over all rows, which is
+    then summed in one contiguous reduction: the same pairwise sum, to the
+    bit, as a single pass over all rows.  A short last block uses the
+    workspace's leading rows.  Given `whole`, a backward workspace over all
+    rows, the pass is one block in it, its layer outputs stay there for
+    `_backprop`, and its row buffer takes the terms.  Blocks are bound once
+    here; the weights and biases may be updated in place between calls.
+    """
+    P = Z.shape[0]
+    if whole is None:
+        bounds = list(range(0, P, LOSS_BLOCK_ROWS)) + [P]
+        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+            # numpy runs a one-row product as gemv, which rounds unlike the
+            # gemm of a larger block; the last row joins the block before it
+            del bounds[-2]
+        ws = _Workspace(weights, biases, max(np.diff(bounds)), backward=False)
+        terms = np.empty(P)
+    else:
+        bounds, ws, terms = [0, P], whole, whole.row
+    blocks = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        part = ws.head(hi - lo)
+        blocks.append((part.layers, part.err, Z[lo:hi], tau[lo:hi], w[lo:hi], terms[lo:hi]))
+
+    def value() -> float:
+        for layers, err, Zb, taub, wb, row in blocks:
+            np.subtract(_forward(layers, Zb), taub, out=err)
+            np.multiply(err, err, out=err)
+            np.add.reduce(err, axis=1, out=row)
+            np.multiply(wb, row, out=row)
+        return float(np.add.reduce(terms))
+
+    return value
 
 
 def _backprop(weights, Z, acts, tau, w, gWs, gbs, ws: _Workspace) -> None:
@@ -300,8 +343,7 @@ def forward(model: ControllerModel, x_now, x_next) -> np.ndarray:
 def loss(model: ControllerModel, triples: TrainingTriples) -> float:
     """Weighted mean squared torque error over the triples."""
     Z = _normalize(model, np.concatenate([triples.x_now, triples.x_next], axis=1))
-    ws = _Workspace(model.weights, model.biases, triples.count, backward=False)
-    return _loss(_forward(ws.layers, Z), triples.tau, triples.weights, ws)
+    return _loss_pass(model.weights, model.biases, Z, triples.tau, triples.weights)()
 
 
 def train(
@@ -319,19 +361,26 @@ def train(
     biases live in one flat float64 vector; the per-layer arrays are shaped
     views into it, gradients land in a matching flat buffer, and Adam
     updates the vector in place.  Every buffer a pass writes is allocated
-    once per call and reused by every iteration; the full-batch step reuses
-    the history pass's layer outputs.  Identical inputs give bit-identical
+    once per call and reused by every iteration.  In minibatch mode the
+    history pass streams the rows through one workspace of LOSS_BLOCK_ROWS
+    rows, so past that fixed block `train` holds 4n + 2a + 4 eight-byte
+    words per pair: the standardized inputs, torques and weights, their
+    shuffled copies, the per-row loss terms and the permutation.  The
+    full-batch step needs every row's layer outputs, so at batch=None the
+    history pass runs over all rows at once in the step's own workspace
+    and the step reuses its outputs.  Identical inputs give bit-identical
     weights.
     """
     triples = supervision(demos)
-    inputs = np.concatenate([triples.x_now, triples.x_next], axis=1)
-    mean = inputs.mean(axis=0)
-    std = np.maximum(inputs.std(axis=0), STD_FLOOR)
+    Z = np.concatenate([triples.x_now, triples.x_next], axis=1)
+    P, tau, w = triples.count, triples.tau, triples.weights
+    del triples  # x_now and x_next live on only in Z
+    mean = Z.mean(axis=0)
+    std = np.maximum(Z.std(axis=0), STD_FLOOR)
     model = replace(init(demos.layout, config.seed), input_mean=mean, input_std=std)
+    Z -= mean  # (inputs - mean) / std, in place
+    Z /= std
 
-    Z = (inputs - mean) / std
-    tau = triples.tau
-    w = triples.weights
     sizes = model.layer_sizes
     theta = _flat_params(model)
     grad = np.zeros_like(theta)
@@ -360,20 +409,22 @@ def train(
         np.add(np.sqrt(np.divide(adam_v, 1 - beta2**step, out=s2), out=s2), eps, out=s2)
         np.subtract(theta, np.divide(np.multiply(s1, lr, out=s1), s2, out=s1), out=theta)
 
-    P = triples.count
     full = config.batch is None or config.batch >= P
-    whole = _Workspace(weights, biases, P, backward=full)
-    if not full:
+    if full:
+        whole = _Workspace(weights, biases, P, backward=True)
+        history_pass = _loss_pass(weights, biases, Z, tau, w, whole)
+    else:
+        history_pass = _loss_pass(weights, biases, Z, tau, w)
         B = config.batch
         part = _Workspace(weights, biases, B, backward=True)
-        tail = _Workspace(weights, biases, P % B, backward=True)  # the shorter last minibatch
+        tail = part.head(P % B)  # the shorter last minibatch
         # a shuffled copy of the triples, refilled once per iteration, so
         # every minibatch is a contiguous slice of it
         Zs, taus, wsh = np.empty_like(Z), np.empty_like(tau), np.empty_like(w)
 
     history = np.empty(config.iterations)
     for it in range(config.iterations):
-        value = _loss(_forward(whole.layers, Z), tau, w, whole)
+        value = history_pass()
         history[it] = value
         if not np.isfinite(value):
             raise ValueError(f"non-finite training loss at iteration {it}")
@@ -424,9 +475,7 @@ def gradient_check(model: ControllerModel, triple, epsilon: float = 1e-5) -> flo
     ws = _Workspace(weights, biases, 1, backward=True)
     _forward(ws.layers, Z)
     _backprop(weights, Z, ws.acts, tau, one, *_flat_views(model.layer_sizes, grad), ws)
-
-    def probe():
-        return _loss(_forward(ws.layers, Z), tau, one, ws)
+    probe = _loss_pass(weights, biases, Z, tau, one, ws)
 
     worst = 0.0
     for k in range(theta.size):

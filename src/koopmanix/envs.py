@@ -49,6 +49,22 @@ _SIGNS = {
     "pointmass-relocation": {"hand_mass": "> 0", "ball_mass": ">= 0", "tau_limit": "> 0"},
 }
 
+# params each kind's plant, expert and reset read, and the (n, m, a) their
+# arrays are built for; a linear layout's n and a follow its matrix
+_PARAMS = {
+    "linear": (),
+    "pendulum": ("mass", "length", "gravity", "damping"),
+    "vanderpol": ("mu",),
+    "pointmass-relocation": ("hand_mass", "ball_mass", "damping", "attach_radius", "tau_limit", "gravity",
+                             "hand_start_x", "hand_start_y", "ball_start_x", "ball_start_y"),
+}
+_LAYOUTS = {
+    "linear": {"m": 0},
+    "pendulum": {"n": 2, "m": 1, "a": 1},
+    "vanderpol": {"n": 2, "m": 0, "a": 1},
+    "pointmass-relocation": {"n": 4, "m": 4, "a": 2},
+}
+
 Range = tuple[float, float]
 
 
@@ -76,6 +92,12 @@ class EnvSpec:
             raise ValueError(f"unknown env kind {self.kind!r}, expected one of {KINDS}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        for name in _PARAMS[self.kind]:
+            if name not in self.params:
+                raise ValueError(f"{self.kind} params lack {name!r}; the kind reads {', '.join(_PARAMS[self.kind])}")
+        for field, size in _LAYOUTS[self.kind].items():
+            if getattr(self.layout, field) != size:
+                raise ValueError(f"{self.kind} layout needs {field}={size}, got {field}={getattr(self.layout, field)}")
         for name, value in self.params.items():
             if not math.isfinite(value):
                 raise ValueError(f"{self.kind} param {name!r} must be finite, got {value}")

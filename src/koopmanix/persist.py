@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -80,11 +81,23 @@ def _layout_from_dict(obj: dict, path: Path) -> StateLayout:
 
 
 def _write_json(obj: dict, path: Path) -> None:
+    """Write obj as indented JSON, streamed into a temporary file beside path
+    and then moved onto it.
+
+    No string of the whole document is built.  A non-finite value is refused
+    with no file left behind and an existing path untouched.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise PersistError(f"{path}: refusing to write non-finite values") from exc
-    path.write_text(text + "\n", encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            try:
+                json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
+            except ValueError as exc:
+                raise PersistError(f"{path}: refusing to write non-finite values") from exc
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _read_json(path) -> dict:

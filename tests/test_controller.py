@@ -1,6 +1,8 @@
 """Inverse-dynamics network: forward math, gradients, training behavior."""
 
 import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from koopmanix import (
     supervision,
     train,
 )
+from koopmanix import controller
 from koopmanix.controller import evaluate, forward, init, loss
 from koopmanix.envs import default_expert, generate_demos, pointmass_env
 
@@ -467,6 +470,91 @@ def test_train_is_bit_identical_to_the_per_array_loop(config):
     assert np.array_equal(_bits(history), _bits(ref_history))
     for got, want in zip(model.weights + model.biases, weights + biases):
         assert np.array_equal(_bits(got), _bits(want))
+
+
+
+# ---- the blocked loss pass ----
+
+
+def _pin_demos():
+    env = pointmass_env()
+    return generate_demos(env, default_expert(env), 6, 30, seed=42)
+
+
+@pytest.mark.parametrize("config", [
+    TrainConfig(learning_rate=1e-3, iterations=12, batch=50, seed=7),
+    TrainConfig(learning_rate=1e-3, iterations=12, batch=1, seed=7),
+], ids=["adam-minibatch", "adam-batch-1"])
+def test_blocked_history_is_bit_identical_to_the_per_array_loop(config, monkeypatch):
+    # P = 174 runs as blocks of 37 rows and a short last block of 26
+    monkeypatch.setattr(controller, "LOSS_BLOCK_ROWS", 37)
+    demos = _pin_demos()
+    model, history = train(demos, config)
+    weights, biases, ref_history = _reference_train(demos, config)
+    assert np.array_equal(_bits(history), _bits(ref_history))
+    for got, want in zip(model.weights + model.biases, weights + biases):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_blocked_history_starts_at_the_initial_loss(monkeypatch):
+    monkeypatch.setattr(controller, "LOSS_BLOCK_ROWS", 37)
+    demos = _pin_demos()
+    config = TrainConfig(learning_rate=1e-3, iterations=2, batch=50, seed=7)
+    _, history = train(demos, config)
+    triples = supervision(demos)
+    inputs = np.concatenate([triples.x_now, triples.x_next], axis=1)
+    model0 = replace(
+        init(demos.layout, config.seed),
+        input_mean=inputs.mean(axis=0),
+        input_std=np.maximum(inputs.std(axis=0), controller.STD_FLOOR),
+    )
+    assert history[0] == loss(model0, triples)
+
+
+def test_a_one_row_remainder_joins_the_block_before_it(monkeypatch):
+    # numpy multiplies a lone row by gemv, which rounds unlike gemm; on 3 rows
+    # in blocks of 2, a lone third row changes the sum for some of these seeds
+    rng = np.random.default_rng(3)
+    cases = [
+        (init(StateLayout(n=4, m=0, a=2), seed),
+         TrainingTriples(rng.standard_normal((3, 4)), rng.standard_normal((3, 4)),
+                         rng.standard_normal((3, 2)), np.full(3, 1 / 3)))
+        for seed in range(20)
+    ]
+    whole = [loss(model, triples) for model, triples in cases]
+    monkeypatch.setattr(controller, "LOSS_BLOCK_ROWS", 2)
+    assert [loss(model, triples) for model, triples in cases] == whole
+
+
+@pytest.mark.parametrize("batch", [50, None], ids=["minibatch", "full-batch"])
+def test_non_finite_loss_stops_training_before_that_iterations_updates(batch, monkeypatch):
+    # one Adam step of size ~1e300 makes the next history pass overflow
+    calls = []
+    backprop = controller._backprop
+    monkeypatch.setattr(controller, "_backprop", lambda *args: calls.append(1) or backprop(*args))
+    config = TrainConfig(learning_rate=1e300, iterations=3, batch=batch, seed=7)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^non-finite training loss at iteration 1$"):
+            train(_pin_demos(), config)
+    assert len(calls) == (4 if batch else 1)  # iteration 0's steps only: 174 pairs in batches of 50
+
+
+def test_train_memory_is_bounded_per_pair_plus_one_block():
+    env = pointmass_env()
+    demos = generate_demos(env, default_expert(env), 100, 100, seed=42)
+    n, a = env.layout.n, env.layout.a
+    P = supervision(demos).count
+    per_pair = 8 * (4 * n + 2 * a + 4)  # inputs, torques, weights, their shuffled copies, terms, permutation
+    per_block_row = 8 * (10 * n + 2 * a)  # every layer's output and the error
+    bound = per_pair * P + per_block_row * controller.LOSS_BLOCK_ROWS + 2**20  # + the step workspace, temporaries
+    tracemalloc.start()
+    try:
+        train(demos, TrainConfig(learning_rate=1e-3, iterations=1, batch=256, seed=7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a workspace over all P rows would add 8 * (10n + 2a) * P, 3.5 MB here
+    assert P == 9900 and peak < bound
 
 
 def test_train_logs_one_summary_line(caplog, capsys):

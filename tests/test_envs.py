@@ -1,6 +1,7 @@
 """Environment dynamics, samplers, scripted experts, closed-loop execution."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from koopmanix import (
     train,
 )
 from koopmanix.envs import (
+    KINDS,
     EnvState,
     _check_torques,
     _closed_loop,
@@ -74,6 +76,28 @@ def test_spec_rejects_bad_configuration():
         EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, {"x": ((0.0, 1.0), (1.0, float("nan")))})
     with pytest.raises(ValueError, match="matrix and input_map must be finite"):
         linear_env(np.array([[np.nan, 0.0], [0.0, 0.5]]))
+
+
+
+def test_spec_checks_params_keys_and_layout_per_kind():
+    sampler = {"target": ((0.6, 1.4), (1.4, 1.8))}
+    with pytest.raises(ValueError, match="pendulum params lack 'mass'; the kind reads mass, length, gravity, damping"):
+        EnvSpec("pendulum", 0.05, StateLayout(n=2, m=1, a=1), {}, sampler)
+    params = dict(pointmass_env().params)
+    del params["hand_start_y"]
+    with pytest.raises(ValueError, match="pointmass-relocation params lack 'hand_start_y'"):
+        replace(pointmass_env(), params=params)
+    with pytest.raises(ValueError, match="pendulum layout needs n=2, got n=3"):
+        EnvSpec("pendulum", 0.05, StateLayout(n=3, m=1, a=1), pendulum_env().params, sampler)
+    with pytest.raises(ValueError, match="vanderpol layout needs a=1, got a=2"):
+        replace(vanderpol_env(), layout=StateLayout(n=2, m=0, a=2))
+    with pytest.raises(ValueError, match="pointmass-relocation layout needs m=4, got m=2"):
+        replace(pointmass_env(), layout=StateLayout(n=4, m=2, a=2))
+    with pytest.raises(ValueError, match="linear layout needs m=0, got m=1"):
+        replace(linear_env(np.eye(2)), layout=StateLayout(n=2, m=1, a=2))
+    # every factory- and config-built spec carries what its kind reads
+    for kind in KINDS:
+        env_spec_from_dict(env_spec_to_dict(make_env(kind)))
 
 
 def test_make_env_kinds_and_overrides():

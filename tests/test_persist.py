@@ -603,3 +603,31 @@ def test_save_demos_rejects_nonfinite_env(tmp_path):
     demos = DemonstrationSet(LAYOUT_1D, (Trajectory(states),))
     with pytest.raises(PersistError, match="non-finite"):
         save_demos(demos, tmp_path, env={"dt": float("nan")})
+
+
+# ---- JSON files are streamed into a temporary file and moved into place ----
+
+
+def test_json_file_bytes_match_the_indented_document(tmp_path):
+    obj = {"schema": 1, "K": np.arange(12.0).reshape(3, 4).tolist(), "tiny": 5e-324, "name": "é"}
+    path = tmp_path / "doc.json"
+    persist._write_json(obj, path)
+    assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def test_non_finite_json_leaves_no_file(tmp_path):
+    path = tmp_path / "doc.json"
+    with pytest.raises(PersistError, match=re.escape(f"{path}: refusing to write non-finite values")):
+        persist._write_json({"a": [1.0, 2.0], "b": float("nan")}, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_json_leaves_an_existing_file_untouched(tmp_path):
+    path = tmp_path / "doc.json"
+    persist._write_json({"a": 1.0}, path)
+    before = path.read_bytes()
+    with pytest.raises(PersistError, match="refusing to write non-finite values"):
+        persist._write_json({"a": 2.0, "b": float("inf")}, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
