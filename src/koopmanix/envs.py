@@ -24,7 +24,6 @@ import inspect
 import logging
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -451,26 +450,49 @@ def default_expert(spec: EnvSpec) -> ScriptedExpert:
     return ScriptedExpert(spec.kind, {})
 
 
-def _expert_law(spec: EnvSpec, expert: ScriptedExpert, noise, t, x_r, x_o, inner, out) -> None:
-    """The expert's torques at step t for B rows into out (B, a), jittered by noise[t] unless noise is None."""
+def _expert_law(spec: EnvSpec, expert: ScriptedExpert, noise):
+    """The expert's feedback law with its gains and params bound once: law(t, x_r, x_o, inner, out).
+
+    law writes step t's torques for B rows into out (B, a), plus noise[t]
+    unless noise is None; noise (T-1, B, a) is the jitter, already scaled.
+    """
     g, p = expert.gains, spec.params
+    limit = None
     if spec.kind in ("linear", "vanderpol"):
-        out[:] = 0.0
+
+        def base(x_r, x_o, inner, out):
+            out[:] = 0.0
+
     elif spec.kind == "pendulum":
-        theta, omega = x_r[:, 0], x_r[:, 1]
-        grav = p["mass"] * p["gravity"] * p["length"] * np.sin(theta)
-        out[:, 0] = g["kp"] * (inner[:, 0] - theta) - g["kd"] * omega + grav
-    else:
-        vel, rel, attached = x_r[:, 2:], x_o[:, :2], inner[:, 2:]
-        # both laws on every row; the attach flag picks one per row
-        law = g["kp_reach"] * (rel + inner[:, :2] - x_r[:, :2]) - g["kd_reach"] * vel
-        np.copyto(law, -g["kp_carry"] * rel - g["kd_carry"] * vel, where=attached > 0.0)
-        m_eff = p["hand_mass"] + p["ball_mass"] * attached
-        np.add(law, m_eff * (0.0, p["gravity"]), out=out)  # holds the weight
-    if noise is not None:
-        out += expert.noise_scale * noise[t]
-    if spec.kind == "pointmass-relocation":
-        np.minimum(np.maximum(out, -p["tau_limit"], out=out), p["tau_limit"], out=out)
+        kp, kd, mgl = (np.array(float(v)) for v in (g["kp"], g["kd"], p["mass"] * p["gravity"] * p["length"]))
+
+        def base(x_r, x_o, inner, out):
+            theta, omega = x_r[:, 0], x_r[:, 1]
+            out[:, 0] = kp * (inner[:, 0] - theta) - kd * omega + mgl * np.sin(theta)
+
+    else:  # pointmass-relocation; 0-d constants, as in `_plant`
+        kp_reach, kd_reach, neg_kp_carry, kd_carry, hand_mass, ball_mass, limit = (np.array(float(v)) for v in (
+            g["kp_reach"], g["kd_reach"], -g["kp_carry"], g["kd_carry"], p["hand_mass"], p["ball_mass"],
+            p["tau_limit"]))
+        neg_limit, zero = -limit, np.array(0.0)
+        weight = np.array([0.0, p["gravity"]])
+
+        def base(x_r, x_o, inner, out):
+            vel, rel, attached = x_r[:, 2:], x_o[:, :2], inner[:, 2:]
+            # both laws on every row; the attach flag picks one per row
+            law = kp_reach * (rel + inner[:, :2] - x_r[:, :2]) - kd_reach * vel
+            np.copyto(law, neg_kp_carry * rel - kd_carry * vel, where=np.greater(attached, zero))
+            m_eff = hand_mass + ball_mass * attached
+            np.add(law, m_eff * weight, out=out)  # holds the weight
+
+    def law(t, x_r, x_o, inner, out):
+        base(x_r, x_o, inner, out)
+        if noise is not None:
+            out += noise[t]
+        if limit is not None:
+            np.minimum(np.maximum(out, neg_limit, out=out), limit, out=out)
+
+    return law
 
 
 def default_criterion(spec: EnvSpec) -> SuccessCriterion | None:
@@ -521,14 +543,16 @@ def _run(spec: EnvSpec, inits, horizon: int, torque, source: str) -> list[Trajec
 def _run_expert(spec: EnvSpec, expert: ScriptedExpert, inits, horizon: int, rngs) -> list[Trajectory]:
     """The expert from B states in lockstep; rngs holds one noise generator per state, or is None.
 
-    Each generator's T-1 draws of size a are made up front, as (T-1, B, a) noise.
+    Each generator's T-1 draws of size a are made up front, as (T-1, B, a) noise,
+    and scaled once by the expert's noise_scale.
     """
     if expert.kind != spec.kind:
         raise ValueError(f"expert kind {expert.kind!r} does not match env kind {spec.kind!r}")
     noise = None
     if rngs is not None and expert.noise_scale > 0.0 and horizon >= 2:  # a shorter horizon is _run's error
         noise = np.stack([rng.standard_normal((horizon - 1, spec.layout.a)) for rng in rngs], axis=1)
-    return _run(spec, inits, horizon, partial(_expert_law, spec, expert, noise), "expert produced")
+        noise *= expert.noise_scale
+    return _run(spec, inits, horizon, _expert_law(spec, expert, noise), "expert produced")
 
 
 def run_expert(

@@ -165,6 +165,14 @@ def test_triples_validation():
         TrainingTriples([[1.0]], [[2.0]], [[0.0]], [0.0])
 
 
+def test_triples_copy_and_freeze_caller_arrays():
+    x_now = np.array([[1.0]])
+    triples = TrainingTriples(x_now, [[2.0]], [[0.0]], [1.0])
+    x_now[0, 0] = 5.0
+    assert triples.x_now[0, 0] == 1.0
+    assert not any(arr.flags.writeable for arr in (triples.x_now, triples.x_next, triples.tau, triples.weights))
+
+
 # ---- supervision extraction ----
 
 
@@ -185,6 +193,25 @@ def test_supervision_weights_follow_trajectory_structure():
     assert np.array_equal(triples.x_now[:, 0], [0.0, 1.0, 10.0, 11.0, 12.0, 13.0])
     assert np.array_equal(triples.x_next[:, 0], [1.0, 2.0, 11.0, 12.0, 13.0, 14.0])
     assert np.array_equal(triples.tau[:, 0], [10.0, 11.0, 20.0, 21.0, 22.0, 23.0])
+
+
+def test_supervision_builds_read_only_arrays_once():
+    env = pointmass_env()
+    demos = generate_demos(env, default_expert(env), 100, 100, seed=42)
+    tracemalloc.start()
+    try:
+        triples = supervision(demos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (triples.x_now, triples.x_next, triples.tau, triples.weights)
+    pairs = [(traj.x_r[:-1], traj.x_r[1:], traj.torques) for traj in demos.trajectories]
+    want = [np.concatenate(parts) for parts in zip(*pairs)]
+    want.append(np.concatenate([np.full(99, 1.0 / (100 * 99))] * 100))
+    for got, expected in zip(arrays, want):
+        assert not got.flags.writeable
+        assert np.array_equal(_bits(got), _bits(expected))
+    assert peak <= 1.2 * sum(arr.nbytes for arr in arrays)
 
 
 def test_supervision_requires_torques():
@@ -459,7 +486,10 @@ def _bits(arr):
     TrainConfig(learning_rate=1e-3, iterations=12, batch=None, seed=7),
     TrainConfig(learning_rate=1e-3, iterations=12, batch=174, seed=7),
     TrainConfig(learning_rate=1e-3, iterations=12, batch=1, seed=7),
-], ids=["adam-minibatch", "adam-full", "adam-batch-is-P", "adam-batch-1"])
+    TrainConfig(learning_rate=1e-3, iterations=12, batch=58, seed=7),
+    TrainConfig(learning_rate=1e-3, iterations=12, batch=173, seed=7),
+], ids=["adam-minibatch", "adam-full", "adam-batch-is-P", "adam-batch-1", "adam-batch-divides-P",
+        "adam-one-row-last-batch"])
 def test_train_is_bit_identical_to_the_per_array_loop(config):
     env = pointmass_env()
     demos = generate_demos(env, default_expert(env), 6, 30, seed=42)
@@ -544,7 +574,7 @@ def test_train_memory_is_bounded_per_pair_plus_one_block():
     demos = generate_demos(env, default_expert(env), 100, 100, seed=42)
     n, a = env.layout.n, env.layout.a
     P = supervision(demos).count
-    per_pair = 8 * (4 * n + 2 * a + 4)  # inputs, torques, weights, their shuffled copies, terms, permutation
+    per_pair = 8 * (2 * n + a + 3)  # inputs, torques, weights, loss terms, permutation
     per_block_row = 8 * (10 * n + 2 * a)  # every layer's output and the error
     bound = per_pair * P + per_block_row * controller.LOSS_BLOCK_ROWS + 2**20  # + the step workspace, temporaries
     tracemalloc.start()

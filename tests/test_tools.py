@@ -1,0 +1,32 @@
+"""tools/hash_outputs.py: runs end to end at tiny sizes and prints the same digests twice."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "hash_outputs.py"
+
+GROUPS = [
+    *(f"demos/{kind}/{label}" for kind in ("linear", "pendulum", "vanderpol", "pointmass-relocation")
+      for label in ("jitter", "quiet")),
+    "supervision",
+    *(f"train/{case}" for case in ("batch-64", "batch-divides-P", "batch-leaves-one-row", "full-batch")),
+    "closed-loop/lockstep",
+    "closed-loop/single",
+    *(f"cli/{command}" for command in ("gen-demos", "fit", "rollout", "train-controller", "simulate",
+                                       "retune", "eval")),
+]
+
+
+def test_hash_outputs_prints_one_repeatable_digest_per_group(capsys):
+    spec = importlib.util.spec_from_file_location("hash_outputs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    argv = ["--demos", "3", "--horizon", "8", "--iterations", "2"]
+    assert tool.main(argv) == 0
+    first = capsys.readouterr().out
+    assert tool.main(argv) == 0
+    assert capsys.readouterr().out == first
+    lines = [line.split(" ") for line in first.splitlines()]
+    assert [name for name, _ in lines] == GROUPS
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in lines)

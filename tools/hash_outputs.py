@@ -1,0 +1,178 @@
+"""Print one sha256 per group of koopmanix outputs, to show that a change keeps their bits.
+
+    PYTHONPATH=src python3 tools/hash_outputs.py [--demos N] [--horizon T] [--iterations K]
+
+Run it at two commits with the same sizes and compare the lines: equal
+lines mean bit-identical outputs.  Each line is `<group> <sha256>`:
+
+- demos/<kind>/<jitter|quiet>: generate_demos of each env kind, with and
+  without expert torque jitter (x_r, x_o, torques of every demo);
+- supervision: its x_now, x_next, tau and weights on the pointmass demos;
+- train/<case>: weights, biases, input statistics and loss history of train
+  on the pointmass demos, at batch 64, at a batch that divides the pair
+  count, at one that leaves a one-row last minibatch, and at full batch;
+- closed-loop/<lockstep|single>: the trained controller tracking the kodex
+  model of those demos, as one lockstep batch and one episode at a time;
+- cli/<command>: every file a CLI run writes, with the wall-time fields
+  (`fit_meta.wall_time_s` in model.json, `train_time_s` in eval.csv)
+  removed.
+
+Every size is small by default; the whole run takes seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from koopmanix import LiftingSpec, ScriptedExpert, TrainConfig, execute_policy, fit, supervision, train
+from koopmanix.cli import main as cli_main
+from koopmanix.envs import (
+    _closed_loop,
+    default_expert,
+    generate_demos,
+    linear_env_random,
+    pendulum_env,
+    pointmass_env,
+    reset,
+    vanderpol_env,
+)
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for arr in arrays:
+        arr = np.asarray(arr)
+        h.update(f"{arr.dtype}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _trajectory_arrays(trajs):
+    for traj in trajs:
+        yield traj.x_r
+        yield traj.x_o
+        if traj.torques is not None:
+            yield traj.torques
+
+
+def _scrubbed(path: Path) -> bytes:
+    """File content with the wall-time fields removed."""
+    if path.name == "model.json":
+        obj = json.loads(path.read_text())
+        if obj.get("fit_meta"):
+            obj["fit_meta"].pop("wall_time_s", None)
+        return json.dumps(obj, sort_keys=True).encode()
+    if path.name == "eval.csv":
+        rows = list(csv.reader(io.StringIO(path.read_text())))
+        idx = rows[0].index("train_time_s")
+        return json.dumps([[cell for i, cell in enumerate(row) if i != idx] for row in rows]).encode()
+    return path.read_bytes()
+
+
+def _tree_digest(root: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(str(path.relative_to(root)).encode())
+        h.update(_scrubbed(path))
+    return h.hexdigest()
+
+
+def _demo_groups(n: int, horizon: int):
+    envs = [linear_env_random(3, seed=5), pendulum_env(), vanderpol_env(), pointmass_env()]
+    for env in envs:
+        expert = default_expert(env)
+        jitter = ScriptedExpert(expert.kind, expert.gains, noise_scale=expert.noise_scale or 0.5)
+        quiet = ScriptedExpert(expert.kind, expert.gains)
+        for label, ex in (("jitter", jitter), ("quiet", quiet)):
+            demos = generate_demos(env, ex, n, horizon, seed=42)
+            yield f"demos/{env.kind}/{label}", _digest(_trajectory_arrays(demos.trajectories))
+
+
+def _model_groups(n: int, horizon: int, iterations: int):
+    env = pointmass_env()
+    demos = generate_demos(env, default_expert(env), n, horizon, seed=42)
+    triples = supervision(demos)
+    yield "supervision", _digest([triples.x_now, triples.x_next, triples.tau, triples.weights])
+    P = triples.count
+    batches = {"batch-64": 64, "batch-divides-P": horizon - 1, "batch-leaves-one-row": max(P - 1, 1),
+               "full-batch": None}
+    models = {}
+    for label, batch in batches.items():
+        model, history = train(demos, TrainConfig(learning_rate=1e-3, iterations=iterations, batch=batch, seed=7))
+        models[label] = model
+        yield f"train/{label}", _digest([*model.weights, *model.biases, model.input_mean, model.input_std, history])
+    controller = models["batch-64"]
+    kodex = fit(demos, LiftingSpec("kodex-polynomial", env.layout))
+    inits = [reset(env, seed) for seed in range(5000, 5000 + n)]
+    yield "closed-loop/lockstep", _digest(_trajectory_arrays(_closed_loop(kodex, controller, env, inits, horizon)))
+    singles = [execute_policy(kodex, controller, env, init, horizon) for init in inits]
+    yield "closed-loop/single", _digest(_trajectory_arrays(singles))
+
+
+def _cli_groups(n: int, horizon: int, iterations: int):
+    config = {
+        "env": {"kind": "pointmass-relocation"},
+        "n_demos": n,
+        "horizon": horizon,
+        "seed": 3,
+        "n_runs": n,
+        "n_eval": n,
+        "demo_counts": sorted({max(n // 2, 1), n}),
+        "train": {"learning_rate": 1e-3, "iterations": iterations, "batch": 16, "seed": 1},
+    }
+    manifest = "demos/demos/manifest.json"
+    policy = ["--model", "fit/model.json", "--controller", "ctrl/controller.json"]
+    cfg = ["--config", "config.json"]
+    commands = [
+        ("gen-demos", [*cfg, "--out-dir", "demos"]),
+        ("fit", [*cfg, "--demos", manifest, "--out-dir", "fit"]),
+        ("rollout", ["--model", "fit/model.json", "--demos", manifest, "--out-dir", "roll"]),
+        ("train-controller", [*cfg, "--demos", manifest, "--out-dir", "ctrl"]),
+        ("simulate", [*cfg, *policy, "--out-dir", "sim"]),
+        ("retune", [*cfg, *policy, "--variation", "heavy-hand", "--out-dir", "retune"]),
+        ("eval", [*cfg, "--out-dir", "eval"]),
+    ]
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        # relative paths, so the files that record them read alike in every run
+        os.chdir(tmp)
+        try:
+            Path("config.json").write_text(json.dumps(config, indent=2) + "\n")
+            for command, flags in commands:
+                out = flags[flags.index("--out-dir") + 1]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli_main([command, *flags])
+                if code != 0:
+                    raise SystemExit(f"koopmanix {command} exited with {code}")
+                yield f"cli/{command}", _tree_digest(Path(out))
+        finally:
+            os.chdir(here)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--demos", type=int, default=30, help="demos per set (default 30)")
+    parser.add_argument("--horizon", type=int, default=100, help="states per demo (default 100)")
+    parser.add_argument("--iterations", type=int, default=20, help="training iterations (default 20)")
+    args = parser.parse_args(argv)
+    for groups in (_demo_groups(args.demos, args.horizon),
+                   _model_groups(args.demos, args.horizon, args.iterations),
+                   _cli_groups(args.demos, args.horizon, args.iterations)):
+        for name, digest in groups:
+            print(name, digest, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
