@@ -21,13 +21,13 @@ spec = LiftingSpec("kodex-polynomial", layout)
 state = CompositeState([1.0, 2.0], [3.0])
 
 v = lift(spec, state)
-print("lifted vector:", v.values.tolist())
+print("lifted vector:", v.tolist())
 print("dimension p =", dimension(spec))
 
 # The robot block is x1, x2, then x1^2, x1*x2, x2^2, then x1^3, x2^3.
 # The object block is y, then y^2, y^3.
 expected = [1.0, 2.0, 1.0, 2.0, 4.0, 1.0, 8.0, 3.0, 9.0, 27.0]
-assert v.values.tolist() == expected
+assert v.tolist() == expected
 
 # Each row of the exponent table describes one observable as powers
 # of (x1, x2, y).
@@ -53,6 +53,6 @@ for _ in range(1000):
     x_r = rng.normal(size=4)
     x_o = rng.normal(size=2)
     v = lift(spec, CompositeState(x_r, x_o))
-    assert np.array_equal(v.values[robot_slice(spec)], x_r)
-    assert np.array_equal(v.values[object_slice(spec)], x_o)
+    assert np.array_equal(v[robot_slice(spec)], x_r)
+    assert np.array_equal(v[object_slice(spec)], x_o)
 print("1000 random states retrieved bit-for-bit")

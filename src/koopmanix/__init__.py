@@ -16,7 +16,7 @@ from .statespace import (
     Violation,
     validate,
 )
-from .lifting import LiftingSpec, ObservableVector, dimension, lift, lift_matrix, object_slice, robot_slice
+from .lifting import LiftingSpec, dimension, lift, lift_matrix, object_slice, robot_slice
 from .koopman import FitAccumulators, FitMeta, KoopmanModel, accumulate, cost, fit, rollout
 from .controller import ControllerModel, TrainConfig, TrainingTriples, gradient_check, supervision, train
 from .envs import EnvSpec, EnvState, ScriptedExpert, execute_policy, generate_demos, make_env, perturb_params
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CompositeState", "DemonstrationSet", "StateLayout", "Trajectory",
     "ValidationReport", "Violation", "validate",
-    "LiftingSpec", "ObservableVector", "dimension", "lift", "lift_matrix",
+    "LiftingSpec", "dimension", "lift", "lift_matrix",
     "object_slice", "robot_slice",
     "FitAccumulators", "FitMeta", "KoopmanModel", "accumulate", "cost", "fit",
     "rollout",

@@ -26,6 +26,7 @@ from .controller import TrainConfig, train
 from .envs import (
     VARIATIONS,
     _closed_loop,
+    _reset_rows,
     default_criterion,
     default_expert,
     env_spec_from_dict,
@@ -33,7 +34,6 @@ from .envs import (
     generate_demos,
     make_env,
     perturb_params,
-    reset,
 )
 from .koopman import _rollout, fit, rollout
 from .lifting import LiftingSpec
@@ -277,8 +277,7 @@ def _cmd_train_controller(args) -> int:
 
 def _run_batch(model, controller, env, seeds, horizon, distribution):
     """One closed-loop episode per reset seed, all stepped in one lockstep batch."""
-    inits = [reset(env, s, distribution) for s in seeds]
-    return _closed_loop(model, controller, env, inits, horizon)
+    return _closed_loop(model, controller, env, _reset_rows(env, seeds, distribution), horizon)
 
 
 def _success_pct(trajectories, criterion, label: str):
@@ -332,8 +331,9 @@ def _cmd_eval(args) -> int:
         demos = generate_demos(env, default_expert(env), count, horizon, demo_seed)
         model = fit(demos, LiftingSpec(lifting, demos.layout), rel_tolerance=tol)
         controller, _ = train(demos, train_cfg)
-        refs = _rollout(model, [CompositeState(t.x_r[0], t.x_o[0]) for t in demos.trajectories], horizon)
-        errors = [imitation_error(refs[:, i], t.x_r) for i, t in enumerate(demos.trajectories)]
+        trajs = demos.trajectories
+        refs = _rollout(model, np.array([t.x_r[0] for t in trajs]), np.array([t.x_o[0] for t in trajs]), horizon)
+        errors = [imitation_error(refs[:, i], t.x_r) for i, t in enumerate(trajs)]
         if criterion is None:
             rate_cell = ""
         else:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .statespace import DemonstrationSet, StateLayout, _is_int, _is_real, require_valid
+from .statespace import DemonstrationSet, StateLayout, _adopt, _frozen, _is_int, _is_real, require_valid
 
 STD_FLOOR = 1e-8  # clamp for per-dimension input std
 
@@ -34,12 +34,6 @@ _ZERO = np.zeros(())
 _ZERO.setflags(write=False)
 
 logger = logging.getLogger(__name__)
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -74,10 +68,10 @@ class ControllerModel:
                 )
             if b.shape != (sizes[l + 1],):
                 raise ValueError(f"biases[{l}] must have shape ({sizes[l + 1]},), got {b.shape}")
-            Ws.append(_frozen(W))
-            bs.append(_frozen(b))
-        mean = _frozen(self.input_mean)
-        std = _frozen(self.input_std)
+            Ws.append(_frozen(W, f"weights[{l}]", 2))
+            bs.append(_frozen(b, f"biases[{l}]"))
+        mean = _frozen(self.input_mean, "input_mean")
+        std = _frozen(self.input_std, "input_std")
         if mean.shape != (sizes[0],) or std.shape != (sizes[0],):
             raise ValueError("input_mean/input_std must match the input width")
         if not (std > 0).all():
@@ -139,16 +133,8 @@ class TrainingTriples:
         if (w <= 0).any():
             raise ValueError("weights must be positive")
         for name, arr in (("x_now", x_now), ("x_next", x_next), ("tau", tau)):
-            object.__setattr__(self, name, _frozen(arr))
-        object.__setattr__(self, "weights", _frozen(w))
-
-    @classmethod
-    def _adopt(cls, x_now, x_next, tau, weights) -> TrainingTriples:
-        """Wrap read-only float64 arrays uncopied and unchecked, for arrays the package built."""
-        triples = cls.__new__(cls)
-        for name, arr in (("x_now", x_now), ("x_next", x_next), ("tau", tau), ("weights", weights)):
-            object.__setattr__(triples, name, arr)
-        return triples
+            object.__setattr__(self, name, _frozen(arr, name, 2))
+        object.__setattr__(self, "weights", _frozen(w, "weights"))
 
     @property
     def count(self) -> int:
@@ -188,7 +174,7 @@ def supervision(demos: DemonstrationSet) -> TrainingTriples:
     for arr in (Z, tau, w):
         arr.setflags(write=False)
     n = demos.layout.n
-    return TrainingTriples._adopt(Z[:, :n], Z[:, n:], tau, w)
+    return _adopt(TrainingTriples, x_now=Z[:, :n], x_next=Z[:, n:], tau=tau, weights=w)
 
 
 def init(layout: StateLayout, seed: int) -> ControllerModel:
@@ -375,8 +361,10 @@ def forward(model: ControllerModel, x_now, x_next) -> np.ndarray:
 
 
 def loss(model: ControllerModel, triples: TrainingTriples) -> float:
-    """Weighted mean squared torque error over the triples."""
-    Z = _normalize(model, np.concatenate([triples.x_now, triples.x_next], axis=1))
+    """Weighted mean squared torque error over the triples, standardized in place in one copy."""
+    Z = np.concatenate([triples.x_now, triples.x_next], axis=1)
+    Z -= model.input_mean
+    Z /= model.input_std
     return _loss_pass(model.weights, model.biases, Z, triples.tau, triples.weights)()
 
 

@@ -31,7 +31,8 @@ import numpy as np
 from . import koopman
 from .controller import ControllerModel, _bind, _forward
 from .metrics import SuccessCriterion, evaluate_success
-from .statespace import CompositeState, DemonstrationSet, StateLayout, Trajectory, _is_int, _is_real
+from .statespace import (CompositeState, DemonstrationSet, StateLayout, Trajectory, _adopt, _check_dims, _frozen,
+                         _is_int, _is_real)
 
 logger = logging.getLogger(__name__)
 
@@ -57,6 +58,7 @@ _PARAMS = {
     "pointmass-relocation": ("hand_mass", "ball_mass", "damping", "attach_radius", "tau_limit", "gravity",
                              "hand_start_x", "hand_start_y", "ball_start_x", "ball_start_y"),
 }
+_INNER = {"linear": 0, "pendulum": 1, "vanderpol": 0, "pointmass-relocation": 3}  # EnvState.internal widths
 _LAYOUTS = {
     "linear": {"m": 0},
     "pendulum": {"n": 2, "m": 1, "a": 1},
@@ -89,6 +91,8 @@ class EnvSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown env kind {self.kind!r}, expected one of {KINDS}")
+        if not _is_real(self.dt):
+            raise ValueError(f"{self.kind} dt must be a real number, got {self.dt!r}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         for name in _PARAMS[self.kind]:
@@ -98,6 +102,8 @@ class EnvSpec:
             if getattr(self.layout, field) != size:
                 raise ValueError(f"{self.kind} layout needs {field}={size}, got {field}={getattr(self.layout, field)}")
         for name, value in self.params.items():
+            if not _is_real(value):
+                raise ValueError(f"{self.kind} param {name!r} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{self.kind} param {name!r} must be finite, got {value}")
             need = _SIGNS.get(self.kind, {}).get(name)
@@ -117,8 +123,7 @@ class EnvSpec:
         if self.kind == "linear":
             if self.matrix is None or self.input_map is None:
                 raise ValueError("linear kind needs matrix and input_map")
-            M = np.array(self.matrix, dtype=np.float64, copy=True)
-            B = np.array(self.input_map, dtype=np.float64, copy=True)
+            M, B = _frozen(self.matrix, "matrix", 2), _frozen(self.input_map, "input_map", 2)
             d = self.layout.n
             if M.shape != (d, d):
                 raise ValueError(f"matrix must be ({d}, {d}), got {M.shape}")
@@ -126,8 +131,6 @@ class EnvSpec:
                 raise ValueError(f"input_map must be ({d}, {self.layout.a}), got {B.shape}")
             if not (np.isfinite(M).all() and np.isfinite(B).all()):
                 raise ValueError("matrix and input_map must be finite")
-            M.setflags(write=False)
-            B.setflags(write=False)
             object.__setattr__(self, "matrix", M)
             object.__setattr__(self, "input_map", B)
         elif self.matrix is not None or self.input_map is not None:
@@ -299,39 +302,39 @@ def make_env(kind: str, dt: float | None = None, **overrides) -> EnvSpec:
 
 # ---------------------------------------------------------------- reset/step
 
-def _draw(rng: np.random.Generator, spec: EnvSpec, distribution: str) -> dict[str, float]:
+def _reset_rows(spec: EnvSpec, seeds, distribution: str):
+    """Start rows x_r (B, n), x_o (B, m), inner (B, k): each seed's draws, in sampler order, read by name."""
     if distribution not in ("in", "out"):
         raise ValueError(f"distribution must be 'in' or 'out', got {distribution!r}")
-    draws = {}
-    for name, (rin, rout) in spec.sampler.items():
-        lo, hi = rout if distribution == "out" else rin
-        draws[name] = float(rng.uniform(lo, hi))
-    return draws
+    ranges = [pair[distribution == "out"] for pair in spec.sampler.values()]
+    drawn = np.array([[rng.uniform(lo, hi) for lo, hi in ranges] for rng in map(np.random.default_rng, seeds)])
+    d, p, zero = dict(zip(spec.sampler, drawn.T)), spec.params, np.zeros(len(seeds))
+    if spec.kind == "linear":
+        cols = [d[f"init_{i}"] for i in range(spec.layout.n)], [], []
+    elif spec.kind == "vanderpol":
+        cols = [d["x0"], d["x1"]], [], []
+    elif spec.kind == "pendulum":
+        cols = [zero, zero], [0.0 - d["target"]], [d["target"]]
+    else:
+        tx, ty = d["target_x"], d["target_y"]
+        cols = ([np.full_like(zero, p["hand_start_x"]), np.full_like(zero, p["hand_start_y"]), zero, zero],
+                [p["ball_start_x"] - tx, p["ball_start_y"] - ty, zero, zero], [tx, ty, zero])
+    return tuple(np.reshape(c, (len(c), len(zero))).T for c in cols)  # k columns as (B, k) rows, k = 0 too
 
 
 def reset(spec: EnvSpec, seed: int, distribution: str = "in") -> EnvState:
-    """Sample task parameters and build the initial state.  Same seed, same state."""
-    rng = np.random.default_rng(seed)
-    draws = _draw(rng, spec, distribution)
-    if spec.kind == "linear":
-        x = np.array([draws[f"init_{i}"] for i in range(spec.layout.n)])
-        return EnvState(CompositeState(x, np.empty(0)), ())
-    if spec.kind == "pendulum":
-        target = draws["target"]
-        comp = CompositeState(np.array([0.0, 0.0]), np.array([0.0 - target]))
-        return EnvState(comp, (target,))
-    if spec.kind == "vanderpol":
-        comp = CompositeState(np.array([draws["x0"], draws["x1"]]), np.empty(0))
-        return EnvState(comp, ())
-    p = spec.params
-    target = np.array([draws["target_x"], draws["target_y"]])
-    hand = np.array([p["hand_start_x"], p["hand_start_y"]])
-    ball = np.array([p["ball_start_x"], p["ball_start_y"]])
-    comp = CompositeState(
-        np.concatenate([hand, np.zeros(2)]),
-        np.concatenate([ball - target, np.zeros(2)]),
-    )
-    return EnvState(comp, (target[0], target[1], 0.0))
+    """Sample task parameters and build the initial state: `_reset_rows` of one seed.  Same seed, same state."""
+    x_r, x_o, inner = _reset_rows(spec, [seed], distribution)
+    return EnvState(CompositeState(x_r[0], x_o[0]), tuple(inner[0].tolist()))
+
+
+def _rows(spec: EnvSpec, state: EnvState):
+    """The start rows x_r (1, n), x_o (1, m) and inner (1, k) of one EnvState, checked against spec."""
+    _check_dims(spec.layout, state.composite)
+    k = _INNER[spec.kind]
+    if len(state.internal) != k:
+        raise ValueError(f"{spec.kind} state has internal width {len(state.internal)}; the kind needs {k}")
+    return state.composite.x_r[None], state.composite.x_o[None], np.array([state.internal], dtype=np.float64)
 
 
 def _plant(spec: EnvSpec):
@@ -424,9 +427,9 @@ def step(spec: EnvSpec, state: EnvState, tau) -> EnvState:
         raise ValueError(f"torque must have shape ({spec.layout.a},), got {tau.shape}")
     if not np.isfinite(tau).all():
         raise _non_finite_torque("step was given", state.t)
-    inner = np.array([state.internal], dtype=np.float64)
-    next_r, next_o = np.empty((1, spec.layout.n)), np.empty((1, spec.layout.m))
-    _plant(spec)(state.composite.x_r[None], state.composite.x_o[None], inner, tau[None], next_r, next_o)
+    x_r, x_o, inner = _rows(spec, state)
+    next_r, next_o = np.empty_like(x_r), np.empty_like(x_o)
+    _plant(spec)(x_r, x_o, inner, tau[None], next_r, next_o)
     return EnvState(CompositeState(next_r[0], next_o[0]), tuple(inner[0].tolist()), state.t + 1)
 
 
@@ -508,8 +511,8 @@ def default_criterion(spec: EnvSpec) -> SuccessCriterion | None:
 
 # ---------------------------------------------------------------- rollouts
 
-def _run(spec: EnvSpec, inits, horizon: int, torque, source: str) -> list[Trajectory]:
-    """Step B initial states in lockstep into preallocated trajectory-major arrays.
+def _run(spec: EnvSpec, rows, horizon: int, torque, source: str) -> list[Trajectory]:
+    """Step B start rows in lockstep into preallocated trajectory-major arrays.
 
     torque(t, x_r, x_o, inner, out) writes step t's torques into out, the
     (B, a) torque rows of step t.  The loop steps past a non-finite torque
@@ -521,12 +524,11 @@ def _run(spec: EnvSpec, inits, horizon: int, torque, source: str) -> list[Trajec
     """
     if horizon < 2:
         raise ValueError(f"horizon must be >= 2, got {horizon}")
-    lay, B = spec.layout, len(inits)
+    lay, B = spec.layout, len(rows[0])
     x_r, x_o = np.empty((B, horizon, lay.n)), np.empty((B, horizon, lay.m))
     torques = np.empty((B, horizon - 1, lay.a))
-    x_r[:, 0] = [s.composite.x_r for s in inits]
-    x_o[:, 0] = [s.composite.x_o for s in inits]
-    inner = np.array([s.internal for s in inits], dtype=np.float64)
+    x_r[:, 0], x_o[:, 0] = rows[0], rows[1]
+    inner = np.array(rows[2], dtype=np.float64)  # a copy, which the plant updates
     advance = _plant(spec)
     # the (B, ...) rows of each step, as views made once
     rows_r, rows_o, rows_tau = (list(arr.swapaxes(0, 1)) for arr in (x_r, x_o, torques))
@@ -537,11 +539,11 @@ def _run(spec: EnvSpec, inits, horizon: int, torque, source: str) -> list[Trajec
     _check_torques(torques, source)
     for arr in (x_r, x_o, torques):
         arr.setflags(write=False)
-    return [Trajectory._adopt(x_r[i], x_o[i], torques[i]) for i in range(B)]
+    return [_adopt(Trajectory, x_r=x_r[i], x_o=x_o[i], torques=torques[i]) for i in range(B)]
 
 
-def _run_expert(spec: EnvSpec, expert: ScriptedExpert, inits, horizon: int, rngs) -> list[Trajectory]:
-    """The expert from B states in lockstep; rngs holds one noise generator per state, or is None.
+def _run_expert(spec: EnvSpec, expert: ScriptedExpert, rows, horizon: int, rngs) -> list[Trajectory]:
+    """The expert from B start rows in lockstep; rngs holds one noise generator per row, or is None.
 
     Each generator's T-1 draws of size a are made up front, as (T-1, B, a) noise,
     and scaled once by the expert's noise_scale.
@@ -552,7 +554,7 @@ def _run_expert(spec: EnvSpec, expert: ScriptedExpert, inits, horizon: int, rngs
     if rngs is not None and expert.noise_scale > 0.0 and horizon >= 2:  # a shorter horizon is _run's error
         noise = np.stack([rng.standard_normal((horizon - 1, spec.layout.a)) for rng in rngs], axis=1)
         noise *= expert.noise_scale
-    return _run(spec, inits, horizon, _expert_law(spec, expert, noise), "expert produced")
+    return _run(spec, rows, horizon, _expert_law(spec, expert, noise), "expert produced")
 
 
 def run_expert(
@@ -563,7 +565,7 @@ def run_expert(
     noise_rng: np.random.Generator | None = None,
 ) -> Trajectory:
     """Roll the scripted expert from an initial state; T states, T-1 torques."""
-    return _run_expert(spec, expert, [init], horizon, None if noise_rng is None else [noise_rng])[0]
+    return _run_expert(spec, expert, _rows(spec, init), horizon, None if noise_rng is None else [noise_rng])[0]
 
 
 def generate_demos(
@@ -582,9 +584,9 @@ def generate_demos(
     """
     if n_demos < 1:
         raise ValueError(f"n_demos must be >= 1, got {n_demos}")
-    seeds = np.random.default_rng(seed).integers(2**62, size=(n_demos, 2)).tolist()
-    inits = [reset(spec, reset_seed, distribution) for reset_seed, _ in seeds]
-    trajs = _run_expert(spec, expert, inits, horizon, [np.random.default_rng(s) for _, s in seeds])
+    reset_seeds, noise_seeds = zip(*np.random.default_rng(seed).integers(2**62, size=(n_demos, 2)).tolist())
+    rows = _reset_rows(spec, reset_seeds, distribution)
+    trajs = _run_expert(spec, expert, rows, horizon, list(map(np.random.default_rng, noise_seeds)))
     criterion = default_criterion(spec)
     if criterion is not None:
         wins = sum(evaluate_success(t, criterion).success for t in trajs)
@@ -656,12 +658,12 @@ def _closed_loop(
     model: koopman.KoopmanModel,
     controller,
     spec: EnvSpec,
-    inits,
+    rows,
     horizon: int,
 ) -> list[Trajectory]:
-    """B closed-loop episodes in lockstep, each tracking its own reference.
+    """B closed-loop episodes in lockstep from start rows, each tracking its own reference.
 
-    The references of all B initial states are rolled out together.  A
+    The references of all B start rows are rolled out together.  A
     ControllerModel, checked against the layout once, runs once per step on
     all B rows, and its torques are checked once, after the loop (`_run`).
     Any other callable is called once per row, and each torque it returns is
@@ -682,8 +684,8 @@ def _closed_loop(
         policy = _callable_policy
     else:
         raise ValueError("controller must be a ControllerModel or a callable")
-    ref = koopman._rollout(model, [s.composite for s in inits], horizon)
-    return _run(spec, inits, horizon, policy(controller, ref, lay), "controller produced")
+    ref = koopman._rollout(model, rows[0], rows[1], horizon)
+    return _run(spec, rows, horizon, policy(controller, ref, lay), "controller produced")
 
 
 def execute_policy(
@@ -701,7 +703,7 @@ def execute_policy(
     torque.  controller is a ControllerModel or any callable with that
     signature.  One episode is a batch of one of the lockstep closed loop.
     """
-    return _closed_loop(model, controller, spec, [init], horizon)[0]
+    return _closed_loop(model, controller, spec, _rows(spec, init), horizon)[0]
 
 
 def perfect_tracker(spec: EnvSpec) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lifting import LiftingSpec, _raw_rows, dimension, lift_matrix, object_slice, robot_slice
-from .statespace import CompositeState, DemonstrationSet, StateLayout, require_valid
+from .lifting import LiftingSpec, dimension, lift_matrix, object_slice, robot_slice
+from .statespace import CompositeState, DemonstrationSet, StateLayout, _check_dims, require_valid
 
 logger = logging.getLogger(__name__)
 
@@ -169,11 +169,12 @@ def rollout(model: KoopmanModel, init: CompositeState, horizon: int) -> np.ndarr
     g(t+1) = K g(t), and never rebuilt from its slices.  One reference is a
     batch of one of the lockstep rollout.
     """
-    return _rollout(model, [init], horizon)[:, 0]
+    _check_dims(model.layout, init)
+    return _rollout(model, init.x_r[None], init.x_o[None], horizon)[:, 0]
 
 
-def _rollout(model: KoopmanModel, inits, horizon: int) -> np.ndarray:
-    """The references of B initial composite states in lockstep, shape (horizon, B, n).
+def _rollout(model: KoopmanModel, x_r: np.ndarray, x_o: np.ndarray, horizon: int) -> np.ndarray:
+    """The references from B initial rows x_r (B, n) and x_o (B, m) in lockstep, shape (horizon, B, n).
 
     Each step multiplies the (B, 1, p) stack of lifted rows by K^T, one
     product per row, so each reference rounds exactly as a rollout of its own;
@@ -183,7 +184,7 @@ def _rollout(model: KoopmanModel, inits, horizon: int) -> np.ndarray:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     spec, K_T = model.spec, model.K.T
     rs = robot_slice(spec)
-    g = lift_matrix(spec, _raw_rows(spec, inits))
+    g = lift_matrix(spec, np.concatenate([x_r, x_o], axis=1))
     G = np.empty((horizon, g.shape[0], 1, g.shape[1]))
     G[0, :, 0] = g
     steps = list(G)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .statespace import CompositeState, StateLayout
+from .statespace import CompositeState, StateLayout, _check_dims
 
 KINDS = ("identity", "kodex-polynomial")
 
@@ -33,24 +33,6 @@ class LiftingSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown lifting kind {self.kind!r}, expected one of {KINDS}")
-
-
-@dataclass(frozen=True)
-class ObservableVector:
-    """A lifted state together with the spec that produced it."""
-
-    values: np.ndarray
-    spec: LiftingSpec
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, copy=True)
-        if arr.ndim != 1:
-            raise ValueError(f"lifted values must be 1-D, got shape {arr.shape}")
-        p = dimension(self.spec)
-        if arr.shape[0] != p:
-            raise ValueError(f"lifted vector has length {arr.shape[0]}, spec dimension is {p}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
 
 
 def _poly_counts(n: int, m: int) -> tuple[int, int]:
@@ -116,21 +98,12 @@ def lift_matrix(spec: LiftingSpec, raw: np.ndarray) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
-def _raw_rows(spec: LiftingSpec, states) -> np.ndarray:
-    """The (B, n+m) rows [x_r | x_o] of B composite states, each checked against the layout."""
-    n, m = spec.layout.n, spec.layout.m
-    for state in states:
-        if state.x_r.shape[0] != n or state.x_o.shape[0] != m:
-            raise ValueError(
-                f"state dims ({state.x_r.shape[0]}, {state.x_o.shape[0]}) do not match "
-                f"layout ({n}, {m})"
-            )
-    return np.array([state.full for state in states])
-
-
-def lift(spec: LiftingSpec, state: CompositeState) -> ObservableVector:
-    """Lift one composite state.  Raw slots are copied through bit-exactly."""
-    return ObservableVector(lift_matrix(spec, _raw_rows(spec, [state]))[0], spec)
+def lift(spec: LiftingSpec, state: CompositeState) -> np.ndarray:
+    """Lift one composite state to a read-only (p,) vector.  Raw slots are copied through bit-exactly."""
+    _check_dims(spec.layout, state)
+    values = lift_matrix(spec, state.full[None])[0]
+    values.setflags(write=False)
+    return values
 
 
 def monomial_exponents(spec: LiftingSpec) -> np.ndarray:

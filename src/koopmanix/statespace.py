@@ -37,6 +37,14 @@ def _frozen(values, name: str, ndim: int = 1) -> np.ndarray:
     return arr
 
 
+def _adopt(cls, **arrays):
+    """A cls instance wrapping read-only float64 arrays the package built and no longer writes, uncopied."""
+    obj = cls.__new__(cls)
+    for name, arr in arrays.items():
+        object.__setattr__(obj, name, arr)
+    return obj
+
+
 def _stacked(vectors: list[np.ndarray], name: str) -> np.ndarray:
     """(T, width) matrix of T vectors; a width that differs from step 0's is an error naming its step."""
     for t, vec in enumerate(vectors):
@@ -91,7 +99,7 @@ class CompositeState:
 
     @classmethod
     def _adopt(cls, x_r, x_o) -> "CompositeState":
-        """Wrap read-only float64 vectors x_r and x_o uncopied, as `Trajectory._adopt` wraps its blocks."""
+        """Wrap read-only float64 vectors x_r and x_o uncopied; positional, as `Trajectory.states` calls it per row."""
         state = cls.__new__(cls)
         object.__setattr__(state, "x_r", x_r)
         object.__setattr__(state, "x_o", x_o)
@@ -101,6 +109,13 @@ class CompositeState:
     def full(self) -> np.ndarray:
         """Concatenated [x_r | x_o]."""
         return np.concatenate([self.x_r, self.x_o])
+
+
+def _check_dims(layout: StateLayout, state: CompositeState) -> None:
+    """The one layout check of a state object: its x_r and x_o widths must be layout's n and m."""
+    dims = (state.x_r.shape[0], state.x_o.shape[0])
+    if dims != (layout.n, layout.m):
+        raise ValueError(f"state dims {dims} do not match layout ({layout.n}, {layout.m})")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -130,18 +145,6 @@ class Trajectory:
         """Build from x_r (T, n), x_o (T, m) and torques (T-1, a) or None; the arrays are copied."""
         traj = cls.__new__(cls)
         traj._freeze(x_r, x_o, torques)
-        return traj
-
-    @classmethod
-    def _adopt(cls, x_r, x_o, torques) -> "Trajectory":
-        """Wrap read-only float64 blocks x_r (T, n), x_o (T, m) and torques (T-1, a) uncopied.
-
-        For arrays the caller built, made read-only and no longer writes.
-        """
-        traj = cls.__new__(cls)
-        object.__setattr__(traj, "x_r", x_r)
-        object.__setattr__(traj, "x_o", x_o)
-        object.__setattr__(traj, "torques", torques)
         return traj
 
     def _freeze(self, x_r, x_o, torques) -> None:

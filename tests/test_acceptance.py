@@ -48,6 +48,7 @@ from koopmanix.cli import main as cli_main
 from koopmanix.controller import init as controller_init, loss as controller_loss
 from koopmanix.envs import (
     _closed_loop,
+    _reset_rows,
     default_criterion,
     default_expert,
     generate_demos,
@@ -194,7 +195,7 @@ def test_04_lifting_dimension_and_retrieval():
     exact = 0
     for _ in range(1000):
         state = CompositeState(rng.normal(size=n), rng.normal(size=m))
-        if np.array_equal(lift(spec, state).values[rs], state.x_r):
+        if np.array_equal(lift(spec, state)[rs], state.x_r):
             exact += 1
     ok = dim == 759 and count == 759 and exact == 1000
     assert _report(
@@ -334,7 +335,7 @@ def test_batched_closed_loop_matches_single_episodes():
         seeds = np.random.default_rng(root).integers(2**62, size=100)
         inits = [reset(spec, int(s), distribution) for s in seeds]
         t0 = time.perf_counter()
-        batch = _closed_loop(model, controller, spec, inits, 100)
+        batch = _closed_loop(model, controller, spec, _reset_rows(spec, seeds, distribution), 100)
         t1 = time.perf_counter()
         singles = [execute_policy(model, controller, spec, init, 100) for init in inits]
         t_batch, t_single = t_batch + t1 - t0, t_single + time.perf_counter() - t1

@@ -214,6 +214,25 @@ def test_supervision_builds_read_only_arrays_once():
     assert peak <= 1.2 * sum(arr.nbytes for arr in arrays)
 
 
+def test_loss_standardizes_one_copy_in_place():
+    env = pointmass_env()
+    triples = supervision(generate_demos(env, default_expert(env), 100, 100, seed=42))
+    Z = np.concatenate([triples.x_now, triples.x_next], axis=1)
+    model = replace(init(env.layout, seed=7), input_mean=Z.mean(axis=0), input_std=Z.std(axis=0))
+    standardized = (Z - model.input_mean) / model.input_std
+    want = controller._loss_pass(model.weights, model.biases, standardized, triples.tau, triples.weights)()
+    del Z, standardized
+    tracemalloc.start()
+    try:
+        got = loss(model, triples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.hex() == want.hex()
+    # one (P, 2n) copy is 0.63 MB here, plus one loss block; three copies peaked at 1.97 MB
+    assert peak <= 1.25e6
+
+
 def test_supervision_requires_torques():
     bare = Trajectory(tuple(CompositeState([float(t)], []) for t in range(3)))
     with pytest.raises(ValueError, match="trajectory 0"):

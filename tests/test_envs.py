@@ -28,6 +28,8 @@ from koopmanix.envs import (
     _check_torques,
     _closed_loop,
     _plant,
+    _reset_rows,
+    _rows,
     _run_expert,
     default_criterion,
     default_expert,
@@ -46,6 +48,11 @@ from koopmanix.envs import (
 from koopmanix.controller import forward, init as controller_init
 from koopmanix.lifting import lift, robot_slice
 from koopmanix.metrics import evaluate_success
+
+
+def _start_rows(spec, states):
+    """The stacked start rows of several EnvStates, each through the checked one-state helper."""
+    return tuple(np.concatenate(rows) for rows in zip(*(_rows(spec, state) for state in states)))
 
 
 # ---- spec validation ----
@@ -76,6 +83,11 @@ def test_spec_rejects_bad_configuration():
         EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, {"x": ((0.0, 1.0), (1.0, float("nan")))})
     with pytest.raises(ValueError, match="matrix and input_map must be finite"):
         linear_env(np.array([[np.nan, 0.0], [0.0, 0.5]]))
+    pend = pendulum_env()
+    with pytest.raises(ValueError, match=r"^pendulum dt must be a real number, got '0.05'$"):
+        EnvSpec("pendulum", "0.05", pend.layout, pend.params, pend.sampler)
+    with pytest.raises(ValueError, match=r"^pendulum param 'mass' must be a real number, got '1'$"):
+        EnvSpec("pendulum", 0.05, pend.layout, pend.params | {"mass": "1"}, pend.sampler)
 
 
 
@@ -166,6 +178,15 @@ def test_reset_is_seeded():
         assert np.array_equal(a.composite.full, b.composite.full)
         assert a.internal == b.internal
         assert not np.array_equal(a.composite.full, c.composite.full) or a.internal != c.internal
+        # row i of one batch of resets is reset(seeds[i]), bit for bit
+        seeds = [77, 78, 2**62 - 1, 0]
+        for distribution in ("in", "out"):
+            x_r, x_o, inner = _reset_rows(spec, seeds, distribution)
+            for i, seed in enumerate(seeds):
+                one = reset(spec, seed, distribution)
+                assert np.array_equal(_bits(x_r[i]), _bits(one.composite.x_r))
+                assert np.array_equal(_bits(x_o[i]), _bits(one.composite.x_o))
+                assert np.array_equal(_bits(inner[i]), _bits(np.array(one.internal, dtype=np.float64)))
 
 
 def test_sampler_distributions_are_disjoint():
@@ -248,6 +269,19 @@ def test_step_rejects_bad_torque():
         step(spec, st, np.zeros(2))
     with pytest.raises(ValueError, match="non-finite torque"):
         step(spec, st, np.array([np.nan]))
+    # a state that does not fit the spec, stepped and rolled out by the expert
+    wide = EnvState(CompositeState([0.1, 0.0, 7.0], [0.0]), (1.0,))
+    no_target = EnvState(CompositeState([0.1, 0.0], [0.0]), ())
+    for state, message in ((wide, r"state dims \(3, 1\) do not match layout \(2, 1\)"),
+                           (no_target, "pendulum state has internal width 0; the kind needs 1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            step(spec, state, [0.0])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_expert(spec, default_expert(spec), state, 5)
+    pm = pointmass_env()
+    st = reset(pm, seed=0)
+    with pytest.raises(ValueError, match=r"^pointmass-relocation state has internal width 2; the kind needs 3$"):
+        step(pm, EnvState(st.composite, st.internal[:2]), [0.0, 0.0])
 
 
 def test_pendulum_energy_drift_without_damping():
@@ -529,7 +563,7 @@ def test_torque_errors_number_the_first_transition_step_1():
         with pytest.raises(ValueError, match=r"^expert produced non-finite torque at step 1$"):
             run_expert(spec, default_expert(spec), far, horizon=5)
         with pytest.raises(ValueError, match=r"^expert produced non-finite torque at step 1, row 1$"):
-            _run_expert(spec, default_expert(spec), [init, far, far], 5, None)
+            _run_expert(spec, default_expert(spec), _start_rows(spec, [init, far, far]), 5, None)
     model = fit(generate_demos(spec, default_expert(spec), 3, 10, seed=0), LiftingSpec("identity", spec.layout))
     with pytest.raises(ValueError, match=r"^controller produced non-finite torque at step 1$"):
         execute_policy(model, lambda x_now, x_next: np.array([np.nan]), spec, init, horizon=5)
@@ -637,6 +671,12 @@ def test_execute_policy_validation():
     wide_nan = lambda x_now, x_next: np.full(spec.layout.a + 1, np.nan)
     with pytest.raises(ValueError, match="non-finite torque at step 1"):
         execute_policy(model, wide_nan, spec, init, horizon=5)
+    # a start state that does not fit the spec
+    wide = EnvState(CompositeState([0.1, 0.0, 7.0], []), ())
+    for state, message in ((wide, r"state dims \(3, 0\) do not match layout \(2, 0\)"),
+                           (EnvState(init.composite, (1.0,)), "linear state has internal width 1; the kind needs 0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            execute_policy(model, perfect_tracker(spec), spec, state, horizon=5)
 
 
 def test_execute_policy_rejects_controller_for_another_layout():
@@ -662,7 +702,7 @@ def test_perfect_tracker_linear_only():
 def _oracle_reference(model, init, horizon):
     """The one-reference loop `rollout` ran before the lockstep rollout: K @ g per step."""
     rs = robot_slice(model.spec)
-    g = lift(model.spec, init).values
+    g = lift(model.spec, init)
     out = np.empty((horizon, model.layout.n))
     out[0] = g[rs]
     for t in range(1, horizon):
@@ -737,7 +777,7 @@ def test_oracle_episodes_reach_the_carry_branch(kind_pipelines):
 def test_batch_matches_single_episodes(kind_pipelines, kind):
     env, model, controller = kind_pipelines[kind]
     inits = [reset(env, seed, distribution) for seed in range(6) for distribution in ("in", "out")]
-    batch = _closed_loop(model, controller, env, inits, 50)
+    batch = _closed_loop(model, controller, env, _start_rows(env, inits), 50)
     assert len(batch) == len(inits)
     for init, got in zip(inits, batch):
         one = execute_policy(model, controller, env, init, 50)
@@ -754,7 +794,7 @@ def test_batch_trajectories_are_read_only_blocks():
     spec = pendulum_env()
     ctrl = controller_init(spec.layout, seed=0)
     model = fit(generate_demos(spec, default_expert(spec), 5, 20, seed=0), LiftingSpec("identity", spec.layout))
-    trajs = _closed_loop(model, ctrl, spec, [reset(spec, s) for s in range(3)], 10)
+    trajs = _closed_loop(model, ctrl, spec, _reset_rows(spec, range(3), "in"), 10)
     # each trajectory is a block of the batch's arrays, not a copy of it
     assert all(traj.x_r.base is trajs[0].x_r.base is not None for traj in trajs)
     for traj in trajs:
@@ -801,12 +841,12 @@ def test_network_torque_overflow_is_named_after_the_loop_without_warnings():
     # steps must not warn, or the warning filter would raise first
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match=r"non-finite torque at step 1, row 1$"):
-            _closed_loop(model, net, spec, starts, 8)
+            _closed_loop(model, net, spec, _start_rows(spec, starts), 8)
         with pytest.raises(ValueError, match=r"non-finite torque at step 2, row 0$"):
-            _closed_loop(model, net, spec, starts[::2], 8)
+            _closed_loop(model, net, spec, _start_rows(spec, starts[::2]), 8)
         with pytest.raises(ValueError, match=r"non-finite torque at step 1$"):
             execute_policy(model, net, spec, starts[1], 8)
-        (calm,) = _closed_loop(model, net, spec, starts[2:], 8)
+        (calm,) = _closed_loop(model, net, spec, _start_rows(spec, starts[2:]), 8)
     assert np.isfinite(calm.torques).all()
 
 
@@ -821,7 +861,7 @@ def test_non_finite_torque_names_step_and_row():
         return np.array([np.nan, 0.0]) if len(calls) == 3 * 4 + 3 else np.zeros(2)
 
     with pytest.raises(ValueError, match=r"non-finite torque at step 4, row 2$"):
-        _closed_loop(model, flaky, spec, inits, 6)
+        _closed_loop(model, flaky, spec, _start_rows(spec, inits), 6)
 
     # a network whose first output overflows on row 1 only, at the first step
     big = np.zeros((2, 4))
@@ -830,11 +870,11 @@ def test_non_finite_torque_names_step_and_row():
     far = [EnvState(CompositeState([0.5 if i != 1 else 10.0, 0.0], []), ()) for i in range(3)]
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match=r"non-finite torque at step 1, row 1$"):
-            _closed_loop(model, net, spec, far, 6)
+            _closed_loop(model, net, spec, _start_rows(spec, far), 6)
         with pytest.raises(ValueError, match=r"non-finite torque at step 1$"):
             execute_policy(model, net, spec, far[1], 6)
     # finite torques whose sum overflows are still finite
     huge = ControllerModel((4, 2), (np.zeros((2, 4)),), (np.full(2, 1e308),), np.zeros(4), np.ones(4))
     with np.errstate(over="ignore"):
-        (traj,) = _closed_loop(model, huge, spec, far[:1], 2)
+        (traj,) = _closed_loop(model, huge, spec, _start_rows(spec, far[:1]), 2)
     assert (traj.torques == 1e308).all()

@@ -48,8 +48,8 @@ def _weighted_qr_oracle(demos, spec):
     for traj in demos.trajectories:
         w = np.sqrt(1.0 / (N * (traj.horizon - 1)))
         for t in range(traj.horizon - 1):
-            X.append(w * lift(spec, traj.states[t]).values)
-            Y.append(w * lift(spec, traj.states[t + 1]).values)
+            X.append(w * lift(spec, traj.states[t]))
+            Y.append(w * lift(spec, traj.states[t + 1]))
     X = np.stack(X)
     Y = np.stack(Y)
     Q, R = np.linalg.qr(X)

@@ -74,25 +74,25 @@ def test_dimension_matches_lift_length():
         m = int(rng.integers(0, 9))
         spec = _spec(n, m)
         state = CompositeState(rng.standard_normal(n), rng.standard_normal(m))
-        assert lift(spec, state).values.shape == (dimension(spec),)
+        assert lift(spec, state).shape == (dimension(spec),)
 
 
 # -------------------------------------------------------------------- values
 
 def test_identity_passthrough():
     spec = _spec(2, 0, "identity")
-    assert np.array_equal(lift(spec, CompositeState([1.0, 2.0], [])).values, [1.0, 2.0])
+    assert np.array_equal(lift(spec, CompositeState([1.0, 2.0], [])), [1.0, 2.0])
 
 
 def test_hand_enumerated_example():
     spec = _spec(2, 1)
-    got = lift(spec, CompositeState([1.0, 2.0], [3.0])).values
+    got = lift(spec, CompositeState([1.0, 2.0], [3.0]))
     assert np.array_equal(got, [1, 2, 1, 2, 4, 1, 8, 3, 9, 27])
 
 
 def test_zero_input_lifts_to_zero():
     spec = _spec(2, 1)
-    got = lift(spec, CompositeState([0.0, 0.0], [0.0])).values
+    got = lift(spec, CompositeState([0.0, 0.0], [0.0]))
     assert got.shape == (10,)
     assert np.all(got == 0.0)
 
@@ -105,7 +105,7 @@ def test_lift_matches_enumeration_on_random_states():
         spec = _spec(n, m)
         xr = rng.uniform(-2, 2, n)
         xo = rng.uniform(-2, 2, m)
-        got = lift(spec, CompositeState(xr, xo)).values
+        got = lift(spec, CompositeState(xr, xo))
         expected = _enumerate_polynomial(xr, xo)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
@@ -117,7 +117,7 @@ def test_lift_matrix_agrees_with_lift():
     batched = lift_matrix(spec, raw)
     assert batched.shape == (11, dimension(spec))
     for row, full in zip(batched, raw):
-        single = lift(spec, CompositeState(full[:3], full[3:])).values
+        single = lift(spec, CompositeState(full[:3], full[3:]))
         assert np.array_equal(row, single)
 
 
@@ -151,7 +151,7 @@ def test_retrieval_identity_is_exact():
         m = int(rng.integers(0, 8))
         spec = _spec(n, m)
         state = CompositeState(rng.standard_normal(n) * 1e3, rng.standard_normal(m) * 1e-3)
-        values = lift(spec, state).values
+        values = lift(spec, state)
         assert np.array_equal(values[robot_slice(spec)], state.x_r)
         assert np.array_equal(values[object_slice(spec)], state.x_o)
 
@@ -167,7 +167,7 @@ def test_monomial_exponents_describe_every_slot():
         full = rng.uniform(0.5, 1.5, 5)
         state = CompositeState(full[:3], full[3:])
         via_exponents = np.prod(full**exps, axis=1)
-        np.testing.assert_allclose(lift(spec, state).values, via_exponents, rtol=1e-12)
+        np.testing.assert_allclose(lift(spec, state), via_exponents, rtol=1e-12)
 
 
 def test_unknown_kind_rejected():

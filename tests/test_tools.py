@@ -9,10 +9,13 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "hash_outputs.py"
 GROUPS = [
     *(f"demos/{kind}/{label}" for kind in ("linear", "pendulum", "vanderpol", "pointmass-relocation")
       for label in ("jitter", "quiet")),
+    *(f"reset/{kind}/{distribution}" for kind in ("linear", "pendulum", "vanderpol", "pointmass-relocation")
+      for distribution in ("in", "out")),
     "supervision",
     *(f"train/{case}" for case in ("batch-64", "batch-divides-P", "batch-leaves-one-row", "full-batch")),
     "closed-loop/lockstep",
     "closed-loop/single",
+    "rollout/pointmass",
     *(f"cli/{command}" for command in ("gen-demos", "fit", "rollout", "train-controller", "simulate",
                                        "retune", "eval")),
 ]

@@ -7,12 +7,17 @@ lines mean bit-identical outputs.  Each line is `<group> <sha256>`:
 
 - demos/<kind>/<jitter|quiet>: generate_demos of each env kind, with and
   without expert torque jitter (x_r, x_o, torques of every demo);
+- reset/<kind>/<in|out>: x_r, x_o and internal of 20 public reset calls
+  per env kind and distribution;
 - supervision: its x_now, x_next, tau and weights on the pointmass demos;
 - train/<case>: weights, biases, input statistics and loss history of train
   on the pointmass demos, at batch 64, at a batch that divides the pair
   count, at one that leaves a one-row last minibatch, and at full batch;
 - closed-loop/<lockstep|single>: the trained controller tracking the kodex
-  model of those demos, as one lockstep batch and one episode at a time;
+  model of those demos, as one lockstep batch (the CLI's `_run_batch`) and
+  one episode at a time;
+- rollout/pointmass: public rollout of that model from the in-distribution
+  pointmass resets of the reset group;
 - cli/<command>: every file a CLI run writes, with the wall-time fields
   (`fit_meta.wall_time_s` in model.json, `train_time_s` in eval.csv)
   removed.
@@ -35,10 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
-from koopmanix import LiftingSpec, ScriptedExpert, TrainConfig, execute_policy, fit, supervision, train
-from koopmanix.cli import main as cli_main
+from koopmanix import LiftingSpec, ScriptedExpert, TrainConfig, execute_policy, fit, rollout, supervision, train
+from koopmanix.cli import _run_batch, main as cli_main
 from koopmanix.envs import (
-    _closed_loop,
     default_expert,
     generate_demos,
     linear_env_random,
@@ -88,15 +92,29 @@ def _tree_digest(root: Path) -> str:
     return h.hexdigest()
 
 
+RESET_SEEDS = range(7000, 7020)
+
+
+def _envs():
+    return [linear_env_random(3, seed=5), pendulum_env(), vanderpol_env(), pointmass_env()]
+
+
 def _demo_groups(n: int, horizon: int):
-    envs = [linear_env_random(3, seed=5), pendulum_env(), vanderpol_env(), pointmass_env()]
-    for env in envs:
+    for env in _envs():
         expert = default_expert(env)
         jitter = ScriptedExpert(expert.kind, expert.gains, noise_scale=expert.noise_scale or 0.5)
         quiet = ScriptedExpert(expert.kind, expert.gains)
         for label, ex in (("jitter", jitter), ("quiet", quiet)):
             demos = generate_demos(env, ex, n, horizon, seed=42)
             yield f"demos/{env.kind}/{label}", _digest(_trajectory_arrays(demos.trajectories))
+
+
+def _reset_groups():
+    for env in _envs():
+        for distribution in ("in", "out"):
+            states = [reset(env, seed, distribution) for seed in RESET_SEEDS]
+            arrays = ([s.composite.x_r, s.composite.x_o, np.array(s.internal, dtype=np.float64)] for s in states)
+            yield f"reset/{env.kind}/{distribution}", _digest(arr for group in arrays for arr in group)
 
 
 def _model_groups(n: int, horizon: int, iterations: int):
@@ -114,10 +132,13 @@ def _model_groups(n: int, horizon: int, iterations: int):
         yield f"train/{label}", _digest([*model.weights, *model.biases, model.input_mean, model.input_std, history])
     controller = models["batch-64"]
     kodex = fit(demos, LiftingSpec("kodex-polynomial", env.layout))
-    inits = [reset(env, seed) for seed in range(5000, 5000 + n)]
-    yield "closed-loop/lockstep", _digest(_trajectory_arrays(_closed_loop(kodex, controller, env, inits, horizon)))
-    singles = [execute_policy(kodex, controller, env, init, horizon) for init in inits]
+    seeds = range(5000, 5000 + n)
+    lockstep = _run_batch(kodex, controller, env, seeds, horizon, "in")
+    yield "closed-loop/lockstep", _digest(_trajectory_arrays(lockstep))
+    singles = [execute_policy(kodex, controller, env, reset(env, seed), horizon) for seed in seeds]
     yield "closed-loop/single", _digest(_trajectory_arrays(singles))
+    starts = [reset(env, seed, "in").composite for seed in RESET_SEEDS]
+    yield "rollout/pointmass", _digest(rollout(kodex, start, horizon) for start in starts)
 
 
 def _cli_groups(n: int, horizon: int, iterations: int):
@@ -167,6 +188,7 @@ def main(argv=None) -> int:
     parser.add_argument("--iterations", type=int, default=20, help="training iterations (default 20)")
     args = parser.parse_args(argv)
     for groups in (_demo_groups(args.demos, args.horizon),
+                   _reset_groups(),
                    _model_groups(args.demos, args.horizon, args.iterations),
                    _cli_groups(args.demos, args.horizon, args.iterations)):
         for name, digest in groups:
