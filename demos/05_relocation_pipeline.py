@@ -29,7 +29,7 @@ from koopmanix import (
     success_rate,
     train,
 )
-from koopmanix.controller import evaluate
+from koopmanix.controller import forward
 from koopmanix.envs import default_criterion, default_expert, generate_demos, pointmass_env, reset
 
 t_start = time.perf_counter()
@@ -80,6 +80,6 @@ with tempfile.TemporaryDirectory() as tmp:
 
     assert np.array_equal(model2.K, model.K)
     assert len(demos2.trajectories) == len(demos.trajectories)
-    probe = demos.trajectories[0].x_r[:2].ravel()  # (x_r(0), x_r(1))
-    assert np.array_equal(evaluate(controller2, probe), evaluate(controller, probe))
+    x_now, x_next = demos.trajectories[0].x_r[:2]
+    assert np.array_equal(forward(controller2, x_now, x_next), forward(controller, x_now, x_next))
     print("saved and reloaded demos, model, controller: identical")

@@ -35,10 +35,10 @@ from .envs import (
     make_env,
     perturb_params,
 )
-from .koopman import _rollout, fit, rollout
+from .koopman import _rollout, fit
 from .lifting import LiftingSpec
 from .metrics import evaluate_success, imitation_error, outcome_summary
-from .statespace import CompositeState, DemonstrationSet, _is_int, _is_real
+from .statespace import DemonstrationSet, _is_int, _is_real
 from .persist import (
     PersistError,
     _write_json,
@@ -115,6 +115,8 @@ def _load_config(args) -> dict:
         for key, (_, accepts, what) in table.items():
             if key in block and not accepts(block[key]):
                 raise ValueError(f"config {path}: {prefix}{key} must be {what}, got {json.dumps(block[key])}")
+    if obj.get("demo_counts") == []:
+        raise ValueError(f"config {path}: demo_counts must be a non-empty list, got []")
     for i, count in enumerate(obj.get("demo_counts", [])):
         if not _is_int(count) or count < 1:
             raise ValueError(f"config {path}: demo_counts[{i}] must be a positive integer, got {json.dumps(count)}")
@@ -245,9 +247,13 @@ def _cmd_rollout(args) -> int:
     index = args.traj_index
     if not (0 <= index < demos.n_demos):
         raise ValueError(f"--traj-index {index} out of range for {demos.n_demos} trajectories")
+    have, need = demos.layout, model.layout
+    if (have.n, have.m) != (need.n, need.m):
+        raise ValueError(f"demos {args.demos} have layout (n={have.n}, m={have.m}); "
+                         f"model {args.model} needs (n={need.n}, m={need.m})")
     traj = demos.trajectories[index]
     horizon = args.horizon if args.horizon is not None else traj.horizon
-    ref = rollout(model, CompositeState(traj.x_r[0], traj.x_o[0]), horizon)
+    ref = _rollout(model, traj.x_r[:1], traj.x_o[:1], horizon)[:, 0]
     out = _out_dir(args)
     path = out / "reference.csv"
     _write_csv(path, ["t"] + [f"xr_{i}" for i in range(model.layout.n)],

@@ -336,35 +336,64 @@ def _flat_params(model: ControllerModel) -> np.ndarray:
     return np.concatenate([W.ravel() for W in model.weights] + list(model.biases))
 
 
-def _normalize(model: ControllerModel, Z: np.ndarray) -> np.ndarray:
-    return (Z - model.input_mean) / model.input_std
-
-
-def evaluate(model: ControllerModel, z) -> np.ndarray:
-    """Run the network on one raw input vector (standardization included)."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (model.layer_sizes[0],):
-        raise ValueError(f"input must have shape ({model.layer_sizes[0]},), got {z.shape}")
-    return _forward(_bind(model.weights, model.biases), _normalize(model, z[None, :]))[0]
+def _inputs(model: ControllerModel, x_now, x_next) -> np.ndarray:
+    """The network inputs [x_now | x_next] as one new array, standardized in place."""
+    Z = np.concatenate([x_now, x_next], axis=-1)
+    Z -= model.input_mean
+    Z /= model.input_std
+    return Z
 
 
 def forward(model: ControllerModel, x_now, x_next) -> np.ndarray:
-    """Torque for the transition x_r(t) -> x_r(t+1)."""
+    """Torque for the transition x_r(t) -> x_r(t+1), standardization included."""
     x_now = np.asarray(x_now, dtype=np.float64)
     x_next = np.asarray(x_next, dtype=np.float64)
     n2 = model.layer_sizes[0]
     if x_now.ndim != 1 or x_next.ndim != 1 or x_now.size + x_next.size != n2:
+        raise ValueError(f"x_now and x_next must be 1-D and jointly match the input width {n2}")
+    return _forward(_bind(model.weights, model.biases), _inputs(model, x_now, x_next)[None])[0]
+
+
+def tracking_torque(model: ControllerModel, ref: np.ndarray, layout: StateLayout):
+    """The closed loop's network torque source: an `envs._run` torque on the B rows [x_r(t) | ref(t+1)].
+
+    ref (T, B, n) holds the references; the model must map the layout's 2n
+    inputs to its a torques.  The reference half of every step's input is
+    standardized up front, and the layers are bound once, hidden outputs to
+    buffers of their own; a step standardizes x_r(t) into its half and the
+    output layer writes straight into the step's torque rows.  The rows go
+    through the network as a (B, 1, 2n) stack, one product per row, so each
+    row rounds exactly as a `forward` call of its own.  `_run` checks the
+    torques after the loop.
+    """
+    sizes = model.layer_sizes
+    if (sizes[0], sizes[-1]) != (2 * layout.n, layout.a):
         raise ValueError(
-            f"x_now and x_next must be 1-D and jointly match the input width {n2}"
+            f"controller maps {sizes[0]} inputs to {sizes[-1]} torques; "
+            f"the layout needs {2 * layout.n} to {layout.a}"
         )
-    return evaluate(model, np.concatenate([x_now, x_next]))
+    n, B = layout.n, ref.shape[1]
+    mean, std = model.input_mean, model.input_std
+    Z = np.empty((ref.shape[0] - 1, B, 1, 2 * n))
+    np.divide(np.subtract(ref[1:, :, None], mean[n:], out=Z[..., n:]), std[n:], out=Z[..., n:])
+    inputs = list(Z)
+    nows = [z[:, 0, :n] for z in inputs]
+    # constants shaped like one row: for B = 1 a ufunc then skips broadcasting
+    mean_r, std_r = mean[None, :n], std[None, :n]
+    hidden = [np.empty((B, 1, k)) for k in sizes[1:-1]]
+    layers = _bind(model.weights, [b[None, None] for b in model.biases], hidden + [None])
+
+    def torque(t, x_r, x_o, inner, out):
+        now = nows[t]
+        np.divide(np.subtract(x_r, mean_r, out=now), std_r, out=now)
+        _forward(layers, inputs[t], out[:, None])
+
+    return torque
 
 
 def loss(model: ControllerModel, triples: TrainingTriples) -> float:
     """Weighted mean squared torque error over the triples, standardized in place in one copy."""
-    Z = np.concatenate([triples.x_now, triples.x_next], axis=1)
-    Z -= model.input_mean
-    Z /= model.input_std
+    Z = _inputs(model, triples.x_now, triples.x_next)
     return _loss_pass(model.weights, model.biases, Z, triples.tau, triples.weights)()
 
 
@@ -480,10 +509,7 @@ def gradient_check(model: ControllerModel, triple, epsilon: float = 1e-5) -> flo
     if not (1e-7 <= epsilon <= 1e-4):
         raise ValueError(f"epsilon must lie in [1e-7, 1e-4], got {epsilon}")
     x_now, x_next, tau = triple
-    Z = _normalize(
-        model,
-        np.concatenate([np.asarray(x_now, float), np.asarray(x_next, float)])[None, :],
-    )
+    Z = _inputs(model, np.asarray(x_now, float), np.asarray(x_next, float))[None]
     tau = np.asarray(tau, dtype=np.float64)[None, :]
     one = np.ones(1)
 

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import koopman
-from .controller import ControllerModel, _bind, _forward
+from .controller import ControllerModel, tracking_torque
 from .metrics import SuccessCriterion, evaluate_success
 from .statespace import (CompositeState, DemonstrationSet, StateLayout, Trajectory, _adopt, _check_dims, _frozen,
                          _is_int, _is_real)
@@ -606,36 +606,6 @@ def _check_torques(torques: np.ndarray, source: str) -> None:
     raise _non_finite_torque(source, t, int(np.argmin(finite[:, t])), len(torques))
 
 
-def _network_policy(model: ControllerModel, ref: np.ndarray, layout: StateLayout):
-    """A `_run` torque that runs the network once per step on the B rows [x_r(t) | ref(t+1)].
-
-    ref (T, B, n) holds the references.  The reference half of every step's
-    input is standardized up front, and the layers are bound once, hidden
-    outputs to buffers of their own; a step standardizes x_r(t) into its
-    half and the output layer writes straight into the step's torque rows.
-    The rows go through the network as a (B, 1, 2n) stack, one product per
-    row, so each row rounds exactly as an episode of its own.  Torques are
-    not checked here: `_run` checks them all after the loop.
-    """
-    n, B = layout.n, ref.shape[1]
-    mean, std = model.input_mean, model.input_std
-    Z = np.empty((ref.shape[0] - 1, B, 1, 2 * n))
-    np.divide(np.subtract(ref[1:, :, None], mean[n:], out=Z[..., n:]), std[n:], out=Z[..., n:])
-    inputs = list(Z)
-    nows = [z[:, 0, :n] for z in inputs]
-    # constants shaped like one row: for B = 1 a ufunc then skips broadcasting
-    mean_r, std_r = mean[None, :n], std[None, :n]
-    hidden = [np.empty((B, 1, k)) for k in model.layer_sizes[1:-1]]
-    layers = _bind(model.weights, [b[None, None] for b in model.biases], hidden + [None])
-
-    def torque(t, x_r, x_o, inner, out):
-        now = nows[t]
-        np.divide(np.subtract(x_r, mean_r, out=now), std_r, out=now)
-        _forward(layers, inputs[t], out[:, None])
-
-    return torque
-
-
 def _callable_policy(act, ref: np.ndarray, layout: StateLayout):
     """A `_run` torque that calls act(x_now, x_next) once per row and checks each torque."""
     a = layout.a
@@ -664,28 +634,22 @@ def _closed_loop(
     """B closed-loop episodes in lockstep from start rows, each tracking its own reference.
 
     The references of all B start rows are rolled out together.  A
-    ControllerModel, checked against the layout once, runs once per step on
-    all B rows, and its torques are checked once, after the loop (`_run`).
+    ControllerModel runs once per step on all B rows, through
+    `controller.tracking_torque`, which checks it against the layout once;
+    its torques are checked once, after the loop (`_run`).
     Any other callable is called once per row, and each torque it returns is
     checked at once, so it never sees a state that a non-finite torque made.
     Either way the error names the earliest bad step and, in a batch, the
     lowest bad row at that step.
     """
-    lay = spec.layout
     if isinstance(controller, ControllerModel):
-        sizes = controller.layer_sizes
-        if (sizes[0], sizes[-1]) != (2 * lay.n, lay.a):
-            raise ValueError(
-                f"controller maps {sizes[0]} inputs to {sizes[-1]} torques; "
-                f"the layout needs {2 * lay.n} to {lay.a}"
-            )
-        policy = _network_policy
+        policy = tracking_torque
     elif callable(controller):
         policy = _callable_policy
     else:
         raise ValueError("controller must be a ControllerModel or a callable")
     ref = koopman._rollout(model, rows[0], rows[1], horizon)
-    return _run(spec, rows, horizon, policy(controller, ref, lay), "controller produced")
+    return _run(spec, rows, horizon, policy(controller, ref, spec.layout), "controller produced")
 
 
 def execute_policy(

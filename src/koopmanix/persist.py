@@ -52,6 +52,31 @@ def _int(value, key: str) -> int:
     return value
 
 
+def _array(value, key: str, ndim: int = 1) -> np.ndarray:
+    """A float64 vector (ndim 1) or matrix (ndim 2) from a JSON list of numbers or of equal-length such lists.
+
+    np.array would read true as 1.0 and "1.5" as 1.5, and its errors for a
+    ragged list or a word name no key.
+    """
+    rows = value if ndim == 2 else [value]
+    # json.loads gives int or float for a number; a bool is neither type
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and len(row) == len(rows[0]) and set(map(type, row)) <= {int, float}
+            for row in rows)):
+        raise ValueError(f"{key} must be a list of {'equal-length lists of ' if ndim == 2 else ''}numbers")
+    try:
+        return np.array(value, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{key} holds an integer too large for a float") from None
+
+
+def _names(value, key: str) -> tuple[str, ...] | None:
+    """A layout's names: a list of strings, or null; an empty list reads as null."""
+    if value is not None and not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ValueError(f"{key} must be a list of strings or null, got {json.dumps(value)}")
+    return tuple(value) if value else None
+
+
 def _require_finite(arr, path: Path, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise PersistError(f"{path}: {what} contains non-finite values")
@@ -73,8 +98,8 @@ def _layout_from_dict(obj: dict, path: Path) -> StateLayout:
             n=_int(obj["n"], "n"),
             m=_int(obj["m"], "m"),
             a=_int(obj["a"], "a"),
-            robot_names=tuple(obj["robot_names"]) if obj.get("robot_names") else None,
-            object_names=tuple(obj["object_names"]) if obj.get("object_names") else None,
+            robot_names=_names(obj.get("robot_names"), "robot_names"),
+            object_names=_names(obj.get("object_names"), "object_names"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistError(f"{path}: bad layout block: {exc}") from exc
@@ -338,7 +363,10 @@ def load_model(path) -> KoopmanModel:
     if lifting.get("n") != layout.n or lifting.get("m") != layout.m:
         raise PersistError(f"{path}: lifting dims disagree with layout")
     spec = LiftingSpec(kind, layout)
-    K = np.array(obj.get("K"), dtype=np.float64)
+    try:
+        K = _array(obj.get("K"), "K", ndim=2)
+    except ValueError as exc:
+        raise PersistError(f"{path}: {exc}") from None
     p = dimension(spec)
     if K.ndim != 2 or K.shape != (p, p):
         raise PersistError(f"{path}: K has shape {K.shape}, expected ({p}, {p})")
@@ -386,11 +414,11 @@ def load_controller(path) -> ControllerModel:
     obj = _read_json(path)
     try:
         sizes = tuple(_int(s, f"layer_sizes[{i}]") for i, s in enumerate(obj["layer_sizes"]))
-        weights = tuple(np.array(w, dtype=np.float64) for w in obj["weights"])
-        biases = tuple(np.array(b, dtype=np.float64) for b in obj["biases"])
+        weights = tuple(_array(w, f"weights[{i}]", ndim=2) for i, w in enumerate(obj["weights"]))
+        biases = tuple(_array(b, f"biases[{i}]") for i, b in enumerate(obj["biases"]))
         norm = obj["input_norm"]
-        mean = np.array(norm["mean"], dtype=np.float64)
-        std = np.array(norm["std"], dtype=np.float64)
+        mean = _array(norm["mean"], "input_norm.mean")
+        std = _array(norm["std"], "input_norm.std")
         activation = obj["activation"]
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistError(f"{path}: bad controller block: {exc}") from exc

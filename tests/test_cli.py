@@ -204,6 +204,7 @@ def test_non_string_manifest_entry_is_a_persist_error(tmp_path, capsys):
     ("fit", {"pinv_tol": float("nan")}, "pinv_tol must be null or a finite real number >= 0, got NaN"),
     ("fit", {"pinv_tol": -1e-9}, "pinv_tol must be null or a finite real number >= 0, got -1e-09"),
     ("train-controller", {"train": {"seed": -1}}, "train.seed must be a non-negative integer, got -1"),
+    ("eval", {"demo_counts": []}, "demo_counts must be a non-empty list, got []"),
 ])
 def test_config_block_types_checked(tmp_path, capsys, command, config, key):
     cfg = _write_config(tmp_path, config)
@@ -357,6 +358,17 @@ def test_rollout_index_out_of_range(tmp_path, capsys):
         "--demos", str(manifest), "--traj-index", "7", "--out-dir", str(tmp_path / "r"),
     ]) == 1
     assert "error: invalid: --traj-index 7" in capsys.readouterr().err
+
+
+def test_rollout_checks_the_demos_layout_against_the_model(tmp_path, capsys):
+    demos = tmp_path / "demos"
+    traj = Trajectory.from_arrays(np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((2, 1)))
+    manifest = save_demos(DemonstrationSet(StateLayout(n=2, m=1, a=1), (traj,)), demos)
+    model = FIXTURES / "model.json"
+    assert main(["rollout", "--model", str(model), "--demos", str(manifest), "--out-dir", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid: demos {manifest} have layout (n=2, m=1); model {model} needs (n=1, m=0)\n")
+    assert not (tmp_path / "r").exists()
 
 
 def test_simulate_needs_an_environment(tmp_path, capsys):

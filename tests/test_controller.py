@@ -20,7 +20,7 @@ from koopmanix import (
     train,
 )
 from koopmanix import controller
-from koopmanix.controller import evaluate, forward, init, loss
+from koopmanix.controller import forward, init, loss
 from koopmanix.envs import default_expert, generate_demos, pointmass_env
 
 LAYOUT_1D = StateLayout(n=1, m=0, a=1)
@@ -91,34 +91,39 @@ def test_hand_network_evaluation():
     # 1-1-1 chain: relu(2 x) then 3 (.): at x=1 the output is 3 * relu(2) = 6,
     # at x=-1 the rectifier clips to zero.
     model = _tiny_model([[[2.0]], [[3.0]]], [[0.0], [0.0]], (1, 1, 1))
-    assert evaluate(model, [1.0]) == pytest.approx(6.0)
-    assert evaluate(model, [-1.0]) == 0.0
+    assert forward(model, [1.0], []) == pytest.approx(6.0)
+    assert forward(model, [-1.0], []) == 0.0
 
 
 def test_single_layer_is_linear():
     # one transition means the output layer, so no rectifier anywhere
     model = _tiny_model([[[3.0]]], [[1.0]], (1, 1))
-    assert evaluate(model, [-2.0]) == pytest.approx(-5.0)
+    assert forward(model, [-2.0], []) == pytest.approx(-5.0)
 
 
 def test_standardization_applied_before_network():
     model = _tiny_model([[[1.0]]], [[0.0]], (1, 1), mean=[3.0], std=[2.0])
-    assert evaluate(model, [5.0]) == pytest.approx(1.0)
-    assert evaluate(model, [3.0]) == 0.0
+    assert forward(model, [5.0], []) == pytest.approx(1.0)
+    assert forward(model, [3.0], []) == 0.0
 
 
-def test_evaluate_rejects_wrong_width():
+def test_forward_rejects_wrong_width():
     model = init(LAYOUT_1D, seed=0)
-    with pytest.raises(ValueError, match="shape"):
-        evaluate(model, [1.0, 2.0, 3.0])
+    for x_now, x_next in (([1.0, 2.0], [3.0]), ([1.0], []), ([[1.0]], [2.0])):
+        with pytest.raises(ValueError, match="input width 2"):
+            forward(model, x_now, x_next)
 
 
 def test_forward_concatenates_transition():
     model = init(StateLayout(n=2, m=0, a=2), seed=5)
     x_now = np.array([0.3, -0.7])
     x_next = np.array([0.4, -0.5])
-    want = evaluate(model, np.concatenate([x_now, x_next]))
-    assert np.array_equal(forward(model, x_now, x_next), want)
+    # a hand-written pass: standardize [x_now | x_next], rectify the hidden layers
+    h = (np.concatenate([x_now, x_next]) - model.input_mean) / model.input_std
+    for W, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = np.maximum(W @ h + b, 0.0)
+    want = model.weights[-1] @ h + model.biases[-1]
+    assert np.allclose(forward(model, x_now, x_next), want, rtol=1e-14, atol=1e-15)
     with pytest.raises(ValueError, match="input width"):
         forward(model, x_now, np.array([1.0]))
 
@@ -135,7 +140,7 @@ def test_scaling_last_layer_scales_output():
     rng = np.random.default_rng(17)
     for _ in range(20):
         z = rng.normal(size=4)
-        assert np.allclose(evaluate(scaled, z), 2.0 * evaluate(base, z), rtol=1e-14)
+        assert np.allclose(forward(scaled, z[:2], z[2:]), 2.0 * forward(base, z[:2], z[2:]), rtol=1e-14)
 
 
 # ---- loss ----

@@ -27,7 +27,7 @@ from koopmanix import (
     save_model,
 )
 from koopmanix import persist
-from koopmanix.controller import ControllerModel, evaluate, init
+from koopmanix.controller import ControllerModel, forward, init
 from koopmanix.koopman import FitMeta
 from koopmanix.persist import _parse_trajectory, _read_trajectory_cells, format_float
 
@@ -116,7 +116,7 @@ def test_fixture_model_load_and_rewrite(tmp_path):
 def test_fixture_controller_load_and_rewrite(tmp_path):
     ctrl = load_controller(FIXTURES / "controller.json")
     assert ctrl.layer_sizes == (1, 1)
-    assert evaluate(ctrl, [2.0]) == 7.0  # 3 * 2 + 1, single layer is linear
+    assert forward(ctrl, [2.0], []) == 7.0  # 3 * 2 + 1, single layer is linear
     save_controller(ctrl, tmp_path / "controller.json")
     want = (FIXTURES / "controller.json").read_text()
     assert (tmp_path / "controller.json").read_text() == want
@@ -212,7 +212,7 @@ def test_controller_round_trip(tmp_path):
     for got, want in zip(back.biases, model.biases):
         assert np.array_equal(_bits(got), _bits(want))
     z = np.random.default_rng(0).normal(size=4)
-    assert np.array_equal(evaluate(back, z), evaluate(model, z))
+    assert np.array_equal(forward(back, z[:2], z[2:]), forward(model, z[:2], z[2:]))
 
 
 def _csv_writer_text(traj: Trajectory, layout: StateLayout) -> str:
@@ -480,6 +480,24 @@ def test_k_shape_checked(tmp_path):
         load_model(path)
 
 
+# np.array would load "a" with numpy's text, a ragged K with its "inhomogeneous shape" text, true as 1.0,
+# and stop a huge integer with an OverflowError
+_ROWS = "K must be a list of equal-length lists of numbers"
+
+
+@pytest.mark.parametrize("K, message", [
+    ([["a"]], _ROWS), ([[1.0], [1.0, 2.0]], _ROWS), ([[True]], _ROWS), ([["2.0"]], _ROWS), ([2.0], _ROWS),
+    (None, _ROWS), ([[10**400]], "K holds an integer too large for a float"),
+], ids=["word", "ragged", "bool", "numeric-string", "flat", "missing", "huge-integer"])
+def test_malformed_k_names_the_file(tmp_path, K, message):
+    path = tmp_path / "model.json"
+    path.write_text((FIXTURES / "model.json").read_text())
+    _rewrite(path, lambda obj: obj.update(K=K) if K is not None else obj.pop("K"))
+    with pytest.raises(PersistError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_bad_fit_meta_block(tmp_path):
     path = tmp_path / "model.json"
     path.write_text((FIXTURES / "model.json").read_text())
@@ -513,6 +531,18 @@ def test_model_integer_fields_are_not_truncated(tmp_path, mutate, message):
     assert str(exc.value) == f"{path}: {message}"
 
 
+# tuple() would split the string "x" into its letters and accept names that are not strings
+@pytest.mark.parametrize("key, value, shown", [("robot_names", "x", '"x"'), ("robot_names", [1], "[1]"),
+                                               ("object_names", "", '""')])
+def test_layout_names_must_be_a_list_of_strings(tmp_path, key, value, shown):
+    path = tmp_path / "model.json"
+    path.write_text((FIXTURES / "model.json").read_text())
+    _rewrite(path, lambda obj: obj["layout"].update({key: value}))
+    with pytest.raises(PersistError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: bad layout block: {key} must be a list of strings or null, got {shown}"
+
+
 def test_monomial_list_model_is_an_unknown_kind(tmp_path):
     # the lifting block a monomial-list model was once written with
     path = tmp_path / "model.json"
@@ -530,6 +560,21 @@ def test_controller_layer_sizes_must_be_integers(tmp_path):
     with pytest.raises(PersistError) as exc:
         load_controller(path)
     assert str(exc.value) == f"{path}: bad controller block: layer_sizes[1] must be an integer, got 1.0"
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda obj: obj["input_norm"].update(std=[True]), "input_norm.std must be a list of numbers"),
+    (lambda obj: obj["input_norm"].update(mean=["0.5"]), "input_norm.mean must be a list of numbers"),
+    (lambda obj: obj.update(weights=[[[True]]]), "weights[0] must be a list of equal-length lists of numbers"),
+    (lambda obj: obj.update(biases=[[False]]), "biases[0] must be a list of numbers"),
+], ids=["std-bool", "mean-string", "weights-bool", "biases-bool"])
+def test_controller_arrays_must_hold_numbers(tmp_path, mutate, message):
+    path = tmp_path / "ctrl.json"
+    path.write_text((FIXTURES / "controller.json").read_text())
+    _rewrite(path, mutate)
+    with pytest.raises(PersistError) as exc:
+        load_controller(path)
+    assert str(exc.value) == f"{path}: bad controller block: {message}"
 
 
 def test_controller_activation_must_be_relu(tmp_path):

@@ -16,6 +16,7 @@ GROUPS = [
     "closed-loop/lockstep",
     "closed-loop/single",
     "rollout/pointmass",
+    *(f"controller/{call}" for call in ("forward", "loss", "gradient-check")),
     *(f"cli/{command}" for command in ("gen-demos", "fit", "rollout", "train-controller", "simulate",
                                        "retune", "eval")),
 ]

@@ -18,6 +18,9 @@ lines mean bit-identical outputs.  Each line is `<group> <sha256>`:
   one episode at a time;
 - rollout/pointmass: public rollout of that model from the in-distribution
   pointmass resets of the reset group;
+- controller/<forward|loss|gradient-check>: that controller's forward on 20
+  fixed probe transitions, its loss on the supervision triples and
+  gradient_check on the first triple;
 - cli/<command>: every file a CLI run writes, with the wall-time fields
   (`fit_meta.wall_time_s` in model.json, `train_time_s` in eval.csv)
   removed.
@@ -40,8 +43,10 @@ from pathlib import Path
 
 import numpy as np
 
-from koopmanix import LiftingSpec, ScriptedExpert, TrainConfig, execute_policy, fit, rollout, supervision, train
+from koopmanix import (LiftingSpec, ScriptedExpert, TrainConfig, execute_policy, fit, gradient_check, rollout,
+                       supervision, train)
 from koopmanix.cli import _run_batch, main as cli_main
+from koopmanix.controller import forward, loss
 from koopmanix.envs import (
     default_expert,
     generate_demos,
@@ -139,6 +144,12 @@ def _model_groups(n: int, horizon: int, iterations: int):
     yield "closed-loop/single", _digest(_trajectory_arrays(singles))
     starts = [reset(env, seed, "in").composite for seed in RESET_SEEDS]
     yield "rollout/pointmass", _digest(rollout(kodex, start, horizon) for start in starts)
+    k = env.layout.n
+    probes = np.random.default_rng(11).normal(size=(20, 2 * k))
+    yield "controller/forward", _digest(forward(controller, z[:k], z[k:]) for z in probes)
+    yield "controller/loss", _digest([loss(controller, triples)])
+    first = (triples.x_now[0], triples.x_next[0], triples.tau[0])
+    yield "controller/gradient-check", _digest([gradient_check(controller, first)])
 
 
 def _cli_groups(n: int, horizon: int, iterations: int):
