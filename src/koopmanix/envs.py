@@ -58,6 +58,8 @@ _PARAMS = {
     "pointmass-relocation": ("hand_mass", "ball_mass", "damping", "attach_radius", "tau_limit", "gravity",
                              "hand_start_x", "hand_start_y", "ball_start_x", "ball_start_y"),
 }
+# sampler keys each kind's reset reads; a linear kind reads init_0 ... init_{n-1}
+_SAMPLED = {"pendulum": ("target",), "vanderpol": ("x0", "x1"), "pointmass-relocation": ("target_x", "target_y")}
 _INNER = {"linear": 0, "pendulum": 1, "vanderpol": 0, "pointmass-relocation": 3}  # EnvState.internal widths
 _LAYOUTS = {
     "linear": {"m": 0},
@@ -135,6 +137,10 @@ class EnvSpec:
             object.__setattr__(self, "input_map", B)
         elif self.matrix is not None or self.input_map is not None:
             raise ValueError(f"kind {self.kind!r} does not take matrix/input_map")
+        sampled = [f"init_{i}" for i in range(self.layout.n)] if self.kind == "linear" else _SAMPLED[self.kind]
+        for name in sampled:
+            if name not in self.sampler:
+                raise ValueError(f"{self.kind} sampler lacks {name!r}; the kind reads {', '.join(sampled)}")
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,10 @@ a save/load cycle is value-exact, including subnormals and signed zeros.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .controller import ControllerModel
 from .koopman import FitMeta, KoopmanModel
 from .lifting import KINDS, LiftingSpec, dimension
-from .statespace import DemonstrationSet, StateLayout, Trajectory, _is_int, require_valid
+from .statespace import DemonstrationSet, StateLayout, Trajectory, _is_int, _is_real, require_valid
 
 SCHEMA_VERSION = 1
 
@@ -52,11 +52,25 @@ def _int(value, key: str) -> int:
     return value
 
 
+def _count(value, key: str) -> int:
+    """value itself if it is a JSON integer >= 0."""
+    if _int(value, key) < 0:
+        raise ValueError(f"{key} must be >= 0, got {value}")
+    return value
+
+
+def _finite(value, key: str) -> float:
+    """value as a float if it is a finite JSON number; float() would also read "1.5", true and "nan"."""
+    if not (_is_real(value) and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{key} must be a finite number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _array(value, key: str, ndim: int = 1) -> np.ndarray:
-    """A float64 vector (ndim 1) or matrix (ndim 2) from a JSON list of numbers or of equal-length such lists.
+    """A finite float64 vector (ndim 1) or matrix (ndim 2) from a JSON list of numbers or of equal-length such lists.
 
     np.array would read true as 1.0 and "1.5" as 1.5, and its errors for a
-    ragged list or a word name no key.
+    ragged list or a word name no key.  json.loads reads NaN and Infinity.
     """
     rows = value if ndim == 2 else [value]
     # json.loads gives int or float for a number; a bool is neither type
@@ -65,9 +79,12 @@ def _array(value, key: str, ndim: int = 1) -> np.ndarray:
             for row in rows)):
         raise ValueError(f"{key} must be a list of {'equal-length lists of ' if ndim == 2 else ''}numbers")
     try:
-        return np.array(value, dtype=np.float64)
+        arr = np.array(value, dtype=np.float64)
     except OverflowError:
         raise ValueError(f"{key} holds an integer too large for a float") from None
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{key} holds a non-finite number")
+    return arr
 
 
 def _names(value, key: str) -> tuple[str, ...] | None:
@@ -170,94 +187,74 @@ def _write_trajectory(traj: Trajectory, layout: StateLayout, path: Path) -> None
         fh.write("\n".join(lines))
 
 
-def _parse_trajectory(text: str, layout: StateLayout) -> Trajectory | None:
-    """Parse a trajectory file with torques, as the writer lays it out, with numpy's C parser; else None.
+def _cells(line: str) -> list[str]:
+    """A row's cells as np.loadtxt splits them, which closes a `"` left open at the end of the line."""
+    return list(np.loadtxt([line], dtype=object, delimiter=",", quotechar='"', comments=None, ndmin=1)) if line else []
 
-    None means the file has quotes, carriage returns, no final newline,
-    fewer than 2 rows, a blank line, a `t` cell other than the bare row
-    number, a cell numpy rejects, a wrong row width, or torque cells that are
-    not filled on every row but the last.  The per-cell reader then decides
-    the file, so every error keeps its line and column.  Every cell numpy
-    accepts, float() accepts with the same bits.
-    """
-    if '"' in text or "\r" in text or not text.endswith("\n"):
-        return None
-    header, *rows = text.split("\n")[:-1]
-    if header != ",".join(_header(layout)) or len(rows) < 2:
-        return None
-    # csv.reader rejects a cell longer than this, so such a file is not well formed
-    if max(map(len, rows)) > csv.field_size_limit():
-        return None
-    if not all(row.startswith(f"{t},") for t, row in enumerate(rows, start=1)):
-        return None
-    # the final row's empty torque cells become zeros so that every row parses at full width
-    a = layout.a
-    if not rows[-1].endswith("," * a):
-        return None
-    rows[-1] = rows[-1][:-a] + ",0" * a
-    n, d = layout.n, layout.n + layout.m
-    try:
-        values = np.loadtxt(rows, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if values.shape != (len(rows), 1 + d + a):
-        return None
-    return Trajectory.from_arrays(values[:, 1 : 1 + n], values[:, 1 + n : 1 + d], values[:-1, 1 + d :])
+
+def _unquoted(line: str) -> str:
+    """line with its quoted cells unwrapped, unless a `"` does more than wrap a cell free of `,` and `"`."""
+    cells = _cells(line) if '"' in line and line.count('"') % 2 == 0 else []
+    return ",".join(cells) if cells and not any("," in cell or '"' in cell for cell in cells) else line
 
 
 def _read_trajectory(path: Path, layout: StateLayout) -> Trajectory:
+    """One trajectory CSV, parsed once by np.loadtxt, or a PersistError naming its first fault.
+
+    Before the parse, cheap checks read the header, two or more rows, bare `t` cells, and empty torque cells
+    on the final row or on every row.  A `"` left after unwrapping quoted cells fails the parse.
+    """
     if not path.exists():
         raise PersistError(f"{path}: no such file")
-    with open(path, encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    traj = _parse_trajectory(text, layout)
-    return traj if traj is not None else _read_trajectory_cells(path, layout)
-
-
-def _parse_cell(cell: str, path: Path, line: int, column: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise PersistError(f"{path}: line {line}, column {column}: bad float {cell!r}")
-
-
-def _read_trajectory_cells(path: Path, layout: StateLayout) -> Trajectory:
-    """The per-cell reader: accepts any CSV quoting and reports the line and column of a fault."""
-    expected = _header(layout)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    text = path.read_text(encoding="utf-8")  # universal newlines end rows at CRLF, CR or LF, as csv does
+    lines = text.removesuffix("\n").split("\n")
+    header, *rows = [_unquoted(line) for line in lines] if '"' in text else lines
+    n, d, a = layout.n, layout.n + layout.m, layout.a
+    torqueless = all(row.endswith("," * a) for row in rows)
+    if (header == ",".join(_header(layout)) and len(rows) >= 2 and rows[-1].endswith("," * a)
+            and all(row.startswith(f"{t},") for t, row in enumerate(rows, start=1))):
+        for i in range(len(rows)) if torqueless else [-1]:  # zeros in empty torque cells: every row has full width
+            rows[i] = rows[i][:-a] + ",0" * a
         try:
-            rows = list(reader)
-        except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
-            raise PersistError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows or rows[0] != expected:
-        raise PersistError(f"{path}: line 1: header does not match layout {expected}")
+            values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            values = None
+        if values is not None and values.shape == (len(rows), 1 + d + a):
+            torques = None if torqueless else values[:-1, 1 + d :]
+            return Trajectory.from_arrays(values[:, 1 : 1 + n], values[:, 1 + n : 1 + d], torques)
+    raise PersistError(f"{path}: {_first_fault(lines, layout)}")
+
+
+def _first_fault(lines: list[str], layout: StateLayout) -> str:
+    """The first fault of a trajectory file in file order, naming its line; no array is built."""
+    expected = _header(layout)
+    if _cells(lines[0]) != expected or lines[0].count('"') % 2:
+        return f"line 1: header does not match layout {expected}"
     d = layout.n + layout.m
-    T = len(rows) - 1
-    # row t holds [x_r | x_o | tau]; has_tau[t] is False where the torque cells are empty
-    values = np.empty((T, d + layout.a))
-    has_tau = np.zeros(T, dtype=bool)
-    for t, row in enumerate(rows[1:]):
-        lineno = t + 2
+    has_tau = []  # whether each row's torque cells are filled
+    for lineno, line in enumerate(lines[1:], start=2):
+        row = _cells(line)
         if len(row) != len(expected):
-            raise PersistError(f"{path}: line {lineno}: {len(row)} cells, expected {len(expected)}")
-        if row[0] != str(t + 1):
-            raise PersistError(f"{path}: line {lineno}: t={row[0]!r}, expected {t + 1}")
-        has_tau[t] = all(cell != "" for cell in row[1 + d :])
-        for j in range(d + layout.a if has_tau[t] else d):
-            values[t, j] = _parse_cell(row[1 + j], path, lineno, expected[1 + j])
-        if not has_tau[t] and any(cell != "" for cell in row[1 + d :]):
-            raise PersistError(f"{path}: line {lineno}: partially empty torque cells")
-    if T < 2:
-        raise PersistError(f"{path}: a trajectory needs at least 2 rows, got {T}")
+            return f"line {lineno}: {len(row)} cells, expected {len(expected)}"
+        if row[0] != str(lineno - 1):
+            return f"line {lineno}: t={row[0]!r}, expected {lineno - 1}"
+        has_tau.append(all(row[1 + d :]))
+        for j in range(1, len(row) if has_tau[-1] else 1 + d):  # a bad float is a cell np.loadtxt cannot read
+            try:
+                np.loadtxt([line], delimiter=",", quotechar='"', comments=None, usecols=j)
+            except ValueError:
+                return f"line {lineno}, column {expected[j]}: bad float {row[j]!r}"
+        if not has_tau[-1] and any(row[1 + d :]):
+            return f"line {lineno}: partially empty torque cells"
+        if line.count('"') % 2:  # csv would carry the quote on to the next line
+            return f"line {lineno}: unbalanced quote"
+    if len(has_tau) < 2:
+        return f"a trajectory needs at least 2 rows, got {len(has_tau)}"
     if has_tau[-1]:
-        raise PersistError(f"{path}: line {len(rows)}: final row must have empty torque cells")
-    body = has_tau[:-1]
-    if body.any() and not body.all():
-        missing = int(np.argmin(body)) + 2
-        raise PersistError(f"{path}: line {missing}: torque cells empty on a non-final row")
-    recorded = values[:-1, d:] if body.all() else None
-    return Trajectory.from_arrays(values[:, : layout.n], values[:, layout.n : d], recorded)
+        return f"line {len(lines)}: final row must have empty torque cells"
+    if any(has_tau) and not all(has_tau[:-1]):
+        return f"line {has_tau.index(False) + 2}: torque cells empty on a non-final row"
+    raise AssertionError("np.loadtxt refused a trajectory file in which no fault was found")
 
 
 def save_demos(
@@ -370,17 +367,16 @@ def load_model(path) -> KoopmanModel:
     p = dimension(spec)
     if K.ndim != 2 or K.shape != (p, p):
         raise PersistError(f"{path}: K has shape {K.shape}, expected ({p}, {p})")
-    _require_finite(K, path, "K")
     meta = obj.get("fit_meta")
     fit_meta = None
     if meta is not None:
         try:
             fit_meta = FitMeta(
-                n_demos=_int(meta["n_demos"], "n_demos"),
-                n_pairs=_int(meta["n_pairs"], "n_pairs"),
-                wall_time_s=float(meta["wall_time_s"]),
-                rank=_int(meta["rank"], "rank"),
-                cond=float(meta["cond"]) if meta["cond"] is not None else math.inf,
+                n_demos=_count(meta["n_demos"], "n_demos"),
+                n_pairs=_count(meta["n_pairs"], "n_pairs"),
+                wall_time_s=_finite(meta["wall_time_s"], "wall_time_s"),
+                rank=_count(meta["rank"], "rank"),
+                cond=_finite(meta["cond"], "cond") if meta["cond"] is not None else math.inf,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise PersistError(f"{path}: bad fit_meta block: {exc}") from exc

@@ -68,6 +68,9 @@ class StateLayout:
     object_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        for name in ("n", "m", "a"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"layout size {name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 1:
             raise ValueError(f"robot dimension n must be >= 1, got {self.n}")
         if self.m < 0:

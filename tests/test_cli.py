@@ -523,7 +523,8 @@ def test_eval_deterministic_except_wall_time(tmp_path, capsys):
     assert stamp_one == (tmp_path / "two" / "stamp.json").read_bytes()
 
 
-def test_overlong_csv_cell_is_a_persist_error(tmp_path, capsys):
+def test_overlong_csv_cell_is_read(tmp_path, capsys):
+    # csv refused a cell longer than csv.field_size_limit(); np.loadtxt reads it
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({
         "schema": 1,
@@ -531,10 +532,9 @@ def test_overlong_csv_cell_is_a_persist_error(tmp_path, capsys):
         "trajectories": ["traj_0000.csv"],
     }))
     (tmp_path / "traj_0000.csv").write_text("t,xr_0,tau_0\n1," + "0" * csv.field_size_limit() + "1.5,1.0\n2,1.5,\n")
-    assert main(["fit", "--demos", str(manifest), "--out-dir", str(tmp_path / "f")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: persist: {tmp_path / 'traj_0000.csv'}: line 2: field larger than field limit")
-    assert "Traceback" not in err
+    assert main(["fit", "--demos", str(manifest), "--out-dir", str(tmp_path / "f")]) == 0
+    assert capsys.readouterr().err == ""
+    assert load_model(tmp_path / "f" / "model.json").fit_meta.n_pairs == 1
 
 
 def _pointmass_artifacts(tmp_path, capsys):

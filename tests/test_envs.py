@@ -112,6 +112,21 @@ def test_spec_checks_params_keys_and_layout_per_kind():
         env_spec_from_dict(env_spec_to_dict(make_env(kind)))
 
 
+@pytest.mark.parametrize("spec, drop, message", [
+    (pendulum_env(), "target", "pendulum sampler lacks 'target'; the kind reads target"),
+    (vanderpol_env(), "x0", "vanderpol sampler lacks 'x0'; the kind reads x0, x1"),
+    (pointmass_env(), "target_x",
+     "pointmass-relocation sampler lacks 'target_x'; the kind reads target_x, target_y"),
+    (linear_env(np.eye(2)), "init_0", "linear sampler lacks 'init_0'; the kind reads init_0, init_1"),
+], ids=["pendulum", "vanderpol", "pointmass", "linear"])
+def test_spec_checks_the_sampler_keys_reset_reads(spec, drop, message):
+    # reset would stop with a bare KeyError on the missing key; an empty sampler lacks the first
+    misspelt = {(name + "_" if name == drop else name): ranges for name, ranges in spec.sampler.items()}
+    for sampler in (misspelt, {}):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(spec, sampler=sampler)
+
+
 def test_make_env_kinds_and_overrides():
     assert make_env("linear").layout.n == 5
     assert make_env("pendulum", dt=0.01).dt == 0.01

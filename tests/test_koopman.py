@@ -280,6 +280,15 @@ def test_negative_tolerance_rejected_on_every_solve_path():
     ):
         with pytest.raises(ValueError, match="rel_tolerance must be >= 0"):
             call()
+    # NaN and inf compare false to every cutoff, and returned rank 0 and K = 0
+    for tol, shown in ((float("nan"), "nan"), (float("inf"), "inf")):
+        for call in (
+            lambda: fit(demos, IDENT_1D, rel_tolerance=tol),
+            lambda: solve_koopman(acc.A, acc.G, rel_tolerance=tol),
+            lambda: _svd_pinv(acc.G, tol),
+        ):
+            with pytest.raises(ValueError, match=f"^rel_tolerance must be >= 0 and finite, got {shown}$"):
+                call()
 
 
 # ---------------------------------------------------------------------- cost

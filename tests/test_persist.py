@@ -29,7 +29,7 @@ from koopmanix import (
 from koopmanix import persist
 from koopmanix.controller import ControllerModel, forward, init
 from koopmanix.koopman import FitMeta
-from koopmanix.persist import _parse_trajectory, _read_trajectory_cells, format_float
+from koopmanix.persist import _read_trajectory, format_float
 
 FIXTURES = Path(__file__).parent / "fixtures"
 LAYOUT_1D = StateLayout(n=1, m=0, a=1)
@@ -254,59 +254,86 @@ def _same_trajectory(got: Trajectory, want: Trajectory) -> bool:
     return all(g.shape == w.shape and np.array_equal(_bits(g), _bits(w)) for g, w in pairs)
 
 
-def test_saved_files_take_the_c_parser(tmp_path, monkeypatch):
+def _per_cell_reader(text: str, layout: StateLayout) -> Trajectory:
+    """The reference per-cell reading of a trajectory file: csv's cells through float(), torques where row 1 has
+    them.  Reading a cell that float() refuses raises ValueError."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))[1:]
+    d = layout.n + layout.m
+    states = np.array([[float(cell) for cell in row[1 : 1 + d]] for row in rows])
+    torques = np.array([[float(cell) for cell in row[1 + d :]] for row in rows[:-1]]) if rows[0][1 + d] else None
+    return Trajectory.from_arrays(states[:, : layout.n], states[:, layout.n :], torques)
+
+
+def _saved_demos_load_without_the_fault_scan(tmp_path, monkeypatch, torques: bool):
     rng = np.random.default_rng(31)
     layout = StateLayout(n=2, m=1, a=2)
     pool = np.array(_random_doubles(rng, 300) + AWKWARD)
     trajs = tuple(Trajectory.from_arrays(rng.choice(pool, size=(h, 2)), rng.choice(pool, size=(h, 1)),
-                                         rng.choice(pool, size=(h - 1, 2))) for h in (2, 3, 50))
+                                         rng.choice(pool, size=(h - 1, 2)) if torques else None) for h in (2, 3, 50))
     manifest = save_demos(DemonstrationSet(layout, trajs), tmp_path)
-    for i, want in enumerate(trajs):
-        assert _same_trajectory(_read_trajectory_cells(tmp_path / f"traj_{i:04d}.csv", layout), want)
 
-    def per_cell_reader(path, layout):
-        raise AssertionError(f"{path} fell back to the per-cell reader")
+    def scan(lines, layout):
+        raise AssertionError(f"a saved file reached the fault scan: {lines[:3]}")
 
-    monkeypatch.setattr(persist, "_read_trajectory_cells", per_cell_reader)
-    for got, want in zip(load_demos(manifest).trajectories, trajs):
+    monkeypatch.setattr(persist, "_first_fault", scan)
+    for got, want in zip(load_demos(manifest).trajectories, trajs, strict=True):
         assert _same_trajectory(got, want)
 
 
+def test_saved_files_take_the_c_parser(tmp_path, monkeypatch):
+    _saved_demos_load_without_the_fault_scan(tmp_path, monkeypatch, torques=True)
+
+
+def test_saved_torqueless_files_take_the_c_parser(tmp_path, monkeypatch):
+    _saved_demos_load_without_the_fault_scan(tmp_path, monkeypatch, torques=False)
+
+
 def test_c_parser_never_accepts_what_the_per_cell_reader_rejects(tmp_path):
-    # random one- and two-character edits of a well-formed file
+    # seeded one- and two-character edits of a well-formed file with torques and of one without: an accepted
+    # edit loads float() of its csv cells, bit for bit, and a refused one names a line
     rng = np.random.default_rng(5)
     layout = StateLayout(n=2, m=1, a=2)
-    good = "t,xr_0,xr_1,xo_0,tau_0,tau_1\n1,0.5,-0.0,5e-324,1.5,-2.0\n2,1e+16,0.25,3.0,,\n"
-    alphabet = list("0123456789,\n.e-+ _\"\r#") + ["nan", "\x00", "\N{FULLWIDTH DIGIT ONE}"]
+    header = "t,xr_0,xr_1,xo_0,tau_0,tau_1\n"
+    goods = [header + "1,0.5,-0.0,5e-324,1.5,-2.0\n2,1e+16,0.25,3.0,,\n",
+             header + "1,0.5,-0.0,5e-324,,\n2,1e+16,0.25,3.0,,\n3,-7.5,1e-300,0.125,,\n"]
+    alphabet = list("0123456789,\n.e-+ _\"\r#") + ["nan", "\x00", "\N{FULLWIDTH DIGIT ONE}",
+                                                    "\N{ARABIC-INDIC DIGIT TWO}"]
     path = tmp_path / "traj.csv"
-    for _ in range(400):
-        chars = list(good)
-        for _ in range(rng.integers(1, 3)):
-            i = int(rng.integers(len(chars)))
-            edit = rng.integers(3)
-            if edit == 0:
-                chars.insert(i, str(rng.choice(alphabet)))
-            elif edit == 1:
-                del chars[i]
+    outcomes = {"accepted": 0, "refused": 0}
+    for good in goods:
+        for _ in range(1000):
+            chars = list(good)
+            for _ in range(rng.integers(1, 3)):
+                i = int(rng.integers(len(chars)))
+                edit = rng.integers(3)
+                if edit == 0:
+                    chars.insert(i, str(rng.choice(alphabet)))
+                elif edit == 1:
+                    del chars[i]
+                else:
+                    chars[i] = str(rng.choice(alphabet))
+            text = "".join(chars)
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                got = _read_trajectory(path, layout)
+            except PersistError as exc:
+                assert re.match(re.escape(f"{path}: line ") + r"\d+", str(exc)), (text, str(exc))
+                outcomes["refused"] += 1
             else:
-                chars[i] = str(rng.choice(alphabet))
-        text = "".join(chars)
-        fast = _parse_trajectory(text, layout)
-        if fast is None:
-            continue
-        path.write_bytes(text.encode("utf-8"))
-        assert _same_trajectory(fast, _read_trajectory_cells(path, layout)), repr(text)
+                assert _same_trajectory(got, _per_cell_reader(text, layout)), repr(text)
+                outcomes["accepted"] += 1
+    assert min(outcomes.values()) > 200, outcomes
 
 
-# Files the C parser must leave to the per-cell reader, with what that reader
-# makes of them: None where the file loads, else the start of its error.
+# Files unlike the writer's, with what the reader makes of them: None where the file loads, and then equals
+# float() of its cells, else its error after the path.
 ODD_FILES = [
     ("quoted-cell", 't,xr_0,tau_0\n1,"1.5",1.0\n2,1.0,\n', None),
     ("crlf", "t,xr_0,tau_0\r\n1,0.5,1.0\r\n2,1.5,\r\n", None),
     ("blank-line", "t,xr_0,tau_0\n1,0.5,1.0\n\n2,1.5,\n", "line 3: 0 cells, expected 3"),
     ("extra-cell-on-every-row", "t,xr_0,tau_0\n1,0.5,1.0,9\n2,1.5,7,\n", "line 2: 4 cells, expected 3"),
     ("t-written-as-float", "t,xr_0,tau_0\n1.0,0.5,1.0\n2,1.5,\n", "line 2: t='1.0', expected 1"),
-    ("underscore-digits", "t,xr_0,tau_0\n1,1_0,1.0\n2,1.5,\n", None),
+    ("underscore-digits", "t,xr_0,tau_0\n1,1_0,1.0\n2,1.5,\n", "line 2, column xr_0: bad float '1_0'"),
     ("torqueless", "t,xr_0,tau_0\n1,0.5,\n2,1.5,\n3,2.5,\n", None),
     ("no-final-newline", "t,xr_0,tau_0\n1,0.5,1.0\n2,1.5,", None),
 ]
@@ -317,26 +344,33 @@ def test_odd_files_take_the_per_cell_reader(tmp_path, text, error):
     manifest = _mini_manifest(tmp_path)
     path = tmp_path / "traj_0000.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert _parse_trajectory(text, LAYOUT_1D) is None
     if error is None:
         (got,) = load_demos(manifest).trajectories
-        assert _same_trajectory(got, _read_trajectory_cells(path, LAYOUT_1D))
+        assert _same_trajectory(got, _per_cell_reader(text, LAYOUT_1D))
     else:
-        with pytest.raises(PersistError) as per_cell:
-            _read_trajectory_cells(path, LAYOUT_1D)
         with pytest.raises(PersistError) as loaded:
             load_demos(manifest)
-        assert str(loaded.value) == str(per_cell.value) == f"{path}: {error}"
+        assert str(loaded.value) == f"{path}: {error}"
 
 
-def test_overlong_cell_takes_the_per_cell_reader(tmp_path):
+def test_overlong_cell_is_read(tmp_path):
+    # csv refused a cell longer than csv.field_size_limit(); np.loadtxt reads it
     manifest = _mini_manifest(tmp_path)
-    text = "t,xr_0,tau_0\n1," + "0" * csv.field_size_limit() + "1.5,1.0\n2,1.5,\n"
+    (tmp_path / "traj_0000.csv").write_text("t,xr_0,tau_0\n1," + "0" * csv.field_size_limit() + "1.5,1.0\n2,1.5,\n")
+    (got,) = load_demos(manifest).trajectories
+    assert got.x_r.tolist() == [[1.5], [1.5]] and got.torques.tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("t,xr_0,tau_0\n1,0.5,1.0\n2,abc,1.0\n3,1.5,2.0,9\n4,1.0,\n", "line 3, column xr_0: bad float 'abc'"),
+    ("t,xr_0,tau_0\n1,0.5,1.0\n2,1.5,2.0,9\n3,abc,1.0\n4,1.0,\n", "line 3: 4 cells, expected 3"),
+], ids=["bad-float-first", "cell-count-first"])
+def test_the_earlier_of_two_faults_is_named(tmp_path, text, error):
+    manifest = _mini_manifest(tmp_path)
     (tmp_path / "traj_0000.csv").write_text(text)
-    assert _parse_trajectory(text, LAYOUT_1D) is None
-    with pytest.raises(PersistError) as loaded:
+    with pytest.raises(PersistError) as exc:
         load_demos(manifest)
-    assert str(loaded.value).startswith(f"{tmp_path / 'traj_0000.csv'}: line 2: field larger than field limit")
+    assert str(exc.value) == f"{tmp_path / 'traj_0000.csv'}: {error}"
 
 
 # ---- trajectory file errors cite the position ----
@@ -488,7 +522,8 @@ _ROWS = "K must be a list of equal-length lists of numbers"
 @pytest.mark.parametrize("K, message", [
     ([["a"]], _ROWS), ([[1.0], [1.0, 2.0]], _ROWS), ([[True]], _ROWS), ([["2.0"]], _ROWS), ([2.0], _ROWS),
     (None, _ROWS), ([[10**400]], "K holds an integer too large for a float"),
-], ids=["word", "ragged", "bool", "numeric-string", "flat", "missing", "huge-integer"])
+    ([[math.nan]], "K holds a non-finite number"), ([[-math.inf]], "K holds a non-finite number"),
+], ids=["word", "ragged", "bool", "numeric-string", "flat", "missing", "huge-integer", "nan", "minus-infinity"])
 def test_malformed_k_names_the_file(tmp_path, K, message):
     path = tmp_path / "model.json"
     path.write_text((FIXTURES / "model.json").read_text())
@@ -515,13 +550,29 @@ def test_manifest_layout_sizes_must_be_integers(tmp_path, value, shown):
     assert str(exc.value) == f"{path}: bad layout block: n must be an integer, got {shown}"
 
 
+def _fit_meta(**fields):
+    """A mutation that writes a valid fit_meta block but for fields."""
+    meta = {"n_demos": 1, "n_pairs": 1, "wall_time_s": 0.0, "rank": 1, "cond": 1.0}
+    return lambda obj: obj.update(fit_meta=meta | fields)
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda obj: obj["layout"].update(a=1.0), "bad layout block: a must be an integer, got 1.0"),
     (lambda obj: obj.update(fit_meta={"n_demos": 1, "n_pairs": 1, "wall_time_s": 0.0, "rank": 9.9, "cond": 1.0}),
      "bad fit_meta block: rank must be an integer, got 9.9"),
     (lambda obj: obj.update(fit_meta={"n_demos": "1", "n_pairs": 1, "wall_time_s": 0.0, "rank": 1, "cond": 1.0}),
      'bad fit_meta block: n_demos must be an integer, got "1"'),
-], ids=["layout-a", "fit-meta-rank", "fit-meta-n-demos"])
+    # float() would read these
+    (_fit_meta(wall_time_s="1.5"), 'bad fit_meta block: wall_time_s must be a finite number, got "1.5"'),
+    (_fit_meta(wall_time_s=True), "bad fit_meta block: wall_time_s must be a finite number, got true"),
+    (_fit_meta(wall_time_s="nan"), 'bad fit_meta block: wall_time_s must be a finite number, got "nan"'),
+    (_fit_meta(wall_time_s=math.nan), "bad fit_meta block: wall_time_s must be a finite number, got NaN"),
+    (_fit_meta(cond="Infinity"), 'bad fit_meta block: cond must be a finite number, got "Infinity"'),
+    (_fit_meta(cond=math.inf), "bad fit_meta block: cond must be a finite number, got Infinity"),
+    (_fit_meta(rank=-3), "bad fit_meta block: rank must be >= 0, got -3"),
+    (_fit_meta(n_pairs=-1), "bad fit_meta block: n_pairs must be >= 0, got -1"),
+], ids=["layout-a", "fit-meta-rank", "fit-meta-n-demos", "wall-time-string", "wall-time-bool", "wall-time-nan-string",
+        "wall-time-nan", "cond-infinity-string", "cond-infinity", "rank-negative", "n-pairs-negative"])
 def test_model_integer_fields_are_not_truncated(tmp_path, mutate, message):
     path = tmp_path / "model.json"
     path.write_text((FIXTURES / "model.json").read_text())
@@ -567,7 +618,11 @@ def test_controller_layer_sizes_must_be_integers(tmp_path):
     (lambda obj: obj["input_norm"].update(mean=["0.5"]), "input_norm.mean must be a list of numbers"),
     (lambda obj: obj.update(weights=[[[True]]]), "weights[0] must be a list of equal-length lists of numbers"),
     (lambda obj: obj.update(biases=[[False]]), "biases[0] must be a list of numbers"),
-], ids=["std-bool", "mean-string", "weights-bool", "biases-bool"])
+    # json.loads reads the NaN and Infinity tokens, which save_controller never writes
+    (lambda obj: obj.update(weights=[[[math.nan]]]), "weights[0] holds a non-finite number"),
+    (lambda obj: obj["input_norm"].update(mean=[math.inf]), "input_norm.mean holds a non-finite number"),
+    (lambda obj: obj.update(biases=[[-math.inf]]), "biases[0] holds a non-finite number"),
+], ids=["std-bool", "mean-string", "weights-bool", "biases-bool", "weights-nan", "mean-infinity", "biases-infinity"])
 def test_controller_arrays_must_hold_numbers(tmp_path, mutate, message):
     path = tmp_path / "ctrl.json"
     path.write_text((FIXTURES / "controller.json").read_text())

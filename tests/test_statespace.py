@@ -1,5 +1,7 @@
 """Composite states, columnar trajectories, validation, and the pairs a fit sees."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,18 @@ def test_layout_bounds():
         StateLayout(n=1, m=-1, a=1)
     with pytest.raises(ValueError):
         StateLayout(n=1, m=0, a=0)
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ((2.5, 0, 1), "layout size n must be an integer, got 2.5"),
+    ((True, 0, True), "layout size n must be an integer, got True"),
+    ((2, "0", 1), "layout size m must be an integer, got '0'"),
+    ((2, 0, 1.0), "layout size a must be an integer, got 1.0"),
+], ids=["float-n", "bool-n", "string-m", "float-a"])
+def test_layout_sizes_must_be_integers(sizes, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        StateLayout(*sizes)
+    assert StateLayout(np.int64(2), np.int64(0), np.int64(1)).n == 2
 
 
 def test_layout_names_must_match_dims():

@@ -17,6 +17,7 @@ GROUPS = [
     "closed-loop/single",
     "rollout/pointmass",
     *(f"controller/{call}" for call in ("forward", "loss", "gradient-check")),
+    *(f"persist/load/{label}" for label in ("torques", "bare")),
     *(f"cli/{command}" for command in ("gen-demos", "fit", "rollout", "train-controller", "simulate",
                                        "retune", "eval")),
 ]

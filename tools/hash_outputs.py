@@ -21,6 +21,8 @@ lines mean bit-identical outputs.  Each line is `<group> <sha256>`:
 - controller/<forward|loss|gradient-check>: that controller's forward on 20
   fixed probe transitions, its loss on the supervision triples and
   gradient_check on the first triple;
+- persist/load/<torques|bare>: the pointmass demos saved with and without
+  their torques and loaded back (x_r, x_o, torques of every demo);
 - cli/<command>: every file a CLI run writes, with the wall-time fields
   (`fit_meta.wall_time_s` in model.json, `train_time_s` in eval.csv)
   removed.
@@ -43,8 +45,8 @@ from pathlib import Path
 
 import numpy as np
 
-from koopmanix import (LiftingSpec, ScriptedExpert, TrainConfig, execute_policy, fit, gradient_check, rollout,
-                       supervision, train)
+from koopmanix import (DemonstrationSet, LiftingSpec, ScriptedExpert, TrainConfig, Trajectory, execute_policy, fit,
+                       gradient_check, load_demos, rollout, save_demos, supervision, train)
 from koopmanix.cli import _run_batch, main as cli_main
 from koopmanix.controller import forward, loss
 from koopmanix.envs import (
@@ -150,6 +152,11 @@ def _model_groups(n: int, horizon: int, iterations: int):
     yield "controller/loss", _digest([loss(controller, triples)])
     first = (triples.x_now[0], triples.x_next[0], triples.tau[0])
     yield "controller/gradient-check", _digest([gradient_check(controller, first)])
+    bare = DemonstrationSet(demos.layout, tuple(Trajectory.from_arrays(t.x_r, t.x_o) for t in demos.trajectories))
+    for label, saved in (("torques", demos), ("bare", bare)):
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = load_demos(save_demos(saved, tmp))
+        yield f"persist/load/{label}", _digest(_trajectory_arrays(loaded.trajectories))
 
 
 def _cli_groups(n: int, horizon: int, iterations: int):
