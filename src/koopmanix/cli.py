@@ -120,6 +120,10 @@ def _load_config(args) -> dict:
     for i, count in enumerate(obj.get("demo_counts", [])):
         if not _is_int(count) or count < 1:
             raise ValueError(f"config {path}: demo_counts[{i}] must be a positive integer, got {json.dumps(count)}")
+    try:
+        _train_config(argparse.Namespace(), obj)  # the bounds TrainConfig puts on the train block's values
+    except ValueError as exc:
+        raise ValueError(f"config {path}: train.{exc}") from None
     return obj
 
 

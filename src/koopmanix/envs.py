@@ -20,11 +20,10 @@ arrays; one episode is B = 1.
 
 from __future__ import annotations
 
-import inspect
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,39 +35,67 @@ from .statespace import (CompositeState, DemonstrationSet, StateLayout, Trajecto
 
 logger = logging.getLogger(__name__)
 
-# mass variations as ratios of the reference masses
-VARIATIONS = {
-    "heavy-object": ("ball_mass", 1.88 / 0.18),
-    "light-hand": ("hand_mass", 3.0 / 4.0),
-    "heavy-hand": ("hand_mass", 5.0 / 4.0),
-}
-
-# params that a transition divides by or clips to, per kind, with the bound each must meet
-_SIGNS = {
-    "pendulum": {"mass": "> 0", "length": "> 0"},
-    "pointmass-relocation": {"hand_mass": "> 0", "ball_mass": ">= 0", "tau_limit": "> 0"},
-}
-
-# params each kind's plant, expert and reset read, and the (n, m, a) their
-# arrays are built for; a linear layout's n and a follow its matrix
-_PARAMS = {
-    "linear": (),
-    "pendulum": ("mass", "length", "gravity", "damping"),
-    "vanderpol": ("mu",),
-    "pointmass-relocation": ("hand_mass", "ball_mass", "damping", "attach_radius", "tau_limit", "gravity",
-                             "hand_start_x", "hand_start_y", "ball_start_x", "ball_start_y"),
-}
-# sampler keys each kind's reset reads; a linear kind reads init_0 ... init_{n-1}
-_SAMPLED = {"pendulum": ("target",), "vanderpol": ("x0", "x1"), "pointmass-relocation": ("target_x", "target_y")}
-_INNER = {"linear": 0, "pendulum": 1, "vanderpol": 0, "pointmass-relocation": 3}  # EnvState.internal widths
-_LAYOUTS = {
-    "linear": {"m": 0},
-    "pendulum": {"n": 2, "m": 1, "a": 1},
-    "vanderpol": {"n": 2, "m": 0, "a": 1},
-    "pointmass-relocation": {"n": 4, "m": 4, "a": 2},
-}
-
 Range = tuple[float, float]
+
+
+class _Kind(NamedTuple):
+    """Every fact envs states about one env kind; the per-kind code is `_reset_rows`, `_plant` and `_expert_law`."""
+
+    layout: dict  # StateLayout fields the kind builds; a linear layout's n and a follow its matrix
+    params: dict = {}  # every param the plant, expert and reset read, with its default
+    sampler: dict = {}  # reset's draws: name -> (in, out) ranges; a linear kind draws init_0 ... init_{n-1}
+    inner: int = 0  # EnvState.internal width
+    fixed: tuple = ()  # params the factory does not take
+    bounds: dict = {}  # params a transition divides by or clips to, with the bound each must meet
+    gains: dict = {}  # the scripted expert's gains; none for a zero-torque expert
+    noise_scale: float = 0.0  # the expert's torque jitter
+    criterion: SuccessCriterion | None = None
+    takes: tuple = ()  # make_env's keys for a kind without params: linear_env_random's
+
+
+_KINDS = {
+    "linear": _Kind({"m": 0}, takes=("dim", "spectral_radius", "seed", "dt")),
+    "pendulum": _Kind(
+        {"n": 2, "m": 1, "a": 1},
+        {"mass": 1.0, "length": 1.0, "gravity": 9.81, "damping": 0.1},
+        {"target": ((0.6, 1.4), (1.4, 1.8))},
+        inner=1,
+        bounds={"mass": "> 0", "length": "> 0"},
+        gains={"kp": 16.0, "kd": 8.0},
+        criterion=SuccessCriterion("terminal-distance", threshold=0.1, extractor=(0,)),
+    ),
+    "vanderpol": _Kind(
+        {"n": 2, "m": 0, "a": 1},
+        {"mu": 0.5},
+        # a band around the steady orbit, so demonstrations cover the
+        # oscillation rather than the approach transients
+        {"x0": ((1.8, 2.2), (2.2, 2.6)), "x1": ((-0.3, 0.3), (-0.3, 0.3))},
+    ),
+    "pointmass-relocation": _Kind(
+        {"n": 4, "m": 4, "a": 2, "robot_names": ("hand_x", "hand_y", "hand_vx", "hand_vy"),
+         "object_names": ("ball_rel_x", "ball_rel_y", "ball_vx", "ball_vy")},
+        {"hand_mass": 4.0, "ball_mass": 0.18, "damping": 2.0, "attach_radius": 0.2, "tau_limit": 45.0,
+         "gravity": 4.0, "hand_start_x": -0.5, "hand_start_y": -0.5, "ball_start_x": 0.0, "ball_start_y": 0.0},
+        {"target_x": ((-0.25, 0.25), (-0.25, 0.25)), "target_y": ((0.15, 0.25), (0.25, 0.35))},
+        inner=3,
+        fixed=("hand_start_x", "hand_start_y", "ball_start_x", "ball_start_y"),
+        bounds={"hand_mass": "> 0", "ball_mass": ">= 0", "tau_limit": "> 0"},
+        # the jitter makes demonstrations cover a band around the nominal
+        # flow, so controllers trained on them stay stable when execution
+        # wanders off the exact demo states
+        gains={"kp_reach": 30.0, "kd_reach": 25.0, "kp_carry": 40.0, "kd_carry": 25.0},
+        noise_scale=1.0,
+        criterion=SuccessCriterion("cumulative-proximity", threshold=0.10, count_threshold=35, extractor=(0, 1)),
+    ),
+}
+KINDS = tuple(_KINDS)
+
+# pointmass mass variations, as ratios of a varied mass to the reference mass
+VARIATIONS = {
+    "heavy-object": ("ball_mass", 1.88 / _KINDS["pointmass-relocation"].params["ball_mass"]),
+    "light-hand": ("hand_mass", 3.0 / _KINDS["pointmass-relocation"].params["hand_mass"]),
+    "heavy-hand": ("hand_mass", 5.0 / _KINDS["pointmass-relocation"].params["hand_mass"]),
+}
 
 
 @dataclass(frozen=True)
@@ -97,18 +124,24 @@ class EnvSpec:
             raise ValueError(f"{self.kind} dt must be a real number, got {self.dt!r}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
-        for name in _PARAMS[self.kind]:
+        rec = _KINDS[self.kind]
+        reads = ", ".join(rec.params) or "none"
+        for name in rec.params:
             if name not in self.params:
-                raise ValueError(f"{self.kind} params lack {name!r}; the kind reads {', '.join(_PARAMS[self.kind])}")
-        for field, size in _LAYOUTS[self.kind].items():
-            if getattr(self.layout, field) != size:
-                raise ValueError(f"{self.kind} layout needs {field}={size}, got {field}={getattr(self.layout, field)}")
+                raise ValueError(f"{self.kind} params lack {name!r}; the kind reads {reads}")
+        for name in self.params:
+            if name not in rec.params:
+                raise ValueError(f"{self.kind} params hold {name!r}, which the kind does not read; it reads {reads}")
+        for field in ("n", "m", "a"):
+            size, got = rec.layout.get(field), getattr(self.layout, field)
+            if size is not None and got != size:
+                raise ValueError(f"{self.kind} layout needs {field}={size}, got {field}={got}")
         for name, value in self.params.items():
             if not _is_real(value):
                 raise ValueError(f"{self.kind} param {name!r} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{self.kind} param {name!r} must be finite, got {value}")
-            need = _SIGNS.get(self.kind, {}).get(name)
+            need = rec.bounds.get(name)
             if need and not (value >= 0 if need == ">= 0" else value > 0):
                 raise ValueError(f"{self.kind} param {name!r} must be {need}, got {value}")
         disjoint = 0
@@ -137,7 +170,7 @@ class EnvSpec:
             object.__setattr__(self, "input_map", B)
         elif self.matrix is not None or self.input_map is not None:
             raise ValueError(f"kind {self.kind!r} does not take matrix/input_map")
-        sampled = [f"init_{i}" for i in range(self.layout.n)] if self.kind == "linear" else _SAMPLED[self.kind]
+        sampled = [f"init_{i}" for i in range(self.layout.n)] if self.kind == "linear" else list(rec.sampler)
         for name in sampled:
             if name not in self.sampler:
                 raise ValueError(f"{self.kind} sampler lacks {name!r}; the kind reads {', '.join(sampled)}")
@@ -193,46 +226,40 @@ def linear_env_random(dim: int, spectral_radius: float = 0.9, seed: int = 0, dt:
     return linear_env(M, dt=dt)
 
 
-def pendulum_env(
-    dt: float = 0.05,
-    mass: float = 1.0,
-    length: float = 1.0,
-    gravity: float = 9.81,
-    damping: float = 0.1,
-) -> EnvSpec:
-    """Single damped joint; robot state [theta, omega], object state [theta - target]."""
-    layout = StateLayout(n=2, m=1, a=1)
-    params = {"mass": mass, "length": length, "gravity": gravity, "damping": damping}
-    sampler = {"target": ((0.6, 1.4), (1.4, 1.8))}
-    return EnvSpec("pendulum", dt, layout, params, sampler)
+def _refuse_unknown(kind: str, keys) -> None:
+    """make_env's error for the first of keys that kind's factory does not take."""
+    rec = _KINDS[kind]
+    accepted = rec.takes or ("dt", *(name for name in rec.params if name not in rec.fixed))
+    unknown = [key for key in keys if key not in accepted]
+    if unknown:
+        raise ValueError(f"env kind {kind!r} takes no override {unknown[0]!r}; accepted keys: {', '.join(accepted)}")
 
 
-def vanderpol_env(dt: float = 0.05, mu: float = 0.5) -> EnvSpec:
-    """Van der Pol oscillator with additive forcing on the velocity dim.
+def _spec(kind: str, /, dt: float = 0.05, **params) -> EnvSpec:
+    """kind's spec from its `_KINDS` record, with params in place of the record's defaults."""
+    _refuse_unknown(kind, params)
+    rec = _KINDS[kind]
+    return EnvSpec(kind, dt, StateLayout(**rec.layout), rec.params | params, dict(rec.sampler))
 
-    Initial states sample a band around the steady orbit, so demonstrations
-    cover the oscillation rather than the approach transients.
+
+def pendulum_env(dt: float = 0.05, **params) -> EnvSpec:
+    """Single damped joint; robot state [theta, omega], object state [theta - target].
+
+    Takes mass, length, gravity and damping.
     """
-    layout = StateLayout(n=2, m=0, a=1)
-    sampler = {
-        "x0": ((1.8, 2.2), (2.2, 2.6)),
-        "x1": ((-0.3, 0.3), (-0.3, 0.3)),
-    }
-    return EnvSpec("vanderpol", dt, layout, {"mu": mu}, sampler)
+    return _spec("pendulum", dt, **params)
 
 
-def pointmass_env(
-    dt: float = 0.05,
-    hand_mass: float = 4.0,
-    ball_mass: float = 0.18,
-    damping: float = 2.0,
-    attach_radius: float = 0.2,
-    tau_limit: float = 45.0,
-    gravity: float = 4.0,
-) -> EnvSpec:
+def vanderpol_env(dt: float = 0.05, **params) -> EnvSpec:
+    """Van der Pol oscillator with additive forcing on the velocity dim.  Takes mu."""
+    return _spec("vanderpol", dt, **params)
+
+
+def pointmass_env(dt: float = 0.05, **params) -> EnvSpec:
     """2-D relocation: reach the ball, attach, carry it to the sampled target.
 
-    Robot state [hand_x, hand_y, hand_vx, hand_vy]; object state
+    Takes hand_mass, ball_mass, damping, attach_radius, tau_limit and
+    gravity.  Robot state [hand_x, hand_y, hand_vx, hand_vy]; object state
     [ball_x - target_x, ball_y - target_y, ball_vx, ball_vy].  The hand and
     ball start at fixed positions; only the target is sampled, and the
     out-of-distribution box shifts target_y past the training range.
@@ -242,58 +269,20 @@ def pointmass_env(
     actuator saturates at tau_limit per axis; the free ball rests on the
     table and does not fall.
     """
-    layout = StateLayout(
-        n=4,
-        m=4,
-        a=2,
-        robot_names=("hand_x", "hand_y", "hand_vx", "hand_vy"),
-        object_names=("ball_rel_x", "ball_rel_y", "ball_vx", "ball_vy"),
-    )
-    params = {
-        "hand_mass": hand_mass,
-        "ball_mass": ball_mass,
-        "damping": damping,
-        "attach_radius": attach_radius,
-        "tau_limit": tau_limit,
-        "gravity": gravity,
-        "hand_start_x": -0.5,
-        "hand_start_y": -0.5,
-        "ball_start_x": 0.0,
-        "ball_start_y": 0.0,
-    }
-    sampler = {
-        "target_x": ((-0.25, 0.25), (-0.25, 0.25)),
-        "target_y": ((0.15, 0.25), (0.25, 0.35)),
-    }
-    return EnvSpec("pointmass-relocation", dt, layout, params, sampler)
-
-
-_FACTORIES = {
-    "linear": linear_env_random,
-    "pendulum": pendulum_env,
-    "vanderpol": vanderpol_env,
-    "pointmass-relocation": pointmass_env,
-}
-KINDS = tuple(_FACTORIES)
+    return _spec("pointmass-relocation", dt, **params)
 
 
 def make_env(kind: str, dt: float | None = None, **overrides) -> EnvSpec:
     """Build an environment by kind name (the CLI entry point).
 
     linear takes dim/spectral_radius/seed (dim 5 by default) and builds a
-    seeded stable matrix; other kinds forward keyword overrides to their
-    factory.  An override the factory does not take, or a value that is not
-    a real number (an integer for linear's dim and seed), is a ValueError.
+    seeded stable matrix; other kinds take dt and their factory's params.
+    An override the kind does not take, or a value that is not a real
+    number (an integer for linear's dim and seed), is a ValueError.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown env kind {kind!r}")
-    factory = _FACTORIES[kind]
-    accepted = tuple(inspect.signature(factory).parameters)
-    unknown = [key for key in overrides if key not in accepted]
-    if unknown:
-        raise ValueError(
-            f"env kind {kind!r} takes no override {unknown[0]!r}; accepted keys: {', '.join(accepted)}"
-        )
+    _refuse_unknown(kind, overrides)
     args = {"dim": 5} if kind == "linear" else {}
     args.update(overrides)
     if dt is not None:
@@ -303,7 +292,7 @@ def make_env(kind: str, dt: float | None = None, **overrides) -> EnvSpec:
         accepts, what = (_is_int, "an integer") if key in integers else (_is_real, "a real number")
         if not accepts(value):
             raise ValueError(f"env kind {kind!r}: override {key!r} must be {what}, got {value!r}")
-    return factory(**args)
+    return linear_env_random(**args) if kind == "linear" else _spec(kind, **args)
 
 
 # ---------------------------------------------------------------- reset/step
@@ -337,7 +326,7 @@ def reset(spec: EnvSpec, seed: int, distribution: str = "in") -> EnvState:
 def _rows(spec: EnvSpec, state: EnvState):
     """The start rows x_r (1, n), x_o (1, m) and inner (1, k) of one EnvState, checked against spec."""
     _check_dims(spec.layout, state.composite)
-    k = _INNER[spec.kind]
+    k = _KINDS[spec.kind].inner
     if len(state.internal) != k:
         raise ValueError(f"{spec.kind} state has internal width {len(state.internal)}; the kind needs {k}")
     return state.composite.x_r[None], state.composite.x_o[None], np.array([state.internal], dtype=np.float64)
@@ -442,21 +431,9 @@ def step(spec: EnvSpec, state: EnvState, tau) -> EnvState:
 # ---------------------------------------------------------------- experts
 
 def default_expert(spec: EnvSpec) -> ScriptedExpert:
-    """Frozen tuned gains per kind (zero-torque for the unforced benchmarks).
-
-    The relocation expert carries torque jitter so demonstrations cover a
-    band around the nominal flow; controllers trained on them stay stable
-    when execution wanders off the exact demo states.
-    """
-    if spec.kind == "pendulum":
-        return ScriptedExpert("pendulum", {"kp": 16.0, "kd": 8.0})
-    if spec.kind == "pointmass-relocation":
-        return ScriptedExpert(
-            "pointmass-relocation",
-            {"kp_reach": 30.0, "kd_reach": 25.0, "kp_carry": 40.0, "kd_carry": 25.0},
-            noise_scale=1.0,
-        )
-    return ScriptedExpert(spec.kind, {})
+    """The kind's frozen tuned gains and torque jitter (a zero-torque expert for the unforced benchmarks)."""
+    rec = _KINDS[spec.kind]
+    return ScriptedExpert(spec.kind, dict(rec.gains), rec.noise_scale)
 
 
 def _expert_law(spec: EnvSpec, expert: ScriptedExpert, noise):
@@ -506,13 +483,7 @@ def _expert_law(spec: EnvSpec, expert: ScriptedExpert, noise):
 
 def default_criterion(spec: EnvSpec) -> SuccessCriterion | None:
     """Task success predicate for the goal-directed kinds, None otherwise."""
-    if spec.kind == "pendulum":
-        return SuccessCriterion("terminal-distance", threshold=0.1, extractor=(0,))
-    if spec.kind == "pointmass-relocation":
-        return SuccessCriterion(
-            "cumulative-proximity", threshold=0.10, count_threshold=35, extractor=(0, 1)
-        )
-    return None
+    return _KINDS[spec.kind].criterion
 
 
 # ---------------------------------------------------------------- rollouts
@@ -753,7 +724,7 @@ def env_spec_from_dict(data: dict) -> EnvSpec:
     for key in required[2:]:  # a linear block's matrix and input_map
         if not _is_real_matrix(data[key]):
             raise ValueError(f"env {key} must be a 2-D list of real numbers, got {data[key]!r}")
-    base = linear_env(data["matrix"], data["input_map"]) if kind == "linear" else _FACTORIES[kind]()
+    base = linear_env(data["matrix"], data["input_map"]) if kind == "linear" else _spec(kind)
     merged = {"params": dict(base.params), "sampler": dict(base.sampler)}
     for block, accepts, what in (("params", _is_real, "a real number"),
                                  ("sampler", _is_range_pair, "two [low, high] ranges")):

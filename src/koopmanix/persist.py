@@ -311,6 +311,22 @@ def load_demos(manifest_path) -> DemonstrationSet:
 
 # -------------------------------------------------------------------- models
 
+def _fit_meta(meta, path: Path) -> FitMeta | None:
+    """A model file's fit_meta block, or None for null: the one check of that block, on load and on save."""
+    if meta is None:
+        return None
+    try:
+        return FitMeta(
+            n_demos=_count(meta["n_demos"], "n_demos"),
+            n_pairs=_count(meta["n_pairs"], "n_pairs"),
+            wall_time_s=_finite(meta["wall_time_s"], "wall_time_s"),
+            rank=_count(meta["rank"], "rank"),
+            cond=_finite(meta["cond"], "cond") if meta["cond"] is not None else math.inf,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PersistError(f"{path}: bad fit_meta block: {exc}") from exc
+
+
 def save_model(model: KoopmanModel, path) -> Path:
     path = Path(path)
     _require_finite(model.K, path, "K")
@@ -329,6 +345,7 @@ def save_model(model: KoopmanModel, path) -> Path:
             "rank": model.fit_meta.rank,
             "cond": model.fit_meta.cond if math.isfinite(model.fit_meta.cond) else None,
         }
+    _fit_meta(meta, path)  # refuse on save what load would refuse, with load's message
     obj = {
         "schema": SCHEMA_VERSION,
         "layout": _layout_to_dict(model.layout),
@@ -367,20 +384,7 @@ def load_model(path) -> KoopmanModel:
     p = dimension(spec)
     if K.ndim != 2 or K.shape != (p, p):
         raise PersistError(f"{path}: K has shape {K.shape}, expected ({p}, {p})")
-    meta = obj.get("fit_meta")
-    fit_meta = None
-    if meta is not None:
-        try:
-            fit_meta = FitMeta(
-                n_demos=_count(meta["n_demos"], "n_demos"),
-                n_pairs=_count(meta["n_pairs"], "n_pairs"),
-                wall_time_s=_finite(meta["wall_time_s"], "wall_time_s"),
-                rank=_count(meta["rank"], "rank"),
-                cond=_finite(meta["cond"], "cond") if meta["cond"] is not None else math.inf,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PersistError(f"{path}: bad fit_meta block: {exc}") from exc
-    return KoopmanModel(K, spec, layout, fit_meta)
+    return KoopmanModel(K, spec, layout, _fit_meta(obj.get("fit_meta"), path))
 
 
 # --------------------------------------------------------------- controllers

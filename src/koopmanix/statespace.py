@@ -77,6 +77,12 @@ class StateLayout:
             raise ValueError(f"object dimension m must be >= 0, got {self.m}")
         if self.a < 1:
             raise ValueError(f"actuation dimension a must be >= 1, got {self.a}")
+        for name in ("robot_names", "object_names"):
+            names = getattr(self, name)
+            if names is not None:
+                if not (isinstance(names, (tuple, list)) and all(isinstance(v, str) for v in names)):
+                    raise ValueError(f"{name} must be None or a tuple or list of strings, got {names!r}")
+                object.__setattr__(self, name, tuple(names))  # hashable, and equal to a loaded copy
         if self.robot_names is not None and len(self.robot_names) != self.n:
             raise ValueError("robot_names length does not match n")
         if self.object_names is not None and len(self.object_names) != self.m:

@@ -205,6 +205,9 @@ def test_non_string_manifest_entry_is_a_persist_error(tmp_path, capsys):
     ("fit", {"pinv_tol": -1e-9}, "pinv_tol must be null or a finite real number >= 0, got -1e-09"),
     ("train-controller", {"train": {"seed": -1}}, "train.seed must be a non-negative integer, got -1"),
     ("eval", {"demo_counts": []}, "demo_counts must be a non-empty list, got []"),
+    ("train-controller", {"train": {"iterations": 0}}, "train.iterations must be >= 1, got 0"),
+    ("train-controller", {"train": {"learning_rate": -1}}, "train.learning_rate must be finite and > 0, got -1.0"),
+    ("train-controller", {"train": {"batch": 0}}, "train.batch must be None or >= 1, got 0"),
 ])
 def test_config_block_types_checked(tmp_path, capsys, command, config, key):
     cfg = _write_config(tmp_path, config)

@@ -154,6 +154,47 @@ def test_make_env_kinds_and_overrides():
         make_env("linear", spectral_radius=float("inf"))
 
 
+@pytest.mark.parametrize("kind, keys", [
+    ("pendulum", "dt, mass, length, gravity, damping"),
+    ("vanderpol", "dt, mu"),
+    ("pointmass-relocation", "dt, hand_mass, ball_mass, damping, attach_radius, tau_limit, gravity"),
+    ("linear", "dim, spectral_radius, seed, dt"),
+])
+def test_make_env_takes_exactly_the_factory_keys(kind, keys):
+    for key in keys.split(", "):
+        make_env(kind, **{key: 2 if key in ("dim", "seed") else 0.5})
+    refused = ["bogus"] + (["hand_start_x", "hand_start_y", "ball_start_x", "ball_start_y"]
+                           if kind == "pointmass-relocation" else [])
+    for key in refused:
+        with pytest.raises(ValueError, match=f"^env kind '{kind}' takes no override '{key}'; accepted keys: {keys}$"):
+            make_env(kind, **{key: 0.5})
+
+
+@pytest.mark.parametrize("factory, kind, key", [
+    (pendulum_env, "pendulum", "bogus"),
+    (vanderpol_env, "vanderpol", "bogus"),
+    (pointmass_env, "pointmass-relocation", "hand_start_x"),
+    (pointmass_env, "pointmass-relocation", "kind"),
+])
+def test_factory_refuses_an_unknown_keyword_as_make_env_does(factory, kind, key):
+    with pytest.raises(ValueError, match=f"^env kind '{kind}' takes no override '{key}'; accepted keys: dt, "):
+        factory(**{key: 1})
+
+
+def test_spec_refuses_params_the_kind_does_not_read():
+    # the plant would silently keep its own hand_mass and ignore the misspelt key
+    env = pointmass_env()
+    reads = ", ".join(env.params)
+    message = f"pointmass-relocation params hold 'hand_mas', which the kind does not read; it reads {reads}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(env, params={**env.params, "hand_mas": 5.0})
+    with pytest.raises(ValueError, match="^linear params hold 'mu', which the kind does not read; it reads none$"):
+        replace(linear_env(np.eye(2)), params={"mu": 1.0})
+    # a block read from a manifest still names its own unknown key first
+    with pytest.raises(ValueError, match="^env params: unknown key 'hand_mas' for kind 'pointmass-relocation'"):
+        env_spec_from_dict(env_spec_to_dict(env) | {"params": {"hand_mas": 5.0}})
+
+
 def test_env_spec_dict_round_trip():
     for spec in (pointmass_env(), pendulum_env(), linear_env_random(3, seed=4)):
         back = env_spec_from_dict(env_spec_to_dict(spec))

@@ -202,6 +202,21 @@ def test_model_round_trip_infinite_condition(tmp_path):
     assert load_model(tmp_path / "model.json").fit_meta.cond == math.inf
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"rank": -3}, "rank must be >= 0, got -3"),
+    ({"n_demos": 1.5}, "n_demos must be an integer, got 1.5"),
+    ({"wall_time_s": math.nan}, "wall_time_s must be a finite number, got NaN"),
+], ids=["rank-negative", "n-demos-float", "wall-time-nan"])
+def test_save_model_refuses_the_fit_meta_load_refuses(tmp_path, fields, message):
+    meta = FitMeta(**{"n_demos": 1, "n_pairs": 1, "wall_time_s": 0.0, "rank": 1, "cond": 1.0} | fields)
+    model = KoopmanModel(np.zeros((1, 1)), LiftingSpec("identity", LAYOUT_1D), LAYOUT_1D, meta)
+    path = tmp_path / "model.json"
+    with pytest.raises(PersistError) as exc:
+        save_model(model, path)
+    assert str(exc.value) == f"{path}: bad fit_meta block: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_controller_round_trip(tmp_path):
     model = init(StateLayout(n=2, m=0, a=2), seed=13)
     save_controller(model, tmp_path / "ctrl.json")

@@ -66,6 +66,28 @@ def test_layout_names_must_match_dims():
         StateLayout(n=2, m=1, a=1, object_names=("b", "extra"))
 
 
+def test_layout_names_are_stored_as_a_tuple(tmp_path):
+    # a list used to be kept as given: the layout was unhashable, and unequal to its saved-and-loaded copy
+    listed = StateLayout(n=1, m=1, a=1, robot_names=["x"], object_names=["b"])
+    assert listed.robot_names == ("x",) and listed.object_names == ("b",)
+    assert listed == StateLayout(n=1, m=1, a=1, robot_names=("x",), object_names=("b",))
+    assert hash(listed) == hash(StateLayout(n=1, m=1, a=1, robot_names=("x",), object_names=("b",)))
+    traj = Trajectory.from_arrays(np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((2, 1)))
+    loaded = load_demos(save_demos(DemonstrationSet(listed, (traj,)), tmp_path / "demos"))
+    assert loaded.layout == listed
+    fit(loaded, LiftingSpec("identity", listed))
+
+
+@pytest.mark.parametrize("names, message", [
+    ({"robot_names": "ab"}, "robot_names must be None or a tuple or list of strings, got 'ab'"),
+    ({"robot_names": ("x", 1)}, "robot_names must be None or a tuple or list of strings, got ('x', 1)"),
+    ({"object_names": b"b"}, "object_names must be None or a tuple or list of strings, got b'b'"),
+], ids=["string", "non-string-name", "bytes"])
+def test_layout_names_must_be_strings(names, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        StateLayout(n=2, m=1, a=1, **names)
+
+
 def test_composite_state_full_and_immutability():
     s = CompositeState([1.0, 2.0], [3.0])
     assert np.array_equal(s.full, [1.0, 2.0, 3.0])

@@ -9,6 +9,7 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "hash_outputs.py"
 GROUPS = [
     *(f"demos/{kind}/{label}" for kind in ("linear", "pendulum", "vanderpol", "pointmass-relocation")
       for label in ("jitter", "quiet")),
+    "envs/specs",
     *(f"reset/{kind}/{distribution}" for kind in ("linear", "pendulum", "vanderpol", "pointmass-relocation")
       for distribution in ("in", "out")),
     "supervision",

@@ -7,6 +7,9 @@ lines mean bit-identical outputs.  Each line is `<group> <sha256>`:
 
 - demos/<kind>/<jitter|quiet>: generate_demos of each env kind, with and
   without expert torque jitter (x_r, x_o, torques of every demo);
+- envs/specs: for every env kind, make_env's spec as env_spec_to_dict
+  writes it, its layout's sizes and names, default_expert's gains and
+  noise scale, and default_criterion's fields (or null), as canonical JSON;
 - reset/<kind>/<in|out>: x_r, x_o and internal of 20 public reset calls
   per env kind and distribution;
 - supervision: its x_now, x_next, tau and weights on the pointmass demos;
@@ -35,6 +38,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -50,9 +54,13 @@ from koopmanix import (DemonstrationSet, LiftingSpec, ScriptedExpert, TrainConfi
 from koopmanix.cli import _run_batch, main as cli_main
 from koopmanix.controller import forward, loss
 from koopmanix.envs import (
+    KINDS,
+    default_criterion,
     default_expert,
+    env_spec_to_dict,
     generate_demos,
     linear_env_random,
+    make_env,
     pendulum_env,
     pointmass_env,
     reset,
@@ -114,6 +122,20 @@ def _demo_groups(n: int, horizon: int):
         for label, ex in (("jitter", jitter), ("quiet", quiet)):
             demos = generate_demos(env, ex, n, horizon, seed=42)
             yield f"demos/{env.kind}/{label}", _digest(_trajectory_arrays(demos.trajectories))
+
+
+def _spec_groups():
+    facts = []
+    for kind in KINDS:
+        env = make_env(kind)
+        lay, expert, criterion = env.layout, default_expert(env), default_criterion(env)
+        facts.append({
+            "spec": env_spec_to_dict(env),
+            "layout": [lay.n, lay.m, lay.a, lay.robot_names, lay.object_names],
+            "expert": [expert.gains, expert.noise_scale],
+            "criterion": None if criterion is None else dataclasses.asdict(criterion),
+        })
+    yield "envs/specs", hashlib.sha256(json.dumps(facts, sort_keys=True).encode()).hexdigest()
 
 
 def _reset_groups():
@@ -206,6 +228,7 @@ def main(argv=None) -> int:
     parser.add_argument("--iterations", type=int, default=20, help="training iterations (default 20)")
     args = parser.parse_args(argv)
     for groups in (_demo_groups(args.demos, args.horizon),
+                   _spec_groups(),
                    _reset_groups(),
                    _model_groups(args.demos, args.horizon, args.iterations),
                    _cli_groups(args.demos, args.horizon, args.iterations)):
