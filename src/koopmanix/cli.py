@@ -15,7 +15,6 @@ import csv
 import hashlib
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -72,8 +71,8 @@ SETTINGS = {
     "lifting": ("kodex", lambda v: isinstance(v, str) and v in LIFTING_NAMES, '"identity" or "kodex"'),
     "pinv_tol": (
         None,
-        lambda v: v is None or (_is_real(v) and math.isfinite(v) and v >= 0),
-        "null or a finite real number >= 0",
+        lambda v: v is None or (_is_real(v) and 0 <= v < 1),
+        "null or a finite real number in [0, 1)",
     ),
     "demo_counts": ((10, 25, 50, 100, 150, 200), lambda v: isinstance(v, list), "a list"),
 }

@@ -87,7 +87,7 @@ class ControllerModel:
 class TrainConfig:
     learning_rate: float = 1e-4
     iterations: int = 300
-    batch: int | None = 64  # None = full batch
+    batch: int | None = 64  # None = full batch, as is any batch >= the pair count
     seed: int = 0
 
     def __post_init__(self):
@@ -203,20 +203,19 @@ class _Workspace:
 
     acts[l] receives layer l's output (rectified for hidden layers), and
     layers binds the given weights and biases to those buffers for
-    `_forward`.  The backward arrays are allocated only when `backward` is
-    set, and a minibatch's gathered rows only when `gather` is.
+    `_forward`.  The backward arrays, and the gathered inputs, torques and
+    weights of a minibatch, are allocated only when `backward` is set.
     """
 
-    def __init__(self, weights, biases, rows: int, backward: bool, gather: bool = False):
+    def __init__(self, weights, biases, rows: int, backward: bool):
         widths = [W.shape[0] for W in weights]
         self.acts = [np.empty((rows, k)) for k in widths]
         self.layers = _bind(weights, biases, self.acts)
         self.err = np.empty((rows, widths[-1]))
         if backward:
-            self.row = np.empty(rows)  # 2 w in backprop; the terms of a whole-batch loss pass
+            self.row = np.empty(rows)  # 2 w in backprop
             self.deltas = [np.empty((rows, k)) for k in widths]
             self.masks = [np.empty((rows, k), dtype=bool) for k in widths[:-1]]
-        if gather:
             self.Z = np.empty((rows, weights[0].shape[1]))
             self.tau = np.empty((rows, widths[-1]))
             self.w = np.empty(rows)  # the weights, then scaled in place to sum to one
@@ -260,29 +259,24 @@ def _forward(layers, Z, out=None) -> np.ndarray:
     return H
 
 
-def _loss_pass(weights, biases, Z, tau, w, whole: _Workspace | None = None):
+def _loss_pass(weights, biases, Z, tau, w):
     """A function that returns sum_k w_k |net(Z_k) - tau_k|^2 under the current weights.
 
-    The rows run through one workspace in blocks of LOSS_BLOCK_ROWS, each
-    block writing its rows' terms into one vector over all rows, which is
-    then summed in one contiguous reduction: the same pairwise sum, to the
-    bit, as a single pass over all rows.  A short last block uses the
-    workspace's leading rows.  Given `whole`, a backward workspace over all
-    rows, the pass is one block in it, its layer outputs stay there for
-    `_backprop`, and its row buffer takes the terms.  Blocks are bound once
-    here; the weights and biases may be updated in place between calls.
+    The rows run through one forward-only workspace in blocks of
+    LOSS_BLOCK_ROWS, each block writing its rows' terms into one vector over
+    all rows, which is then summed in one contiguous reduction: the same
+    pairwise sum, to the bit, as a single pass over all rows.  A short last
+    block uses the workspace's leading rows.  Blocks are bound once here;
+    the weights and biases may be updated in place between calls.
     """
     P = Z.shape[0]
-    if whole is None:
-        bounds = list(range(0, P, LOSS_BLOCK_ROWS)) + [P]
-        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-            # numpy runs a one-row product as gemv, which rounds unlike the
-            # gemm of a larger block; the last row joins the block before it
-            del bounds[-2]
-        ws = _Workspace(weights, biases, max(np.diff(bounds)), backward=False)
-        terms = np.empty(P)
-    else:
-        bounds, ws, terms = [0, P], whole, whole.row
+    bounds = list(range(0, P, LOSS_BLOCK_ROWS)) + [P]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        # numpy runs a one-row product as gemv, which rounds unlike the
+        # gemm of a larger block; the last row joins the block before it
+        del bounds[-2]
+    ws = _Workspace(weights, biases, max(np.diff(bounds)), backward=False)
+    terms = np.empty(P)
     blocks = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         part = ws.head(hi - lo)
@@ -406,22 +400,23 @@ def train(
     Returns the model and the per-iteration loss history: history[it] is the
     full-batch training loss before iteration it, so history[0] equals
     `loss` of the initial model; it comes from a forward-only pass.  One
-    iteration is one pass over the triples: a single full-batch step at
-    batch=None, or else a seeded-shuffle sweep of minibatch steps, each
-    gathering its slice of the permutation into the step workspace.  The
-    inputs, torques and weights are built once from the demos, and the
-    inputs standardized in place.  All weights and biases live in one flat
-    float64 vector; the per-layer arrays are shaped views into it,
-    gradients land in a matching flat buffer, and Adam updates the vector
-    in place.  Every buffer a pass writes is allocated once per call and
-    reused by every iteration.  In minibatch mode the history pass streams
+    iteration is a seeded-shuffle sweep of minibatch steps over the P
+    triples, each gathering its slice of the permutation into the step
+    workspace.  A full batch is one minibatch of all pairs: batch=None, or
+    a batch of P or more, makes one step of all P rows per iteration, in
+    shuffled order.  The inputs, torques and weights are built once from
+    the demos, and the inputs standardized in place.  All weights and
+    biases live in one flat float64 vector; the per-layer arrays are shaped
+    views into it, gradients land in a matching flat buffer, and Adam
+    updates the vector in place.  Every buffer a pass writes is allocated
+    once per call and reused by every iteration.  The history pass streams
     the rows through one workspace of LOSS_BLOCK_ROWS rows, so past that
-    fixed block `train` holds 2n + a + 3 eight-byte words per pair: the
-    standardized inputs, torques and weights, the per-row loss terms and
-    the permutation.  The full-batch step needs every row's layer outputs,
-    so at batch=None the history pass runs over all rows at once in the
-    step's own workspace and the step reuses its outputs.  Identical inputs
-    give bit-identical weights.
+    fixed block and the step workspace of min(batch, P) rows, `train` holds
+    2n + a + 3 eight-byte words per pair: the standardized inputs, torques
+    and weights, the per-row loss terms and the permutation.  The step
+    workspace holds its rows' layer outputs, deltas and masks and their
+    gathered inputs, torques and weights, so at a full batch it grows with
+    P too.  Identical inputs give bit-identical weights.
     """
     Z, tau, w = _pairs(demos)
     P = len(w)
@@ -459,15 +454,10 @@ def train(
         np.add(np.sqrt(np.divide(adam_v, 1 - beta2**step, out=s2), out=s2), eps, out=s2)
         np.subtract(theta, np.divide(np.multiply(s1, lr, out=s1), s2, out=s1), out=theta)
 
-    full = config.batch is None or config.batch >= P
-    if full:
-        whole = _Workspace(weights, biases, P, backward=True)
-        history_pass = _loss_pass(weights, biases, Z, tau, w, whole)
-    else:
-        history_pass = _loss_pass(weights, biases, Z, tau, w)
-        B = config.batch
-        part = _Workspace(weights, biases, B, backward=True, gather=True)
-        tail = part.head(P % B)  # the shorter last minibatch
+    B = P if config.batch is None else min(config.batch, P)
+    history_pass = _loss_pass(weights, biases, Z, tau, w)
+    part = _Workspace(weights, biases, B, backward=True)
+    tail = part.head(P % B)  # the shorter last minibatch
 
     history = np.empty(config.iterations)
     for it in range(config.iterations):
@@ -475,10 +465,6 @@ def train(
         history[it] = value
         if not np.isfinite(value):
             raise ValueError(f"non-finite training loss at iteration {it}")
-        if full:
-            _backprop(weights, Z, whole.acts, tau, w, gWs, gbs, whole)
-            apply()
-            continue
         perm = shuffle_rng.permutation(P)
         for lo in range(0, P, B):
             idx = perm[lo : lo + B]
@@ -494,7 +480,7 @@ def train(
 
     logger.info(
         "train: pairs=%d batch=%s updates=%d loss_first=%.6g loss_last=%.6g",
-        P, "full" if full else config.batch, step, history[0], history[-1],
+        P, "full" if B == P else B, step, history[0], history[-1],
     )
     final = replace(model, weights=tuple(weights), biases=tuple(biases))
     return final, history
@@ -519,7 +505,7 @@ def gradient_check(model: ControllerModel, triple, epsilon: float = 1e-5) -> flo
     ws = _Workspace(weights, biases, 1, backward=True)
     _forward(ws.layers, Z)
     _backprop(weights, Z, ws.acts, tau, one, *_flat_views(model.layer_sizes, grad), ws)
-    probe = _loss_pass(weights, biases, Z, tau, one, ws)
+    probe = _loss_pass(weights, biases, Z, tau, one)
 
     worst = 0.0
     for k in range(theta.size):

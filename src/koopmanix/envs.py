@@ -559,8 +559,13 @@ def generate_demos(
     whole set is reproducible.  Logs the expert success rate when the kind
     has a success criterion.
     """
+    for name, value in (("n_demos", n_demos), ("seed", seed)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n_demos < 1:
         raise ValueError(f"n_demos must be >= 1, got {n_demos}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     reset_seeds, noise_seeds = zip(*np.random.default_rng(seed).integers(2**62, size=(n_demos, 2)).tolist())
     rows = _reset_rows(spec, reset_seeds, distribution)
     trajs = _run_expert(spec, expert, rows, horizon, list(map(np.random.default_rng, noise_seeds)))
@@ -625,6 +630,8 @@ def _closed_loop(
         policy = _callable_policy
     else:
         raise ValueError("controller must be a ControllerModel or a callable")
+    if horizon < 2:  # _run's bound, checked before the reference rollout, whose own bound is 1
+        raise ValueError(f"horizon must be >= 2, got {horizon}")
     ref = koopman._rollout(model, rows[0], rows[1], horizon)
     return _run(spec, rows, horizon, policy(controller, ref, spec.layout), "controller produced")
 

@@ -115,6 +115,9 @@ def _svd_pinv(mat: np.ndarray, rel_tolerance: float | None) -> tuple[np.ndarray,
         rel_tolerance = default_pinv_tolerance(mat.shape[0])
     if not 0 <= rel_tolerance < np.inf:
         raise ValueError(f"rel_tolerance must be >= 0 and finite, got {rel_tolerance}")
+    if rel_tolerance >= 1:
+        # the cutoff rel_tolerance * s[0] would drop every singular value
+        raise ValueError(f"rel_tolerance must be < 1, got {rel_tolerance}")
     U, s, Vt = np.linalg.svd(mat)  # LinAlgError on non-convergence propagates
     cutoff = rel_tolerance * (s[0] if s.size else 0.0)
     keep = s > cutoff

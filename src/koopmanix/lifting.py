@@ -33,6 +33,8 @@ class LiftingSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown lifting kind {self.kind!r}, expected one of {KINDS}")
+        if not isinstance(self.layout, StateLayout):
+            raise ValueError(f"layout must be a StateLayout, got {self.layout!r}")
 
 
 def _poly_counts(n: int, m: int) -> tuple[int, int]:

@@ -53,10 +53,10 @@ def _int(value, key: str) -> int:
 
 
 def _count(value, key: str) -> int:
-    """value itself if it is a JSON integer >= 0."""
+    """value as a Python int if it is an integer >= 0."""
     if _int(value, key) < 0:
         raise ValueError(f"{key} must be >= 0, got {value}")
-    return value
+    return int(value)
 
 
 def _finite(value, key: str) -> float:
@@ -327,6 +327,17 @@ def _fit_meta(meta, path: Path) -> FitMeta | None:
         raise PersistError(f"{path}: bad fit_meta block: {exc}") from exc
 
 
+def _fit_meta_block(meta: FitMeta) -> dict:
+    """The fit_meta block that records meta; an infinite cond is written as null."""
+    return {
+        "n_demos": meta.n_demos,
+        "n_pairs": meta.n_pairs,
+        "wall_time_s": meta.wall_time_s,
+        "rank": meta.rank,
+        "cond": meta.cond if math.isfinite(meta.cond) else None,
+    }
+
+
 def save_model(model: KoopmanModel, path) -> Path:
     path = Path(path)
     _require_finite(model.K, path, "K")
@@ -338,14 +349,9 @@ def save_model(model: KoopmanModel, path) -> Path:
     }
     meta = None
     if model.fit_meta is not None:
-        meta = {
-            "n_demos": model.fit_meta.n_demos,
-            "n_pairs": model.fit_meta.n_pairs,
-            "wall_time_s": model.fit_meta.wall_time_s,
-            "rank": model.fit_meta.rank,
-            "cond": model.fit_meta.cond if math.isfinite(model.fit_meta.cond) else None,
-        }
-    _fit_meta(meta, path)  # refuse on save what load would refuse, with load's message
+        # refuse on save what load would refuse, with load's message, and
+        # write the Python numbers load's check returns
+        meta = _fit_meta_block(_fit_meta(_fit_meta_block(model.fit_meta), path))
     obj = {
         "schema": SCHEMA_VERSION,
         "layout": _layout_to_dict(model.layout),

@@ -71,6 +71,7 @@ class StateLayout:
         for name in ("n", "m", "a"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"layout size {name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, int(getattr(self, name)))  # a Python int, which JSON can write
         if self.n < 1:
             raise ValueError(f"robot dimension n must be >= 1, got {self.n}")
         if self.m < 0:

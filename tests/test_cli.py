@@ -200,14 +200,16 @@ def test_non_string_manifest_entry_is_a_persist_error(tmp_path, capsys):
     ("gen-demos", {"seed": -1}, "seed must be a non-negative integer, got -1"),
     ("fit", {"lifting": "bogus"}, 'lifting must be "identity" or "kodex", got "bogus"'),
     ("eval", {"n_eval": 0}, "n_eval must be a positive integer, got 0"),
-    ("fit", {"pinv_tol": "x"}, 'pinv_tol must be null or a finite real number >= 0, got "x"'),
-    ("fit", {"pinv_tol": float("nan")}, "pinv_tol must be null or a finite real number >= 0, got NaN"),
-    ("fit", {"pinv_tol": -1e-9}, "pinv_tol must be null or a finite real number >= 0, got -1e-09"),
+    ("fit", {"pinv_tol": "x"}, 'pinv_tol must be null or a finite real number in [0, 1), got "x"'),
+    ("fit", {"pinv_tol": float("nan")}, "pinv_tol must be null or a finite real number in [0, 1), got NaN"),
+    ("fit", {"pinv_tol": -1e-9}, "pinv_tol must be null or a finite real number in [0, 1), got -1e-09"),
     ("train-controller", {"train": {"seed": -1}}, "train.seed must be a non-negative integer, got -1"),
     ("eval", {"demo_counts": []}, "demo_counts must be a non-empty list, got []"),
     ("train-controller", {"train": {"iterations": 0}}, "train.iterations must be >= 1, got 0"),
     ("train-controller", {"train": {"learning_rate": -1}}, "train.learning_rate must be finite and > 0, got -1.0"),
     ("train-controller", {"train": {"batch": 0}}, "train.batch must be None or >= 1, got 0"),
+    ("fit", {"pinv_tol": 1}, "pinv_tol must be null or a finite real number in [0, 1), got 1"),
+    ("fit", {"pinv_tol": 1.5}, "pinv_tol must be null or a finite real number in [0, 1), got 1.5"),
 ])
 def test_config_block_types_checked(tmp_path, capsys, command, config, key):
     cfg = _write_config(tmp_path, config)
@@ -233,9 +235,11 @@ def test_config_block_types_checked(tmp_path, capsys, command, config, key):
     (["rollout", "--model", "m.json", "--demos", "d.json", "--horizon", "0"],
      "--horizon must be a positive integer, got 0"),
     (["fit", "--demos", "d.json", "--pinv-tol", "nan"],
-     "--pinv-tol must be null or a finite real number >= 0, got nan"),
+     "--pinv-tol must be null or a finite real number in [0, 1), got nan"),
+    (["fit", "--demos", "d.json", "--pinv-tol", "1"],
+     "--pinv-tol must be null or a finite real number in [0, 1), got 1.0"),
 ], ids=["gen-demos-n-demos", "gen-demos-horizon", "gen-demos-seed", "simulate-n-runs", "simulate-seed",
-        "retune-n-demos", "rollout-horizon", "fit-pinv-tol"])
+        "retune-n-demos", "rollout-horizon", "fit-pinv-tol", "fit-pinv-tol-one"])
 def test_flags_checked_like_config_keys(tmp_path, capsys, argv, message):
     assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: invalid: {message}\n"

@@ -489,12 +489,10 @@ def _reference_train(demos, config):
     for it in range(config.iterations):
         value, dWs, dbs = grads(weights, biases, Z, tau, w)
         history[it] = value
-        if config.batch is None or config.batch >= P:
-            apply(dWs, dbs)
-            continue
+        B = P if config.batch is None else config.batch
         perm = shuffle_rng.permutation(P)
-        for lo in range(0, P, config.batch):
-            idx = perm[lo : lo + config.batch]
+        for lo in range(0, P, B):
+            idx = perm[lo : lo + B]
             wb = w[idx]
             _, dWs, dbs = grads(weights, biases, Z[idx], tau[idx], wb / wb.sum())
             apply(dWs, dbs)
@@ -591,6 +589,23 @@ def test_non_finite_loss_stops_training_before_that_iterations_updates(batch, mo
         with pytest.raises(ValueError, match="^non-finite training loss at iteration 1$"):
             train(_pin_demos(), config)
     assert len(calls) == (4 if batch else 1)  # iteration 0's steps only: 174 pairs in batches of 50
+
+
+def test_a_batch_of_the_pair_count_or_more_is_the_full_batch(monkeypatch):
+    # a full batch is one minibatch of all P = 174 pairs: one update per iteration
+    calls = []
+    backprop = controller._backprop
+    monkeypatch.setattr(controller, "_backprop", lambda *args: calls.append(1) or backprop(*args))
+    demos = _pin_demos()
+    runs = {}
+    for batch in (None, 174, 348, 1000):
+        calls.clear()
+        model, history = train(demos, TrainConfig(learning_rate=1e-3, iterations=5, batch=batch, seed=7))
+        assert len(calls) == 5
+        runs[batch] = [*model.weights, *model.biases, history]
+    for batch in (174, 348, 1000):
+        for got, want in zip(runs[batch], runs[None]):
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_train_memory_is_bounded_per_pair_plus_one_block():

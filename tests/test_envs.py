@@ -709,6 +709,29 @@ def test_execute_policy_with_perfect_tracker():
     assert np.allclose(got, ref, atol=1e-10)
 
 
+@pytest.mark.parametrize("horizon", [0, 1, -3])
+def test_execute_policy_refuses_a_short_horizon_before_the_reference(horizon):
+    # the reference rollout's own bound is 1, so the closed loop's bound is checked first
+    spec = linear_env_random(2, seed=0)
+    model = fit(generate_demos(spec, default_expert(spec), 5, 10, seed=0), LiftingSpec("identity", spec.layout))
+    with pytest.raises(ValueError, match=f"^horizon must be >= 2, got {horizon}$"):
+        execute_policy(model, perfect_tracker(spec), spec, reset(spec, seed=1), horizon)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"n_demos": 2.5}, "n_demos must be an integer, got 2.5"),
+    ({"n_demos": True}, "n_demos must be an integer, got True"),
+    ({"n_demos": 0}, "n_demos must be >= 1, got 0"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+], ids=["n-demos-float", "n-demos-bool", "n-demos-zero", "seed-negative", "seed-float"])
+def test_generate_demos_names_the_argument_at_fault(fields, message):
+    spec = pointmass_env()
+    args = {"n_demos": 2, "horizon": 5, "seed": 0} | fields
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate_demos(spec, default_expert(spec), **args)
+
+
 def test_execute_policy_validation():
     spec = linear_env_random(2, seed=0)
     demos = generate_demos(spec, default_expert(spec), 5, 10, seed=0)

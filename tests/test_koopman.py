@@ -291,6 +291,20 @@ def test_negative_tolerance_rejected_on_every_solve_path():
                 call()
 
 
+@pytest.mark.parametrize("tol", [1.0, 1.5])
+def test_tolerance_of_one_or_more_rejected_on_every_solve_path(tol):
+    # the cutoff tol * s[0] would drop every singular value and give K = 0 at rank 0
+    demos = _demos_1d([1, 2, 4])
+    acc = accumulate(demos, IDENT_1D)
+    for call in (
+        lambda: fit(demos, IDENT_1D, rel_tolerance=tol),
+        lambda: solve_koopman(acc.A, acc.G, rel_tolerance=tol),
+        lambda: _svd_pinv(acc.G, tol),
+    ):
+        with pytest.raises(ValueError, match=f"^rel_tolerance must be < 1, got {tol}$"):
+            call()
+
+
 # ---------------------------------------------------------------------- cost
 
 def test_cost_zero_for_exact_fit():

@@ -1,6 +1,7 @@
 """Polynomial observable maps: dimensions, ordering, and retrieval slots."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -173,6 +174,12 @@ def test_monomial_exponents_describe_every_slot():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown lifting kind"):
         LiftingSpec("fourier", StateLayout(n=1, m=0, a=1))
+
+
+@pytest.mark.parametrize("layout", [None, (1, 0, 1)], ids=["none", "tuple"])
+def test_layout_that_is_not_a_state_layout_rejected(layout):
+    with pytest.raises(ValueError, match=r"^layout must be a StateLayout, got " + re.escape(repr(layout)) + "$"):
+        LiftingSpec("identity", layout)
 
 
 def test_lift_rejects_mismatched_state():

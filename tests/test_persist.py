@@ -217,6 +217,30 @@ def test_save_model_refuses_the_fit_meta_load_refuses(tmp_path, fields, message)
     assert list(tmp_path.iterdir()) == []
 
 
+# json cannot write a numpy integer, so the layout and fit_meta store Python ints
+NUMPY_LAYOUT = StateLayout(n=np.int64(2), m=np.int64(0), a=np.int64(1))
+
+
+def test_demos_with_numpy_integer_layout_sizes_round_trip(tmp_path):
+    traj = Trajectory.from_arrays(np.arange(6.0).reshape(3, 2), np.empty((3, 0)), np.ones((2, 1)))
+    back = load_demos(save_demos(DemonstrationSet(NUMPY_LAYOUT, (traj,)), tmp_path))
+    assert back.layout == NUMPY_LAYOUT == StateLayout(n=2, m=0, a=1)
+    assert np.array_equal(_bits(back.trajectories[0].x_r.ravel()), _bits(traj.x_r.ravel()))
+    assert np.array_equal(back.trajectories[0].torques, traj.torques)
+
+
+@pytest.mark.parametrize("layout, meta", [
+    (NUMPY_LAYOUT, None),
+    (StateLayout(n=2, m=0, a=1),
+     FitMeta(n_demos=np.int64(3), n_pairs=np.int64(6), wall_time_s=0.5, rank=np.int64(2), cond=4.0)),
+], ids=["layout", "fit-meta"])
+def test_models_with_numpy_integers_round_trip(tmp_path, layout, meta):
+    model = KoopmanModel(np.array([[0.5, 0.25], [0.0, 1.0]]), LiftingSpec("identity", layout), layout, meta)
+    back = load_model(save_model(model, tmp_path / "model.json"))
+    assert back.layout == layout and back.fit_meta == meta
+    assert np.array_equal(_bits(back.K.ravel()), _bits(model.K.ravel()))
+
+
 def test_controller_round_trip(tmp_path):
     model = init(StateLayout(n=2, m=0, a=2), seed=13)
     save_controller(model, tmp_path / "ctrl.json")

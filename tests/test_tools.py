@@ -13,7 +13,8 @@ GROUPS = [
     *(f"reset/{kind}/{distribution}" for kind in ("linear", "pendulum", "vanderpol", "pointmass-relocation")
       for distribution in ("in", "out")),
     "supervision",
-    *(f"train/{case}" for case in ("batch-64", "batch-divides-P", "batch-leaves-one-row", "full-batch")),
+    *(f"train/{case}" for case in ("batch-64", "batch-divides-P", "batch-leaves-one-row", "full-batch",
+                                   "batch-above-P")),
     "closed-loop/lockstep",
     "closed-loop/single",
     "rollout/pointmass",
@@ -36,3 +37,5 @@ def test_hash_outputs_prints_one_repeatable_digest_per_group(capsys):
     lines = [line.split(" ") for line in first.splitlines()]
     assert [name for name, _ in lines] == GROUPS
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in lines)
+    digests = dict(lines)
+    assert digests["train/batch-above-P"] == digests["train/full-batch"]  # a full batch is one minibatch of all pairs

@@ -15,7 +15,9 @@ lines mean bit-identical outputs.  Each line is `<group> <sha256>`:
 - supervision: its x_now, x_next, tau and weights on the pointmass demos;
 - train/<case>: weights, biases, input statistics and loss history of train
   on the pointmass demos, at batch 64, at a batch that divides the pair
-  count, at one that leaves a one-row last minibatch, and at full batch;
+  count, at one that leaves a one-row last minibatch, at full batch and at
+  twice the pair count.  A full batch is one minibatch of all pairs, so the
+  last two print the same digest;
 - closed-loop/<lockstep|single>: the trained controller tracking the kodex
   model of those demos, as one lockstep batch (the CLI's `_run_batch`) and
   one episode at a time;
@@ -153,7 +155,7 @@ def _model_groups(n: int, horizon: int, iterations: int):
     yield "supervision", _digest([triples.x_now, triples.x_next, triples.tau, triples.weights])
     P = triples.count
     batches = {"batch-64": 64, "batch-divides-P": horizon - 1, "batch-leaves-one-row": max(P - 1, 1),
-               "full-batch": None}
+               "full-batch": None, "batch-above-P": 2 * P}
     models = {}
     for label, batch in batches.items():
         model, history = train(demos, TrainConfig(learning_rate=1e-3, iterations=iterations, batch=batch, seed=7))
