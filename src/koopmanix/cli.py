@@ -11,7 +11,6 @@ for wall-time fields.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -41,6 +40,7 @@ from .statespace import DemonstrationSet, _is_int, _is_real
 from .persist import (
     PersistError,
     _write_json,
+    _write_lines,
     format_float,
     load_controller,
     load_demos,
@@ -190,10 +190,7 @@ def _out_dir(args) -> Path:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    _write_lines(path, map(",".join, [header, *rows]))
 
 
 def _stamp(out: Path, command: str, resolved: dict, seeds) -> None:

@@ -338,15 +338,17 @@ def _plant(spec: EnvSpec):
     advance steps B states: rows x_r (B, n), x_o (B, m) and tau (B, a) give
     next_r and next_o, and inner (B, k), the rows of EnvState.internal, is
     updated in place.  Only plain ufuncs run: on one row np.clip, np.where and
-    norm cost several times more.
+    norm cost several times more.  The linear map multiplies the (B, 1, n)
+    stack of rows, one product per row, so each row rounds as a lone row and
+    a batch equals its single episodes bit for bit, as for every other kind.
     """
     dt, p = spec.dt, spec.params
     if spec.kind == "linear":
         M_T, B_T = spec.matrix.T, spec.input_map.T
 
         def advance(x_r, x_o, inner, tau, next_r, next_o):
-            np.matmul(x_r, M_T, out=next_r)
-            next_r += tau @ B_T
+            np.matmul(x_r[:, None], M_T, out=next_r[:, None])
+            next_r[:, None] += tau[:, None] @ B_T
 
     elif spec.kind == "pendulum":
         inertia = p["mass"] * p["length"] ** 2

@@ -60,7 +60,14 @@ def _count(value, key: str) -> int:
 
 
 def _finite(value, key: str) -> float:
-    """value as a float if it is a finite JSON number; float() would also read "1.5", true and "nan"."""
+    """value as a float if it is a finite JSON number; float() would also read "1.5", true and "nan".
+
+    A numpy float is checked, and named in the error, as the Python float it
+    equals: json cannot write float32, and comparing one with the float64
+    maximum overflows.
+    """
+    if isinstance(value, np.floating):
+        value = float(value)
     if not (_is_real(value) and abs(value) <= sys.float_info.max):
         raise ValueError(f"{key} must be a finite number, got {json.dumps(value)}")
     return float(value)
@@ -170,10 +177,20 @@ def _header(layout: StateLayout) -> list[str]:
     )
 
 
+def _write_lines(path: Path, lines) -> None:
+    """Write CSV lines, each ended by a newline.
+
+    These are the bytes csv.writer writes when no cell needs quoting: every
+    cell written is a number, a name or an empty cell in a row of several.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines))
+        fh.write("\n")
+
+
 def _write_trajectory(traj: Trajectory, layout: StateLayout, path: Path) -> None:
-    # The bytes csv.writer writes for format_float cells: repr of a Python
-    # float is format_float, and no cell needs quoting.  A row without
-    # torques ends in `a` empty cells.
+    # repr of a Python float is format_float; a row without torques ends in
+    # `a` empty cells
     states = np.concatenate([traj.x_r, traj.x_o], axis=1)
     empty = "," * layout.a
     if traj.torques is None:
@@ -182,9 +199,8 @@ def _write_trajectory(traj: Trajectory, layout: StateLayout, path: Path) -> None
         body, end = np.concatenate([states[:-1], traj.torques], axis=1), ""
     lines = [",".join(_header(layout))]
     lines += [f"{t},{','.join(map(repr, row.tolist()))}{end}" for t, row in enumerate(body, start=1)]
-    lines += [f"{traj.horizon},{','.join(map(repr, states[-1].tolist()))}{empty}", ""]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines))
+    lines.append(f"{traj.horizon},{','.join(map(repr, states[-1].tolist()))}{empty}")
+    _write_lines(path, lines)
 
 
 def _cells(line: str) -> list[str]:
@@ -269,18 +285,25 @@ def save_demos(
     except ValueError as exc:
         raise PersistError(f"refusing to save invalid demos: {exc}") from None
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / "manifest.json"
     names = [f"traj_{i:04d}.csv" for i in range(demos.n_demos)]
-    for traj, name in zip(demos.trajectories, names):
-        _write_trajectory(traj, demos.layout, directory / name)
     manifest = {
         "schema": SCHEMA_VERSION,
         "layout": _layout_to_dict(demos.layout),
         "trajectories": names,
         "env": env,
-        "seed": seed,
+        "seed": int(seed) if _is_int(seed) else seed,
     }
-    path = directory / "manifest.json"
+    # refused before any file is written, so a bad env or seed leaves no file
+    try:
+        json.dumps(manifest, allow_nan=False)
+    except ValueError:
+        raise PersistError(f"{path}: refusing to write non-finite values") from None
+    except TypeError as exc:
+        raise PersistError(f"{path}: {exc}") from None
+    directory.mkdir(parents=True, exist_ok=True)
+    for traj, name in zip(demos.trajectories, names):
+        _write_trajectory(traj, demos.layout, directory / name)
     _write_json(manifest, path)
     return path
 

@@ -345,8 +345,8 @@ def test_batched_closed_loop_matches_single_episodes():
             flag_mismatches += (
                 evaluate_success(got, criterion).success != evaluate_success(one, criterion).success
             )
-    # each row of a batch goes through its own products, so the episodes match
-    # bit for bit, well inside the 1e-12 the lockstep contract allows
+    # each row of a batch goes through its own products, so the lockstep
+    # contract is bit equality: a batched episode equals its single run
     ok = gap == 0.0 and flag_mismatches == 0
     assert _report(
         12, "batched-closed-loop", ok,

@@ -581,10 +581,7 @@ def test_lockstep_demos_equal_single_rollouts(kind):
         reset_seed, noise_seed = int(root.integers(2**62)), int(root.integers(2**62))
         one = run_expert(spec, expert, reset(spec, reset_seed, "out"), 40, np.random.default_rng(noise_seed))
         for got, want in ((traj.x_r, one.x_r), (traj.x_o, one.x_o), (traj.torques, one.torques)):
-            if kind == "linear":  # a batched matmul may round differently from one row
-                assert np.allclose(got, want, rtol=0.0, atol=1e-12)
-            else:
-                assert np.array_equal(_bits(got), _bits(want))
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_run_expert_shapes():
@@ -861,12 +858,7 @@ def test_batch_matches_single_episodes(kind_pipelines, kind):
     for init, got in zip(inits, batch):
         one = execute_policy(model, controller, env, init, 50)
         for have, exp in ((got.x_r, one.x_r), (got.x_o, one.x_o), (got.torques, one.torques)):
-            if kind == "linear":
-                # the linear plant multiplies all B rows by M^T in one BLAS
-                # product, which may round a row differently from a lone row
-                assert np.allclose(have, exp, rtol=1e-12, atol=1e-12)
-            else:
-                assert np.array_equal(_bits(have), _bits(exp))
+            assert np.array_equal(_bits(have), _bits(exp))
 
 
 def test_batch_trajectories_are_read_only_blocks():

@@ -206,7 +206,9 @@ def test_model_round_trip_infinite_condition(tmp_path):
     ({"rank": -3}, "rank must be >= 0, got -3"),
     ({"n_demos": 1.5}, "n_demos must be an integer, got 1.5"),
     ({"wall_time_s": math.nan}, "wall_time_s must be a finite number, got NaN"),
-], ids=["rank-negative", "n-demos-float", "wall-time-nan"])
+    ({"wall_time_s": np.float32("nan")}, "wall_time_s must be a finite number, got NaN"),
+    ({"wall_time_s": np.float16("-inf")}, "wall_time_s must be a finite number, got -Infinity"),
+], ids=["rank-negative", "n-demos-float", "wall-time-nan", "wall-time-float32-nan", "wall-time-float16-inf"])
 def test_save_model_refuses_the_fit_meta_load_refuses(tmp_path, fields, message):
     meta = FitMeta(**{"n_demos": 1, "n_pairs": 1, "wall_time_s": 0.0, "rank": 1, "cond": 1.0} | fields)
     model = KoopmanModel(np.zeros((1, 1)), LiftingSpec("identity", LAYOUT_1D), LAYOUT_1D, meta)
@@ -239,6 +241,34 @@ def test_models_with_numpy_integers_round_trip(tmp_path, layout, meta):
     back = load_model(save_model(model, tmp_path / "model.json"))
     assert back.layout == layout and back.fit_meta == meta
     assert np.array_equal(_bits(back.K.ravel()), _bits(model.K.ravel()))
+
+
+def test_models_with_numpy_floats_round_trip(tmp_path):
+    meta = FitMeta(n_demos=3, n_pairs=6, wall_time_s=np.float32(0.5), rank=2, cond=np.float16(4.0))
+    layout = StateLayout(n=2, m=0, a=1)
+    model = KoopmanModel(np.eye(2), LiftingSpec("identity", layout), layout, meta)
+    back = load_model(save_model(model, tmp_path / "model.json")).fit_meta
+    assert (back.wall_time_s, back.cond) == (0.5, 4.0)
+    assert type(back.wall_time_s) is float and type(back.cond) is float
+
+
+def test_demos_with_a_numpy_integer_seed_save_it_as_an_int(tmp_path):
+    demos = DemonstrationSet(LAYOUT_1D, (Trajectory(tuple(CompositeState([float(t)], []) for t in range(2))),))
+    seed = load_manifest(save_demos(demos, tmp_path, seed=np.int64(3)))["seed"]
+    assert seed == 3 and type(seed) is int
+
+
+@pytest.mark.parametrize("env, message", [
+    ({"dt": np.float32(0.5)}, "Object of type float32 is not JSON serializable"),
+    ({"dt": float("nan")}, "refusing to write non-finite values"),
+], ids=["float32", "nan"])
+def test_a_manifest_json_cannot_write_leaves_no_file(tmp_path, env, message):
+    demos = DemonstrationSet(LAYOUT_1D, (Trajectory(tuple(CompositeState([float(t)], []) for t in range(2))),))
+    directory = tmp_path / "demos"
+    with pytest.raises(PersistError) as exc:
+        save_demos(demos, directory, env=env)
+    assert str(exc.value) == f"{directory / 'manifest.json'}: {message}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_controller_round_trip(tmp_path):

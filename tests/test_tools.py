@@ -17,6 +17,8 @@ GROUPS = [
                                    "batch-above-P")),
     "closed-loop/lockstep",
     "closed-loop/single",
+    "closed-loop/linear/lockstep",
+    "closed-loop/linear/single",
     "rollout/pointmass",
     *(f"controller/{call}" for call in ("forward", "loss", "gradient-check")),
     *(f"persist/load/{label}" for label in ("torques", "bare")),
@@ -39,3 +41,5 @@ def test_hash_outputs_prints_one_repeatable_digest_per_group(capsys):
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in lines)
     digests = dict(lines)
     assert digests["train/batch-above-P"] == digests["train/full-batch"]  # a full batch is one minibatch of all pairs
+    # every kind's plant steps each row as its own product, so a batch equals its single episodes
+    assert digests["closed-loop/linear/lockstep"] == digests["closed-loop/linear/single"]

@@ -21,6 +21,10 @@ lines mean bit-identical outputs.  Each line is `<group> <sha256>`:
 - closed-loop/<lockstep|single>: the trained controller tracking the kodex
   model of those demos, as one lockstep batch (the CLI's `_run_batch`) and
   one episode at a time;
+- closed-loop/linear/<lockstep|single>: the same two runs on the linear env
+  of the demos group, with an identity-lifted K and a controller trained on
+  that env's demos.  A batch equals its single episodes, so the two print
+  the same digest;
 - rollout/pointmass: public rollout of that model from the in-distribution
   pointmass resets of the reset group;
 - controller/<forward|loss|gradient-check>: that controller's forward on 20
@@ -148,6 +152,14 @@ def _reset_groups():
             yield f"reset/{env.kind}/{distribution}", _digest(arr for group in arrays for arr in group)
 
 
+def _closed_loop_groups(prefix: str, model, controller, env, n: int, horizon: int):
+    seeds = range(5000, 5000 + n)
+    lockstep = _run_batch(model, controller, env, seeds, horizon, "in")
+    yield f"{prefix}/lockstep", _digest(_trajectory_arrays(lockstep))
+    singles = [execute_policy(model, controller, env, reset(env, seed), horizon) for seed in seeds]
+    yield f"{prefix}/single", _digest(_trajectory_arrays(singles))
+
+
 def _model_groups(n: int, horizon: int, iterations: int):
     env = pointmass_env()
     demos = generate_demos(env, default_expert(env), n, horizon, seed=42)
@@ -163,11 +175,12 @@ def _model_groups(n: int, horizon: int, iterations: int):
         yield f"train/{label}", _digest([*model.weights, *model.biases, model.input_mean, model.input_std, history])
     controller = models["batch-64"]
     kodex = fit(demos, LiftingSpec("kodex-polynomial", env.layout))
-    seeds = range(5000, 5000 + n)
-    lockstep = _run_batch(kodex, controller, env, seeds, horizon, "in")
-    yield "closed-loop/lockstep", _digest(_trajectory_arrays(lockstep))
-    singles = [execute_policy(kodex, controller, env, reset(env, seed), horizon) for seed in seeds]
-    yield "closed-loop/single", _digest(_trajectory_arrays(singles))
+    yield from _closed_loop_groups("closed-loop", kodex, controller, env, n, horizon)
+    linear = _envs()[0]
+    linear_demos = generate_demos(linear, default_expert(linear), n, horizon, seed=42)
+    linear_controller, _ = train(linear_demos, TrainConfig(learning_rate=1e-3, iterations=iterations, batch=64, seed=7))
+    identity = fit(linear_demos, LiftingSpec("identity", linear.layout))
+    yield from _closed_loop_groups("closed-loop/linear", identity, linear_controller, linear, n, horizon)
     starts = [reset(env, seed, "in").composite for seed in RESET_SEEDS]
     yield "rollout/pointmass", _digest(rollout(kodex, start, horizon) for start in starts)
     k = env.layout.n
