@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .statespace import DemonstrationSet, StateLayout, _adopt, _frozen, _is_int, _is_real, require_valid
+from .statespace import DemonstrationSet, StateLayout, _adopt, _count, _frozen, _is_int, _is_real, require_valid
 
 STD_FLOOR = 1e-8  # clamp for per-dimension input std
 
@@ -52,8 +52,8 @@ class ControllerModel:
     input_std: np.ndarray
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
-        if len(sizes) < 2 or any(s < 1 for s in sizes):
+        sizes = tuple(_count(f"layer_sizes[{i}]", s, 1) for i, s in enumerate(self.layer_sizes))
+        if len(sizes) < 2:
             raise ValueError(f"layer_sizes must be >= 2 positive entries, got {sizes}")
         if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
             raise ValueError("need one weight matrix and one bias per layer transition")
@@ -93,17 +93,12 @@ class TrainConfig:
     def __post_init__(self):
         if not (_is_real(self.learning_rate) and math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
-        for name in ("iterations", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name, low in (("iterations", 1), ("seed", 0)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), low))
         if not (self.batch is None or _is_int(self.batch)):
             raise ValueError(f"batch must be None or an integer, got {self.batch!r}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.batch is not None and self.batch < 1:
             raise ValueError(f"batch must be None or >= 1, got {self.batch}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -182,7 +177,7 @@ def init(layout: StateLayout, seed: int) -> ControllerModel:
     +-sqrt(6 / (fan_in + fan_out)), zero biases, identity input norm."""
     n, a = layout.n, layout.a
     sizes = (2 * n, 4 * n, 4 * n, 2 * n, a)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     weights = []
     biases = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

@@ -29,9 +29,9 @@ import numpy as np
 
 from . import koopman
 from .controller import ControllerModel, tracking_torque
-from .metrics import SuccessCriterion, evaluate_success
-from .statespace import (CompositeState, DemonstrationSet, StateLayout, Trajectory, _adopt, _check_dims, _frozen,
-                         _is_int, _is_real)
+from .metrics import SuccessCriterion, success_rate
+from .statespace import (CompositeState, DemonstrationSet, StateLayout, Trajectory, _adopt, _check_dims, _count,
+                         _frozen, _is_real)
 
 logger = logging.getLogger(__name__)
 
@@ -217,9 +217,15 @@ def linear_env(matrix, input_map=None, dt: float = 1.0) -> EnvSpec:
 
 
 def linear_env_random(dim: int, spectral_radius: float = 0.9, seed: int = 0, dt: float = 1.0) -> EnvSpec:
-    """Random stable linear system: a seeded matrix rescaled to the given radius."""
-    if dim < 1:
-        raise ValueError(f"linear param 'dim' must be >= 1, got {dim}")
+    """Random stable linear system: a seeded matrix rescaled to the given radius.
+
+    Takes an integer dim >= 1, an integer seed >= 0 and a real
+    spectral_radius; anything else is a ValueError naming the param, e.g.
+    `linear param 'seed' must be >= 0, got -1`.  EnvSpec checks dt.
+    """
+    dim, seed = _count("linear param 'dim'", dim, 1), _count("linear param 'seed'", seed, 0)
+    if not _is_real(spectral_radius):
+        raise ValueError(f"linear param 'spectral_radius' must be a real number, got {spectral_radius!r}")
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((dim, dim))
     M *= spectral_radius / max(abs(np.linalg.eigvals(M)))
@@ -277,8 +283,8 @@ def make_env(kind: str, dt: float | None = None, **overrides) -> EnvSpec:
 
     linear takes dim/spectral_radius/seed (dim 5 by default) and builds a
     seeded stable matrix; other kinds take dt and their factory's params.
-    An override the kind does not take, or a value that is not a real
-    number (an integer for linear's dim and seed), is a ValueError.
+    An override the kind does not take is a ValueError here; each value is
+    checked by the factory or EnvSpec, whose error names the kind.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown env kind {kind!r}")
@@ -287,11 +293,6 @@ def make_env(kind: str, dt: float | None = None, **overrides) -> EnvSpec:
     args.update(overrides)
     if dt is not None:
         args["dt"] = dt
-    integers = ("dim", "seed") if kind == "linear" else ()
-    for key, value in args.items():
-        accepts, what = (_is_int, "an integer") if key in integers else (_is_real, "a real number")
-        if not accepts(value):
-            raise ValueError(f"env kind {kind!r}: override {key!r} must be {what}, got {value!r}")
     return linear_env_random(**args) if kind == "linear" else _spec(kind, **args)
 
 
@@ -302,6 +303,7 @@ def _reset_rows(spec: EnvSpec, seeds, distribution: str):
     if distribution not in ("in", "out"):
         raise ValueError(f"distribution must be 'in' or 'out', got {distribution!r}")
     ranges = [pair[distribution == "out"] for pair in spec.sampler.values()]
+    seeds = [_count("seed", seed, 0) for seed in seeds]
     drawn = np.array([[rng.uniform(lo, hi) for lo, hi in ranges] for rng in map(np.random.default_rng, seeds)])
     d, p, zero = dict(zip(spec.sampler, drawn.T)), spec.params, np.zeros(len(seeds))
     if spec.kind == "linear":
@@ -491,7 +493,7 @@ def default_criterion(spec: EnvSpec) -> SuccessCriterion | None:
 # ---------------------------------------------------------------- rollouts
 
 def _run(spec: EnvSpec, rows, horizon: int, torque, source: str) -> list[Trajectory]:
-    """Step B start rows in lockstep into preallocated trajectory-major arrays.
+    """Step B start rows in lockstep into preallocated trajectory-major arrays; callers check horizon >= 2.
 
     torque(t, x_r, x_o, inner, out) writes step t's torques into out, the
     (B, a) torque rows of step t.  The loop steps past a non-finite torque
@@ -501,8 +503,6 @@ def _run(spec: EnvSpec, rows, horizon: int, torque, source: str) -> list[Traject
     each a read-only block of the batch's (B, T, n), (B, T, m) and
     (B, T-1, a) arrays, uncopied.
     """
-    if horizon < 2:
-        raise ValueError(f"horizon must be >= 2, got {horizon}")
     lay, B = spec.layout, len(rows[0])
     x_r, x_o = np.empty((B, horizon, lay.n)), np.empty((B, horizon, lay.m))
     torques = np.empty((B, horizon - 1, lay.a))
@@ -527,10 +527,11 @@ def _run_expert(spec: EnvSpec, expert: ScriptedExpert, rows, horizon: int, rngs)
     Each generator's T-1 draws of size a are made up front, as (T-1, B, a) noise,
     and scaled once by the expert's noise_scale.
     """
+    horizon = _count("horizon", horizon, 2)
     if expert.kind != spec.kind:
         raise ValueError(f"expert kind {expert.kind!r} does not match env kind {spec.kind!r}")
     noise = None
-    if rngs is not None and expert.noise_scale > 0.0 and horizon >= 2:  # a shorter horizon is _run's error
+    if rngs is not None and expert.noise_scale > 0.0:
         noise = np.stack([rng.standard_normal((horizon - 1, spec.layout.a)) for rng in rngs], axis=1)
         noise *= expert.noise_scale
     return _run(spec, rows, horizon, _expert_law(spec, expert, noise), "expert produced")
@@ -561,22 +562,15 @@ def generate_demos(
     whole set is reproducible.  Logs the expert success rate when the kind
     has a success criterion.
     """
-    for name, value in (("n_demos", n_demos), ("seed", seed)):
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if n_demos < 1:
-        raise ValueError(f"n_demos must be >= 1, got {n_demos}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    n_demos, seed = _count("n_demos", n_demos, 1), _count("seed", seed, 0)
     reset_seeds, noise_seeds = zip(*np.random.default_rng(seed).integers(2**62, size=(n_demos, 2)).tolist())
     rows = _reset_rows(spec, reset_seeds, distribution)
     trajs = _run_expert(spec, expert, rows, horizon, list(map(np.random.default_rng, noise_seeds)))
     criterion = default_criterion(spec)
     if criterion is not None:
-        wins = sum(evaluate_success(t, criterion).success for t in trajs)
         logger.info(
             "generate_demos: kind=%s n=%d expert success %.1f%%",
-            spec.kind, n_demos, 100.0 * wins / n_demos,
+            spec.kind, n_demos, success_rate(trajs, criterion),
         )
     return DemonstrationSet(spec.layout, tuple(trajs))
 
@@ -626,14 +620,13 @@ def _closed_loop(
     Either way the error names the earliest bad step and, in a batch, the
     lowest bad row at that step.
     """
+    horizon = _count("horizon", horizon, 2)  # _run's bound, checked before the reference rollout's own bound of 1
     if isinstance(controller, ControllerModel):
         policy = tracking_torque
     elif callable(controller):
         policy = _callable_policy
     else:
         raise ValueError("controller must be a ControllerModel or a callable")
-    if horizon < 2:  # _run's bound, checked before the reference rollout, whose own bound is 1
-        raise ValueError(f"horizon must be >= 2, got {horizon}")
     ref = koopman._rollout(model, rows[0], rows[1], horizon)
     return _run(spec, rows, horizon, policy(controller, ref, spec.layout), "controller produced")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lifting import LiftingSpec, dimension, lift_matrix, object_slice, robot_slice
-from .statespace import CompositeState, DemonstrationSet, StateLayout, _check_dims, require_valid
+from .statespace import CompositeState, DemonstrationSet, StateLayout, _check_dims, _count, require_valid
 
 logger = logging.getLogger(__name__)
 
@@ -183,8 +183,7 @@ def _rollout(model: KoopmanModel, x_r: np.ndarray, x_o: np.ndarray, horizon: int
     product per row, so each reference rounds exactly as a rollout of its own;
     for one row that product equals K @ g bit for bit.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    horizon = _count("horizon", horizon, 1)
     spec, K_T = model.spec, model.K.T
     rs = robot_slice(spec)
     g = lift_matrix(spec, np.concatenate([x_r, x_o], axis=1))

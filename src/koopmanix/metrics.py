@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statespace import Trajectory, _is_int, _is_real
+from .statespace import Trajectory, _count, _is_int, _is_real
 
 CRITERION_KINDS = ("terminal-distance", "cumulative-proximity")
 
@@ -43,10 +43,7 @@ class SuccessCriterion:
             raise ValueError("extractor needs at least one object dim")
         if not all(map(_is_int, self.extractor)):
             raise ValueError(f"extractor dims must be integers, got {self.extractor!r}")
-        if not _is_int(self.count_threshold):
-            raise ValueError(f"count_threshold must be an integer, got {self.count_threshold!r}")
-        if self.count_threshold < 0:
-            raise ValueError(f"count_threshold must be >= 0, got {self.count_threshold}")
+        object.__setattr__(self, "count_threshold", _count("count_threshold", self.count_threshold, 0))
 
 
 @dataclass(frozen=True)

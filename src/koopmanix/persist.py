@@ -351,13 +351,13 @@ def _fit_meta(meta, path: Path) -> FitMeta | None:
 
 
 def _fit_meta_block(meta: FitMeta) -> dict:
-    """The fit_meta block that records meta; an infinite cond is written as null."""
+    """The fit_meta block that records meta; a cond of +inf is written as null, which load reads back as +inf."""
     return {
         "n_demos": meta.n_demos,
         "n_pairs": meta.n_pairs,
         "wall_time_s": meta.wall_time_s,
         "rank": meta.rank,
-        "cond": meta.cond if math.isfinite(meta.cond) else None,
+        "cond": None if meta.cond == math.inf else meta.cond,
     }
 
 

@@ -22,6 +22,15 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _count(name: str, value, low: int) -> int:
+    """value as a Python int if it is an integer at or above low: the one rule of every count, size, seed and horizon."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 def _is_real(value) -> bool:
     """A real number, Python's or numpy's, that is not a bool: the one real check of config and constructor fields."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -68,16 +77,9 @@ class StateLayout:
     object_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        for name in ("n", "m", "a"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"layout size {name} must be an integer, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, int(getattr(self, name)))  # a Python int, which JSON can write
-        if self.n < 1:
-            raise ValueError(f"robot dimension n must be >= 1, got {self.n}")
-        if self.m < 0:
-            raise ValueError(f"object dimension m must be >= 0, got {self.m}")
-        if self.a < 1:
-            raise ValueError(f"actuation dimension a must be >= 1, got {self.a}")
+        for name, low in (("n", 1), ("m", 0), ("a", 1)):
+            # a Python int, which JSON can write
+            object.__setattr__(self, name, _count(f"layout size {name}", getattr(self, name), low))
         for name in ("robot_names", "object_names"):
             names = getattr(self, name)
             if names is not None:

@@ -280,16 +280,16 @@ def test_unknown_env_override_rejected(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("env, key, want", [
-    ({"kind": "pendulum", "overrides": {"mass": "heavy"}}, "'mass'", "a real number"),
-    ({"kind": "linear", "overrides": {"dim": 2.5}}, "'dim'", "an integer"),
+@pytest.mark.parametrize("env, want", [
+    ({"kind": "pendulum", "overrides": {"mass": "heavy"}}, "pendulum param 'mass' must be a real number, got 'heavy'"),
+    ({"kind": "linear", "overrides": {"dim": 2.5}}, "linear param 'dim' must be an integer, got 2.5"),
 ], ids=["pendulum-mass-string", "linear-dim-float"])
-def test_env_override_type_rejected(tmp_path, capsys, env, key, want):
+def test_env_override_type_rejected(tmp_path, capsys, env, want):
     cfg = _write_config(tmp_path, {"env": env})
     assert main(["gen-demos", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid: ")
-    assert f"env kind {env['kind']!r}: override {key} must be {want}" in err
+    assert want in err
     assert not (tmp_path / "o").exists()
 
 

@@ -74,6 +74,9 @@ def test_model_rejects_bad_shapes():
         _tiny_model([[[1.0]]], [[0.0]], (1, 1), mean=[0.0, 0.0], std=[1.0, 1.0])
     with pytest.raises(ValueError, match="positive"):
         _tiny_model([[[1.0]]], [[0.0]], (1, 1), std=[0.0])
+    for size in (2.7, "2", True):  # int() would truncate 2.7, parse "2" and read True as 1
+        with pytest.raises(ValueError, match=f"^{re.escape(f'layer_sizes[1] must be an integer, got {size!r}')}$"):
+            _tiny_model([[[1.0]]], [[0.0]], (1, size))
 
 
 def test_model_arrays_are_frozen():
@@ -279,6 +282,10 @@ def test_init_is_seeded():
     for W0, W1 in zip(a0.weights, a1.weights):
         assert np.array_equal(W0, W1)
     assert any(not np.array_equal(Wa, Wb) for Wa, Wb in zip(a0.weights, b.weights))
+    for seed, message in ((True, "seed must be an integer, got True"), (1.5, "seed must be an integer, got 1.5"),
+                          (-1, "seed must be >= 0, got -1")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            init(layout, seed)
 
 
 # ---- gradients ----

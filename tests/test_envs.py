@@ -139,13 +139,13 @@ def test_make_env_kinds_and_overrides():
         make_env("pendulum", bogus=1)
     with pytest.raises(ValueError, match="'linear' takes no override 'mu'; accepted keys: dim, spectral_radius, seed, dt"):
         make_env("linear", mu=1.0)
-    with pytest.raises(ValueError, match="'pendulum': override 'mass' must be a real number, got 'heavy'"):
+    with pytest.raises(ValueError, match="pendulum param 'mass' must be a real number, got 'heavy'"):
         make_env("pendulum", mass="heavy")
-    with pytest.raises(ValueError, match="'vanderpol': override 'dt' must be a real number, got True"):
+    with pytest.raises(ValueError, match="vanderpol dt must be a real number, got True"):
         make_env("vanderpol", dt=True)
-    with pytest.raises(ValueError, match="'linear': override 'dim' must be an integer, got 2.5"):
+    with pytest.raises(ValueError, match="linear param 'dim' must be an integer, got 2.5"):
         make_env("linear", dim=2.5)
-    with pytest.raises(ValueError, match="'linear': override 'seed' must be an integer, got False"):
+    with pytest.raises(ValueError, match="linear param 'seed' must be an integer, got False"):
         make_env("linear", seed=False)
     assert make_env("linear", dim=np.int64(2), spectral_radius=1).layout.n == 2
     with pytest.raises(ValueError, match="pendulum param 'mass' must be finite, got nan"):
@@ -243,6 +243,9 @@ def test_reset_is_seeded():
                 assert np.array_equal(_bits(x_r[i]), _bits(one.composite.x_r))
                 assert np.array_equal(_bits(x_o[i]), _bits(one.composite.x_o))
                 assert np.array_equal(_bits(inner[i]), _bits(np.array(one.internal, dtype=np.float64)))
+    for seed, message in ((-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reset(pointmass_env(), seed)
 
 
 def test_sampler_distributions_are_disjoint():
@@ -591,6 +594,8 @@ def test_run_expert_shapes():
     assert len(traj.torques) == 29
     with pytest.raises(ValueError, match="horizon"):
         run_expert(spec, default_expert(spec), reset(spec, 1), horizon=1)
+    with pytest.raises(ValueError, match=r"^horizon must be an integer, got 4\.0$"):
+        run_expert(spec, default_expert(spec), reset(spec, 1), horizon=4.0)
     # the noisy pointmass expert draws no noise for a horizon it cannot run
     with pytest.raises(ValueError, match=r"^horizon must be >= 2, got 0$"):
         generate_demos(pointmass_env(), default_expert(pointmass_env()), 2, 0, seed=0)
@@ -666,14 +671,21 @@ def test_env_spec_from_dict_names_the_bad_linear_block_key(block, message):
     ("pointmass-relocation", "tau_limit", -1.0, "pointmass-relocation param 'tau_limit' must be > 0, got -1.0"),
     ("pointmass-relocation", "tau_limit", 0.0, "pointmass-relocation param 'tau_limit' must be > 0, got 0.0"),
     ("linear", "dim", 0, "linear param 'dim' must be >= 1, got 0"),
+    ("linear", "dim", 2.5, "linear param 'dim' must be an integer, got 2.5"),
+    ("linear", "dim", True, "linear param 'dim' must be an integer, got True"),
+    ("linear", "seed", 1.5, "linear param 'seed' must be an integer, got 1.5"),
+    ("linear", "spectral_radius", "0.9", "linear param 'spectral_radius' must be a real number, got '0.9'"),
 ], ids=["pendulum-mass", "pendulum-length", "hand-mass", "ball-mass", "tau-limit-negative", "tau-limit-zero",
-        "linear-dim"])
+        "linear-dim", "linear-dim-float", "linear-dim-bool", "linear-seed-float", "linear-radius-string"])
 def test_physical_params_are_bounded_at_the_spec(kind, key, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make_env(kind, **{key: value})
     if kind != "linear":  # a manifest env block reaches the same check
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             env_spec_from_dict({"kind": kind, "dt": 0.05, "params": {key: value}})
+    else:  # and so does a direct call of the linear factory
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            linear_env_random(**{"dim": 2, key: value})
 
 
 def test_physical_params_at_their_bounds_and_perturbed_stay_valid():
@@ -706,12 +718,17 @@ def test_execute_policy_with_perfect_tracker():
     assert np.allclose(got, ref, atol=1e-10)
 
 
-@pytest.mark.parametrize("horizon", [0, 1, -3])
-def test_execute_policy_refuses_a_short_horizon_before_the_reference(horizon):
+@pytest.mark.parametrize("horizon, message", [
+    (0, "horizon must be >= 2, got 0"),
+    (1, "horizon must be >= 2, got 1"),
+    (-3, "horizon must be >= 2, got -3"),
+    (3.0, "horizon must be an integer, got 3.0"),
+], ids=["0", "1", "-3", "3.0"])
+def test_execute_policy_refuses_a_short_horizon_before_the_reference(horizon, message):
     # the reference rollout's own bound is 1, so the closed loop's bound is checked first
     spec = linear_env_random(2, seed=0)
     model = fit(generate_demos(spec, default_expert(spec), 5, 10, seed=0), LiftingSpec("identity", spec.layout))
-    with pytest.raises(ValueError, match=f"^horizon must be >= 2, got {horizon}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         execute_policy(model, perfect_tracker(spec), spec, reset(spec, seed=1), horizon)
 
 
@@ -721,7 +738,8 @@ def test_execute_policy_refuses_a_short_horizon_before_the_reference(horizon):
     ({"n_demos": 0}, "n_demos must be >= 1, got 0"),
     ({"seed": -1}, "seed must be >= 0, got -1"),
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
-], ids=["n-demos-float", "n-demos-bool", "n-demos-zero", "seed-negative", "seed-float"])
+    ({"horizon": 2.5}, "horizon must be an integer, got 2.5"),
+], ids=["n-demos-float", "n-demos-bool", "n-demos-zero", "seed-negative", "seed-float", "horizon-float"])
 def test_generate_demos_names_the_argument_at_fault(fields, message):
     spec = pointmass_env()
     args = {"n_demos": 2, "horizon": 5, "seed": 0} | fields

@@ -349,6 +349,8 @@ def test_rollout_identity_model():
     assert ref.shape == (5, 2)
     for row in ref:
         np.testing.assert_array_equal(row, [1.5, -0.5])
+    with pytest.raises(ValueError, match=r"^horizon must be an integer, got 2\.5$"):
+        rollout(model, CompositeState([1.5, -0.5], []), 2.5)
 
 
 def test_rollout_geometric():

@@ -208,7 +208,10 @@ def test_model_round_trip_infinite_condition(tmp_path):
     ({"wall_time_s": math.nan}, "wall_time_s must be a finite number, got NaN"),
     ({"wall_time_s": np.float32("nan")}, "wall_time_s must be a finite number, got NaN"),
     ({"wall_time_s": np.float16("-inf")}, "wall_time_s must be a finite number, got -Infinity"),
-], ids=["rank-negative", "n-demos-float", "wall-time-nan", "wall-time-float32-nan", "wall-time-float16-inf"])
+    ({"cond": math.nan}, "cond must be a finite number, got NaN"),
+    ({"cond": -math.inf}, "cond must be a finite number, got -Infinity"),
+], ids=["rank-negative", "n-demos-float", "wall-time-nan", "wall-time-float32-nan", "wall-time-float16-inf",
+        "cond-nan", "cond-minus-infinity"])
 def test_save_model_refuses_the_fit_meta_load_refuses(tmp_path, fields, message):
     meta = FitMeta(**{"n_demos": 1, "n_pairs": 1, "wall_time_s": 0.0, "rank": 1, "cond": 1.0} | fields)
     model = KoopmanModel(np.zeros((1, 1)), LiftingSpec("identity", LAYOUT_1D), LAYOUT_1D, meta)

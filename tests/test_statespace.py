@@ -51,7 +51,8 @@ def test_layout_bounds():
     ((True, 0, True), "layout size n must be an integer, got True"),
     ((2, "0", 1), "layout size m must be an integer, got '0'"),
     ((2, 0, 1.0), "layout size a must be an integer, got 1.0"),
-], ids=["float-n", "bool-n", "string-m", "float-a"])
+    ((0, 0, 1), "layout size n must be >= 1, got 0"),
+], ids=["float-n", "bool-n", "string-m", "float-a", "zero-n"])
 def test_layout_sizes_must_be_integers(sizes, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         StateLayout(*sizes)
