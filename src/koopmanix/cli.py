@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +61,9 @@ SEED_CEILING = 2**62
 POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
 _NON_NEGATIVE_INT = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
 
-# top-level key -> (default, accepts the JSON value, what it must be); a flag
-# of the same name overrides the key
+# config key -> (default, accepts the JSON value, what it must be); a flag
+# named like the key's last part overrides it, so --seed sets both seed and
+# train.seed.  The train defaults are TrainConfig's, which bounds the values.
 SETTINGS = {
     "n_demos": (100, *POSITIVE_INT),
     "horizon": (100, *POSITIVE_INT),
@@ -75,22 +77,23 @@ SETTINGS = {
         "null or a finite real number in [0, 1)",
     ),
     "demo_counts": ((10, 25, 50, 100, 150, 200), lambda v: isinstance(v, list), "a list"),
-}
-
-# train block key -> (default, accepts the JSON value, what it must be); the
-# defaults are TrainConfig's
-TRAIN_SETTINGS = {
-    "learning_rate": (TrainConfig.learning_rate, _is_real, "a real number"),
-    "iterations": (TrainConfig.iterations, _is_int, "an integer"),
-    "batch": (TrainConfig.batch, lambda v: v is None or v == "full" or _is_int(v), 'an integer, null or "full"'),
-    "seed": (TrainConfig.seed, *_NON_NEGATIVE_INT),
+    "train.learning_rate": (TrainConfig.learning_rate, _is_real, "a real number"),
+    "train.iterations": (TrainConfig.iterations, _is_int, "an integer"),
+    "train.batch": (TrainConfig.batch, lambda v: v is None or v == "full" or _is_int(v), 'an integer, null or "full"'),
+    "train.seed": (TrainConfig.seed, *_NON_NEGATIVE_INT),
 }
 
 
-def _load_config(args) -> dict:
-    if args.config is None:
+def _entry(config: dict, key: str) -> tuple[dict, str]:
+    """The block of config that holds key, and key's name in that block."""
+    block, _, name = key.rpartition(".")
+    return (config.get(block, {}) if block else config), name
+
+
+def _load_config(path) -> dict:
+    if path is None:
         return {}
-    path = Path(args.config)
+    path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file {path} does not exist")
     try:
@@ -105,50 +108,48 @@ def _load_config(args) -> dict:
         if not isinstance(value, dict):
             raise ValueError(f"config {path}: {key} must be an object, got {json.dumps(value)}")
     # env.overrides keys depend on the kind, so make_env checks them
-    for prefix, block, known in (("", obj, [*SETTINGS, "env", "train"]), ("env.", env, ["kind", "overrides"]),
-                                 ("train.", train_block, list(TRAIN_SETTINGS))):
+    top = [key for key in SETTINGS if "." not in key]
+    trained = [key.removeprefix("train.") for key in SETTINGS if key.startswith("train.")]
+    for prefix, block, known in (("", obj, [*top, "env", "train"]), ("env.", env, ["kind", "overrides"]),
+                                 ("train.", train_block, trained)):
         unknown = [key for key in block if key not in known]
         if unknown:
             raise ValueError(f"config {path}: unknown key {prefix + unknown[0]!r}; accepted keys: {', '.join(known)}")
-    for prefix, block, table in (("", obj, SETTINGS), ("train.", train_block, TRAIN_SETTINGS)):
-        for key, (_, accepts, what) in table.items():
-            if key in block and not accepts(block[key]):
-                raise ValueError(f"config {path}: {prefix}{key} must be {what}, got {json.dumps(block[key])}")
+    for key, (_, accepts, what) in SETTINGS.items():
+        block, name = _entry(obj, key)
+        if name in block and not accepts(block[name]):
+            raise ValueError(f"config {path}: {key} must be {what}, got {json.dumps(block[name])}")
     if obj.get("demo_counts") == []:
         raise ValueError(f"config {path}: demo_counts must be a non-empty list, got []")
     for i, count in enumerate(obj.get("demo_counts", [])):
         if not _is_int(count) or count < 1:
             raise ValueError(f"config {path}: demo_counts[{i}] must be a positive integer, got {json.dumps(count)}")
     try:
-        _train_config(argparse.Namespace(), obj)  # the bounds TrainConfig puts on the train block's values
+        _train_config(_settings(argparse.Namespace(), obj))  # the bounds TrainConfig puts on the train block's values
     except ValueError as exc:
         raise ValueError(f"config {path}: train.{exc}") from None
     return obj
 
 
-def _check_flags(args) -> None:
-    """Flags pass the same checks as the config keys they override."""
-    for key, (_, accepts, what) in SETTINGS.items():
-        value = getattr(args, key, None)
-        if value is not None and not accepts(value):
-            raise ValueError(f"--{key.replace('_', '-')} must be {what}, got {value}")
+def _settings(args, config: dict) -> dict:
+    """Every setting: its flag if given, else config's key, else its default.
 
-
-def _settings(args, block: dict, table: dict) -> dict:
-    """Every setting of table: its flag if given, else block's key, else its default."""
+    A flag passes the same check as the config key it overrides.
+    """
     resolved = {}
-    for key, (default, _, _) in table.items():
-        flag = getattr(args, key, None)
-        resolved[key] = flag if flag is not None else block.get(key, default)
+    for key, (default, accepts, what) in SETTINGS.items():
+        block, name = _entry(config, key)
+        flag = getattr(args, name, None)
+        if flag is not None and not accepts(flag):
+            raise ValueError(f"--{name.replace('_', '-')} must be {what}, got {flag}")
+        resolved[key] = flag if flag is not None else block.get(name, default)
     return resolved
 
 
-def _train_config(args, config: dict) -> TrainConfig:
-    resolved = _settings(args, config.get("train", {}), TRAIN_SETTINGS)
-    return TrainConfig(**resolved | {
-        "learning_rate": float(resolved["learning_rate"]),
-        "batch": None if resolved["batch"] == "full" else resolved["batch"],
-    })
+def _train_config(s: dict) -> TrainConfig:
+    batch = s["train.batch"]
+    return TrainConfig(learning_rate=float(s["train.learning_rate"]), iterations=s["train.iterations"],
+                       batch=None if batch == "full" else batch, seed=s["train.seed"])
 
 
 def _hashed_train(train_cfg: TrainConfig) -> dict:
@@ -210,10 +211,8 @@ def _reset_seeds(root_seed: int, count: int) -> list[int]:
 
 # ---------------------------------------------------------------- subcommands
 
-def _cmd_gen_demos(args) -> int:
-    config = _load_config(args)
+def _cmd_gen_demos(args, config: dict, s: dict) -> int:
     env = _env_from_config(config)
-    s = _settings(args, config, SETTINGS)
     n, horizon, seed = s["n_demos"], s["horizon"], s["seed"]
     out = _out_dir(args)
     demos = generate_demos(env, default_expert(env), n, horizon, seed, distribution=args.distribution)
@@ -224,10 +223,8 @@ def _cmd_gen_demos(args) -> int:
     return 0
 
 
-def _cmd_fit(args) -> int:
-    config = _load_config(args)
+def _cmd_fit(args, config: dict, s: dict) -> int:
     demos = load_demos(args.demos)
-    s = _settings(args, config, SETTINGS)
     lifting, tol = LIFTING_NAMES[s["lifting"]], s["pinv_tol"]
     model = fit(demos, LiftingSpec(lifting, demos.layout), rel_tolerance=tol)
     out = _out_dir(args)
@@ -241,7 +238,7 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_rollout(args) -> int:
+def _cmd_rollout(args, config: dict, s: dict) -> int:
     model = load_model(args.model)
     demos = load_demos(args.demos)
     index = args.traj_index
@@ -267,10 +264,9 @@ def _cmd_rollout(args) -> int:
     return 0
 
 
-def _cmd_train_controller(args) -> int:
-    config = _load_config(args)
+def _cmd_train_controller(args, config: dict, s: dict) -> int:
     demos = load_demos(args.demos)
-    train_cfg = _train_config(args, config)
+    train_cfg = _train_config(s)
     model, history = train(demos, train_cfg)
     out = _out_dir(args)
     save_controller(model, out / "controller.json")
@@ -296,10 +292,8 @@ def _success_pct(trajectories, criterion, label: str):
     return 100.0 * sum(flags) / len(flags), flags
 
 
-def _cmd_simulate(args) -> int:
-    config = _load_config(args)
+def _cmd_simulate(args, config: dict, s: dict) -> int:
     model, controller, env = _load_policy(args, config)
-    s = _settings(args, config, SETTINGS)
     n_runs, horizon, seed = s["n_runs"], s["horizon"], s["seed"]
     out = _out_dir(args)
     seeds = _reset_seeds(seed, n_runs)
@@ -319,13 +313,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    config = _load_config(args)
+def _cmd_eval(args, config: dict, s: dict) -> int:
     env = _env_from_config(config)
-    s = _settings(args, config, SETTINGS)
     counts, horizon, seed, n_eval = s["demo_counts"], s["horizon"], s["seed"], s["n_eval"]
     lifting, tol = LIFTING_NAMES[s["lifting"]], s["pinv_tol"]
-    train_cfg = _train_config(args, config)
+    train_cfg = _train_config(s)
     criterion = default_criterion(env)
     out = _out_dir(args)
 
@@ -336,7 +328,9 @@ def _cmd_eval(args) -> int:
         eval_seeds = [int(v) for v in rng.integers(SEED_CEILING, size=n_eval)]
         demos = generate_demos(env, default_expert(env), count, horizon, demo_seed)
         model = fit(demos, LiftingSpec(lifting, demos.layout), rel_tolerance=tol)
+        start = time.perf_counter()
         controller, _ = train(demos, train_cfg)
+        train_time = model.fit_meta.wall_time_s + time.perf_counter() - start
         trajs = demos.trajectories
         refs = _rollout(model, np.array([t.x_r[0] for t in trajs]), np.array([t.x_o[0] for t in trajs]), horizon)
         errors = [imitation_error(refs[:, i], t.x_r) for i, t in enumerate(trajs)]
@@ -347,7 +341,7 @@ def _cmd_eval(args) -> int:
             rate, _ = _success_pct(executed, criterion, f"eval N={count}")
             rate_cell = format_float(rate)
         rows.append([env.kind, str(count), str(demo_seed),
-                     format_float(model.fit_meta.wall_time_s),
+                     format_float(train_time),
                      format_float(float(np.mean(errors))), rate_cell])
         logger.info("eval: N=%s done", count)
     path = out / "eval.csv"
@@ -361,13 +355,11 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_retune(args) -> int:
-    config = _load_config(args)
+def _cmd_retune(args, config: dict, s: dict) -> int:
     model, controller, env = _load_policy(args, config)
     perturbed = perturb_params(env, args.variation)
-    s = _settings(args, config, SETTINGS)
     n_demos, horizon, seed, n_runs = s["n_demos"], s["horizon"], s["seed"], s["n_runs"]
-    train_cfg = _train_config(args, config)
+    train_cfg = _train_config(s)
     criterion = default_criterion(env)
     if criterion is None:
         raise ValueError(f"retune needs a task with a success criterion, not {env.kind}")
@@ -457,8 +449,8 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        _check_flags(args)
-        return args.func(args)
+        config = _load_config(getattr(args, "config", None))  # rollout takes no --config
+        return args.func(args, config, _settings(args, config))
     except PersistError as exc:
         print(f"error: persist: {exc}", file=sys.stderr)
     except FileNotFoundError as exc:

@@ -219,13 +219,18 @@ def linear_env(matrix, input_map=None, dt: float = 1.0) -> EnvSpec:
 def linear_env_random(dim: int, spectral_radius: float = 0.9, seed: int = 0, dt: float = 1.0) -> EnvSpec:
     """Random stable linear system: a seeded matrix rescaled to the given radius.
 
-    Takes an integer dim >= 1, an integer seed >= 0 and a real
-    spectral_radius; anything else is a ValueError naming the param, e.g.
-    `linear param 'seed' must be >= 0, got -1`.  EnvSpec checks dt.
+    Takes an integer dim >= 1, an integer seed >= 0 and a finite real
+    spectral_radius >= 0 (0 gives the zero matrix); anything else is a
+    ValueError naming the param, e.g. `linear param 'seed' must be >= 0,
+    got -1`.  EnvSpec checks dt.
     """
     dim, seed = _count("linear param 'dim'", dim, 1), _count("linear param 'seed'", seed, 0)
     if not _is_real(spectral_radius):
         raise ValueError(f"linear param 'spectral_radius' must be a real number, got {spectral_radius!r}")
+    if not math.isfinite(spectral_radius):
+        raise ValueError(f"linear param 'spectral_radius' must be finite, got {spectral_radius}")
+    if spectral_radius < 0:
+        raise ValueError(f"linear param 'spectral_radius' must be >= 0, got {spectral_radius}")
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((dim, dim))
     M *= spectral_radius / max(abs(np.linalg.eigvals(M)))

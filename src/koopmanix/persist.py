@@ -18,7 +18,7 @@ import numpy as np
 
 from .controller import ControllerModel
 from .koopman import FitMeta, KoopmanModel
-from .lifting import KINDS, LiftingSpec, dimension
+from .lifting import KINDS, LiftingSpec
 from .statespace import DemonstrationSet, StateLayout, Trajectory, _is_int, _is_real, require_valid
 
 SCHEMA_VERSION = 1
@@ -99,11 +99,6 @@ def _names(value, key: str) -> tuple[str, ...] | None:
     if value is not None and not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
         raise ValueError(f"{key} must be a list of strings or null, got {json.dumps(value)}")
     return tuple(value) if value else None
-
-
-def _require_finite(arr, path: Path, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise PersistError(f"{path}: {what} contains non-finite values")
 
 
 def _layout_to_dict(layout: StateLayout) -> dict:
@@ -363,7 +358,6 @@ def _fit_meta_block(meta: FitMeta) -> dict:
 
 def save_model(model: KoopmanModel, path) -> Path:
     path = Path(path)
-    _require_finite(model.K, path, "K")
     lifting = {
         "kind": model.spec.kind,
         "n": model.layout.n,
@@ -405,26 +399,17 @@ def load_model(path) -> KoopmanModel:
         )
     if lifting.get("n") != layout.n or lifting.get("m") != layout.m:
         raise PersistError(f"{path}: lifting dims disagree with layout")
-    spec = LiftingSpec(kind, layout)
+    meta = _fit_meta(obj.get("fit_meta"), path)
     try:
-        K = _array(obj.get("K"), "K", ndim=2)
+        return KoopmanModel(_array(obj.get("K"), "K", ndim=2), LiftingSpec(kind, layout), layout, meta)
     except ValueError as exc:
         raise PersistError(f"{path}: {exc}") from None
-    p = dimension(spec)
-    if K.ndim != 2 or K.shape != (p, p):
-        raise PersistError(f"{path}: K has shape {K.shape}, expected ({p}, {p})")
-    return KoopmanModel(K, spec, layout, _fit_meta(obj.get("fit_meta"), path))
 
 
 # --------------------------------------------------------------- controllers
 
 def save_controller(model: ControllerModel, path) -> Path:
     path = Path(path)
-    for arr, what in ((model.input_mean, "input mean"), (model.input_std, "input std")):
-        _require_finite(arr, path, what)
-    for i, (w, b) in enumerate(zip(model.weights, model.biases, strict=True)):
-        _require_finite(w, path, f"layer {i} weights")
-        _require_finite(b, path, f"layer {i} biases")
     obj = {
         "schema": SCHEMA_VERSION,
         "layer_sizes": list(model.layer_sizes),

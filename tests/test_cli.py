@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,9 @@ from koopmanix import (
     save_demos,
     save_model,
 )
-from koopmanix import lifting, persist
+from koopmanix import cli, lifting, persist
 from koopmanix.cli import COMMANDS, LIFTING_NAMES, _build_parser, _reset_seeds, main
-from koopmanix.envs import env_spec_from_dict, reset
+from koopmanix.envs import env_spec_from_dict, env_spec_to_dict, make_env, reset
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -262,13 +263,32 @@ def test_train_stamp_hash_is_unchanged_by_the_fixed_optimizer(tmp_path, capsys):
     # the hashed settings keep "optimizer": "adam", so a stamp matches the
     # ones written while TrainConfig had an optimizer field
     manifest = str(FIXTURES / "demo_set" / "manifest.json")
+
+    def stamp_hash(out):
+        return json.loads((tmp_path / out / "stamp.json").read_text())["config_sha256"]
+
+    def sha(hashed):
+        return hashlib.sha256(json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()
+
+    def hashed_train(iterations, seed):
+        return {"learning_rate": 1e-4, "iterations": iterations, "batch": 64, "seed": seed, "optimizer": "adam"}
+
     assert main(["train-controller", "--demos", manifest, "--iterations", "2", "--seed", "3",
-                 "--out-dir", str(tmp_path)]) == 0
-    hashed = {"demos": manifest, "train": {"learning_rate": 1e-4, "iterations": 2, "batch": 64, "seed": 3,
-                                           "optimizer": "adam"}}
-    canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    stamp = json.loads((tmp_path / "stamp.json").read_text())
-    assert stamp["config_sha256"] == hashlib.sha256(canonical).hexdigest()
+                 "--out-dir", str(tmp_path / "flags")]) == 0
+    assert stamp_hash("flags") == sha({"demos": manifest, "train": hashed_train(2, 3)})
+    # a flag overrides the train key named like its last part; --seed also sets the top-level seed
+    block = {"env": {"kind": "linear", "overrides": {"dim": 2}}, "demo_counts": [2], "horizon": 5, "n_eval": 1,
+             "lifting": "identity", "train": {"seed": 7, "iterations": 3}}
+    cfg = str(_write_config(tmp_path, block))
+    assert main(["train-controller", "--config", cfg, "--demos", manifest, "--seed", "3", "--iterations", "2",
+                 "--out-dir", str(tmp_path / "over")]) == 0
+    assert stamp_hash("over") == sha({"demos": manifest, "train": hashed_train(2, 3)})
+    assert main(["train-controller", "--config", cfg, "--demos", manifest, "--out-dir", str(tmp_path / "cfg")]) == 0
+    assert stamp_hash("cfg") == sha({"demos": manifest, "train": hashed_train(3, 7)})
+    assert main(["eval", "--config", cfg, "--seed", "3", "--out-dir", str(tmp_path / "eval")]) == 0
+    assert stamp_hash("eval") == sha({"env": env_spec_to_dict(make_env("linear", dim=2)), "demo_counts": [2],
+                                      "horizon": 5, "seed": 3, "n_eval": 1, "lifting": "identity",
+                                      "pinv_tol": None, "train": hashed_train(3, 3), "distribution": "in"})
 
 
 def test_unknown_env_override_rejected(tmp_path, capsys):
@@ -528,6 +548,22 @@ def test_eval_deterministic_except_wall_time(tmp_path, capsys):
 
     stamp_one = (tmp_path / "one" / "stamp.json").read_bytes()
     assert stamp_one == (tmp_path / "two" / "stamp.json").read_bytes()
+
+
+def test_eval_train_time_counts_the_controller_training(tmp_path, capsys, monkeypatch):
+    # train_time_s sums the K fit and the controller's training, so a slower train shows in it
+    fast_train = cli.train
+
+    def slow_train(demos, config):
+        time.sleep(0.2)
+        return fast_train(demos, config)
+
+    monkeypatch.setattr(cli, "train", slow_train)
+    cfg = _write_config(tmp_path, {"env": {"kind": "linear", "overrides": {"dim": 2}}, "demo_counts": [2],
+                                   "horizon": 5, "n_eval": 1, "lifting": "identity", "train": {"iterations": 1}})
+    assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "o" / "eval.csv").read_text())))
+    assert float(rows[0]["train_time_s"]) >= 0.2
 
 
 def test_overlong_csv_cell_is_read(tmp_path, capsys):

@@ -150,7 +150,7 @@ def test_make_env_kinds_and_overrides():
     assert make_env("linear", dim=np.int64(2), spectral_radius=1).layout.n == 2
     with pytest.raises(ValueError, match="pendulum param 'mass' must be finite, got nan"):
         make_env("pendulum", mass=float("nan"))
-    with pytest.raises(ValueError, match="matrix and input_map must be finite"):
+    with pytest.raises(ValueError, match="linear param 'spectral_radius' must be finite, got inf"):
         make_env("linear", spectral_radius=float("inf"))
 
 
@@ -675,8 +675,12 @@ def test_env_spec_from_dict_names_the_bad_linear_block_key(block, message):
     ("linear", "dim", True, "linear param 'dim' must be an integer, got True"),
     ("linear", "seed", 1.5, "linear param 'seed' must be an integer, got 1.5"),
     ("linear", "spectral_radius", "0.9", "linear param 'spectral_radius' must be a real number, got '0.9'"),
+    ("linear", "spectral_radius", float("inf"), "linear param 'spectral_radius' must be finite, got inf"),
+    ("linear", "spectral_radius", float("nan"), "linear param 'spectral_radius' must be finite, got nan"),
+    ("linear", "spectral_radius", -0.5, "linear param 'spectral_radius' must be >= 0, got -0.5"),
 ], ids=["pendulum-mass", "pendulum-length", "hand-mass", "ball-mass", "tau-limit-negative", "tau-limit-zero",
-        "linear-dim", "linear-dim-float", "linear-dim-bool", "linear-seed-float", "linear-radius-string"])
+        "linear-dim", "linear-dim-float", "linear-dim-bool", "linear-seed-float", "linear-radius-string",
+        "linear-radius-inf", "linear-radius-nan", "linear-radius-negative"])
 def test_physical_params_are_bounded_at_the_spec(kind, key, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make_env(kind, **{key: value})

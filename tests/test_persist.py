@@ -582,7 +582,7 @@ def test_k_shape_checked(tmp_path):
     path = tmp_path / "model.json"
     path.write_text((FIXTURES / "model.json").read_text())
     _rewrite(path, lambda obj: obj.update(K=[[1.0, 2.0]]))
-    with pytest.raises(PersistError, match="K has shape"):
+    with pytest.raises(PersistError, match=re.escape(f"{path}: K must be (1, 1) for this lifting, got (1, 2)")):
         load_model(path)
 
 

@@ -24,6 +24,7 @@ GROUPS = [
     *(f"persist/load/{label}" for label in ("torques", "bare")),
     *(f"cli/{command}" for command in ("gen-demos", "fit", "rollout", "train-controller", "simulate",
                                        "retune", "eval")),
+    "cli/flags",
 ]
 
 

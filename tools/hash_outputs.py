@@ -34,7 +34,11 @@ lines mean bit-identical outputs.  Each line is `<group> <sha256>`:
   their torques and loaded back (x_r, x_o, torques of every demo);
 - cli/<command>: every file a CLI run writes, with the wall-time fields
   (`fit_meta.wall_time_s` in model.json, `train_time_s` in eval.csv)
-  removed.
+  removed;
+- cli/flags: the output trees of gen-demos, train-controller and eval rerun
+  on the same config with every setting flag they take (--n-demos,
+  --horizon, --seed, --learning-rate, --iterations, --batch, --lifting,
+  --pinv-tol) set to a value other than the config's, scrubbed the same way.
 
 Every size is small by default; the whole run takes seconds.
 """
@@ -196,6 +200,15 @@ def _model_groups(n: int, horizon: int, iterations: int):
         yield f"persist/load/{label}", _digest(_trajectory_arrays(loaded.trajectories))
 
 
+def _run_cli(command: str, flags: list[str]) -> str:
+    """Run one CLI command; the digest of the tree it writes to --out-dir."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main([command, *flags])
+    if code != 0:
+        raise SystemExit(f"koopmanix {command} exited with {code}")
+    return _tree_digest(Path(flags[flags.index("--out-dir") + 1]))
+
+
 def _cli_groups(n: int, horizon: int, iterations: int):
     config = {
         "env": {"kind": "pointmass-relocation"},
@@ -219,6 +232,15 @@ def _cli_groups(n: int, horizon: int, iterations: int):
         ("retune", [*cfg, *policy, "--variation", "heavy-hand", "--out-dir", "retune"]),
         ("eval", [*cfg, "--out-dir", "eval"]),
     ]
+    # each flag differs from the config value it overrides
+    flagged = [
+        ("gen-demos", [*cfg, "--n-demos", str(n + 1), "--horizon", str(horizon + 1), "--seed", "4",
+                       "--out-dir", "flags/demos"]),
+        ("train-controller", [*cfg, "--demos", manifest, "--seed", "2", "--learning-rate", "2e-3",
+                              "--iterations", str(iterations + 1), "--batch", "8", "--out-dir", "flags/ctrl"]),
+        ("eval", [*cfg, "--seed", "5", "--horizon", str(horizon + 1), "--lifting", "identity",
+                  "--pinv-tol", "1e-9", "--out-dir", "flags/eval"]),
+    ]
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         # relative paths, so the files that record them read alike in every run
@@ -226,12 +248,10 @@ def _cli_groups(n: int, horizon: int, iterations: int):
         try:
             Path("config.json").write_text(json.dumps(config, indent=2) + "\n")
             for command, flags in commands:
-                out = flags[flags.index("--out-dir") + 1]
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = cli_main([command, *flags])
-                if code != 0:
-                    raise SystemExit(f"koopmanix {command} exited with {code}")
-                yield f"cli/{command}", _tree_digest(Path(out))
+                yield f"cli/{command}", _run_cli(command, flags)
+            for command, flags in flagged:
+                _run_cli(command, flags)
+            yield "cli/flags", _tree_digest(Path("flags"))
         finally:
             os.chdir(here)
 
