@@ -40,8 +40,8 @@ from .metrics import evaluate_success, imitation_error, outcome_summary
 from .statespace import DemonstrationSet, _is_int, _is_real
 from .persist import (
     PersistError,
+    _write,
     _write_json,
-    _write_lines,
     format_float,
     load_controller,
     load_demos,
@@ -184,14 +184,8 @@ def _load_policy(args, config: dict):
         raise ValueError(f"manifest {args.demos}: {exc}") from None
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    _write_lines(path, map(",".join, [header, *rows]))
+    _write(path, ["\n".join(map(",".join, [header, *rows])), "\n"])
 
 
 def _stamp(out: Path, command: str, resolved: dict, seeds) -> None:
@@ -214,7 +208,7 @@ def _reset_seeds(root_seed: int, count: int) -> list[int]:
 def _cmd_gen_demos(args, config: dict, s: dict) -> int:
     env = _env_from_config(config)
     n, horizon, seed = s["n_demos"], s["horizon"], s["seed"]
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     demos = generate_demos(env, default_expert(env), n, horizon, seed, distribution=args.distribution)
     manifest = save_demos(demos, out / "demos", env=env_spec_to_dict(env), seed=seed)
     _stamp(out, "gen-demos", {"env": env_spec_to_dict(env), "n_demos": n, "horizon": horizon,
@@ -227,7 +221,7 @@ def _cmd_fit(args, config: dict, s: dict) -> int:
     demos = load_demos(args.demos)
     lifting, tol = LIFTING_NAMES[s["lifting"]], s["pinv_tol"]
     model = fit(demos, LiftingSpec(lifting, demos.layout), rel_tolerance=tol)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     save_model(model, out / "model.json")
     meta = model.fit_meta
     _stamp(out, "fit", {"demos": str(args.demos), "lifting": lifting, "pinv_tol": tol}, [])
@@ -251,7 +245,7 @@ def _cmd_rollout(args, config: dict, s: dict) -> int:
     traj = demos.trajectories[index]
     horizon = args.horizon if args.horizon is not None else traj.horizon
     ref = _rollout(model, traj.x_r[:1], traj.x_o[:1], horizon)[:, 0]
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     path = out / "reference.csv"
     _write_csv(path, ["t"] + [f"xr_{i}" for i in range(model.layout.n)],
                ([str(t + 1)] + [format_float(v) for v in row] for t, row in enumerate(ref)))
@@ -268,7 +262,7 @@ def _cmd_train_controller(args, config: dict, s: dict) -> int:
     demos = load_demos(args.demos)
     train_cfg = _train_config(s)
     model, history = train(demos, train_cfg)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     save_controller(model, out / "controller.json")
     _write_csv(out / "loss_history.csv", ["iteration", "loss"],
                ([str(i), format_float(value)] for i, value in enumerate(history)))
@@ -295,7 +289,7 @@ def _success_pct(trajectories, criterion, label: str):
 def _cmd_simulate(args, config: dict, s: dict) -> int:
     model, controller, env = _load_policy(args, config)
     n_runs, horizon, seed = s["n_runs"], s["horizon"], s["seed"]
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     seeds = _reset_seeds(seed, n_runs)
     executed = _run_batch(model, controller, env, seeds, horizon, args.distribution)
     save_demos(DemonstrationSet(env.layout, tuple(executed)), out / "executed",
@@ -303,6 +297,8 @@ def _cmd_simulate(args, config: dict, s: dict) -> int:
     rate, flags = _success_pct(executed, default_criterion(env), f"simulate ({args.distribution})")
     _write_json({"n_runs": n_runs, "distribution": args.distribution,
                  "success_rate": rate, "successes": flags}, out / "report.json")
+    # "mode" names the one rollout, linear propagation; it stays in the hashed
+    # settings so config_sha256 is stable for the same inputs across versions
     _stamp(out, "simulate", {"model": str(args.model), "controller": str(args.controller),
                              "env": env_spec_to_dict(env), "n_runs": n_runs,
                              "horizon": horizon, "seed": seed,
@@ -319,7 +315,7 @@ def _cmd_eval(args, config: dict, s: dict) -> int:
     lifting, tol = LIFTING_NAMES[s["lifting"]], s["pinv_tol"]
     train_cfg = _train_config(s)
     criterion = default_criterion(env)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
 
     rng = np.random.default_rng(seed)
     rows = []
@@ -363,7 +359,7 @@ def _cmd_retune(args, config: dict, s: dict) -> int:
     criterion = default_criterion(env)
     if criterion is None:
         raise ValueError(f"retune needs a task with a success criterion, not {env.kind}")
-    out = _out_dir(args)
+    out = Path(args.out_dir)
 
     fresh = generate_demos(perturbed, default_expert(perturbed), n_demos, horizon, seed + 1)
     retuned, _ = train(fresh, train_cfg)

@@ -8,6 +8,7 @@ a save/load cycle is value-exact, including subnormals and signed zeros.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -124,24 +125,35 @@ def _layout_from_dict(obj: dict, path: Path) -> StateLayout:
         raise PersistError(f"{path}: bad layout block: {exc}") from exc
 
 
-def _write_json(obj: dict, path: Path) -> None:
-    """Write obj as indented JSON, streamed into a temporary file beside path
-    and then moved onto it.
+def _write(path: Path, chunks) -> None:
+    """Write text chunks to path: streamed into a temporary file, then moved onto it.
 
-    No string of the whole document is built.  A non-finite value is refused
-    with no file left behind and an existing path untouched.
+    The one writer of every file.  The temporary file sits in path's nearest
+    existing directory, so the move stays on one filesystem, and path's
+    missing directories are made only once the last chunk is written.  If
+    the chunks raise, no file and no new directory is left, and an existing
+    path is untouched.
     """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = next(d for d in path.parents if d.is_dir()) / f".{path.name}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            try:
-                json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-            except ValueError as exc:
-                raise PersistError(f"{path}: refusing to write non-finite values") from exc
-            fh.write("\n")
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        path.parent.mkdir(parents=True, exist_ok=True)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _write_json(obj: dict, path: Path) -> None:
+    """Write obj as indented JSON in the chunks json.dump writes, so no string of the whole document is built.
+
+    A non-finite value is refused; _write then leaves no file and no new directory.
+    """
+    chunks = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(obj)
+    try:
+        _write(path, itertools.chain(chunks, ["\n"]))
+    except ValueError as exc:
+        raise PersistError(f"{path}: refusing to write non-finite values") from exc
 
 
 def _read_json(path) -> dict:
@@ -172,20 +184,10 @@ def _header(layout: StateLayout) -> list[str]:
     )
 
 
-def _write_lines(path: Path, lines) -> None:
-    """Write CSV lines, each ended by a newline.
-
-    These are the bytes csv.writer writes when no cell needs quoting: every
-    cell written is a number, a name or an empty cell in a row of several.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
-
-
 def _write_trajectory(traj: Trajectory, layout: StateLayout, path: Path) -> None:
     # repr of a Python float is format_float; a row without torques ends in
-    # `a` empty cells
+    # `a` empty cells.  These are the bytes csv.writer writes when no cell
+    # needs quoting.
     states = np.concatenate([traj.x_r, traj.x_o], axis=1)
     empty = "," * layout.a
     if traj.torques is None:
@@ -195,7 +197,7 @@ def _write_trajectory(traj: Trajectory, layout: StateLayout, path: Path) -> None
     lines = [",".join(_header(layout))]
     lines += [f"{t},{','.join(map(repr, row.tolist()))}{end}" for t, row in enumerate(body, start=1)]
     lines.append(f"{traj.horizon},{','.join(map(repr, states[-1].tolist()))}{empty}")
-    _write_lines(path, lines)
+    _write(path, ["\n".join(lines), "\n"])
 
 
 def _cells(line: str) -> list[str]:
@@ -296,7 +298,6 @@ def save_demos(
         raise PersistError(f"{path}: refusing to write non-finite values") from None
     except TypeError as exc:
         raise PersistError(f"{path}: {exc}") from None
-    directory.mkdir(parents=True, exist_ok=True)
     for traj, name in zip(demos.trajectories, names):
         _write_trajectory(traj, demos.layout, directory / name)
     _write_json(manifest, path)
@@ -376,7 +377,6 @@ def save_model(model: KoopmanModel, path) -> Path:
         "K": model.K.tolist(),
         "fit_meta": meta,
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
     _write_json(obj, path)
     return path
 
@@ -418,7 +418,6 @@ def save_controller(model: ControllerModel, path) -> Path:
         "input_norm": {"mean": model.input_mean.tolist(), "std": model.input_std.tolist()},
         "activation": _ACTIVATION,
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
     _write_json(obj, path)
     return path
 

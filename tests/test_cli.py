@@ -407,6 +407,19 @@ def test_simulate_needs_an_environment(tmp_path, capsys):
     assert "error: invalid: no environment" in capsys.readouterr().err
 
 
+def test_failed_simulate_leaves_no_out_dir(tmp_path, capsys):
+    # the fixture model is K = 2 I on a 1-dim state, so its reference overflows
+    cfg = _write_config(tmp_path, {"env": {"kind": "linear", "overrides": {"dim": 1}}})
+    assert main([
+        "simulate", "--config", str(cfg), "--model", str(FIXTURES / "model.json"),
+        "--controller", str(FIXTURES / "controller.json"), "--horizon", "3000",
+        "--out-dir", str(tmp_path / "out"),
+    ]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid: non-finite reference state at step 1026 of 3000 (spectral radius of K 2 > 1)\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         main(["compress"])

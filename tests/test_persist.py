@@ -803,3 +803,52 @@ def test_non_finite_json_leaves_an_existing_file_untouched(tmp_path):
         persist._write_json({"a": 2.0, "b": float("inf")}, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+# ---- every file goes through one writer, which makes directories last ----
+
+
+def _nonfinite_model():
+    return KoopmanModel(np.array([[np.inf]]), LiftingSpec("identity", LAYOUT_1D), LAYOUT_1D)
+
+
+def _nonfinite_controller():
+    return ControllerModel(layer_sizes=(1, 1), weights=(np.array([[np.inf]]),), biases=(np.zeros(1),),
+                           input_mean=np.zeros(1), input_std=np.ones(1))
+
+
+@pytest.mark.parametrize("save, model", [(save_model, _nonfinite_model), (save_controller, _nonfinite_controller)],
+                         ids=["model", "controller"])
+def test_refused_save_leaves_no_new_directory(tmp_path, save, model):
+    path = tmp_path / "new" / "deeper" / "x.json"
+    with pytest.raises(PersistError, match=re.escape(f"{path}: refusing to write non-finite values")):
+        save(model(), path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _failing_chunks():
+    yield "first chunk\n"
+    raise RuntimeError("chunk source failed")
+
+
+def test_failed_write_leaves_an_existing_file_untouched(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"t,x\n1,2.0\n")
+    with pytest.raises(RuntimeError, match="chunk source failed"):
+        persist._write(path, _failing_chunks())
+    assert path.read_bytes() == b"t,x\n1,2.0\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_failed_write_leaves_no_file_and_no_new_directory(tmp_path):
+    with pytest.raises(RuntimeError, match="chunk source failed"):
+        persist._write(tmp_path / "new" / "deeper" / "out.csv", _failing_chunks())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_into_a_missing_directory_leaves_only_the_target(tmp_path):
+    path = tmp_path / "new" / "deeper" / "out.csv"
+    persist._write(path, iter(["t,x\n", "1,2.0\n"]))
+    assert path.read_bytes() == b"t,x\n1,2.0\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["new"]
+    assert [p.name for p in path.parent.iterdir()] == ["out.csv"]
