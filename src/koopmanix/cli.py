@@ -148,7 +148,7 @@ def _settings(args, config: dict) -> dict:
 
 def _train_config(s: dict) -> TrainConfig:
     batch = s["train.batch"]
-    return TrainConfig(learning_rate=float(s["train.learning_rate"]), iterations=s["train.iterations"],
+    return TrainConfig(learning_rate=s["train.learning_rate"], iterations=s["train.iterations"],
                        batch=None if batch == "full" else batch, seed=s["train.seed"])
 
 

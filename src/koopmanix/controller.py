@@ -12,12 +12,11 @@ loss is invariant to duplicating trajectories.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .statespace import DemonstrationSet, StateLayout, _adopt, _count, _frozen, _is_int, _is_real, require_valid
+from .statespace import DemonstrationSet, StateLayout, _adopt, _count, _frozen, _real, require_valid
 
 STD_FLOOR = 1e-8  # clamp for per-dimension input std
 
@@ -91,14 +90,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (_is_real(self.learning_rate) and math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        object.__setattr__(self, "learning_rate", _real("learning_rate", self.learning_rate, 0, strict=True))
         for name, low in (("iterations", 1), ("seed", 0)):
             object.__setattr__(self, name, _count(name, getattr(self, name), low))
-        if not (self.batch is None or _is_int(self.batch)):
-            raise ValueError(f"batch must be None or an integer, got {self.batch!r}")
-        if self.batch is not None and self.batch < 1:
-            raise ValueError(f"batch must be None or >= 1, got {self.batch}")
+        if self.batch is not None:
+            object.__setattr__(self, "batch", _count("batch", self.batch, 1))
 
 
 @dataclass(frozen=True)
@@ -487,6 +483,7 @@ def gradient_check(model: ControllerModel, triple, epsilon: float = 1e-5) -> flo
     The probe loss is the squared torque error of a single (x_now, x_next,
     tau) triple with weight one.  epsilon must lie in [1e-7, 1e-4].
     """
+    epsilon = _real("epsilon", epsilon)
     if not (1e-7 <= epsilon <= 1e-4):
         raise ValueError(f"epsilon must lie in [1e-7, 1e-4], got {epsilon}")
     x_now, x_next, tau = triple

@@ -31,7 +31,7 @@ from . import koopman
 from .controller import ControllerModel, tracking_torque
 from .metrics import SuccessCriterion, success_rate
 from .statespace import (CompositeState, DemonstrationSet, StateLayout, Trajectory, _adopt, _check_dims, _count,
-                         _frozen, _is_real)
+                         _frozen, _is_real, _real)
 
 logger = logging.getLogger(__name__)
 
@@ -46,7 +46,7 @@ class _Kind(NamedTuple):
     sampler: dict = {}  # reset's draws: name -> (in, out) ranges; a linear kind draws init_0 ... init_{n-1}
     inner: int = 0  # EnvState.internal width
     fixed: tuple = ()  # params the factory does not take
-    bounds: dict = {}  # params a transition divides by or clips to, with the bound each must meet
+    bounds: dict = {}  # params a transition divides by or clips to: name -> (low, strict), the bound each must meet
     gains: dict = {}  # the scripted expert's gains; none for a zero-torque expert
     noise_scale: float = 0.0  # the expert's torque jitter
     criterion: SuccessCriterion | None = None
@@ -60,7 +60,7 @@ _KINDS = {
         {"mass": 1.0, "length": 1.0, "gravity": 9.81, "damping": 0.1},
         {"target": ((0.6, 1.4), (1.4, 1.8))},
         inner=1,
-        bounds={"mass": "> 0", "length": "> 0"},
+        bounds={"mass": (0, True), "length": (0, True)},
         gains={"kp": 16.0, "kd": 8.0},
         criterion=SuccessCriterion("terminal-distance", threshold=0.1, extractor=(0,)),
     ),
@@ -79,7 +79,7 @@ _KINDS = {
         {"target_x": ((-0.25, 0.25), (-0.25, 0.25)), "target_y": ((0.15, 0.25), (0.25, 0.35))},
         inner=3,
         fixed=("hand_start_x", "hand_start_y", "ball_start_x", "ball_start_y"),
-        bounds={"hand_mass": "> 0", "ball_mass": ">= 0", "tau_limit": "> 0"},
+        bounds={"hand_mass": (0, True), "ball_mass": (0, False), "tau_limit": (0, True)},
         # the jitter makes demonstrations cover a band around the nominal
         # flow, so controllers trained on them stay stable when execution
         # wanders off the exact demo states
@@ -96,6 +96,17 @@ VARIATIONS = {
     "light-hand": ("hand_mass", 3.0 / _KINDS["pointmass-relocation"].params["hand_mass"]),
     "heavy-hand": ("hand_mass", 5.0 / _KINDS["pointmass-relocation"].params["hand_mass"]),
 }
+
+
+def _is_real_matrix(value) -> bool:
+    """A non-empty list of equal-length lists of real numbers: a matrix as env_spec_to_dict writes it."""
+    return isinstance(value, (list, tuple)) and len(value) > 0 and all(
+        isinstance(row, (list, tuple)) and len(row) == len(value[0]) and all(map(_is_real, row)) for row in value)
+
+
+def _is_range_pair(value) -> bool:
+    """Two [low, high] ranges of real numbers: a sampler entry as env_spec_to_dict writes it."""
+    return _is_real_matrix(value) and len(value) == 2 and len(value[0]) == 2
 
 
 @dataclass(frozen=True)
@@ -120,10 +131,7 @@ class EnvSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown env kind {self.kind!r}, expected one of {KINDS}")
-        if not _is_real(self.dt):
-            raise ValueError(f"{self.kind} dt must be a real number, got {self.dt!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        object.__setattr__(self, "dt", _real(f"{self.kind} dt", self.dt, 0, strict=True))
         rec = _KINDS[self.kind]
         reads = ", ".join(rec.params) or "none"
         for name in rec.params:
@@ -136,25 +144,22 @@ class EnvSpec:
             size, got = rec.layout.get(field), getattr(self.layout, field)
             if size is not None and got != size:
                 raise ValueError(f"{self.kind} layout needs {field}={size}, got {field}={got}")
-        for name, value in self.params.items():
-            if not _is_real(value):
-                raise ValueError(f"{self.kind} param {name!r} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{self.kind} param {name!r} must be finite, got {value}")
-            need = rec.bounds.get(name)
-            if need and not (value >= 0 if need == ">= 0" else value > 0):
-                raise ValueError(f"{self.kind} param {name!r} must be {need}, got {value}")
-        disjoint = 0
-        for name, (rin, rout) in self.sampler.items():
-            if not (all(map(math.isfinite, rin + rout)) and rin[0] < rin[1] and rout[0] < rout[1]):
+        # Python floats, which JSON can write and the plants read as float64
+        object.__setattr__(self, "params", {name: _real(f"{self.kind} param {name!r}", value, *rec.bounds.get(name, ()))
+                                            for name, value in self.params.items()})
+        sampler, disjoint = {}, 0
+        for name, entry in self.sampler.items():
+            if not (_is_range_pair(entry) and all(-math.inf < low < high < math.inf for low, high in entry)):
                 raise ValueError(f"sampler range for {name!r} must be finite with low < high")
+            rin, rout = sampler[name] = tuple((float(low), float(high)) for low, high in entry)
             if rin == rout:
                 continue
             if rout[0] < rin[1] and rin[0] < rout[1]:
                 raise ValueError(f"in/out ranges for {name!r} overlap")
             disjoint += 1
-        if self.sampler and disjoint == 0:
+        if sampler and disjoint == 0:
             raise ValueError("at least one sampler parameter needs disjoint in/out ranges")
+        object.__setattr__(self, "sampler", sampler)
         if self.kind == "linear":
             if self.matrix is None or self.input_map is None:
                 raise ValueError("linear kind needs matrix and input_map")
@@ -172,7 +177,7 @@ class EnvSpec:
             raise ValueError(f"kind {self.kind!r} does not take matrix/input_map")
         sampled = [f"init_{i}" for i in range(self.layout.n)] if self.kind == "linear" else list(rec.sampler)
         for name in sampled:
-            if name not in self.sampler:
+            if name not in sampler:
                 raise ValueError(f"{self.kind} sampler lacks {name!r}; the kind reads {', '.join(sampled)}")
 
 
@@ -225,12 +230,7 @@ def linear_env_random(dim: int, spectral_radius: float = 0.9, seed: int = 0, dt:
     got -1`.  EnvSpec checks dt.
     """
     dim, seed = _count("linear param 'dim'", dim, 1), _count("linear param 'seed'", seed, 0)
-    if not _is_real(spectral_radius):
-        raise ValueError(f"linear param 'spectral_radius' must be a real number, got {spectral_radius!r}")
-    if not math.isfinite(spectral_radius):
-        raise ValueError(f"linear param 'spectral_radius' must be finite, got {spectral_radius}")
-    if spectral_radius < 0:
-        raise ValueError(f"linear param 'spectral_radius' must be >= 0, got {spectral_radius}")
+    spectral_radius = _real("linear param 'spectral_radius'", spectral_radius, 0)
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((dim, dim))
     M *= spectral_radius / max(abs(np.linalg.eigvals(M)))
@@ -696,17 +696,6 @@ def env_spec_to_dict(spec: EnvSpec) -> dict:
     return out
 
 
-def _is_real_matrix(value) -> bool:
-    """A non-empty list of equal-length lists of real numbers: a matrix as env_spec_to_dict writes it."""
-    return isinstance(value, (list, tuple)) and len(value) > 0 and all(
-        isinstance(row, (list, tuple)) and len(row) == len(value[0]) and all(map(_is_real, row)) for row in value)
-
-
-def _is_range_pair(value) -> bool:
-    """Two [low, high] ranges of real numbers: a sampler entry as env_spec_to_dict writes it."""
-    return _is_real_matrix(value) and len(value) == 2 and len(value[0]) == 2
-
-
 def env_spec_from_dict(data: dict) -> EnvSpec:
     """Inverse of env_spec_to_dict; params and sampler entries left out take the kind's defaults.
 
@@ -726,15 +715,12 @@ def env_spec_from_dict(data: dict) -> EnvSpec:
     unknown = [key for key in data if key not in known]
     if unknown:
         raise ValueError(f"env block: unknown key {unknown[0]!r}; accepted keys: {', '.join(known)}")
-    if not _is_real(data["dt"]):
-        raise ValueError(f"env dt must be a real number, got {data['dt']!r}")
     for key in required[2:]:  # a linear block's matrix and input_map
         if not _is_real_matrix(data[key]):
             raise ValueError(f"env {key} must be a 2-D list of real numbers, got {data[key]!r}")
     base = linear_env(data["matrix"], data["input_map"]) if kind == "linear" else _spec(kind)
     merged = {"params": dict(base.params), "sampler": dict(base.sampler)}
-    for block, accepts, what in (("params", _is_real, "a real number"),
-                                 ("sampler", _is_range_pair, "two [low, high] ranges")):
+    for block in merged:
         given = data.get(block, {})
         if not isinstance(given, dict):
             raise ValueError(f"env {block} must be an object, got {given!r}")
@@ -742,9 +728,7 @@ def env_spec_from_dict(data: dict) -> EnvSpec:
             if key not in merged[block]:
                 known = ", ".join(merged[block]) or "none"
                 raise ValueError(f"env {block}: unknown key {key!r} for kind {kind!r}; accepted keys: {known}")
-            if not accepts(value):
-                raise ValueError(f"env {block} {key!r} must be {what}, got {value!r}")
+            if block == "sampler" and not _is_range_pair(value):
+                raise ValueError(f"env sampler {key!r} must be two [low, high] ranges, got {value!r}")
         merged[block].update(given)
-    params = {k: float(v) for k, v in merged["params"].items()}
-    sampler = {k: tuple((float(lo), float(hi)) for lo, hi in v) for k, v in merged["sampler"].items()}
-    return replace(base, dt=float(data["dt"]), params=params, sampler=sampler)
+    return replace(base, dt=data["dt"], **merged)  # EnvSpec checks dt and the params, and makes each a float

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lifting import LiftingSpec, dimension, lift_matrix, object_slice, robot_slice
-from .statespace import CompositeState, DemonstrationSet, StateLayout, _check_dims, _count, require_valid
+from .statespace import CompositeState, DemonstrationSet, StateLayout, _check_dims, _count, _real, require_valid
 
 logger = logging.getLogger(__name__)
 
@@ -113,8 +113,7 @@ def _svd_pinv(mat: np.ndarray, rel_tolerance: float | None) -> tuple[np.ndarray,
         raise ValueError("matrix has non-finite entries")
     if rel_tolerance is None:
         rel_tolerance = default_pinv_tolerance(mat.shape[0])
-    if not 0 <= rel_tolerance < np.inf:
-        raise ValueError(f"rel_tolerance must be >= 0 and finite, got {rel_tolerance}")
+    rel_tolerance = _real("rel_tolerance", rel_tolerance, 0)
     if rel_tolerance >= 1:
         # the cutoff rel_tolerance * s[0] would drop every singular value
         raise ValueError(f"rel_tolerance must be < 1, got {rel_tolerance}")

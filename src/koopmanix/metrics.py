@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .statespace import Trajectory, _count, _is_int, _is_real
+from .statespace import Trajectory, _count, _real
 
 CRITERION_KINDS = ("terminal-distance", "cumulative-proximity")
 
@@ -35,14 +34,13 @@ class SuccessCriterion:
     def __post_init__(self):
         if self.kind not in CRITERION_KINDS:
             raise ValueError(f"unknown criterion kind {self.kind!r}")
-        if not (_is_real(self.threshold) and math.isfinite(self.threshold)):
-            raise ValueError(f"threshold must be a finite real number, got {self.threshold!r}")
+        object.__setattr__(self, "threshold", _real("threshold", self.threshold))
         if not isinstance(self.extractor, (tuple, list)):
             raise ValueError(f"extractor must be a tuple or list of object dims, got {self.extractor!r}")
         if len(self.extractor) < 1:
             raise ValueError("extractor needs at least one object dim")
-        if not all(map(_is_int, self.extractor)):
-            raise ValueError(f"extractor dims must be integers, got {self.extractor!r}")
+        dims = tuple(_count(f"extractor[{i}]", d, 0) for i, d in enumerate(self.extractor))
+        object.__setattr__(self, "extractor", dims)
         object.__setattr__(self, "count_threshold", _count("count_threshold", self.count_threshold, 0))
 
 
@@ -71,7 +69,7 @@ def imitation_error(reference: np.ndarray, demo: np.ndarray) -> float:
 def _extracted(traj: Trajectory, criterion: SuccessCriterion) -> np.ndarray:
     m = traj.x_o.shape[1]
     for d in criterion.extractor:
-        if not (0 <= d < m):
+        if d >= m:
             raise ValueError(f"extractor dim {d} out of range for object dimension {m}")
     return traj.x_o[:, list(criterion.extractor)]
 

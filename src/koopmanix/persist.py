@@ -298,6 +298,8 @@ def save_demos(
         raise PersistError(f"{path}: refusing to write non-finite values") from None
     except TypeError as exc:
         raise PersistError(f"{path}: {exc}") from None
+    # an old manifest would list a mix of new and old CSVs if a write below fails
+    path.unlink(missing_ok=True)
     for traj, name in zip(demos.trajectories, names):
         _write_trajectory(traj, demos.layout, directory / name)
     _write_json(manifest, path)

@@ -11,6 +11,7 @@ CompositeStates wraps their rows, uncopied, on each access.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -32,8 +33,23 @@ def _count(name: str, value, low: int) -> int:
 
 
 def _is_real(value) -> bool:
-    """A real number, Python's or numpy's, that is not a bool: the one real check of config and constructor fields."""
+    """A real number, Python's or numpy's, that is not a bool: `_real`'s type test, and the JSON readers'."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(name: str, value, low: float = -math.inf, strict: bool = False) -> float:
+    """value as a Python float if it is finite and at or above low, or above it if strict: the one rule of every real."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if number < low or (strict and number == low):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {low}, got {number}")
+    return number
 
 
 def _frozen(values, name: str, ndim: int = 1) -> np.ndarray:

@@ -207,8 +207,8 @@ def test_non_string_manifest_entry_is_a_persist_error(tmp_path, capsys):
     ("train-controller", {"train": {"seed": -1}}, "train.seed must be a non-negative integer, got -1"),
     ("eval", {"demo_counts": []}, "demo_counts must be a non-empty list, got []"),
     ("train-controller", {"train": {"iterations": 0}}, "train.iterations must be >= 1, got 0"),
-    ("train-controller", {"train": {"learning_rate": -1}}, "train.learning_rate must be finite and > 0, got -1.0"),
-    ("train-controller", {"train": {"batch": 0}}, "train.batch must be None or >= 1, got 0"),
+    ("train-controller", {"train": {"learning_rate": -1}}, "train.learning_rate must be > 0, got -1.0"),
+    ("train-controller", {"train": {"batch": 0}}, "train.batch must be >= 1, got 0"),
     ("fit", {"pinv_tol": 1}, "pinv_tol must be null or a finite real number in [0, 1), got 1"),
     ("fit", {"pinv_tol": 1.5}, "pinv_tol must be null or a finite real number in [0, 1), got 1.5"),
 ])
@@ -317,9 +317,9 @@ def test_env_override_type_rejected(tmp_path, capsys, env, want):
     ("gen-demos", {"env": {"kind": "pendulum", "overrides": {"mass": float("nan")}}},
      "pendulum param 'mass' must be finite, got nan"),
     ("gen-demos", {"env": {"kind": "vanderpol", "overrides": {"dt": float("inf")}}},
-     "dt must be finite and > 0, got inf"),
-    ("train-controller", {"train": {"learning_rate": float("nan")}}, "learning_rate must be finite and > 0, got nan"),
-    ("train-controller", {"train": {"learning_rate": float("inf")}}, "learning_rate must be finite and > 0, got inf"),
+     "vanderpol dt must be finite, got inf"),
+    ("train-controller", {"train": {"learning_rate": float("nan")}}, "learning_rate must be finite, got nan"),
+    ("train-controller", {"train": {"learning_rate": float("inf")}}, "learning_rate must be finite, got inf"),
 ], ids=["env-mass-nan", "env-dt-inf", "learning-rate-nan", "learning-rate-inf"])
 def test_non_finite_numbers_rejected(tmp_path, capsys, command, config, key):
     cfg = _write_config(tmp_path, config)
@@ -356,7 +356,8 @@ def test_manifest_env_block_missing_key(tmp_path, capsys, env, key):
     ({"kind": "pendulum", "dt": 0.05, "params": [1]}, "env params must be an object, got [1]"),
     ({"kind": "pendulum", "dt": 0.05, "sampler": {"target": [[0.6, 1.4]]}},
      "env sampler 'target' must be two [low, high] ranges, got [[0.6, 1.4]]"),
-    ({"kind": "pendulum", "dt": 0.05, "params": {"mass": "abc"}}, "env params 'mass' must be a real number, got 'abc'"),
+    ({"kind": "pendulum", "dt": 0.05, "params": {"mass": "abc"}},
+     "pendulum param 'mass' must be a real number, got 'abc'"),
     ({"kind": "pendulum", "dt": 0.05, "params": {"bogus": 1.0}},
      "env params: unknown key 'bogus' for kind 'pendulum'; accepted keys: mass, length, gravity, damping"),
 ], ids=["params-not-an-object", "sampler-one-range", "param-not-a-number", "unknown-param"])

@@ -321,6 +321,9 @@ def test_gradient_check_epsilon_domain():
         gradient_check(model, triple, epsilon=1e-8)
     with pytest.raises(ValueError, match="epsilon"):
         gradient_check(model, triple, epsilon=1e-3)
+    for value in ("x", None, True):
+        with pytest.raises(ValueError, match=f"^epsilon must be a real number, got {value!r}$"):
+            gradient_check(model, triple, epsilon=value)
 
 
 # ---- training ----
@@ -330,11 +333,14 @@ def test_train_config_validation():
     with pytest.raises(ValueError, match="learning_rate"):
         TrainConfig(learning_rate=0.0)
     for value in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match=f"learning_rate must be finite and > 0, got {value}"):
+        with pytest.raises(ValueError, match=f"learning_rate must be finite, got {value}"):
             TrainConfig(learning_rate=value)
     for value in ("0.1", True):
-        with pytest.raises(ValueError, match=re.escape(f"learning_rate must be finite and > 0, got {value!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"learning_rate must be a real number, got {value!r}")):
             TrainConfig(learning_rate=value)
+    # an int past the float range raised OverflowError
+    with pytest.raises(ValueError, match=r"^learning_rate must be finite, got 10{400}$"):
+        TrainConfig(learning_rate=10**400)
     with pytest.raises(ValueError, match="iterations"):
         TrainConfig(iterations=0)
     with pytest.raises(ValueError, match="batch"):
@@ -343,13 +349,15 @@ def test_train_config_validation():
         TrainConfig(optimizer="adam")
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         TrainConfig(seed=-1)
+    # a numpy rate is stored as the Python float it equals, which the stamp's JSON can write
+    assert type(TrainConfig(learning_rate=np.float32(1e-3)).learning_rate) is float
 
 
 @pytest.mark.parametrize("field, value, message", [
     ("iterations", 2.5, "iterations must be an integer, got 2.5"),
     ("iterations", True, "iterations must be an integer, got True"),
-    ("batch", 64.5, "batch must be None or an integer, got 64.5"),
-    ("batch", True, "batch must be None or an integer, got True"),
+    ("batch", 64.5, "batch must be an integer, got 64.5"),
+    ("batch", True, "batch must be an integer, got True"),
     ("seed", 1.5, "seed must be an integer, got 1.5"),
     ("seed", False, "seed must be an integer, got False"),
 ])

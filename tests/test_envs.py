@@ -1,5 +1,6 @@
 """Environment dynamics, samplers, scripted experts, closed-loop execution."""
 
+import json
 import re
 from dataclasses import replace
 
@@ -75,12 +76,16 @@ def test_spec_rejects_bad_configuration():
         EnvSpec("linear", 1.0, layout, {}, sampler)
     with pytest.raises(ValueError, match="does not take"):
         EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, sampler, matrix=np.eye(2), input_map=np.eye(2))
-    with pytest.raises(ValueError, match="dt must be finite and > 0, got nan"):
+    with pytest.raises(ValueError, match="vanderpol dt must be finite, got nan"):
         EnvSpec("vanderpol", float("nan"), layout, {"mu": 1.0}, sampler)
     with pytest.raises(ValueError, match="vanderpol param 'mu' must be finite, got inf"):
         EnvSpec("vanderpol", 0.1, layout, {"mu": float("inf")}, sampler)
     with pytest.raises(ValueError, match="sampler range for 'x' must be finite"):
         EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, {"x": ((0.0, 1.0), (1.0, float("nan")))})
+    # each raised TypeError, or was accepted as a number
+    for entry in ((("a", 1.0), (1.5, 2.0)), (0.6, 1.4), ((False, 1.0), (1.5, 2.0)), ((0.0, 1.0),), "x"):
+        with pytest.raises(ValueError, match=r"^sampler range for 'x' must be finite with low < high$"):
+            EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, {"x": entry})
     with pytest.raises(ValueError, match="matrix and input_map must be finite"):
         linear_env(np.array([[np.nan, 0.0], [0.0, 0.5]]))
     pend = pendulum_env()
@@ -88,6 +93,11 @@ def test_spec_rejects_bad_configuration():
         EnvSpec("pendulum", "0.05", pend.layout, pend.params, pend.sampler)
     with pytest.raises(ValueError, match=r"^pendulum param 'mass' must be a real number, got '1'$"):
         EnvSpec("pendulum", 0.05, pend.layout, pend.params | {"mass": "1"}, pend.sampler)
+    # numbers are stored as the Python floats they equal
+    spec = EnvSpec("pendulum", 1, pend.layout, pend.params | {"mass": np.int64(2)},
+                   {"target": [[np.float32(0.5), 1], [1, 2]]})
+    assert (spec.dt, spec.params["mass"], spec.sampler) == (1.0, 2.0, {"target": ((0.5, 1.0), (1.0, 2.0))})
+    assert {type(v) for v in (spec.dt, *spec.params.values(), *sum(spec.sampler["target"], ()))} == {float}
 
 
 
@@ -206,6 +216,13 @@ def test_env_spec_dict_round_trip():
             assert np.array_equal(back.matrix, spec.matrix)
             assert np.array_equal(back.input_map, spec.input_map)
     assert env_spec_from_dict(env_spec_to_dict(pointmass_env())).layout == pointmass_env().layout
+    # a float32 mass rounded the pendulum's mgl to float32, and JSON could not write the spec
+    f32 = pendulum_env(mass=np.float32(1.0))
+    assert json.dumps(env_spec_to_dict(f32)) == json.dumps(env_spec_to_dict(pendulum_env()))
+    ours, theirs = (generate_demos(s, default_expert(s), 3, 20, seed=0) for s in (f32, pendulum_env()))
+    for a, b in zip(ours.trajectories, theirs.trajectories):
+        for name in ("x_r", "x_o", "torques"):
+            assert np.array_equal(_bits(getattr(a, name)), _bits(getattr(b, name)))
     for block, key in (({"dt": 0.05}, "'kind'"), ({"kind": "vanderpol"}, "'dt'"),
                        ({"kind": "linear", "dt": 1.0, "input_map": [[1.0]]}, "'matrix'")):
         with pytest.raises(ValueError, match=f"env block has no {key} key"):
@@ -628,10 +645,10 @@ def test_torque_errors_number_the_first_transition_step_1():
 
 
 @pytest.mark.parametrize("block, message", [
-    ({"dt": "0.05"}, "env dt must be a real number, got '0.05'"),
+    ({"dt": "0.05"}, "pendulum dt must be a real number, got '0.05'"),
     ({"params": [1]}, "env params must be an object, got [1]"),
-    ({"params": {"mass": "abc"}}, "env params 'mass' must be a real number, got 'abc'"),
-    ({"params": {"mass": True}}, "env params 'mass' must be a real number, got True"),
+    ({"params": {"mass": "abc"}}, "pendulum param 'mass' must be a real number, got 'abc'"),
+    ({"params": {"mass": True}}, "pendulum param 'mass' must be a real number, got True"),
     ({"params": {"bogus": 1.0}},
      "env params: unknown key 'bogus' for kind 'pendulum'; accepted keys: mass, length, gravity, damping"),
     ({"sampler": {"target": [[0.6, 1.4]]}}, "env sampler 'target' must be two [low, high] ranges, got [[0.6, 1.4]]"),

@@ -287,7 +287,16 @@ def test_negative_tolerance_rejected_on_every_solve_path():
             lambda: solve_koopman(acc.A, acc.G, rel_tolerance=tol),
             lambda: _svd_pinv(acc.G, tol),
         ):
-            with pytest.raises(ValueError, match=f"^rel_tolerance must be >= 0 and finite, got {shown}$"):
+            with pytest.raises(ValueError, match=f"^rel_tolerance must be finite, got {shown}$"):
+                call()
+    # False fitted at tolerance 0, and a string raised TypeError
+    for tol in ("0.1", False, True):
+        for call in (
+            lambda: fit(demos, IDENT_1D, rel_tolerance=tol),
+            lambda: solve_koopman(acc.A, acc.G, rel_tolerance=tol),
+            lambda: _svd_pinv(acc.G, tol),
+        ):
+            with pytest.raises(ValueError, match=f"^rel_tolerance must be a real number, got {tol!r}$"):
                 call()
 
 

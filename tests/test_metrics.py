@@ -108,14 +108,16 @@ def test_criterion_validation():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"threshold": float("nan")}, "threshold must be a finite real number, got nan"),
-    ({"threshold": float("-inf")}, "threshold must be a finite real number, got -inf"),
-    ({"threshold": "0.1"}, "threshold must be a finite real number, got '0.1'"),
+    ({"threshold": float("nan")}, "threshold must be finite, got nan"),
+    ({"threshold": float("-inf")}, "threshold must be finite, got -inf"),
+    ({"threshold": "0.1"}, "threshold must be a real number, got '0.1'"),
     ({"threshold": 0.1, "count_threshold": 2.5}, "count_threshold must be an integer, got 2.5"),
     ({"threshold": 0.1, "count_threshold": True}, "count_threshold must be an integer, got True"),
-    ({"threshold": 0.1, "extractor": (0.5,)}, "extractor dims must be integers, got (0.5,)"),
-    ({"threshold": 0.1, "extractor": (0, True)}, "extractor dims must be integers, got (0, True)"),
+    ({"threshold": 0.1, "extractor": (0.5,)}, "extractor[0] must be an integer, got 0.5"),
+    ({"threshold": 0.1, "extractor": (0, True)}, "extractor[1] must be an integer, got True"),
     ({"threshold": 0.1, "extractor": 0}, "extractor must be a tuple or list of object dims, got 0"),
+    ({"threshold": True}, "threshold must be a real number, got True"),
+    ({"threshold": 0.1, "extractor": (0, -1)}, "extractor[1] must be >= 0, got -1"),
 ])
 def test_criterion_rejects_bad_field_types(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

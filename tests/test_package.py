@@ -1,6 +1,8 @@
-"""The package's public surface: `__all__` names exactly what the package exports."""
+"""The package's public surface, and the source rules that keep one check per concept."""
 
+import ast
 import types
+from pathlib import Path
 
 import koopmanix
 
@@ -20,3 +22,48 @@ def test_public_names_resolve():
     assert set(koopmanix.__all__) - {"__version__"} == public
     for name in REMOVED:
         assert not hasattr(koopmanix, name)
+
+
+# The hand-written number checks allowed outside statespace: the JSON-facing
+# readers of persist and cli, whose messages render the value as JSON, and
+# the env block's matrix predicate.  Every other count goes through
+# statespace._count and every other real through statespace._real.
+NUMBER_CHECKS_ALLOWED = sorted([
+    "cli.POSITIVE_INT: _is_int",
+    "cli._NON_NEGATIVE_INT: _is_int",
+    "cli.SETTINGS: _is_real",  # pinv_tol
+    "cli.SETTINGS: _is_real",  # train.learning_rate
+    "cli.SETTINGS: _is_int",  # train.iterations
+    "cli.SETTINGS: _is_int",  # train.batch
+    "cli._load_config: _is_int",  # demo_counts entries
+    "envs._is_real_matrix: _is_real",
+    "persist._int: _is_int",
+    "persist._finite: _is_real",
+    "persist.save_demos: _is_int",  # the manifest's seed
+])
+
+
+def _number_checks(tree, scope: str) -> list[str]:
+    """'<scope>: <check>' for each use of _is_int, _is_real or math.isfinite, scoped by def, class or assignment."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Assign) and isinstance(tree, ast.Module):
+            inner = f"{scope}.{ast.unparse(node.targets[0])}"
+        if isinstance(node, ast.Name) and node.id in ("_is_int", "_is_real") and isinstance(node.ctx, ast.Load):
+            found.append(f"{scope}: {node.id}")
+        if isinstance(node, ast.Attribute) and node.attr == "isfinite" and getattr(node.value, "id", None) == "math":
+            found.append(f"{scope}: math.isfinite")
+        found += _number_checks(node, inner)
+    return found
+
+
+def test_number_checks_go_through_statespace():
+    source = Path(koopmanix.__file__).parent
+    found = []
+    for path in sorted(source.glob("*.py")):
+        if path.name != "statespace.py":
+            found += _number_checks(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sorted(found) == NUMBER_CHECKS_ALLOWED

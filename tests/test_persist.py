@@ -846,6 +846,35 @@ def test_failed_write_leaves_no_file_and_no_new_directory(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_failed_save_over_a_saved_set_leaves_no_manifest(tmp_path, monkeypatch):
+    def demos(start):
+        return DemonstrationSet(LAYOUT_1D, tuple(
+            Trajectory.from_arrays([[start + i], [start + i + 0.5]], np.empty((2, 0))) for i in range(3)))
+
+    manifest = save_demos(demos(0.0), tmp_path)
+    write, calls = persist._write_trajectory, []
+
+    def fail_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        write(*args)
+
+    monkeypatch.setattr(persist, "_write_trajectory", fail_second)
+    with pytest.raises(OSError, match="disk full"):
+        save_demos(demos(10.0), tmp_path)
+    assert not manifest.exists()
+    with pytest.raises(PersistError, match="no such file"):
+        load_demos(manifest)
+    # a refused save leaves the old set as it was
+    monkeypatch.setattr(persist, "_write_trajectory", write)
+    save_demos(demos(0.0), tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(PersistError, match="refusing to write non-finite values"):
+        save_demos(demos(10.0), tmp_path, env={"dt": float("nan")})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_write_into_a_missing_directory_leaves_only_the_target(tmp_path):
     path = tmp_path / "new" / "deeper" / "out.csv"
     persist._write(path, iter(["t,x\n", "1,2.0\n"]))
