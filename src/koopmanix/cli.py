@@ -16,6 +16,7 @@ import json
 import logging
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +35,10 @@ from .envs import (
     make_env,
     perturb_params,
 )
-from .koopman import _rollout, fit
+from .koopman import _rollout, _tolerance, fit
 from .lifting import LiftingSpec
 from .metrics import evaluate_success, imitation_error, outcome_summary
-from .statespace import DemonstrationSet, _is_int, _is_real
+from .statespace import DemonstrationSet, _count
 from .persist import (
     PersistError,
     _write,
@@ -58,29 +59,38 @@ LIFTING_NAMES = {"identity": "identity", "kodex": "kodex-polynomial"}
 SEED_CEILING = 2**62
 
 
-POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
-_NON_NEGATIVE_INT = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+def _lifting(name: str, value) -> None:
+    if not (isinstance(value, str) and value in LIFTING_NAMES):
+        raise ValueError(f'{name} must be "identity" or "kodex", got {value!r}')
 
-# config key -> (default, accepts the JSON value, what it must be); a flag
-# named like the key's last part overrides it, so --seed sets both seed and
-# train.seed.  The train defaults are TrainConfig's, which bounds the values.
+
+def _demo_counts(name: str, value) -> None:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    if not value:
+        raise ValueError(f"{name} must be a non-empty list, got []")
+    for i, count in enumerate(value):
+        _count(f"{name}[{i}]", count, 1)
+
+
+# config key -> (default, check); check(name, value) raises a ValueError
+# naming name, the key or its flag, if value is bad.  A flag named like the
+# key's last part overrides it, so --seed sets both seed and train.seed.
+# The train keys have TrainConfig's defaults and no check of their own:
+# TrainConfig checks them.
 SETTINGS = {
-    "n_demos": (100, *POSITIVE_INT),
-    "horizon": (100, *POSITIVE_INT),
-    "n_runs": (100, *POSITIVE_INT),
-    "n_eval": (100, *POSITIVE_INT),
-    "seed": (0, *_NON_NEGATIVE_INT),
-    "lifting": ("kodex", lambda v: isinstance(v, str) and v in LIFTING_NAMES, '"identity" or "kodex"'),
-    "pinv_tol": (
-        None,
-        lambda v: v is None or (_is_real(v) and 0 <= v < 1),
-        "null or a finite real number in [0, 1)",
-    ),
-    "demo_counts": ((10, 25, 50, 100, 150, 200), lambda v: isinstance(v, list), "a list"),
-    "train.learning_rate": (TrainConfig.learning_rate, _is_real, "a real number"),
-    "train.iterations": (TrainConfig.iterations, _is_int, "an integer"),
-    "train.batch": (TrainConfig.batch, lambda v: v is None or v == "full" or _is_int(v), 'an integer, null or "full"'),
-    "train.seed": (TrainConfig.seed, *_NON_NEGATIVE_INT),
+    "n_demos": (100, partial(_count, low=1)),
+    "horizon": (100, partial(_count, low=1)),
+    "n_runs": (100, partial(_count, low=1)),
+    "n_eval": (100, partial(_count, low=1)),
+    "seed": (0, partial(_count, low=0)),
+    "lifting": ("kodex", _lifting),
+    "pinv_tol": (None, lambda name, value: value is None or _tolerance(name, value)),
+    "demo_counts": ((10, 25, 50, 100, 150, 200), _demo_counts),
+    "train.learning_rate": (TrainConfig.learning_rate, None),
+    "train.iterations": (TrainConfig.iterations, None),
+    "train.batch": (TrainConfig.batch, None),
+    "train.seed": (TrainConfig.seed, None),
 }
 
 
@@ -106,7 +116,7 @@ def _load_config(path) -> dict:
     overrides = env.get("overrides", {}) if isinstance(env, dict) else {}
     for key, value in (("env", env), ("env.overrides", overrides), ("train", train_block)):
         if not isinstance(value, dict):
-            raise ValueError(f"config {path}: {key} must be an object, got {json.dumps(value)}")
+            raise ValueError(f"config {path}: {key} must be an object, got {value!r}")
     # env.overrides keys depend on the kind, so make_env checks them
     top = [key for key in SETTINGS if "." not in key]
     trained = [key.removeprefix("train.") for key in SETTINGS if key.startswith("train.")]
@@ -115,17 +125,15 @@ def _load_config(path) -> dict:
         unknown = [key for key in block if key not in known]
         if unknown:
             raise ValueError(f"config {path}: unknown key {prefix + unknown[0]!r}; accepted keys: {', '.join(known)}")
-    for key, (_, accepts, what) in SETTINGS.items():
-        block, name = _entry(obj, key)
-        if name in block and not accepts(block[name]):
-            raise ValueError(f"config {path}: {key} must be {what}, got {json.dumps(block[name])}")
-    if obj.get("demo_counts") == []:
-        raise ValueError(f"config {path}: demo_counts must be a non-empty list, got []")
-    for i, count in enumerate(obj.get("demo_counts", [])):
-        if not _is_int(count) or count < 1:
-            raise ValueError(f"config {path}: demo_counts[{i}] must be a positive integer, got {json.dumps(count)}")
     try:
-        _train_config(_settings(argparse.Namespace(), obj))  # the bounds TrainConfig puts on the train block's values
+        for key, (_, check) in SETTINGS.items():
+            block, name = _entry(obj, key)
+            if check and name in block:
+                check(key, block[name])
+    except ValueError as exc:
+        raise ValueError(f"config {path}: {exc}") from None
+    try:
+        _train_config(_settings(argparse.Namespace(), obj))  # TrainConfig's check of the train block's values
     except ValueError as exc:
         raise ValueError(f"config {path}: train.{exc}") from None
     return obj
@@ -137,11 +145,11 @@ def _settings(args, config: dict) -> dict:
     A flag passes the same check as the config key it overrides.
     """
     resolved = {}
-    for key, (default, accepts, what) in SETTINGS.items():
+    for key, (default, check) in SETTINGS.items():
         block, name = _entry(config, key)
         flag = getattr(args, name, None)
-        if flag is not None and not accepts(flag):
-            raise ValueError(f"--{name.replace('_', '-')} must be {what}, got {flag}")
+        if check and flag is not None:
+            check(f"--{name.replace('_', '-')}", flag)
         resolved[key] = flag if flag is not None else block.get(name, default)
     return resolved
 

@@ -21,7 +21,6 @@ arrays; one episode is B = 1.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -31,7 +30,7 @@ from . import koopman
 from .controller import ControllerModel, tracking_torque
 from .metrics import SuccessCriterion, success_rate
 from .statespace import (CompositeState, DemonstrationSet, StateLayout, Trajectory, _adopt, _check_dims, _count,
-                         _frozen, _is_real, _real)
+                         _frozen, _real)
 
 logger = logging.getLogger(__name__)
 
@@ -98,15 +97,18 @@ VARIATIONS = {
 }
 
 
-def _is_real_matrix(value) -> bool:
-    """A non-empty list of equal-length lists of real numbers: a matrix as env_spec_to_dict writes it."""
-    return isinstance(value, (list, tuple)) and len(value) > 0 and all(
-        isinstance(row, (list, tuple)) and len(row) == len(value[0]) and all(map(_is_real, row)) for row in value)
+def _real_rows(name: str, value, what: str, shape: tuple[int, int] | None = None) -> tuple[tuple[float, ...], ...]:
+    """value, a matrix or sampler entry as env_spec_to_dict writes it, as rows of Python floats.
 
-
-def _is_range_pair(value) -> bool:
-    """Two [low, high] ranges of real numbers: a sampler entry as env_spec_to_dict writes it."""
-    return _is_real_matrix(value) and len(value) == 2 and len(value[0]) == 2
+    value must be a non-empty list of equal-length lists, of the given shape
+    if one is given, or it is a ValueError saying it must be what.  Each
+    entry passes _real, named by its indices: `env matrix[0][1]`.
+    """
+    if not (isinstance(value, (list, tuple)) and len(value) > 0
+            and all(isinstance(row, (list, tuple)) and len(row) == len(value[0]) for row in value)
+            and shape in (None, (len(value), len(value[0])))):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return tuple(tuple(_real(f"{name}[{i}][{j}]", v) for j, v in enumerate(row)) for i, row in enumerate(value))
 
 
 @dataclass(frozen=True)
@@ -149,9 +151,10 @@ class EnvSpec:
                                             for name, value in self.params.items()})
         sampler, disjoint = {}, 0
         for name, entry in self.sampler.items():
-            if not (_is_range_pair(entry) and all(-math.inf < low < high < math.inf for low, high in entry)):
-                raise ValueError(f"sampler range for {name!r} must be finite with low < high")
-            rin, rout = sampler[name] = tuple((float(low), float(high)) for low, high in entry)
+            label = f"{self.kind} sampler {name!r}"
+            rin, rout = sampler[name] = _real_rows(label, entry, "two [low, high] ranges", (2, 2))
+            if not (rin[0] < rin[1] and rout[0] < rout[1]):
+                raise ValueError(f"{label} must have low < high in each range, got {entry!r}")
             if rin == rout:
                 continue
             if rout[0] < rin[1] and rin[0] < rout[1]:
@@ -715,20 +718,17 @@ def env_spec_from_dict(data: dict) -> EnvSpec:
     unknown = [key for key in data if key not in known]
     if unknown:
         raise ValueError(f"env block: unknown key {unknown[0]!r}; accepted keys: {', '.join(known)}")
-    for key in required[2:]:  # a linear block's matrix and input_map
-        if not _is_real_matrix(data[key]):
-            raise ValueError(f"env {key} must be a 2-D list of real numbers, got {data[key]!r}")
-    base = linear_env(data["matrix"], data["input_map"]) if kind == "linear" else _spec(kind)
+    # a linear block's matrix and input_map
+    rows = {key: _real_rows(f"env {key}", data[key], "a 2-D list of real numbers") for key in required[2:]}
+    base = linear_env(**rows) if kind == "linear" else _spec(kind)
     merged = {"params": dict(base.params), "sampler": dict(base.sampler)}
     for block in merged:
         given = data.get(block, {})
         if not isinstance(given, dict):
             raise ValueError(f"env {block} must be an object, got {given!r}")
-        for key, value in given.items():
+        for key in given:
             if key not in merged[block]:
                 known = ", ".join(merged[block]) or "none"
                 raise ValueError(f"env {block}: unknown key {key!r} for kind {kind!r}; accepted keys: {known}")
-            if block == "sampler" and not _is_range_pair(value):
-                raise ValueError(f"env sampler {key!r} must be two [low, high] ranges, got {value!r}")
         merged[block].update(given)
-    return replace(base, dt=data["dt"], **merged)  # EnvSpec checks dt and the params, and makes each a float
+    return replace(base, dt=data["dt"], **merged)  # EnvSpec checks dt, the params and the sampler, and makes each a float

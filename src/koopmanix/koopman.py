@@ -13,6 +13,7 @@ g(t+1) = K g(t), and reading the robot slots of each step.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -40,6 +41,13 @@ class FitMeta:
     wall_time_s: float
     rank: int
     cond: float
+
+    def __post_init__(self):
+        for name in ("n_demos", "n_pairs", "rank"):
+            object.__setattr__(self, name, _count(name, getattr(self, name), 0))
+        object.__setattr__(self, "wall_time_s", _real("wall_time_s", self.wall_time_s))
+        # a solve that keeps no singular value has condition number +inf
+        object.__setattr__(self, "cond", math.inf if self.cond == math.inf else _real("cond", self.cond))
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,15 @@ def accumulate(demos: DemonstrationSet, spec: LiftingSpec) -> FitAccumulators:
     return FitAccumulators(A, G, pair_count)
 
 
+def _tolerance(name: str, value) -> float:
+    """value as a relative singular-value cutoff: a real in [0, 1), the one check of rel_tolerance and pinv_tol."""
+    tolerance = _real(name, value, 0)
+    if tolerance >= 1:
+        # the cutoff tolerance * s[0] would drop every singular value
+        raise ValueError(f"{name} must be < 1, got {tolerance}")
+    return tolerance
+
+
 def _svd_pinv(mat: np.ndarray, rel_tolerance: float | None) -> tuple[np.ndarray, int, float]:
     """Truncated-SVD pseudoinverse, its rank and the condition number of the retained part.
 
@@ -113,10 +130,7 @@ def _svd_pinv(mat: np.ndarray, rel_tolerance: float | None) -> tuple[np.ndarray,
         raise ValueError("matrix has non-finite entries")
     if rel_tolerance is None:
         rel_tolerance = default_pinv_tolerance(mat.shape[0])
-    rel_tolerance = _real("rel_tolerance", rel_tolerance, 0)
-    if rel_tolerance >= 1:
-        # the cutoff rel_tolerance * s[0] would drop every singular value
-        raise ValueError(f"rel_tolerance must be < 1, got {rel_tolerance}")
+    rel_tolerance = _tolerance("rel_tolerance", rel_tolerance)
     U, s, Vt = np.linalg.svd(mat)  # LinAlgError on non-convergence propagates
     cutoff = rel_tolerance * (s[0] if s.size else 0.0)
     keep = s > cutoff

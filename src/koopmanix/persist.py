@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 import os
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .controller import ControllerModel
 from .koopman import FitMeta, KoopmanModel
 from .lifting import KINDS, LiftingSpec
-from .statespace import DemonstrationSet, StateLayout, Trajectory, _is_int, _is_real, require_valid
+from .statespace import DemonstrationSet, StateLayout, Trajectory, _count, _real, require_valid
 
 SCHEMA_VERSION = 1
 
@@ -46,32 +45,9 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
-def _int(value, key: str) -> int:
-    """value itself if it is a JSON integer; int() would truncate 2.7 and parse "2"."""
-    if not _is_int(value):
-        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
-    return value
-
-
-def _count(value, key: str) -> int:
-    """value as a Python int if it is an integer >= 0."""
-    if _int(value, key) < 0:
-        raise ValueError(f"{key} must be >= 0, got {value}")
-    return int(value)
-
-
-def _finite(value, key: str) -> float:
-    """value as a float if it is a finite JSON number; float() would also read "1.5", true and "nan".
-
-    A numpy float is checked, and named in the error, as the Python float it
-    equals: json cannot write float32, and comparing one with the float64
-    maximum overflows.
-    """
-    if isinstance(value, np.floating):
-        value = float(value)
-    if not (_is_real(value) and abs(value) <= sys.float_info.max):
-        raise ValueError(f"{key} must be a finite number, got {json.dumps(value)}")
-    return float(value)
+def _same(value, expected) -> bool:
+    """value equals expected and has its type: in Python True == 1 == 1.0, but a file's tag or size is the integer."""
+    return type(value) is type(expected) and value == expected
 
 
 def _array(value, key: str, ndim: int = 1) -> np.ndarray:
@@ -114,13 +90,8 @@ def _layout_to_dict(layout: StateLayout) -> dict:
 
 def _layout_from_dict(obj: dict, path: Path) -> StateLayout:
     try:
-        return StateLayout(
-            n=_int(obj["n"], "n"),
-            m=_int(obj["m"], "m"),
-            a=_int(obj["a"], "a"),
-            robot_names=_names(obj.get("robot_names"), "robot_names"),
-            object_names=_names(obj.get("object_names"), "object_names"),
-        )
+        return StateLayout(obj["n"], obj["m"], obj["a"], _names(obj.get("robot_names"), "robot_names"),
+                           _names(obj.get("object_names"), "object_names"))
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistError(f"{path}: bad layout block: {exc}") from exc
 
@@ -168,7 +139,7 @@ def _read_json(path) -> dict:
     if not isinstance(obj, dict):
         raise PersistError(f"{path}: top level must be an object")
     version = obj.get("schema")
-    if version != SCHEMA_VERSION:
+    if not _same(version, SCHEMA_VERSION):
         raise PersistError(f"{path}: schema version {version!r}, expected {SCHEMA_VERSION}")
     return obj
 
@@ -284,14 +255,18 @@ def save_demos(
     directory = Path(directory)
     path = directory / "manifest.json"
     names = [f"traj_{i:04d}.csv" for i in range(demos.n_demos)]
+    # refused before any file is written, so a bad env or seed leaves no file
+    try:
+        seed = None if seed is None else _count("seed", seed, 0)
+    except ValueError as exc:
+        raise PersistError(f"{path}: {exc}") from None
     manifest = {
         "schema": SCHEMA_VERSION,
         "layout": _layout_to_dict(demos.layout),
         "trajectories": names,
         "env": env,
-        "seed": int(seed) if _is_int(seed) else seed,
+        "seed": seed,
     }
-    # refused before any file is written, so a bad env or seed leaves no file
     try:
         json.dumps(manifest, allow_nan=False)
     except ValueError:
@@ -333,16 +308,16 @@ def load_demos(manifest_path) -> DemonstrationSet:
 # -------------------------------------------------------------------- models
 
 def _fit_meta(meta, path: Path) -> FitMeta | None:
-    """A model file's fit_meta block, or None for null: the one check of that block, on load and on save."""
+    """A model file's fit_meta block, or None for null; a cond of null reads as +inf, and a number must be finite."""
     if meta is None:
         return None
     try:
         return FitMeta(
-            n_demos=_count(meta["n_demos"], "n_demos"),
-            n_pairs=_count(meta["n_pairs"], "n_pairs"),
-            wall_time_s=_finite(meta["wall_time_s"], "wall_time_s"),
-            rank=_count(meta["rank"], "rank"),
-            cond=_finite(meta["cond"], "cond") if meta["cond"] is not None else math.inf,
+            n_demos=meta["n_demos"],
+            n_pairs=meta["n_pairs"],
+            wall_time_s=meta["wall_time_s"],
+            rank=meta["rank"],
+            cond=math.inf if meta["cond"] is None else _real("cond", meta["cond"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistError(f"{path}: bad fit_meta block: {exc}") from exc
@@ -350,13 +325,7 @@ def _fit_meta(meta, path: Path) -> FitMeta | None:
 
 def _fit_meta_block(meta: FitMeta) -> dict:
     """The fit_meta block that records meta; a cond of +inf is written as null, which load reads back as +inf."""
-    return {
-        "n_demos": meta.n_demos,
-        "n_pairs": meta.n_pairs,
-        "wall_time_s": meta.wall_time_s,
-        "rank": meta.rank,
-        "cond": None if meta.cond == math.inf else meta.cond,
-    }
+    return vars(meta) | {"cond": None if meta.cond == math.inf else meta.cond}
 
 
 def save_model(model: KoopmanModel, path) -> Path:
@@ -367,17 +336,12 @@ def save_model(model: KoopmanModel, path) -> Path:
         "m": model.layout.m,
         "ordering": ORDERING_TAGS[model.spec.kind],
     }
-    meta = None
-    if model.fit_meta is not None:
-        # refuse on save what load would refuse, with load's message, and
-        # write the Python numbers load's check returns
-        meta = _fit_meta_block(_fit_meta(_fit_meta_block(model.fit_meta), path))
     obj = {
         "schema": SCHEMA_VERSION,
         "layout": _layout_to_dict(model.layout),
         "lifting": lifting,
         "K": model.K.tolist(),
-        "fit_meta": meta,
+        "fit_meta": None if model.fit_meta is None else _fit_meta_block(model.fit_meta),
     }
     _write_json(obj, path)
     return path
@@ -399,7 +363,7 @@ def load_model(path) -> KoopmanModel:
             f"{path}: ordering tag {tag!r} does not match {ORDERING_TAGS[kind]!r}; "
             "K was written under a different observable order"
         )
-    if lifting.get("n") != layout.n or lifting.get("m") != layout.m:
+    if not (_same(lifting.get("n"), layout.n) and _same(lifting.get("m"), layout.m)):
         raise PersistError(f"{path}: lifting dims disagree with layout")
     meta = _fit_meta(obj.get("fit_meta"), path)
     try:
@@ -428,18 +392,16 @@ def load_controller(path) -> ControllerModel:
     path = Path(path)
     obj = _read_json(path)
     try:
-        sizes = tuple(_int(s, f"layer_sizes[{i}]") for i, s in enumerate(obj["layer_sizes"]))
         weights = tuple(_array(w, f"weights[{i}]", ndim=2) for i, w in enumerate(obj["weights"]))
         biases = tuple(_array(b, f"biases[{i}]") for i, b in enumerate(obj["biases"]))
         norm = obj["input_norm"]
         mean = _array(norm["mean"], "input_norm.mean")
         std = _array(norm["std"], "input_norm.std")
         activation = obj["activation"]
+        # ControllerModel checks the layer sizes and every shape
+        model = ControllerModel(obj["layer_sizes"], weights, biases, mean, std)
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistError(f"{path}: bad controller block: {exc}") from exc
     if activation != _ACTIVATION:
         raise PersistError(f"{path}: unsupported activation {activation!r}, expected {_ACTIVATION!r}")
-    try:
-        return ControllerModel(sizes, weights, biases, mean, std)
-    except ValueError as exc:
-        raise PersistError(f"{path}: {exc}") from exc
+    return model

@@ -19,7 +19,7 @@ import numpy as np
 
 
 def _is_int(value) -> bool:
-    """An integer, Python's or numpy's, that is not a bool: the one integer check of config and file fields."""
+    """An integer, Python's or numpy's, that is not a bool: `_count`'s type test."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
@@ -33,7 +33,7 @@ def _count(name: str, value, low: int) -> int:
 
 
 def _is_real(value) -> bool:
-    """A real number, Python's or numpy's, that is not a bool: `_real`'s type test, and the JSON readers'."""
+    """A real number, Python's or numpy's, that is not a bool: `_real`'s type test."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 

@@ -80,11 +80,15 @@ def test_spec_rejects_bad_configuration():
         EnvSpec("vanderpol", float("nan"), layout, {"mu": 1.0}, sampler)
     with pytest.raises(ValueError, match="vanderpol param 'mu' must be finite, got inf"):
         EnvSpec("vanderpol", 0.1, layout, {"mu": float("inf")}, sampler)
-    with pytest.raises(ValueError, match="sampler range for 'x' must be finite"):
+    with pytest.raises(ValueError, match=r"^vanderpol sampler 'x'\[1\]\[1\] must be finite, got nan$"):
         EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, {"x": ((0.0, 1.0), (1.0, float("nan")))})
     # each raised TypeError, or was accepted as a number
-    for entry in ((("a", 1.0), (1.5, 2.0)), (0.6, 1.4), ((False, 1.0), (1.5, 2.0)), ((0.0, 1.0),), "x"):
-        with pytest.raises(ValueError, match=r"^sampler range for 'x' must be finite with low < high$"):
+    for entry, message in (((("a", 1.0), (1.5, 2.0)), "'x'[0][0] must be a real number, got 'a'"),
+                           ((0.6, 1.4), "'x' must be two [low, high] ranges, got (0.6, 1.4)"),
+                           (((False, 1.0), (1.5, 2.0)), "'x'[0][0] must be a real number, got False"),
+                           (((0.0, 1.0),), "'x' must be two [low, high] ranges, got ((0.0, 1.0),)"),
+                           ("x", "'x' must be two [low, high] ranges, got 'x'")):
+        with pytest.raises(ValueError, match=f"^vanderpol sampler {re.escape(message)}$"):
             EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, {"x": entry})
     with pytest.raises(ValueError, match="matrix and input_map must be finite"):
         linear_env(np.array([[np.nan, 0.0], [0.0, 0.5]]))
@@ -651,9 +655,9 @@ def test_torque_errors_number_the_first_transition_step_1():
     ({"params": {"mass": True}}, "pendulum param 'mass' must be a real number, got True"),
     ({"params": {"bogus": 1.0}},
      "env params: unknown key 'bogus' for kind 'pendulum'; accepted keys: mass, length, gravity, damping"),
-    ({"sampler": {"target": [[0.6, 1.4]]}}, "env sampler 'target' must be two [low, high] ranges, got [[0.6, 1.4]]"),
-    ({"sampler": {"target": [[0.6, 1.4], [1.4, "x"]]}},
-     "env sampler 'target' must be two [low, high] ranges, got [[0.6, 1.4], [1.4, 'x']]"),
+    ({"sampler": {"target": [[0.6, 1.4]]}},
+     "pendulum sampler 'target' must be two [low, high] ranges, got [[0.6, 1.4]]"),
+    ({"sampler": {"target": [[0.6, 1.4], [1.4, "x"]]}}, "pendulum sampler 'target'[1][1] must be a real number, got 'x'"),
     ({"sampler": {"goal": [[0.6, 1.4], [1.4, 1.8]]}},
      "env sampler: unknown key 'goal' for kind 'pendulum'; accepted keys: target"),
     ({"parms": {"mass": 9.0}}, "env block: unknown key 'parms'; accepted keys: kind, dt, params, sampler"),
@@ -666,12 +670,12 @@ def test_env_spec_from_dict_names_the_bad_key(block, message):
 
 
 @pytest.mark.parametrize("block, message", [
-    ({"matrix": [["a"]]}, "env matrix must be a 2-D list of real numbers, got [['a']]"),
+    ({"matrix": [["a"]]}, "env matrix[0][0] must be a real number, got 'a'"),
     ({"matrix": [[0.5, 0.0], [0.0]]}, "env matrix must be a 2-D list of real numbers, got [[0.5, 0.0], [0.0]]"),
-    ({"matrix": [[True]]}, "env matrix must be a 2-D list of real numbers, got [[True]]"),
+    ({"matrix": [[True]]}, "env matrix[0][0] must be a real number, got True"),
     ({"matrix": []}, "env matrix must be a 2-D list of real numbers, got []"),
     ({"matrix": "eye"}, "env matrix must be a 2-D list of real numbers, got 'eye'"),
-    ({"input_map": [[None]]}, "env input_map must be a 2-D list of real numbers, got [[None]]"),
+    ({"input_map": [[None]]}, "env input_map[0][0] must be a real number, got None"),
     ({"input_map": [[1.0], [1.0, 2.0]]}, "env input_map must be a 2-D list of real numbers, got [[1.0], [1.0, 2.0]]"),
 ], ids=["matrix-string", "matrix-ragged", "matrix-bool", "matrix-empty", "matrix-not-a-list",
         "input-map-null", "input-map-ragged"])

@@ -24,23 +24,12 @@ def test_public_names_resolve():
         assert not hasattr(koopmanix, name)
 
 
-# The hand-written number checks allowed outside statespace: the JSON-facing
-# readers of persist and cli, whose messages render the value as JSON, and
-# the env block's matrix predicate.  Every other count goes through
-# statespace._count and every other real through statespace._real.
-NUMBER_CHECKS_ALLOWED = sorted([
-    "cli.POSITIVE_INT: _is_int",
-    "cli._NON_NEGATIVE_INT: _is_int",
-    "cli.SETTINGS: _is_real",  # pinv_tol
-    "cli.SETTINGS: _is_real",  # train.learning_rate
-    "cli.SETTINGS: _is_int",  # train.iterations
-    "cli.SETTINGS: _is_int",  # train.batch
-    "cli._load_config: _is_int",  # demo_counts entries
-    "envs._is_real_matrix: _is_real",
-    "persist._int: _is_int",
-    "persist._finite: _is_real",
-    "persist.save_demos: _is_int",  # the manifest's seed
-])
+# The hand-written number checks allowed outside statespace: none.  Every
+# count goes through statespace._count and every real through
+# statespace._real, from a Python caller, a config key, a setting flag or a
+# file field alike, so no module but statespace may use _is_int, _is_real or
+# math.isfinite.
+NUMBER_CHECKS_ALLOWED = []
 
 
 def _number_checks(tree, scope: str) -> list[str]:

@@ -205,20 +205,17 @@ def test_model_round_trip_infinite_condition(tmp_path):
 @pytest.mark.parametrize("fields, message", [
     ({"rank": -3}, "rank must be >= 0, got -3"),
     ({"n_demos": 1.5}, "n_demos must be an integer, got 1.5"),
-    ({"wall_time_s": math.nan}, "wall_time_s must be a finite number, got NaN"),
-    ({"wall_time_s": np.float32("nan")}, "wall_time_s must be a finite number, got NaN"),
-    ({"wall_time_s": np.float16("-inf")}, "wall_time_s must be a finite number, got -Infinity"),
-    ({"cond": math.nan}, "cond must be a finite number, got NaN"),
-    ({"cond": -math.inf}, "cond must be a finite number, got -Infinity"),
+    ({"wall_time_s": math.nan}, "wall_time_s must be finite, got nan"),
+    ({"wall_time_s": np.float32("nan")}, "wall_time_s must be finite, got nan"),
+    ({"wall_time_s": np.float16("-inf")}, "wall_time_s must be finite, got -inf"),
+    ({"cond": math.nan}, "cond must be finite, got nan"),
+    ({"cond": -math.inf}, "cond must be finite, got -inf"),
 ], ids=["rank-negative", "n-demos-float", "wall-time-nan", "wall-time-float32-nan", "wall-time-float16-inf",
         "cond-nan", "cond-minus-infinity"])
 def test_save_model_refuses_the_fit_meta_load_refuses(tmp_path, fields, message):
-    meta = FitMeta(**{"n_demos": 1, "n_pairs": 1, "wall_time_s": 0.0, "rank": 1, "cond": 1.0} | fields)
-    model = KoopmanModel(np.zeros((1, 1)), LiftingSpec("identity", LAYOUT_1D), LAYOUT_1D, meta)
-    path = tmp_path / "model.json"
-    with pytest.raises(PersistError) as exc:
-        save_model(model, path)
-    assert str(exc.value) == f"{path}: bad fit_meta block: {message}"
+    # FitMeta refuses these when it is built, with load's words, so save_model is never given them
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FitMeta(**{"n_demos": 1, "n_pairs": 1, "wall_time_s": 0.0, "rank": 1, "cond": 1.0} | fields)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -261,15 +258,20 @@ def test_demos_with_a_numpy_integer_seed_save_it_as_an_int(tmp_path):
     assert seed == 3 and type(seed) is int
 
 
-@pytest.mark.parametrize("env, message", [
-    ({"dt": np.float32(0.5)}, "Object of type float32 is not JSON serializable"),
-    ({"dt": float("nan")}, "refusing to write non-finite values"),
-], ids=["float32", "nan"])
-def test_a_manifest_json_cannot_write_leaves_no_file(tmp_path, env, message):
+# an env that JSON cannot write, or a seed that is not an integer >= 0 (json would write true or 1.5)
+@pytest.mark.parametrize("kwargs, message", [
+    ({"env": {"dt": np.float32(0.5)}}, "Object of type float32 is not JSON serializable"),
+    ({"env": {"dt": float("nan")}}, "refusing to write non-finite values"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+], ids=["float32", "nan", "seed-bool", "seed-float", "seed-string", "seed-negative"])
+def test_a_manifest_json_cannot_write_leaves_no_file(tmp_path, kwargs, message):
     demos = DemonstrationSet(LAYOUT_1D, (Trajectory(tuple(CompositeState([float(t)], []) for t in range(2))),))
     directory = tmp_path / "demos"
     with pytest.raises(PersistError) as exc:
-        save_demos(demos, directory, env=env)
+        save_demos(demos, directory, **kwargs)
     assert str(exc.value) == f"{directory / 'manifest.json'}: {message}"
     assert list(tmp_path.iterdir()) == []
 
@@ -554,6 +556,19 @@ def test_schema_version_checked(tmp_path):
         load_model(path)
 
 
+# True == 1 == 1.0 in Python, but not in a file
+@pytest.mark.parametrize("loader", [load_manifest, load_model])
+@pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+def test_schema_must_be_the_integer_one(tmp_path, loader, version):
+    path = tmp_path / "file.json"
+    source = FIXTURES / ("model.json" if loader is load_model else "demo_set/manifest.json")
+    path.write_text(source.read_text())
+    _rewrite(path, lambda obj: obj.update(schema=version))
+    with pytest.raises(PersistError) as exc:
+        loader(path)
+    assert str(exc.value) == f"{path}: schema version {version!r}, expected 1"
+
+
 def test_ordering_tag_mismatch(tmp_path):
     path = tmp_path / "model.json"
     path.write_text((FIXTURES / "model.json").read_text())
@@ -576,6 +591,18 @@ def test_lifting_layout_disagreement(tmp_path):
     _rewrite(path, lambda obj: obj["lifting"].update(n=3))
     with pytest.raises(PersistError, match="disagree"):
         load_model(path)
+
+
+# the fixture's layout has n=1 and m=0, which True, 1.0 and False equal in Python
+@pytest.mark.parametrize("dims", [{"n": True}, {"n": 1.0}, {"m": False}, {"m": 0.0}],
+                         ids=["n-bool", "n-float", "m-bool", "m-float"])
+def test_lifting_dims_must_be_integers(tmp_path, dims):
+    path = tmp_path / "model.json"
+    path.write_text((FIXTURES / "model.json").read_text())
+    _rewrite(path, lambda obj: obj["lifting"].update(dims))
+    with pytest.raises(PersistError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: lifting dims disagree with layout"
 
 
 def test_k_shape_checked(tmp_path):
@@ -614,12 +641,12 @@ def test_bad_fit_meta_block(tmp_path):
 
 
 # json.loads gives 2.7, "2" and true for these; int() would load them as 2, 2 and 1
-@pytest.mark.parametrize("value, shown", [(2.7, "2.7"), ("2", '"2"'), (True, "true")])
+@pytest.mark.parametrize("value, shown", [(2.7, "2.7"), ("2", "'2'"), (True, "True")])
 def test_manifest_layout_sizes_must_be_integers(tmp_path, value, shown):
     path = _rewrite(_mini_manifest(tmp_path), lambda obj: obj["layout"].update(n=value))
     with pytest.raises(PersistError) as exc:
         load_demos(path)
-    assert str(exc.value) == f"{path}: bad layout block: n must be an integer, got {shown}"
+    assert str(exc.value) == f"{path}: bad layout block: layout size n must be an integer, got {shown}"
 
 
 def _fit_meta(**fields):
@@ -629,18 +656,19 @@ def _fit_meta(**fields):
 
 
 @pytest.mark.parametrize("mutate, message", [
-    (lambda obj: obj["layout"].update(a=1.0), "bad layout block: a must be an integer, got 1.0"),
+    (lambda obj: obj["layout"].update(a=1.0), "bad layout block: layout size a must be an integer, got 1.0"),
     (lambda obj: obj.update(fit_meta={"n_demos": 1, "n_pairs": 1, "wall_time_s": 0.0, "rank": 9.9, "cond": 1.0}),
      "bad fit_meta block: rank must be an integer, got 9.9"),
     (lambda obj: obj.update(fit_meta={"n_demos": "1", "n_pairs": 1, "wall_time_s": 0.0, "rank": 1, "cond": 1.0}),
-     'bad fit_meta block: n_demos must be an integer, got "1"'),
+     "bad fit_meta block: n_demos must be an integer, got '1'"),
     # float() would read these
-    (_fit_meta(wall_time_s="1.5"), 'bad fit_meta block: wall_time_s must be a finite number, got "1.5"'),
-    (_fit_meta(wall_time_s=True), "bad fit_meta block: wall_time_s must be a finite number, got true"),
-    (_fit_meta(wall_time_s="nan"), 'bad fit_meta block: wall_time_s must be a finite number, got "nan"'),
-    (_fit_meta(wall_time_s=math.nan), "bad fit_meta block: wall_time_s must be a finite number, got NaN"),
-    (_fit_meta(cond="Infinity"), 'bad fit_meta block: cond must be a finite number, got "Infinity"'),
-    (_fit_meta(cond=math.inf), "bad fit_meta block: cond must be a finite number, got Infinity"),
+    (_fit_meta(wall_time_s="1.5"), "bad fit_meta block: wall_time_s must be a real number, got '1.5'"),
+    (_fit_meta(wall_time_s=True), "bad fit_meta block: wall_time_s must be a real number, got True"),
+    (_fit_meta(wall_time_s="nan"), "bad fit_meta block: wall_time_s must be a real number, got 'nan'"),
+    (_fit_meta(wall_time_s=math.nan), "bad fit_meta block: wall_time_s must be finite, got nan"),
+    (_fit_meta(cond="Infinity"), "bad fit_meta block: cond must be a real number, got 'Infinity'"),
+    # save_model writes +inf as null, so a number must be finite
+    (_fit_meta(cond=math.inf), "bad fit_meta block: cond must be finite, got inf"),
     (_fit_meta(rank=-3), "bad fit_meta block: rank must be >= 0, got -3"),
     (_fit_meta(n_pairs=-1), "bad fit_meta block: n_pairs must be >= 0, got -1"),
 ], ids=["layout-a", "fit-meta-rank", "fit-meta-n-demos", "wall-time-string", "wall-time-bool", "wall-time-nan-string",
