@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .controller import TrainConfig, train
+from .controller import TRAIN_RULES, TrainConfig, train
 from .envs import (
     VARIATIONS,
     _closed_loop,
@@ -76,8 +76,7 @@ def _demo_counts(name: str, value) -> None:
 # config key -> (default, check); check(name, value) raises a ValueError
 # naming name, the key or its flag, if value is bad.  A flag named like the
 # key's last part overrides it, so --seed sets both seed and train.seed.
-# The train keys have TrainConfig's defaults and no check of their own:
-# TrainConfig checks them.
+# The train keys have TrainConfig's defaults and rules; batch also takes "full".
 SETTINGS = {
     "n_demos": (100, partial(_count, low=1)),
     "horizon": (100, partial(_count, low=1)),
@@ -87,10 +86,10 @@ SETTINGS = {
     "lifting": ("kodex", _lifting),
     "pinv_tol": (None, lambda name, value: value is None or _tolerance(name, value)),
     "demo_counts": ((10, 25, 50, 100, 150, 200), _demo_counts),
-    "train.learning_rate": (TrainConfig.learning_rate, None),
-    "train.iterations": (TrainConfig.iterations, None),
-    "train.batch": (TrainConfig.batch, None),
-    "train.seed": (TrainConfig.seed, None),
+    "train.learning_rate": (TrainConfig.learning_rate, TRAIN_RULES["learning_rate"]),
+    "train.iterations": (TrainConfig.iterations, TRAIN_RULES["iterations"]),
+    "train.batch": (TrainConfig.batch, lambda name, value: value == "full" or TRAIN_RULES["batch"](name, value)),
+    "train.seed": (TrainConfig.seed, TRAIN_RULES["seed"]),
 }
 
 
@@ -128,14 +127,10 @@ def _load_config(path) -> dict:
     try:
         for key, (_, check) in SETTINGS.items():
             block, name = _entry(obj, key)
-            if check and name in block:
+            if name in block:
                 check(key, block[name])
     except ValueError as exc:
         raise ValueError(f"config {path}: {exc}") from None
-    try:
-        _train_config(_settings(argparse.Namespace(), obj))  # TrainConfig's check of the train block's values
-    except ValueError as exc:
-        raise ValueError(f"config {path}: train.{exc}") from None
     return obj
 
 
@@ -148,7 +143,7 @@ def _settings(args, config: dict) -> dict:
     for key, (default, check) in SETTINGS.items():
         block, name = _entry(config, key)
         flag = getattr(args, name, None)
-        if check and flag is not None:
+        if flag is not None:
             check(f"--{name.replace('_', '-')}", flag)
         resolved[key] = flag if flag is not None else block.get(name, default)
     return resolved

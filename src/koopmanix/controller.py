@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -82,6 +83,17 @@ class ControllerModel:
         object.__setattr__(self, "input_std", std)
 
 
+# TrainConfig field -> its rule: rule(name, value) is value as the field
+# holds it, or a ValueError naming name.  The CLI checks its train keys and
+# flags by the same rules.
+TRAIN_RULES = {
+    "learning_rate": partial(_real, low=0, strict=True),
+    "iterations": partial(_count, low=1),
+    "batch": lambda name, value: None if value is None else _count(name, value, 1),
+    "seed": partial(_count, low=0),
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-4
@@ -90,11 +102,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "learning_rate", _real("learning_rate", self.learning_rate, 0, strict=True))
-        for name, low in (("iterations", 1), ("seed", 0)):
-            object.__setattr__(self, name, _count(name, getattr(self, name), low))
-        if self.batch is not None:
-            object.__setattr__(self, "batch", _count("batch", self.batch, 1))
+        for name, rule in TRAIN_RULES.items():
+            object.__setattr__(self, name, rule(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)

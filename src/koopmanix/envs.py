@@ -111,6 +111,17 @@ def _real_rows(name: str, value, what: str, shape: tuple[int, int] | None = None
     return tuple(tuple(_real(f"{name}[{i}][{j}]", v) for j, v in enumerate(row)) for i, row in enumerate(value))
 
 
+def _refuse_names(label: str, given, names) -> None:
+    """The error for the first of names that given lacks, else for the first name in given that names lacks."""
+    reads = ", ".join(names) or "none"
+    for name in names:
+        if name not in given:
+            raise ValueError(f"{label} lack {name!r}; the kind reads {reads}")
+    for name in given:
+        if name not in names:
+            raise ValueError(f"{label} hold {name!r}, which the kind does not read; it reads {reads}")
+
+
 @dataclass(frozen=True)
 class EnvSpec:
     """Immutable description of one environment instance.
@@ -135,13 +146,7 @@ class EnvSpec:
             raise ValueError(f"unknown env kind {self.kind!r}, expected one of {KINDS}")
         object.__setattr__(self, "dt", _real(f"{self.kind} dt", self.dt, 0, strict=True))
         rec = _KINDS[self.kind]
-        reads = ", ".join(rec.params) or "none"
-        for name in rec.params:
-            if name not in self.params:
-                raise ValueError(f"{self.kind} params lack {name!r}; the kind reads {reads}")
-        for name in self.params:
-            if name not in rec.params:
-                raise ValueError(f"{self.kind} params hold {name!r}, which the kind does not read; it reads {reads}")
+        _refuse_names(f"{self.kind} params", self.params, rec.params)
         for field in ("n", "m", "a"):
             size, got = rec.layout.get(field), getattr(self.layout, field)
             if size is not None and got != size:
@@ -182,6 +187,10 @@ class EnvSpec:
         for name in sampled:
             if name not in sampler:
                 raise ValueError(f"{self.kind} sampler lacks {name!r}; the kind reads {', '.join(sampled)}")
+        for name in sampler:
+            if name not in sampled:
+                raise ValueError(f"{self.kind} sampler holds {name!r}, which the kind does not draw; "
+                                 f"it draws {', '.join(sampled)}")
 
 
 @dataclass(frozen=True)
@@ -200,11 +209,23 @@ class EnvState:
 
 @dataclass(frozen=True)
 class ScriptedExpert:
-    """Feedback-law demonstrator.  noise_scale adds seeded torque jitter."""
+    """Feedback-law demonstrator.  noise_scale adds seeded torque jitter.
+
+    gains holds exactly the gains the kind's expert reads, as real numbers;
+    a zero-torque expert reads none.  noise_scale is a real >= 0.
+    """
 
     kind: str
     gains: dict[str, float]
     noise_scale: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown env kind {self.kind!r}, expected one of {KINDS}")
+        _refuse_names(f"{self.kind} gains", self.gains, _KINDS[self.kind].gains)
+        object.__setattr__(self, "gains", {name: _real(f"{self.kind} gain {name!r}", value)
+                                           for name, value in self.gains.items()})
+        object.__setattr__(self, "noise_scale", _real(f"{self.kind} noise_scale", self.noise_scale, 0))
 
 
 # ---------------------------------------------------------------- factories

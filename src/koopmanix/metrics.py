@@ -34,7 +34,7 @@ class SuccessCriterion:
     def __post_init__(self):
         if self.kind not in CRITERION_KINDS:
             raise ValueError(f"unknown criterion kind {self.kind!r}")
-        object.__setattr__(self, "threshold", _real("threshold", self.threshold))
+        object.__setattr__(self, "threshold", _real("threshold", self.threshold, 0, strict=True))
         if not isinstance(self.extractor, (tuple, list)):
             raise ValueError(f"extractor must be a tuple or list of object dims, got {self.extractor!r}")
         if len(self.extractor) < 1:

@@ -71,13 +71,6 @@ def _array(value, key: str, ndim: int = 1) -> np.ndarray:
     return arr
 
 
-def _names(value, key: str) -> tuple[str, ...] | None:
-    """A layout's names: a list of strings, or null; an empty list reads as null."""
-    if value is not None and not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise ValueError(f"{key} must be a list of strings or null, got {json.dumps(value)}")
-    return tuple(value) if value else None
-
-
 def _layout_to_dict(layout: StateLayout) -> dict:
     return {
         "n": layout.n,
@@ -90,8 +83,7 @@ def _layout_to_dict(layout: StateLayout) -> dict:
 
 def _layout_from_dict(obj: dict, path: Path) -> StateLayout:
     try:
-        return StateLayout(obj["n"], obj["m"], obj["a"], _names(obj.get("robot_names"), "robot_names"),
-                           _names(obj.get("object_names"), "object_names"))
+        return StateLayout(obj["n"], obj["m"], obj["a"], obj.get("robot_names"), obj.get("object_names"))
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistError(f"{path}: bad layout block: {exc}") from exc
 

@@ -83,7 +83,8 @@ class StateLayout:
     """Dimensions of the composite state.
 
     n: robot dims, m: object dims (0 for unattended systems), a: torque dims.
-    Optional names are cosmetic and must match the dimension counts.
+    Optional names are cosmetic and must match the dimension counts; an
+    empty tuple or list of names reads as None, as a file's does.
     """
 
     n: int
@@ -101,7 +102,7 @@ class StateLayout:
             if names is not None:
                 if not (isinstance(names, (tuple, list)) and all(isinstance(v, str) for v in names)):
                     raise ValueError(f"{name} must be None or a tuple or list of strings, got {names!r}")
-                object.__setattr__(self, name, tuple(names))  # hashable, and equal to a loaded copy
+                object.__setattr__(self, name, tuple(names) or None)  # hashable, and equal to a loaded copy
         if self.robot_names is not None and len(self.robot_names) != self.n:
             raise ValueError("robot_names length does not match n")
         if self.object_names is not None and len(self.object_names) != self.m:

@@ -239,8 +239,16 @@ def test_config_block_types_checked(tmp_path, capsys, command, config, key):
      "--pinv-tol must be finite, got nan"),
     (["fit", "--demos", "d.json", "--pinv-tol", "1"],
      "--pinv-tol must be < 1, got 1.0"),
+    # the train flags pass TrainConfig's rules before the missing demos file is read
+    (["train-controller", "--demos", "missing.json", "--iterations", "0"],
+     "--iterations must be >= 1, got 0"),
+    (["train-controller", "--demos", "missing.json", "--learning-rate", "-1"],
+     "--learning-rate must be > 0, got -1.0"),
+    (["train-controller", "--demos", "missing.json", "--batch", "0"],
+     "--batch must be >= 1, got 0"),
 ], ids=["gen-demos-n-demos", "gen-demos-horizon", "gen-demos-seed", "simulate-n-runs", "simulate-seed",
-        "retune-n-demos", "rollout-horizon", "fit-pinv-tol", "fit-pinv-tol-one"])
+        "retune-n-demos", "rollout-horizon", "fit-pinv-tol", "fit-pinv-tol-one",
+        "train-iterations", "train-learning-rate", "train-batch"])
 def test_flags_checked_like_config_keys(tmp_path, capsys, argv, message):
     assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: invalid: {message}\n"

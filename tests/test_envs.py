@@ -209,6 +209,20 @@ def test_spec_refuses_params_the_kind_does_not_read():
         env_spec_from_dict(env_spec_to_dict(env) | {"params": {"hand_mas": 5.0}})
 
 
+def test_spec_refuses_sampler_names_the_kind_does_not_draw():
+    # reset draws every sampler entry in order, so an extra one would shift every draw after it
+    env = pendulum_env()
+    message = "pendulum sampler holds 'bogus', which the kind does not draw; it draws target"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(env, sampler={"bogus": ((0.0, 1.0), (1.0, 2.0)), **env.sampler})
+    message = "linear sampler holds 'init_2', which the kind does not draw; it draws init_0, init_1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(linear_env(np.eye(2)), sampler={**linear_env(np.eye(2)).sampler, "init_2": ((0.0, 1.0), (1.0, 2.0))})
+    # a block read from a manifest still names its own unknown key first
+    with pytest.raises(ValueError, match="^env sampler: unknown key 'bogus' for kind 'pendulum'"):
+        env_spec_from_dict(env_spec_to_dict(env) | {"sampler": {"bogus": [[0.0, 1.0], [1.0, 2.0]]}})
+
+
 def test_env_spec_dict_round_trip():
     for spec in (pointmass_env(), pendulum_env(), linear_env_random(3, seed=4)):
         back = env_spec_from_dict(env_spec_to_dict(spec))
@@ -545,6 +559,31 @@ def test_perturb_params_ratios():
 def test_expert_kind_must_match():
     with pytest.raises(ValueError, match="does not match"):
         run_expert(pendulum_env(), ScriptedExpert("vanderpol", {}), reset(pendulum_env(), 0), 2)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"kind": "maze"}, "unknown env kind 'maze', expected one of ('linear', 'pendulum', 'vanderpol', "
+                       "'pointmass-relocation')"),
+    ({"gains": {"kp": 16.0}}, "pendulum gains lack 'kd'; the kind reads kp, kd"),
+    ({"gains": {"kp": 16.0, "kd": 8.0, "ki": 1.0}}, "pendulum gains hold 'ki', which the kind does not read; "
+                                                    "it reads kp, kd"),
+    ({"gains": {"kp": "16", "kd": 8.0}}, "pendulum gain 'kp' must be a real number, got '16'"),
+    ({"gains": {"kp": 16.0, "kd": float("inf")}}, "pendulum gain 'kd' must be finite, got inf"),
+    ({"noise_scale": float("nan")}, "pendulum noise_scale must be finite, got nan"),
+    ({"noise_scale": -1.0}, "pendulum noise_scale must be >= 0, got -1.0"),
+    ({"noise_scale": True}, "pendulum noise_scale must be a real number, got True"),
+], ids=["kind", "gain-missing", "gain-extra", "gain-string", "gain-inf", "noise-nan", "noise-negative", "noise-bool"])
+def test_expert_checks_its_fields(fields, message):
+    # a NaN or negative noise_scale used to drop the jitter silently, and a missing gain raised a bare KeyError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ScriptedExpert(**({"kind": "pendulum", "gains": {"kp": 16.0, "kd": 8.0}} | fields))
+
+
+def test_expert_stores_its_numbers_as_floats():
+    expert = ScriptedExpert("pendulum", {"kp": np.int64(16), "kd": 8}, np.float64(0.5))
+    assert expert.gains == {"kp": 16.0, "kd": 8.0} and expert.noise_scale == 0.5
+    assert {type(v) for v in (*expert.gains.values(), expert.noise_scale)} == {float}
+    assert ScriptedExpert("vanderpol", {}).gains == {}
 
 
 def test_expert_noise_requires_rng():

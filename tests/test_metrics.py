@@ -118,6 +118,9 @@ def test_criterion_validation():
     ({"threshold": 0.1, "extractor": 0}, "extractor must be a tuple or list of object dims, got 0"),
     ({"threshold": True}, "threshold must be a real number, got True"),
     ({"threshold": 0.1, "extractor": (0, -1)}, "extractor[1] must be >= 0, got -1"),
+    # the comparisons are strict, so no distance is below a threshold of 0 or less
+    ({"threshold": 0.0}, "threshold must be > 0, got 0.0"),
+    ({"threshold": -1.0}, "threshold must be > 0, got -1.0"),
 ])
 def test_criterion_rejects_bad_field_types(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -683,15 +683,23 @@ def test_model_integer_fields_are_not_truncated(tmp_path, mutate, message):
 
 
 # tuple() would split the string "x" into its letters and accept names that are not strings
-@pytest.mark.parametrize("key, value, shown", [("robot_names", "x", '"x"'), ("robot_names", [1], "[1]"),
-                                               ("object_names", "", '""')])
+@pytest.mark.parametrize("key, value, shown", [("robot_names", "x", "'x'"), ("robot_names", [1], "[1]"),
+                                               ("object_names", "", "''")])
 def test_layout_names_must_be_a_list_of_strings(tmp_path, key, value, shown):
     path = tmp_path / "model.json"
     path.write_text((FIXTURES / "model.json").read_text())
     _rewrite(path, lambda obj: obj["layout"].update({key: value}))
     with pytest.raises(PersistError) as exc:
         load_model(path)
-    assert str(exc.value) == f"{path}: bad layout block: {key} must be a list of strings or null, got {shown}"
+    assert str(exc.value) == f"{path}: bad layout block: {key} must be None or a tuple or list of strings, got {shown}"
+
+
+def test_empty_layout_names_load_as_none(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text((FIXTURES / "model.json").read_text())
+    _rewrite(path, lambda obj: obj["layout"].update(robot_names=[], object_names=[]))
+    layout = load_model(path).layout
+    assert (layout.robot_names, layout.object_names) == (None, None)
 
 
 def test_monomial_list_model_is_an_unknown_kind(tmp_path):

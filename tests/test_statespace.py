@@ -79,6 +79,15 @@ def test_layout_names_are_stored_as_a_tuple(tmp_path):
     fit(loaded, LiftingSpec("identity", listed))
 
 
+def test_empty_layout_names_read_as_none(tmp_path):
+    # an empty tuple used to be kept: the layout was unequal to the one without names and to its loaded copy
+    empty = StateLayout(2, 0, 1, object_names=())
+    assert empty == StateLayout(2, 0, 1) and empty.object_names is None
+    assert StateLayout(2, 0, 1, robot_names=[]).robot_names is None
+    traj = Trajectory.from_arrays(np.zeros((3, 2)), np.zeros((3, 0)), np.zeros((2, 1)))
+    assert load_demos(save_demos(DemonstrationSet(empty, (traj,)), tmp_path / "demos")).layout == empty
+
+
 @pytest.mark.parametrize("names, message", [
     ({"robot_names": "ab"}, "robot_names must be None or a tuple or list of strings, got 'ab'"),
     ({"robot_names": ("x", 1)}, "robot_names must be None or a tuple or list of strings, got ('x', 1)"),
