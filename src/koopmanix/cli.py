@@ -38,7 +38,7 @@ from .envs import (
 from .koopman import _rollout, _tolerance, fit
 from .lifting import LiftingSpec
 from .metrics import evaluate_success, imitation_error, outcome_summary
-from .statespace import DemonstrationSet, _count
+from .statespace import DemonstrationSet, _count, _keys, _object
 from .persist import (
     PersistError,
     _write,
@@ -56,6 +56,7 @@ from .persist import (
 logger = logging.getLogger(__name__)
 
 LIFTING_NAMES = {"identity": "identity", "kodex": "kodex-polynomial"}
+ENV_KIND = "pointmass-relocation"  # the env of a config without env.kind
 SEED_CEILING = 2**62
 
 
@@ -79,7 +80,7 @@ def _demo_counts(name: str, value) -> None:
 # The train keys have TrainConfig's defaults and rules; batch also takes "full".
 SETTINGS = {
     "n_demos": (100, partial(_count, low=1)),
-    "horizon": (100, partial(_count, low=1)),
+    "horizon": (100, partial(_count, low=2)),  # a trajectory's fewest states
     "n_runs": (100, partial(_count, low=1)),
     "n_eval": (100, partial(_count, low=1)),
     "seed": (0, partial(_count, low=0)),
@@ -109,22 +110,14 @@ def _load_config(path) -> dict:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    if not isinstance(obj, dict):
-        raise ValueError(f"config {path}: top level must be an object")
-    env, train_block = obj.get("env", {}), obj.get("train", {})
-    overrides = env.get("overrides", {}) if isinstance(env, dict) else {}
-    for key, value in (("env", env), ("env.overrides", overrides), ("train", train_block)):
-        if not isinstance(value, dict):
-            raise ValueError(f"config {path}: {key} must be an object, got {value!r}")
-    # env.overrides keys depend on the kind, so make_env checks them
     top = [key for key in SETTINGS if "." not in key]
     trained = [key.removeprefix("train.") for key in SETTINGS if key.startswith("train.")]
-    for prefix, block, known in (("", obj, [*top, "env", "train"]), ("env.", env, ["kind", "overrides"]),
-                                 ("train.", train_block, trained)):
-        unknown = [key for key in block if key not in known]
-        if unknown:
-            raise ValueError(f"config {path}: unknown key {prefix + unknown[0]!r}; accepted keys: {', '.join(known)}")
     try:
+        _keys("top level", obj, (), (*top, "env", "train"))
+        if "env" in obj:
+            _keys("env", obj["env"], (), ("kind", "overrides"))
+            _env_from_config(obj)  # make_env checks the kind, the override keys and their values
+        _keys("train", obj.get("train", {}), (), trained)
         for key, (_, check) in SETTINGS.items():
             block, name = _entry(obj, key)
             if name in block:
@@ -163,13 +156,20 @@ def _hashed_train(train_cfg: TrainConfig) -> dict:
 
 def _env_from_config(config: dict):
     block = config.get("env", {})
-    kind = block.get("kind", "pointmass-relocation")
-    overrides = dict(block.get("overrides", {}))
-    return make_env(kind, **overrides)
+    overrides = _object("env.overrides", block.get("overrides", {}))
+    return make_env(block.get("kind", ENV_KIND), **overrides)
+
+
+def _check_model(model, path, layout, source: str) -> None:
+    """Refuse a model whose state sizes (n, m) are not layout's; the error names source and the model file."""
+    need = model.layout
+    if (layout.n, layout.m) != (need.n, need.m):
+        raise ValueError(f"{source} has layout (n={layout.n}, m={layout.m}); "
+                         f"model {path} needs (n={need.n}, m={need.m})")
 
 
 def _load_policy(args, config: dict):
-    """The model, controller and environment of a closed-loop command.
+    """The model, controller and environment of a closed-loop command, the model checked against the environment.
 
     The environment comes from the config's env block, else from the one the
     demos manifest records.
@@ -178,13 +178,16 @@ def _load_policy(args, config: dict):
     controller = load_controller(args.controller)
     manifest = load_manifest(args.demos) if args.demos else None
     if "env" in config:
-        return model, controller, _env_from_config(config)
-    if manifest is None or not manifest.get("env"):
+        env = _env_from_config(config)
+    elif manifest is None or not manifest.get("env"):
         raise ValueError("no environment: pass --config with an env block or a manifest that records one")
-    try:
-        return model, controller, env_spec_from_dict(manifest["env"])
-    except ValueError as exc:
-        raise ValueError(f"manifest {args.demos}: {exc}") from None
+    else:
+        try:
+            env = env_spec_from_dict(manifest["env"])
+        except ValueError as exc:
+            raise ValueError(f"manifest {args.demos}: {exc}") from None
+    _check_model(model, args.model, env.layout, f"env {env.kind}")
+    return model, controller, env
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -241,10 +244,7 @@ def _cmd_rollout(args, config: dict, s: dict) -> int:
     index = args.traj_index
     if not (0 <= index < demos.n_demos):
         raise ValueError(f"--traj-index {index} out of range for {demos.n_demos} trajectories")
-    have, need = demos.layout, model.layout
-    if (have.n, have.m) != (need.n, need.m):
-        raise ValueError(f"demos {args.demos} have layout (n={have.n}, m={have.m}); "
-                         f"model {args.model} needs (n={need.n}, m={need.m})")
+    _check_model(model, args.model, demos.layout, f"manifest {args.demos}")
     traj = demos.trajectories[index]
     horizon = args.horizon if args.horizon is not None else traj.horizon
     ref = _rollout(model, traj.x_r[:1], traj.x_o[:1], horizon)[:, 0]

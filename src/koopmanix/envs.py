@@ -21,6 +21,7 @@ arrays; one episode is B = 1.
 from __future__ import annotations
 
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -30,7 +31,7 @@ from . import koopman
 from .controller import ControllerModel, tracking_torque
 from .metrics import SuccessCriterion, success_rate
 from .statespace import (CompositeState, DemonstrationSet, StateLayout, Trajectory, _adopt, _check_dims, _count,
-                         _frozen, _real)
+                         _frozen, _keys, _real)
 
 logger = logging.getLogger(__name__)
 
@@ -50,6 +51,11 @@ class _Kind(NamedTuple):
     noise_scale: float = 0.0  # the expert's torque jitter
     criterion: SuccessCriterion | None = None
     takes: tuple = ()  # make_env's keys for a kind without params: linear_env_random's
+
+    @property
+    def overrides(self) -> tuple:
+        """make_env's keys: takes, else dt and every param the factory takes."""
+        return self.takes or ("dt", *(name for name in self.params if name not in self.fixed))
 
 
 _KINDS = {
@@ -111,15 +117,11 @@ def _real_rows(name: str, value, what: str, shape: tuple[int, int] | None = None
     return tuple(tuple(_real(f"{name}[{i}][{j}]", v) for j, v in enumerate(row)) for i, row in enumerate(value))
 
 
-def _refuse_names(label: str, given, names) -> None:
-    """The error for the first of names that given lacks, else for the first name in given that names lacks."""
-    reads = ", ".join(names) or "none"
-    for name in names:
-        if name not in given:
-            raise ValueError(f"{label} lack {name!r}; the kind reads {reads}")
-    for name in given:
-        if name not in names:
-            raise ValueError(f"{label} hold {name!r}, which the kind does not read; it reads {reads}")
+def _record(kind) -> _Kind:
+    """kind's `_KINDS` record; a kind envs does not build is a ValueError."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown env kind {kind!r}, expected one of {KINDS}")
+    return _KINDS[kind]
 
 
 @dataclass(frozen=True)
@@ -142,20 +144,19 @@ class EnvSpec:
     input_map: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown env kind {self.kind!r}, expected one of {KINDS}")
+        rec = _record(self.kind)
         object.__setattr__(self, "dt", _real(f"{self.kind} dt", self.dt, 0, strict=True))
-        rec = _KINDS[self.kind]
-        _refuse_names(f"{self.kind} params", self.params, rec.params)
+        params = _keys(f"{self.kind} params", self.params, rec.params)
         for field in ("n", "m", "a"):
             size, got = rec.layout.get(field), getattr(self.layout, field)
             if size is not None and got != size:
                 raise ValueError(f"{self.kind} layout needs {field}={size}, got {field}={got}")
         # Python floats, which JSON can write and the plants read as float64
         object.__setattr__(self, "params", {name: _real(f"{self.kind} param {name!r}", value, *rec.bounds.get(name, ()))
-                                            for name, value in self.params.items()})
+                                            for name, value in params.items()})
+        sampled = [f"init_{i}" for i in range(self.layout.n)] if self.kind == "linear" else rec.sampler
         sampler, disjoint = {}, 0
-        for name, entry in self.sampler.items():
+        for name, entry in _keys(f"{self.kind} sampler", self.sampler, sampled).items():
             label = f"{self.kind} sampler {name!r}"
             rin, rout = sampler[name] = _real_rows(label, entry, "two [low, high] ranges", (2, 2))
             if not (rin[0] < rin[1] and rout[0] < rout[1]):
@@ -165,7 +166,7 @@ class EnvSpec:
             if rout[0] < rin[1] and rin[0] < rout[1]:
                 raise ValueError(f"in/out ranges for {name!r} overlap")
             disjoint += 1
-        if sampler and disjoint == 0:
+        if disjoint == 0:
             raise ValueError("at least one sampler parameter needs disjoint in/out ranges")
         object.__setattr__(self, "sampler", sampler)
         if self.kind == "linear":
@@ -183,14 +184,6 @@ class EnvSpec:
             object.__setattr__(self, "input_map", B)
         elif self.matrix is not None or self.input_map is not None:
             raise ValueError(f"kind {self.kind!r} does not take matrix/input_map")
-        sampled = [f"init_{i}" for i in range(self.layout.n)] if self.kind == "linear" else list(rec.sampler)
-        for name in sampled:
-            if name not in sampler:
-                raise ValueError(f"{self.kind} sampler lacks {name!r}; the kind reads {', '.join(sampled)}")
-        for name in sampler:
-            if name not in sampled:
-                raise ValueError(f"{self.kind} sampler holds {name!r}, which the kind does not draw; "
-                                 f"it draws {', '.join(sampled)}")
 
 
 @dataclass(frozen=True)
@@ -220,11 +213,9 @@ class ScriptedExpert:
     noise_scale: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown env kind {self.kind!r}, expected one of {KINDS}")
-        _refuse_names(f"{self.kind} gains", self.gains, _KINDS[self.kind].gains)
+        gains = _keys(f"{self.kind} gains", self.gains, _record(self.kind).gains)
         object.__setattr__(self, "gains", {name: _real(f"{self.kind} gain {name!r}", value)
-                                           for name, value in self.gains.items()})
+                                           for name, value in gains.items()})
         object.__setattr__(self, "noise_scale", _real(f"{self.kind} noise_scale", self.noise_scale, 0))
 
 
@@ -261,19 +252,10 @@ def linear_env_random(dim: int, spectral_radius: float = 0.9, seed: int = 0, dt:
     return linear_env(M, dt=dt)
 
 
-def _refuse_unknown(kind: str, keys) -> None:
-    """make_env's error for the first of keys that kind's factory does not take."""
-    rec = _KINDS[kind]
-    accepted = rec.takes or ("dt", *(name for name in rec.params if name not in rec.fixed))
-    unknown = [key for key in keys if key not in accepted]
-    if unknown:
-        raise ValueError(f"env kind {kind!r} takes no override {unknown[0]!r}; accepted keys: {', '.join(accepted)}")
-
-
 def _spec(kind: str, /, dt: float = 0.05, **params) -> EnvSpec:
     """kind's spec from its `_KINDS` record, with params in place of the record's defaults."""
-    _refuse_unknown(kind, params)
     rec = _KINDS[kind]
+    _keys(f"{kind} overrides", params, (), rec.overrides)
     return EnvSpec(kind, dt, StateLayout(**rec.layout), rec.params | params, dict(rec.sampler))
 
 
@@ -315,9 +297,7 @@ def make_env(kind: str, dt: float | None = None, **overrides) -> EnvSpec:
     An override the kind does not take is a ValueError here; each value is
     checked by the factory or EnvSpec, whose error names the kind.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown env kind {kind!r}")
-    _refuse_unknown(kind, overrides)
+    _keys(f"{kind} overrides", overrides, (), _record(kind).overrides)
     args = {"dim": 5} if kind == "linear" else {}
     args.update(overrides)
     if dt is not None:
@@ -723,33 +703,16 @@ def env_spec_to_dict(spec: EnvSpec) -> dict:
 def env_spec_from_dict(data: dict) -> EnvSpec:
     """Inverse of env_spec_to_dict; params and sampler entries left out take the kind's defaults.
 
-    A missing or unknown key, a params or sampler key the kind lacks, or a
-    value of the wrong type is a ValueError that names the key.
+    A key the block or its params or sampler must hold and lacks, or holds
+    and must not, or a value of the wrong type, is a ValueError naming the key.
     """
-    if not isinstance(data, dict):
-        raise ValueError(f"env block must be an object, got {data!r}")
-    kind = data.get("kind")
-    required = ("kind", "dt") + (("matrix", "input_map") if kind == "linear" else ())
-    for key in required:
-        if key not in data:
-            raise ValueError(f"env block has no {key!r} key")
-    if kind not in KINDS:
-        raise ValueError(f"unknown env kind {kind!r}")
-    known = required + ("params", "sampler")
-    unknown = [key for key in data if key not in known]
-    if unknown:
-        raise ValueError(f"env block: unknown key {unknown[0]!r}; accepted keys: {', '.join(known)}")
+    kind = data.get("kind") if isinstance(data, Mapping) else None
     # a linear block's matrix and input_map
-    rows = {key: _real_rows(f"env {key}", data[key], "a 2-D list of real numbers") for key in required[2:]}
+    matrices = ("matrix", "input_map") if kind == "linear" else ()
+    _keys("env block", data, ("kind", "dt", *matrices), ("params", "sampler"))
+    _record(kind)
+    rows = {key: _real_rows(f"env {key}", data[key], "a 2-D list of real numbers") for key in matrices}
     base = linear_env(**rows) if kind == "linear" else _spec(kind)
-    merged = {"params": dict(base.params), "sampler": dict(base.sampler)}
-    for block in merged:
-        given = data.get(block, {})
-        if not isinstance(given, dict):
-            raise ValueError(f"env {block} must be an object, got {given!r}")
-        for key in given:
-            if key not in merged[block]:
-                known = ", ".join(merged[block]) or "none"
-                raise ValueError(f"env {block}: unknown key {key!r} for kind {kind!r}; accepted keys: {known}")
-        merged[block].update(given)
+    merged = {block: defaults | _keys(f"env {block}", data.get(block, {}), (), defaults)
+              for block, defaults in (("params", base.params), ("sampler", base.sampler))}
     return replace(base, dt=data["dt"], **merged)  # EnvSpec checks dt, the params and the sampler, and makes each a float

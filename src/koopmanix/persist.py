@@ -19,7 +19,7 @@ import numpy as np
 from .controller import ControllerModel
 from .koopman import FitMeta, KoopmanModel
 from .lifting import KINDS, LiftingSpec
-from .statespace import DemonstrationSet, StateLayout, Trajectory, _count, _real, require_valid
+from .statespace import DemonstrationSet, StateLayout, Trajectory, _count, _keys, _real, require_valid
 
 SCHEMA_VERSION = 1
 
@@ -81,10 +81,19 @@ def _layout_to_dict(layout: StateLayout) -> dict:
     }
 
 
-def _layout_from_dict(obj: dict, path: Path) -> StateLayout:
+def _block(path: Path, label: str, block, names, optional=()) -> dict:
+    """block, a keyed block of the file at path, checked by statespace._keys; its error names path."""
     try:
-        return StateLayout(obj["n"], obj["m"], obj["a"], obj.get("robot_names"), obj.get("object_names"))
-    except (KeyError, TypeError, ValueError) as exc:
+        return _keys(label, block, names, optional)
+    except ValueError as exc:
+        raise PersistError(f"{path}: {exc}") from None
+
+
+def _layout_from_dict(obj, path: Path) -> StateLayout:
+    obj = _block(path, "layout", obj, ("n", "m", "a"), ("robot_names", "object_names"))
+    try:
+        return StateLayout(**obj)
+    except ValueError as exc:
         raise PersistError(f"{path}: bad layout block: {exc}") from exc
 
 
@@ -119,21 +128,21 @@ def _write_json(obj: dict, path: Path) -> None:
         raise PersistError(f"{path}: refusing to write non-finite values") from exc
 
 
-def _read_json(path) -> dict:
-    """The top-level object of a JSON file written at SCHEMA_VERSION."""
-    path = Path(path)
+def _read_json(path: Path, names, optional=()) -> dict:
+    """The top-level object of a JSON file written at SCHEMA_VERSION: it holds schema and names, and may hold optional.
+
+    The version is read first, so a file of another version is named as such
+    whatever keys it holds.
+    """
     if not path.exists():
         raise PersistError(f"{path}: no such file")
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise PersistError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    if not isinstance(obj, dict):
-        raise PersistError(f"{path}: top level must be an object")
-    version = obj.get("schema")
-    if not _same(version, SCHEMA_VERSION):
-        raise PersistError(f"{path}: schema version {version!r}, expected {SCHEMA_VERSION}")
-    return obj
+    if isinstance(obj, dict) and not _same(obj.get("schema"), SCHEMA_VERSION):
+        raise PersistError(f"{path}: schema version {obj.get('schema')!r}, expected {SCHEMA_VERSION}")
+    return _block(path, "top level", obj, ("schema", *names), optional)
 
 
 # ------------------------------------------------------------ demonstrations
@@ -274,15 +283,15 @@ def save_demos(
 
 
 def load_manifest(manifest_path) -> dict:
-    """Raw manifest dict (callers needing env/seed read them from here)."""
-    return _read_json(manifest_path)
+    """Raw manifest dict (callers needing env/seed read them from here); env and seed may be left out."""
+    return _read_json(Path(manifest_path), ("layout", "trajectories"), ("env", "seed"))
 
 
 def load_demos(manifest_path) -> DemonstrationSet:
     path = Path(manifest_path)
     obj = load_manifest(path)
-    layout = _layout_from_dict(obj.get("layout", {}), path)
-    names = obj.get("trajectories")
+    layout = _layout_from_dict(obj["layout"], path)
+    names = obj["trajectories"]
     if not isinstance(names, list) or not names:
         raise PersistError(f"{path}: manifest lists no trajectories")
     for i, name in enumerate(names):
@@ -303,15 +312,10 @@ def _fit_meta(meta, path: Path) -> FitMeta | None:
     """A model file's fit_meta block, or None for null; a cond of null reads as +inf, and a number must be finite."""
     if meta is None:
         return None
+    meta = _block(path, "fit_meta", meta, ("n_demos", "n_pairs", "wall_time_s", "rank", "cond"))
     try:
-        return FitMeta(
-            n_demos=meta["n_demos"],
-            n_pairs=meta["n_pairs"],
-            wall_time_s=meta["wall_time_s"],
-            rank=meta["rank"],
-            cond=math.inf if meta["cond"] is None else _real("cond", meta["cond"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return FitMeta(**(meta | {"cond": math.inf if meta["cond"] is None else _real("cond", meta["cond"])}))
+    except ValueError as exc:
         raise PersistError(f"{path}: bad fit_meta block: {exc}") from exc
 
 
@@ -341,25 +345,23 @@ def save_model(model: KoopmanModel, path) -> Path:
 
 def load_model(path) -> KoopmanModel:
     path = Path(path)
-    obj = _read_json(path)
-    layout = _layout_from_dict(obj.get("layout", {}), path)
-    lifting = obj.get("lifting")
-    if not isinstance(lifting, dict):
-        raise PersistError(f"{path}: missing lifting block")
-    kind = lifting.get("kind")
+    obj = _read_json(path, ("layout", "lifting", "K"), ("fit_meta",))
+    layout = _layout_from_dict(obj["layout"], path)
+    lifting = _block(path, "lifting", obj["lifting"], ("kind", "n", "m", "ordering"))
+    kind = lifting["kind"]
     if kind not in KINDS:
         raise PersistError(f"{path}: unknown lifting kind {kind!r}")
-    tag = lifting.get("ordering")
+    tag = lifting["ordering"]
     if tag != ORDERING_TAGS[kind]:
         raise PersistError(
             f"{path}: ordering tag {tag!r} does not match {ORDERING_TAGS[kind]!r}; "
             "K was written under a different observable order"
         )
-    if not (_same(lifting.get("n"), layout.n) and _same(lifting.get("m"), layout.m)):
+    if not (_same(lifting["n"], layout.n) and _same(lifting["m"], layout.m)):
         raise PersistError(f"{path}: lifting dims disagree with layout")
     meta = _fit_meta(obj.get("fit_meta"), path)
     try:
-        return KoopmanModel(_array(obj.get("K"), "K", ndim=2), LiftingSpec(kind, layout), layout, meta)
+        return KoopmanModel(_array(obj["K"], "K", ndim=2), LiftingSpec(kind, layout), layout, meta)
     except ValueError as exc:
         raise PersistError(f"{path}: {exc}") from None
 
@@ -382,17 +384,17 @@ def save_controller(model: ControllerModel, path) -> Path:
 
 def load_controller(path) -> ControllerModel:
     path = Path(path)
-    obj = _read_json(path)
+    obj = _read_json(path, ("layer_sizes", "weights", "biases", "input_norm", "activation"))
+    norm = _block(path, "input_norm", obj["input_norm"], ("mean", "std"))
     try:
         weights = tuple(_array(w, f"weights[{i}]", ndim=2) for i, w in enumerate(obj["weights"]))
         biases = tuple(_array(b, f"biases[{i}]") for i, b in enumerate(obj["biases"]))
-        norm = obj["input_norm"]
         mean = _array(norm["mean"], "input_norm.mean")
         std = _array(norm["std"], "input_norm.std")
         activation = obj["activation"]
         # ControllerModel checks the layer sizes and every shape
         model = ControllerModel(obj["layer_sizes"], weights, biases, mean, std)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # a TypeError: weights or biases not a list
         raise PersistError(f"{path}: bad controller block: {exc}") from exc
     if activation != _ACTIVATION:
         raise PersistError(f"{path}: unsupported activation {activation!r}, expected {_ACTIVATION!r}")

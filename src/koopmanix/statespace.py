@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,30 @@ def _real(name: str, value, low: float = -math.inf, strict: bool = False) -> flo
     if number < low or (strict and number == low):
         raise ValueError(f"{name} must be {'>' if strict else '>='} {low}, got {number}")
     return number
+
+
+def _object(label: str, block) -> Mapping:
+    """block if it is a mapping (a JSON object), else a ValueError naming label."""
+    if not isinstance(block, Mapping):
+        raise ValueError(f"{label} must be an object, got {block!r}")
+    return block
+
+
+def _keys(label: str, block, names, optional=()) -> Mapping:
+    """block if it is a mapping holding every key in names and none outside names and optional.
+
+    The one rule of every keyed block; anything else is a ValueError naming
+    label and the first missing key, else the first unknown key.
+    """
+    _object(label, block)
+    accepted = ", ".join([*names, *optional]) or "none"
+    for name in names:
+        if name not in block:
+            raise ValueError(f"{label}: missing key {name!r}; accepted keys: {accepted}")
+    for name in block:
+        if name not in names and name not in optional:
+            raise ValueError(f"{label}: unknown key {name!r}; accepted keys: {accepted}")
+    return block
 
 
 def _frozen(values, name: str, ndim: int = 1) -> np.ndarray:

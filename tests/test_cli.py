@@ -193,7 +193,7 @@ def test_non_string_manifest_entry_is_a_persist_error(tmp_path, capsys):
     ("train-controller", {"train": {"seed": "7"}}, "train.seed must be an integer, got '7'"),
     ("train-controller", {"train": {"learning_rate": False}}, "train.learning_rate must be a real number, got False"),
     ("train-controller", {"train": {"optimizer": "sgd"}},
-     "unknown key 'train.optimizer'; accepted keys: learning_rate, iterations, batch, seed"),
+     "train: unknown key 'optimizer'; accepted keys: learning_rate, iterations, batch, seed"),
     ("gen-demos", {"n_demos": [3]}, "n_demos must be an integer, got [3]"),
     ("gen-demos", {"n_demos": 2.7}, "n_demos must be an integer, got 2.7"),
     ("gen-demos", {"horizon": True}, "horizon must be an integer, got True"),
@@ -211,6 +211,7 @@ def test_non_string_manifest_entry_is_a_persist_error(tmp_path, capsys):
     ("train-controller", {"train": {"batch": 0}}, "train.batch must be >= 1, got 0"),
     ("fit", {"pinv_tol": 1}, "pinv_tol must be < 1, got 1.0"),
     ("fit", {"pinv_tol": 1.5}, "pinv_tol must be < 1, got 1.5"),
+    ("gen-demos", [1], "top level must be an object, got [1]"),
 ])
 def test_config_block_types_checked(tmp_path, capsys, command, config, key):
     cfg = _write_config(tmp_path, config)
@@ -225,7 +226,7 @@ def test_config_block_types_checked(tmp_path, capsys, command, config, key):
 
 @pytest.mark.parametrize("argv, message", [
     (["gen-demos", "--n-demos", "0"], "--n-demos must be >= 1, got 0"),
-    (["gen-demos", "--horizon", "-4"], "--horizon must be >= 1, got -4"),
+    (["gen-demos", "--horizon", "-4"], "--horizon must be >= 2, got -4"),
     (["gen-demos", "--seed", "-3"], "--seed must be >= 0, got -3"),
     (["simulate", "--model", "m.json", "--controller", "c.json", "--n-runs", "0"],
      "--n-runs must be >= 1, got 0"),
@@ -234,7 +235,7 @@ def test_config_block_types_checked(tmp_path, capsys, command, config, key):
     (["retune", "--model", "m.json", "--controller", "c.json", "--variation", "heavy-hand", "--n-demos", "0"],
      "--n-demos must be >= 1, got 0"),
     (["rollout", "--model", "m.json", "--demos", "d.json", "--horizon", "0"],
-     "--horizon must be >= 1, got 0"),
+     "--horizon must be >= 2, got 0"),
     (["fit", "--demos", "d.json", "--pinv-tol", "nan"],
      "--pinv-tol must be finite, got nan"),
     (["fit", "--demos", "d.json", "--pinv-tol", "1"],
@@ -246,24 +247,33 @@ def test_config_block_types_checked(tmp_path, capsys, command, config, key):
      "--learning-rate must be > 0, got -1.0"),
     (["train-controller", "--demos", "missing.json", "--batch", "0"],
      "--batch must be >= 1, got 0"),
+    # a trajectory has at least 2 states: refused before any input is read
+    (["gen-demos", "--horizon", "1"], "--horizon must be >= 2, got 1"),
+    (["simulate", "--model", "m.json", "--controller", "c.json", "--horizon", "1"],
+     "--horizon must be >= 2, got 1"),
+    (["rollout", "--model", "m.json", "--demos", "d.json", "--horizon", "1"],
+     "--horizon must be >= 2, got 1"),
 ], ids=["gen-demos-n-demos", "gen-demos-horizon", "gen-demos-seed", "simulate-n-runs", "simulate-seed",
         "retune-n-demos", "rollout-horizon", "fit-pinv-tol", "fit-pinv-tol-one",
-        "train-iterations", "train-learning-rate", "train-batch"])
+        "train-iterations", "train-learning-rate", "train-batch",
+        "gen-demos-horizon-one", "simulate-horizon-one", "rollout-horizon-one"])
 def test_flags_checked_like_config_keys(tmp_path, capsys, argv, message):
     assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: invalid: {message}\n"
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("config, key, known", [
-    ({"n_demo": 3}, "n_demo", "n_demos, horizon, n_runs, n_eval, seed, lifting, pinv_tol, demo_counts, env, train"),
-    ({"env": {"kind": "pendulum", "overide": {"mass": 2.0}}}, "env.overide", "kind, overrides"),
-    ({"train": {"optimiser": "adam"}}, "train.optimiser", "learning_rate, iterations, batch, seed"),
+@pytest.mark.parametrize("config, block, key, known", [
+    ({"n_demo": 3}, "top level", "n_demo",
+     "n_demos, horizon, n_runs, n_eval, seed, lifting, pinv_tol, demo_counts, env, train"),
+    ({"env": {"kind": "pendulum", "overide": {"mass": 2.0}}}, "env", "overide", "kind, overrides"),
+    ({"train": {"optimiser": "adam"}}, "train", "optimiser", "learning_rate, iterations, batch, seed"),
 ], ids=["top-level", "env", "train"])
-def test_unknown_config_key_rejected(tmp_path, capsys, config, key, known):
+def test_unknown_config_key_rejected(tmp_path, capsys, config, block, key, known):
     cfg = _write_config(tmp_path, config)
     assert main(["gen-demos", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == f"error: invalid: config {cfg}: unknown key '{key}'; accepted keys: {known}\n"
+    message = f"config {cfg}: {block}: unknown key '{key}'; accepted keys: {known}"
+    assert capsys.readouterr().err == f"error: invalid: {message}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -299,12 +309,37 @@ def test_train_stamp_hash_is_unchanged_by_the_fixed_optimizer(tmp_path, capsys):
                                       "pinv_tol": None, "train": hashed_train(3, 3), "distribution": "in"})
 
 
+def test_unknown_env_kind_rejected_with_the_config(tmp_path, capsys):
+    # fit reads no env, yet the config's env block is checked when it is read
+    cfg = _write_config(tmp_path, {"env": {"kind": "maze"}})
+    assert main(["fit", "--config", str(cfg), "--demos", str(FIXTURES / "demo_set" / "manifest.json"),
+                 "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (f"error: invalid: config {cfg}: unknown env kind 'maze', expected one of "
+                                       "('linear', 'pendulum', 'vanderpol', 'pointmass-relocation')\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "retune"])
+@pytest.mark.parametrize("kind", ["pendulum", "vanderpol"])
+def test_closed_loop_commands_check_the_model_against_the_env(tmp_path, capsys, command, kind):
+    # the fixture model has n=1, m=0; the episodes used to fail on a raw block's shape, naming no file
+    cfg = _write_config(tmp_path, {"env": {"kind": kind}})
+    model = FIXTURES / "model.json"
+    argv = [command, "--config", str(cfg), "--model", str(model), "--controller", str(FIXTURES / "controller.json"),
+            "--out-dir", str(tmp_path / "o")] + (["--variation", "heavy-hand"] if command == "retune" else [])
+    assert main(argv) == 1
+    m = 1 if kind == "pendulum" else 0
+    assert capsys.readouterr().err == (
+        f"error: invalid: env {kind} has layout (n=2, m={m}); model {model} needs (n=1, m=0)\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_env_override_rejected(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"env": {"kind": "pendulum", "overrides": {"bogus": 1}}})
     assert main(["gen-demos", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid: ")
-    assert "'pendulum'" in err and "'bogus'" in err and "mass" in err
+    # checked when the config is read, against the keys the kind's factory takes
+    assert capsys.readouterr().err == (f"error: invalid: config {cfg}: pendulum overrides: unknown key 'bogus'; "
+                                       "accepted keys: dt, mass, length, gravity, damping\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -318,6 +353,19 @@ def test_env_override_type_rejected(tmp_path, capsys, env, want):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid: ")
     assert want in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "gen-demos"])
+def test_env_override_values_checked_with_the_config(tmp_path, capsys, command):
+    # fit reads no env, yet the config's whole env block is checked when it is read
+    cfg = _write_config(tmp_path, {"env": {"kind": "pendulum", "overrides": {"mass": "heavy"}}})
+    argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]
+    if command == "fit":
+        argv += ["--demos", str(FIXTURES / "demo_set" / "manifest.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid: config {cfg}: pendulum param 'mass' must be a real number, got 'heavy'\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -340,12 +388,12 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, command, config, key):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("env, key", [
-    ({"dt": 0.05}, "'kind'"),
-    ({"kind": "pendulum"}, "'dt'"),
-    ({"kind": "linear", "dt": 1.0, "matrix": [[0.5]]}, "'input_map'"),
+@pytest.mark.parametrize("env, key, accepted", [
+    ({"dt": 0.05}, "'kind'", "kind, dt, params, sampler"),
+    ({"kind": "pendulum"}, "'dt'", "kind, dt, params, sampler"),
+    ({"kind": "linear", "dt": 1.0, "matrix": [[0.5]]}, "'input_map'", "kind, dt, matrix, input_map, params, sampler"),
 ], ids=["no-kind", "no-dt", "linear-no-input-map"])
-def test_manifest_env_block_missing_key(tmp_path, capsys, env, key):
+def test_manifest_env_block_missing_key(tmp_path, capsys, env, key, accepted):
     manifest = json.loads((FIXTURES / "demo_set" / "manifest.json").read_text())
     manifest["env"] = env
     path = tmp_path / "manifest.json"
@@ -356,7 +404,7 @@ def test_manifest_env_block_missing_key(tmp_path, capsys, env, key):
         "--demos", str(path), "--out-dir", str(tmp_path / "o"),
     ]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: invalid: manifest {path}: env block has no {key} key\n"
+    assert err == f"error: invalid: manifest {path}: env block: missing key {key}; accepted keys: {accepted}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -367,7 +415,7 @@ def test_manifest_env_block_missing_key(tmp_path, capsys, env, key):
     ({"kind": "pendulum", "dt": 0.05, "params": {"mass": "abc"}},
      "pendulum param 'mass' must be a real number, got 'abc'"),
     ({"kind": "pendulum", "dt": 0.05, "params": {"bogus": 1.0}},
-     "env params: unknown key 'bogus' for kind 'pendulum'; accepted keys: mass, length, gravity, damping"),
+     "env params: unknown key 'bogus'; accepted keys: mass, length, gravity, damping"),
     # an integer past the float range is not finite; float() would raise OverflowError
     ({"kind": "pendulum", "dt": 0.05, "sampler": {"target": [[0.6, 1.4], [1.4, 10**400]]}},
      f"pendulum sampler 'target'[1][1] must be finite, got {10**400}"),
@@ -409,7 +457,7 @@ def test_rollout_checks_the_demos_layout_against_the_model(tmp_path, capsys):
     model = FIXTURES / "model.json"
     assert main(["rollout", "--model", str(model), "--demos", str(manifest), "--out-dir", str(tmp_path / "r")]) == 1
     assert capsys.readouterr().err == (
-        f"error: invalid: demos {manifest} have layout (n=2, m=1); model {model} needs (n=1, m=0)\n")
+        f"error: invalid: manifest {manifest} has layout (n=2, m=1); model {model} needs (n=1, m=0)\n")
     assert not (tmp_path / "r").exists()
 
 

@@ -3,6 +3,7 @@
 import json
 import re
 from dataclasses import replace
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -61,35 +62,35 @@ def _start_rows(spec, states):
 
 def test_spec_rejects_bad_configuration():
     layout = StateLayout(n=2, m=0, a=1)
-    sampler = {"x": ((0.0, 1.0), (1.0, 2.0))}
+    sampler = vanderpol_env().sampler
     with pytest.raises(ValueError, match="unknown env kind"):
         EnvSpec("maze", 0.1, layout, {}, sampler)
     with pytest.raises(ValueError, match="dt"):
         EnvSpec("vanderpol", 0.0, layout, {"mu": 1.0}, sampler)
     with pytest.raises(ValueError, match="low < high"):
-        EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, {"x": ((1.0, 0.0), (1.0, 2.0))})
+        EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, sampler | {"x0": ((1.0, 0.0), (1.0, 2.0))})
     with pytest.raises(ValueError, match="overlap"):
-        EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, {"x": ((0.0, 1.0), (0.5, 2.0))})
+        EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, sampler | {"x0": ((0.0, 1.0), (0.5, 2.0))})
     with pytest.raises(ValueError, match="disjoint"):
-        EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, {"x": ((0.0, 1.0), (0.0, 1.0))})
+        EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, sampler | {"x0": ((0.0, 1.0), (0.0, 1.0))})
     with pytest.raises(ValueError, match="matrix"):
-        EnvSpec("linear", 1.0, layout, {}, sampler)
+        EnvSpec("linear", 1.0, layout, {}, linear_env(np.eye(2)).sampler)
     with pytest.raises(ValueError, match="does not take"):
         EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, sampler, matrix=np.eye(2), input_map=np.eye(2))
     with pytest.raises(ValueError, match="vanderpol dt must be finite, got nan"):
         EnvSpec("vanderpol", float("nan"), layout, {"mu": 1.0}, sampler)
     with pytest.raises(ValueError, match="vanderpol param 'mu' must be finite, got inf"):
         EnvSpec("vanderpol", 0.1, layout, {"mu": float("inf")}, sampler)
-    with pytest.raises(ValueError, match=r"^vanderpol sampler 'x'\[1\]\[1\] must be finite, got nan$"):
-        EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, {"x": ((0.0, 1.0), (1.0, float("nan")))})
+    with pytest.raises(ValueError, match=r"^vanderpol sampler 'x0'\[1\]\[1\] must be finite, got nan$"):
+        EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, sampler | {"x0": ((0.0, 1.0), (1.0, float("nan")))})
     # each raised TypeError, or was accepted as a number
-    for entry, message in (((("a", 1.0), (1.5, 2.0)), "'x'[0][0] must be a real number, got 'a'"),
-                           ((0.6, 1.4), "'x' must be two [low, high] ranges, got (0.6, 1.4)"),
-                           (((False, 1.0), (1.5, 2.0)), "'x'[0][0] must be a real number, got False"),
-                           (((0.0, 1.0),), "'x' must be two [low, high] ranges, got ((0.0, 1.0),)"),
-                           ("x", "'x' must be two [low, high] ranges, got 'x'")):
+    for entry, message in (((("a", 1.0), (1.5, 2.0)), "'x0'[0][0] must be a real number, got 'a'"),
+                           ((0.6, 1.4), "'x0' must be two [low, high] ranges, got (0.6, 1.4)"),
+                           (((False, 1.0), (1.5, 2.0)), "'x0'[0][0] must be a real number, got False"),
+                           (((0.0, 1.0),), "'x0' must be two [low, high] ranges, got ((0.0, 1.0),)"),
+                           ("x", "'x0' must be two [low, high] ranges, got 'x'")):
         with pytest.raises(ValueError, match=f"^vanderpol sampler {re.escape(message)}$"):
-            EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, {"x": entry})
+            EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, sampler | {"x0": entry})
     with pytest.raises(ValueError, match="matrix and input_map must be finite"):
         linear_env(np.array([[np.nan, 0.0], [0.0, 0.5]]))
     pend = pendulum_env()
@@ -107,11 +108,11 @@ def test_spec_rejects_bad_configuration():
 
 def test_spec_checks_params_keys_and_layout_per_kind():
     sampler = {"target": ((0.6, 1.4), (1.4, 1.8))}
-    with pytest.raises(ValueError, match="pendulum params lack 'mass'; the kind reads mass, length, gravity, damping"):
+    with pytest.raises(ValueError, match="^pendulum params: missing key 'mass'; accepted keys: mass, length, gravity, "):
         EnvSpec("pendulum", 0.05, StateLayout(n=2, m=1, a=1), {}, sampler)
     params = dict(pointmass_env().params)
     del params["hand_start_y"]
-    with pytest.raises(ValueError, match="pointmass-relocation params lack 'hand_start_y'"):
+    with pytest.raises(ValueError, match="pointmass-relocation params: missing key 'hand_start_y'"):
         replace(pointmass_env(), params=params)
     with pytest.raises(ValueError, match="pendulum layout needs n=2, got n=3"):
         EnvSpec("pendulum", 0.05, StateLayout(n=3, m=1, a=1), pendulum_env().params, sampler)
@@ -127,11 +128,11 @@ def test_spec_checks_params_keys_and_layout_per_kind():
 
 
 @pytest.mark.parametrize("spec, drop, message", [
-    (pendulum_env(), "target", "pendulum sampler lacks 'target'; the kind reads target"),
-    (vanderpol_env(), "x0", "vanderpol sampler lacks 'x0'; the kind reads x0, x1"),
+    (pendulum_env(), "target", "pendulum sampler: missing key 'target'; accepted keys: target"),
+    (vanderpol_env(), "x0", "vanderpol sampler: missing key 'x0'; accepted keys: x0, x1"),
     (pointmass_env(), "target_x",
-     "pointmass-relocation sampler lacks 'target_x'; the kind reads target_x, target_y"),
-    (linear_env(np.eye(2)), "init_0", "linear sampler lacks 'init_0'; the kind reads init_0, init_1"),
+     "pointmass-relocation sampler: missing key 'target_x'; accepted keys: target_x, target_y"),
+    (linear_env(np.eye(2)), "init_0", "linear sampler: missing key 'init_0'; accepted keys: init_0, init_1"),
 ], ids=["pendulum", "vanderpol", "pointmass", "linear"])
 def test_spec_checks_the_sampler_keys_reset_reads(spec, drop, message):
     # reset would stop with a bare KeyError on the missing key; an empty sampler lacks the first
@@ -146,12 +147,12 @@ def test_make_env_kinds_and_overrides():
     assert make_env("pendulum", dt=0.01).dt == 0.01
     assert make_env("vanderpol", mu=1.5).params["mu"] == 1.5
     assert make_env("pointmass-relocation").kind == "pointmass-relocation"
-    with pytest.raises(ValueError, match="unknown env kind"):
+    with pytest.raises(ValueError, match=r"^unknown env kind 'cartpole', expected one of \('linear', "):
         make_env("cartpole")
     assert make_env("linear", dim=3, seed=4).layout.n == 3
-    with pytest.raises(ValueError, match="'pendulum' takes no override 'bogus'; accepted keys: dt, mass"):
+    with pytest.raises(ValueError, match="^pendulum overrides: unknown key 'bogus'; accepted keys: dt, mass"):
         make_env("pendulum", bogus=1)
-    with pytest.raises(ValueError, match="'linear' takes no override 'mu'; accepted keys: dim, spectral_radius, seed, dt"):
+    with pytest.raises(ValueError, match="^linear overrides: unknown key 'mu'; accepted keys: dim, spectral_radius, "):
         make_env("linear", mu=1.0)
     with pytest.raises(ValueError, match="pendulum param 'mass' must be a real number, got 'heavy'"):
         make_env("pendulum", mass="heavy")
@@ -180,7 +181,7 @@ def test_make_env_takes_exactly_the_factory_keys(kind, keys):
     refused = ["bogus"] + (["hand_start_x", "hand_start_y", "ball_start_x", "ball_start_y"]
                            if kind == "pointmass-relocation" else [])
     for key in refused:
-        with pytest.raises(ValueError, match=f"^env kind '{kind}' takes no override '{key}'; accepted keys: {keys}$"):
+        with pytest.raises(ValueError, match=f"^{kind} overrides: unknown key '{key}'; accepted keys: {keys}$"):
             make_env(kind, **{key: 0.5})
 
 
@@ -191,7 +192,7 @@ def test_make_env_takes_exactly_the_factory_keys(kind, keys):
     (pointmass_env, "pointmass-relocation", "kind"),
 ])
 def test_factory_refuses_an_unknown_keyword_as_make_env_does(factory, kind, key):
-    with pytest.raises(ValueError, match=f"^env kind '{kind}' takes no override '{key}'; accepted keys: dt, "):
+    with pytest.raises(ValueError, match=f"^{kind} overrides: unknown key '{key}'; accepted keys: dt, "):
         factory(**{key: 1})
 
 
@@ -199,27 +200,27 @@ def test_spec_refuses_params_the_kind_does_not_read():
     # the plant would silently keep its own hand_mass and ignore the misspelt key
     env = pointmass_env()
     reads = ", ".join(env.params)
-    message = f"pointmass-relocation params hold 'hand_mas', which the kind does not read; it reads {reads}"
+    message = f"pointmass-relocation params: unknown key 'hand_mas'; accepted keys: {reads}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         replace(env, params={**env.params, "hand_mas": 5.0})
-    with pytest.raises(ValueError, match="^linear params hold 'mu', which the kind does not read; it reads none$"):
+    with pytest.raises(ValueError, match="^linear params: unknown key 'mu'; accepted keys: none$"):
         replace(linear_env(np.eye(2)), params={"mu": 1.0})
     # a block read from a manifest still names its own unknown key first
-    with pytest.raises(ValueError, match="^env params: unknown key 'hand_mas' for kind 'pointmass-relocation'"):
+    with pytest.raises(ValueError, match="^env params: unknown key 'hand_mas'; accepted keys: hand_mass, "):
         env_spec_from_dict(env_spec_to_dict(env) | {"params": {"hand_mas": 5.0}})
 
 
 def test_spec_refuses_sampler_names_the_kind_does_not_draw():
     # reset draws every sampler entry in order, so an extra one would shift every draw after it
     env = pendulum_env()
-    message = "pendulum sampler holds 'bogus', which the kind does not draw; it draws target"
+    message = "pendulum sampler: unknown key 'bogus'; accepted keys: target"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         replace(env, sampler={"bogus": ((0.0, 1.0), (1.0, 2.0)), **env.sampler})
-    message = "linear sampler holds 'init_2', which the kind does not draw; it draws init_0, init_1"
+    message = "linear sampler: unknown key 'init_2'; accepted keys: init_0, init_1"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         replace(linear_env(np.eye(2)), sampler={**linear_env(np.eye(2)).sampler, "init_2": ((0.0, 1.0), (1.0, 2.0))})
     # a block read from a manifest still names its own unknown key first
-    with pytest.raises(ValueError, match="^env sampler: unknown key 'bogus' for kind 'pendulum'"):
+    with pytest.raises(ValueError, match="^env sampler: unknown key 'bogus'; accepted keys: target$"):
         env_spec_from_dict(env_spec_to_dict(env) | {"sampler": {"bogus": [[0.0, 1.0], [1.0, 2.0]]}})
 
 
@@ -243,9 +244,9 @@ def test_env_spec_dict_round_trip():
             assert np.array_equal(_bits(getattr(a, name)), _bits(getattr(b, name)))
     for block, key in (({"dt": 0.05}, "'kind'"), ({"kind": "vanderpol"}, "'dt'"),
                        ({"kind": "linear", "dt": 1.0, "input_map": [[1.0]]}, "'matrix'")):
-        with pytest.raises(ValueError, match=f"env block has no {key} key"):
+        with pytest.raises(ValueError, match=f"^env block: missing key {key}; accepted keys: kind, dt, "):
             env_spec_from_dict(block)
-    with pytest.raises(ValueError, match="unknown env kind 'maze'"):
+    with pytest.raises(ValueError, match=r"^unknown env kind 'maze', expected one of \('linear', "):
         env_spec_from_dict({"kind": "maze", "dt": 0.1})
     with pytest.raises(ValueError, match="env block must be an object"):
         env_spec_from_dict(["pendulum"])
@@ -254,7 +255,7 @@ def test_env_spec_dict_round_trip():
     assert partial.sampler == pendulum_env().sampler
     with pytest.raises(ValueError, match=r"^env input_map must be a 2-D list of real numbers, got \[1.0\]$"):
         env_spec_from_dict({"kind": "linear", "dt": 1.0, "matrix": [[0.5]], "input_map": [1.0]})
-    with pytest.raises(ValueError, match=r"^env params: unknown key 'mu' for kind 'linear'; accepted keys: none$"):
+    with pytest.raises(ValueError, match=r"^env params: unknown key 'mu'; accepted keys: none$"):
         env_spec_from_dict({"kind": "linear", "dt": 1.0, "matrix": [[0.5]], "input_map": [[1.0]], "params": {"mu": 1}})
 
 
@@ -564,9 +565,8 @@ def test_expert_kind_must_match():
 @pytest.mark.parametrize("fields, message", [
     ({"kind": "maze"}, "unknown env kind 'maze', expected one of ('linear', 'pendulum', 'vanderpol', "
                        "'pointmass-relocation')"),
-    ({"gains": {"kp": 16.0}}, "pendulum gains lack 'kd'; the kind reads kp, kd"),
-    ({"gains": {"kp": 16.0, "kd": 8.0, "ki": 1.0}}, "pendulum gains hold 'ki', which the kind does not read; "
-                                                    "it reads kp, kd"),
+    ({"gains": {"kp": 16.0}}, "pendulum gains: missing key 'kd'; accepted keys: kp, kd"),
+    ({"gains": {"kp": 16.0, "kd": 8.0, "ki": 1.0}}, "pendulum gains: unknown key 'ki'; accepted keys: kp, kd"),
     ({"gains": {"kp": "16", "kd": 8.0}}, "pendulum gain 'kp' must be a real number, got '16'"),
     ({"gains": {"kp": 16.0, "kd": float("inf")}}, "pendulum gain 'kd' must be finite, got inf"),
     ({"noise_scale": float("nan")}, "pendulum noise_scale must be finite, got nan"),
@@ -577,6 +577,26 @@ def test_expert_checks_its_fields(fields, message):
     # a NaN or negative noise_scale used to drop the jitter silently, and a missing gain raised a bare KeyError
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ScriptedExpert(**({"kind": "pendulum", "gains": {"kp": 16.0, "kd": 8.0}} | fields))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ScriptedExpert("pendulum", None), "pendulum gains must be an object, got None"),
+    (lambda: replace(pendulum_env(), params=None), "pendulum params must be an object, got None"),
+    (lambda: replace(pendulum_env(), sampler=None), "pendulum sampler must be an object, got None"),
+], ids=["expert-gains", "spec-params", "spec-sampler"])
+def test_keyed_fields_must_be_objects(build, message):
+    # each raised a TypeError or AttributeError, naming no field
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_keyed_fields_take_any_mapping():
+    # a read-only mapping is an object too, and is stored as a plain dict
+    expert = ScriptedExpert("pendulum", MappingProxyType({"kp": 16, "kd": 8}))
+    spec = pendulum_env()
+    spec = replace(spec, params=MappingProxyType(spec.params), sampler=MappingProxyType(spec.sampler))
+    assert expert.gains == {"kp": 16.0, "kd": 8.0} and spec == pendulum_env()
+    assert {type(expert.gains), type(spec.params), type(spec.sampler)} == {dict}
 
 
 def test_expert_stores_its_numbers_as_floats():
@@ -693,12 +713,12 @@ def test_torque_errors_number_the_first_transition_step_1():
     ({"params": {"mass": "abc"}}, "pendulum param 'mass' must be a real number, got 'abc'"),
     ({"params": {"mass": True}}, "pendulum param 'mass' must be a real number, got True"),
     ({"params": {"bogus": 1.0}},
-     "env params: unknown key 'bogus' for kind 'pendulum'; accepted keys: mass, length, gravity, damping"),
+     "env params: unknown key 'bogus'; accepted keys: mass, length, gravity, damping"),
     ({"sampler": {"target": [[0.6, 1.4]]}},
      "pendulum sampler 'target' must be two [low, high] ranges, got [[0.6, 1.4]]"),
     ({"sampler": {"target": [[0.6, 1.4], [1.4, "x"]]}}, "pendulum sampler 'target'[1][1] must be a real number, got 'x'"),
     ({"sampler": {"goal": [[0.6, 1.4], [1.4, 1.8]]}},
-     "env sampler: unknown key 'goal' for kind 'pendulum'; accepted keys: target"),
+     "env sampler: unknown key 'goal'; accepted keys: target"),
     ({"parms": {"mass": 9.0}}, "env block: unknown key 'parms'; accepted keys: kind, dt, params, sampler"),
     ({"matrix": [[0.5]]}, "env block: unknown key 'matrix'; accepted keys: kind, dt, params, sampler"),
 ], ids=["dt-string", "params-list", "param-string", "param-bool", "param-unknown", "sampler-one-range",

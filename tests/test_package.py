@@ -56,3 +56,16 @@ def test_number_checks_go_through_statespace():
         if path.name != "statespace.py":
             found += _number_checks(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert sorted(found) == NUMBER_CHECKS_ALLOWED
+
+
+# Every keyed block, from a Python caller, a config file or a saved file
+# alike, checks its keys through statespace._keys, so no module but
+# statespace may word a key error.
+KEY_WORDS = ("unknown key", "accepted keys")
+
+
+def test_key_checks_go_through_statespace():
+    source = Path(koopmanix.__file__).parent
+    found = [f"{path.stem}: {word}" for path in sorted(source.glob("*.py")) if path.name != "statespace.py"
+             for word in KEY_WORDS if word in path.read_text(encoding="utf-8")]
+    assert found == []

@@ -539,7 +539,7 @@ def test_truncated_json_reports_line_and_column(tmp_path):
 def test_non_object_json_rejected(tmp_path, loader):
     path = tmp_path / "top.json"
     path.write_text("[]\n")
-    with pytest.raises(PersistError, match="top level must be an object"):
+    with pytest.raises(PersistError, match=r"top level must be an object, got \[\]$"):
         loader(path)
 
 
@@ -620,7 +620,8 @@ _ROWS = "K must be a list of equal-length lists of numbers"
 
 @pytest.mark.parametrize("K, message", [
     ([["a"]], _ROWS), ([[1.0], [1.0, 2.0]], _ROWS), ([[True]], _ROWS), ([["2.0"]], _ROWS), ([2.0], _ROWS),
-    (None, _ROWS), ([[10**400]], "K holds an integer too large for a float"),
+    (None, "top level: missing key 'K'; accepted keys: schema, layout, lifting, K, fit_meta"),
+    ([[10**400]], "K holds an integer too large for a float"),
     ([[math.nan]], "K holds a non-finite number"), ([[-math.inf]], "K holds a non-finite number"),
 ], ids=["word", "ragged", "bool", "numeric-string", "flat", "missing", "huge-integer", "nan", "minus-infinity"])
 def test_malformed_k_names_the_file(tmp_path, K, message):
@@ -703,13 +704,60 @@ def test_empty_layout_names_load_as_none(tmp_path):
 
 
 def test_monomial_list_model_is_an_unknown_kind(tmp_path):
-    # the lifting block a monomial-list model was once written with
+    # the lifting block a monomial-list model was once written with; its monomials key is refused first
     path = tmp_path / "model.json"
     path.write_text((FIXTURES / "model.json").read_text())
     _rewrite(path, lambda obj: obj["lifting"].update(kind="monomial-list", ordering="monomial-v1", monomials=[]))
     with pytest.raises(PersistError) as exc:
         load_model(path)
+    assert str(exc.value) == f"{path}: lifting: unknown key 'monomials'; accepted keys: kind, n, m, ordering"
+    _rewrite(path, lambda obj: obj["lifting"].pop("monomials"))
+    with pytest.raises(PersistError) as exc:
+        load_model(path)
     assert str(exc.value) == f"{path}: unknown lifting kind 'monomial-list'"
+
+
+_LAYOUT_KEYS = "n, m, a, robot_names, object_names"
+
+
+@pytest.mark.parametrize("source, mutate, message", [
+    ("model.json", lambda obj: obj["layout"].pop("n"), f"layout: missing key 'n'; accepted keys: {_LAYOUT_KEYS}"),
+    ("demo_set/manifest.json", lambda obj: obj["layout"].pop("a"),
+     f"layout: missing key 'a'; accepted keys: {_LAYOUT_KEYS}"),
+    ("model.json", lambda obj: obj.update(layout=[1]), "layout must be an object, got [1]"),
+    ("model.json", lambda obj: obj.update(fit_meta=[1]), "fit_meta must be an object, got [1]"),
+    ("model.json", lambda obj: obj.update(lifting=None), "lifting must be an object, got None"),
+    ("controller.json", lambda obj: obj.update(input_norm=[0.0]), "input_norm must be an object, got [0.0]"),
+    ("controller.json", lambda obj: obj["input_norm"].pop("std"),
+     "input_norm: missing key 'std'; accepted keys: mean, std"),
+    # one unknown key in each block, which the parent ignored
+    ("demo_set/manifest.json", lambda obj: obj.update(comment="x"),
+     "top level: unknown key 'comment'; accepted keys: schema, layout, trajectories, env, seed"),
+    ("demo_set/manifest.json", lambda obj: obj["layout"].update(names=None),
+     f"layout: unknown key 'names'; accepted keys: {_LAYOUT_KEYS}"),
+    ("model.json", lambda obj: obj.update(k=[[1.0]]),
+     "top level: unknown key 'k'; accepted keys: schema, layout, lifting, K, fit_meta"),
+    ("model.json", lambda obj: obj["layout"].update(dt=0.1),
+     f"layout: unknown key 'dt'; accepted keys: {_LAYOUT_KEYS}"),
+    ("model.json", lambda obj: obj["lifting"].update(degree=2),
+     "lifting: unknown key 'degree'; accepted keys: kind, n, m, ordering"),
+    ("model.json", _fit_meta(seed=0),
+     "fit_meta: unknown key 'seed'; accepted keys: n_demos, n_pairs, wall_time_s, rank, cond"),
+    ("controller.json", lambda obj: obj.update(optimizer="adam"),
+     "top level: unknown key 'optimizer'; accepted keys: schema, layer_sizes, weights, biases, input_norm, activation"),
+    ("controller.json", lambda obj: obj["input_norm"].update(var=[1.0]),
+     "input_norm: unknown key 'var'; accepted keys: mean, std"),
+], ids=["layout-no-n", "manifest-layout-no-a", "layout-list", "fit-meta-list", "lifting-null", "input-norm-list",
+        "input-norm-no-std", "manifest-unknown", "manifest-layout-unknown", "model-unknown", "model-layout-unknown",
+        "lifting-unknown", "fit-meta-unknown", "controller-unknown", "input-norm-unknown"])
+def test_file_blocks_hold_exactly_the_written_keys(tmp_path, source, mutate, message):
+    loader = {"model.json": load_model, "controller.json": load_controller}.get(Path(source).name, load_demos)
+    path = tmp_path / Path(source).name
+    path.write_text((FIXTURES / source).read_text())
+    _rewrite(path, mutate)
+    with pytest.raises(PersistError) as exc:
+        loader(path)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_controller_layer_sizes_must_be_integers(tmp_path):
@@ -753,8 +801,10 @@ def test_controller_missing_block(tmp_path):
     path = tmp_path / "ctrl.json"
     path.write_text((FIXTURES / "controller.json").read_text())
     _rewrite(path, lambda obj: obj.pop("input_norm"))
-    with pytest.raises(PersistError, match="bad controller block"):
+    with pytest.raises(PersistError) as exc:
         load_controller(path)
+    assert str(exc.value) == (f"{path}: top level: missing key 'input_norm'; "
+                              "accepted keys: schema, layer_sizes, weights, biases, input_norm, activation")
 
 
 def test_controller_shape_errors_become_persist_errors(tmp_path):

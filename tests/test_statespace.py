@@ -1,6 +1,7 @@
 """Composite states, columnar trajectories, validation, and the pairs a fit sees."""
 
 import re
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from koopmanix import (
     validate,
 )
 from koopmanix.envs import default_expert, generate_demos, pointmass_env
+from koopmanix.statespace import _keys
 
 
 def _traj(layout, T, fill=0.0, torques=True, rng=None):
@@ -32,6 +34,24 @@ def _traj(layout, T, fill=0.0, torques=True, rng=None):
         states.append(CompositeState(xr, xo))
     taus = tuple(np.zeros(layout.a) for _ in range(T - 1)) if torques else None
     return Trajectory(tuple(states), taus)
+
+
+# ------------------------------------------------------------------- keyed blocks
+
+def test_keys_rule_returns_the_block_or_names_the_key():
+    block = {"a": 1, "c": 3}
+    assert _keys("block", block, ("a",), ("b", "c")) is block
+    assert _keys("block", {}, ()) == {}
+    for given, message in ((None, "block must be an object, got None"),
+                           ([("a", 1)], "block must be an object, got [('a', 1)]"),
+                           ({"c": 3}, "block: missing key 'a'; accepted keys: a, b, c"),
+                           ({"a": 1, "d": 4}, "block: unknown key 'd'; accepted keys: a, b, c")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _keys("block", given, ("a",), ("b", "c"))
+    with pytest.raises(ValueError, match="^block: unknown key 'a'; accepted keys: none$"):
+        _keys("block", {"a": 1}, ())
+    proxy = MappingProxyType(block)
+    assert _keys("block", proxy, ("a",), ("b", "c")) is proxy
 
 
 # ------------------------------------------------------------------- layouts
