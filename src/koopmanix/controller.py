@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .statespace import DemonstrationSet, StateLayout, _adopt, _count, _frozen, _real, require_valid
+from .statespace import DemonstrationSet, StateLayout, _adopt, _array, _count, _real, require_valid
 
 STD_FLOOR = 1e-8  # clamp for per-dimension input std
 
@@ -52,33 +52,23 @@ class ControllerModel:
     input_std: np.ndarray
 
     def __post_init__(self):
+        for name in ("layer_sizes", "weights", "biases"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list or tuple, got {getattr(self, name)!r}")
         sizes = tuple(_count(f"layer_sizes[{i}]", s, 1) for i, s in enumerate(self.layer_sizes))
         if len(sizes) < 2:
             raise ValueError(f"layer_sizes must be >= 2 positive entries, got {sizes}")
         if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
             raise ValueError("need one weight matrix and one bias per layer transition")
-        Ws = []
-        bs = []
-        for l, (W, b) in enumerate(zip(self.weights, self.biases)):
-            W = np.asarray(W, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
-            if W.shape != (sizes[l + 1], sizes[l]):
-                raise ValueError(
-                    f"weights[{l}] must have shape ({sizes[l + 1]}, {sizes[l]}), got {W.shape}"
-                )
-            if b.shape != (sizes[l + 1],):
-                raise ValueError(f"biases[{l}] must have shape ({sizes[l + 1]},), got {b.shape}")
-            Ws.append(_frozen(W, f"weights[{l}]", 2))
-            bs.append(_frozen(b, f"biases[{l}]"))
-        mean = _frozen(self.input_mean, "input_mean")
-        std = _frozen(self.input_std, "input_std")
-        if mean.shape != (sizes[0],) or std.shape != (sizes[0],):
-            raise ValueError("input_mean/input_std must match the input width")
+        weights = tuple(_array(f"weights[{l}]", W, (sizes[l + 1], sizes[l])) for l, W in enumerate(self.weights))
+        biases = tuple(_array(f"biases[{l}]", b, (sizes[l + 1],)) for l, b in enumerate(self.biases))
+        mean = _array("input_mean", self.input_mean, (sizes[0],))
+        std = _array("input_std", self.input_std, (sizes[0],))
         if not (std > 0).all():
             raise ValueError("input_std entries must be positive")
         object.__setattr__(self, "layer_sizes", sizes)
-        object.__setattr__(self, "weights", tuple(Ws))
-        object.__setattr__(self, "biases", tuple(bs))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
         object.__setattr__(self, "input_mean", mean)
         object.__setattr__(self, "input_std", std)
 
@@ -119,22 +109,17 @@ class TrainingTriples:
     weights: np.ndarray
 
     def __post_init__(self):
-        x_now = np.atleast_2d(np.asarray(self.x_now, dtype=np.float64))
-        x_next = np.atleast_2d(np.asarray(self.x_next, dtype=np.float64))
-        tau = np.atleast_2d(np.asarray(self.tau, dtype=np.float64))
-        w = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
-        P = x_now.shape[0]
+        x_now = _array("x_now", self.x_now, (None, None), finite=False)
+        P, n = x_now.shape
         if P < 1:
             raise ValueError("need at least one supervision triple")
-        if x_next.shape[0] != P or tau.shape[0] != P or w.shape != (P,):
-            raise ValueError("x_now, x_next, tau, weights must agree on the pair count")
-        if x_next.shape[1] != x_now.shape[1]:
-            raise ValueError("x_now and x_next must have the same width")
-        if (w <= 0).any():
+        object.__setattr__(self, "x_now", x_now)
+        object.__setattr__(self, "x_next", _array("x_next", self.x_next, (P, n), finite=False))
+        object.__setattr__(self, "tau", _array("tau", self.tau, (P, None), finite=False))
+        weights = _array("weights", self.weights, (P,), finite=False)
+        if (weights <= 0).any():
             raise ValueError("weights must be positive")
-        for name, arr in (("x_now", x_now), ("x_next", x_next), ("tau", tau)):
-            object.__setattr__(self, name, _frozen(arr, name, 2))
-        object.__setattr__(self, "weights", _frozen(w, "weights"))
+        object.__setattr__(self, "weights", weights)
 
     @property
     def count(self) -> int:

@@ -30,8 +30,8 @@ import numpy as np
 from . import koopman
 from .controller import ControllerModel, tracking_torque
 from .metrics import SuccessCriterion, success_rate
-from .statespace import (CompositeState, DemonstrationSet, StateLayout, Trajectory, _adopt, _check_dims, _count,
-                         _frozen, _keys, _real)
+from .statespace import (CompositeState, DemonstrationSet, StateLayout, Trajectory, _adopt, _array, _check_dims,
+                         _count, _keys, _real)
 
 logger = logging.getLogger(__name__)
 
@@ -103,20 +103,6 @@ VARIATIONS = {
 }
 
 
-def _real_rows(name: str, value, what: str, shape: tuple[int, int] | None = None) -> tuple[tuple[float, ...], ...]:
-    """value, a matrix or sampler entry as env_spec_to_dict writes it, as rows of Python floats.
-
-    value must be a non-empty list of equal-length lists, of the given shape
-    if one is given, or it is a ValueError saying it must be what.  Each
-    entry passes _real, named by its indices: `env matrix[0][1]`.
-    """
-    if not (isinstance(value, (list, tuple)) and len(value) > 0
-            and all(isinstance(row, (list, tuple)) and len(row) == len(value[0]) for row in value)
-            and shape in (None, (len(value), len(value[0])))):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    return tuple(tuple(_real(f"{name}[{i}][{j}]", v) for j, v in enumerate(row)) for i, row in enumerate(value))
-
-
 def _record(kind) -> _Kind:
     """kind's `_KINDS` record; a kind envs does not build is a ValueError."""
     if kind not in KINDS:
@@ -158,7 +144,7 @@ class EnvSpec:
         sampler, disjoint = {}, 0
         for name, entry in _keys(f"{self.kind} sampler", self.sampler, sampled).items():
             label = f"{self.kind} sampler {name!r}"
-            rin, rout = sampler[name] = _real_rows(label, entry, "two [low, high] ranges", (2, 2))
+            rin, rout = sampler[name] = tuple(map(tuple, _array(label, entry, (2, 2)).tolist()))
             if not (rin[0] < rin[1] and rout[0] < rout[1]):
                 raise ValueError(f"{label} must have low < high in each range, got {entry!r}")
             if rin == rout:
@@ -172,16 +158,9 @@ class EnvSpec:
         if self.kind == "linear":
             if self.matrix is None or self.input_map is None:
                 raise ValueError("linear kind needs matrix and input_map")
-            M, B = _frozen(self.matrix, "matrix", 2), _frozen(self.input_map, "input_map", 2)
             d = self.layout.n
-            if M.shape != (d, d):
-                raise ValueError(f"matrix must be ({d}, {d}), got {M.shape}")
-            if B.shape != (d, self.layout.a):
-                raise ValueError(f"input_map must be ({d}, {self.layout.a}), got {B.shape}")
-            if not (np.isfinite(M).all() and np.isfinite(B).all()):
-                raise ValueError("matrix and input_map must be finite")
-            object.__setattr__(self, "matrix", M)
-            object.__setattr__(self, "input_map", B)
+            object.__setattr__(self, "matrix", _array("env matrix", self.matrix, (d, d)))
+            object.__setattr__(self, "input_map", _array("env input_map", self.input_map, (d, self.layout.a)))
         elif self.matrix is not None or self.input_map is not None:
             raise ValueError(f"kind {self.kind!r} does not take matrix/input_map")
 
@@ -222,14 +201,14 @@ class ScriptedExpert:
 # ---------------------------------------------------------------- factories
 
 def linear_env(matrix, input_map=None, dt: float = 1.0) -> EnvSpec:
-    """Discrete linear system; dt is nominal (the map itself is the step)."""
-    M = np.asarray(matrix, dtype=np.float64)
-    if M.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got shape {M.shape}")
+    """Discrete linear system; dt is nominal (the map itself is the step).
+
+    The layout's n and a are read off matrix and input_map (the identity if
+    None), through the array rule; EnvSpec checks that both fit the layout.
+    """
+    M = _array("env matrix", matrix, (None, None))
     d = M.shape[0]
-    B = np.eye(d) if input_map is None else np.asarray(input_map, dtype=np.float64)
-    if B.ndim != 2:
-        raise ValueError(f"input_map must be 2-D, got shape {B.shape}")
+    B = np.eye(d) if input_map is None else _array("env input_map", input_map, (d, None))
     layout = StateLayout(n=d, m=0, a=B.shape[1])
     sampler = {f"init_{i}": ((-1.0, 1.0), (-1.0, 1.0)) for i in range(d)}
     sampler["init_0"] = ((-1.0, 1.0), (1.0, 1.5))
@@ -711,8 +690,7 @@ def env_spec_from_dict(data: dict) -> EnvSpec:
     matrices = ("matrix", "input_map") if kind == "linear" else ()
     _keys("env block", data, ("kind", "dt", *matrices), ("params", "sampler"))
     _record(kind)
-    rows = {key: _real_rows(f"env {key}", data[key], "a 2-D list of real numbers") for key in matrices}
-    base = linear_env(**rows) if kind == "linear" else _spec(kind)
+    base = linear_env(data["matrix"], data["input_map"]) if kind == "linear" else _spec(kind)
     merged = {block: defaults | _keys(f"env {block}", data.get(block, {}), (), defaults)
               for block, defaults in (("params", base.params), ("sampler", base.sampler))}
     return replace(base, dt=data["dt"], **merged)  # EnvSpec checks dt, the params and the sampler, and makes each a float

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lifting import LiftingSpec, dimension, lift_matrix, object_slice, robot_slice
-from .statespace import CompositeState, DemonstrationSet, StateLayout, _check_dims, _count, _real, require_valid
+from .statespace import (CompositeState, DemonstrationSet, StateLayout, _array, _check_dims, _count, _real,
+                         require_valid)
 
 logger = logging.getLogger(__name__)
 
@@ -60,12 +61,8 @@ class KoopmanModel:
     fit_meta: FitMeta | None = None
 
     def __post_init__(self):
-        K = np.array(self.K, dtype=np.float64, copy=True)
         p = dimension(self.spec)
-        if K.shape != (p, p):
-            raise ValueError(f"K must be ({p}, {p}) for this lifting, got {K.shape}")
-        K.setflags(write=False)
-        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "K", _array("K", self.K, (p, p)))
         if self.layout != self.spec.layout:
             raise ValueError("model layout does not match the lifting spec layout")
 

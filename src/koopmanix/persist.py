@@ -50,27 +50,6 @@ def _same(value, expected) -> bool:
     return type(value) is type(expected) and value == expected
 
 
-def _array(value, key: str, ndim: int = 1) -> np.ndarray:
-    """A finite float64 vector (ndim 1) or matrix (ndim 2) from a JSON list of numbers or of equal-length such lists.
-
-    np.array would read true as 1.0 and "1.5" as 1.5, and its errors for a
-    ragged list or a word name no key.  json.loads reads NaN and Infinity.
-    """
-    rows = value if ndim == 2 else [value]
-    # json.loads gives int or float for a number; a bool is neither type
-    if not (isinstance(rows, list) and all(
-            isinstance(row, list) and len(row) == len(rows[0]) and set(map(type, row)) <= {int, float}
-            for row in rows)):
-        raise ValueError(f"{key} must be a list of {'equal-length lists of ' if ndim == 2 else ''}numbers")
-    try:
-        arr = np.array(value, dtype=np.float64)
-    except OverflowError:
-        raise ValueError(f"{key} holds an integer too large for a float") from None
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{key} holds a non-finite number")
-    return arr
-
-
 def _layout_to_dict(layout: StateLayout) -> dict:
     return {
         "n": layout.n,
@@ -294,9 +273,10 @@ def load_demos(manifest_path) -> DemonstrationSet:
     names = obj["trajectories"]
     if not isinstance(names, list) or not names:
         raise PersistError(f"{path}: manifest lists no trajectories")
-    for i, name in enumerate(names):
-        if not isinstance(name, str) or not name:
-            raise PersistError(f"{path}: trajectories[{i}] must be a file name, got {name!r}")
+    for i, name in enumerate(names):  # checked before any CSV is read, so no entry leads out of the directory
+        if not (isinstance(name, str) and name not in ("", "..") and Path(name).name == name):
+            raise PersistError(f"{path}: trajectories[{i}] must be a file name in the manifest's directory, "
+                               f"got {name!r}")
     trajectories = tuple(_read_trajectory(path.parent / name, layout) for name in names)
     demos = DemonstrationSet(layout, trajectories)
     try:
@@ -361,7 +341,7 @@ def load_model(path) -> KoopmanModel:
         raise PersistError(f"{path}: lifting dims disagree with layout")
     meta = _fit_meta(obj.get("fit_meta"), path)
     try:
-        return KoopmanModel(_array(obj["K"], "K", ndim=2), LiftingSpec(kind, layout), layout, meta)
+        return KoopmanModel(obj["K"], LiftingSpec(kind, layout), layout, meta)
     except ValueError as exc:
         raise PersistError(f"{path}: {exc}") from None
 
@@ -387,15 +367,9 @@ def load_controller(path) -> ControllerModel:
     obj = _read_json(path, ("layer_sizes", "weights", "biases", "input_norm", "activation"))
     norm = _block(path, "input_norm", obj["input_norm"], ("mean", "std"))
     try:
-        weights = tuple(_array(w, f"weights[{i}]", ndim=2) for i, w in enumerate(obj["weights"]))
-        biases = tuple(_array(b, f"biases[{i}]") for i, b in enumerate(obj["biases"]))
-        mean = _array(norm["mean"], "input_norm.mean")
-        std = _array(norm["std"], "input_norm.std")
-        activation = obj["activation"]
-        # ControllerModel checks the layer sizes and every shape
-        model = ControllerModel(obj["layer_sizes"], weights, biases, mean, std)
-    except (TypeError, ValueError) as exc:  # a TypeError: weights or biases not a list
+        model = ControllerModel(obj["layer_sizes"], obj["weights"], obj["biases"], norm["mean"], norm["std"])
+    except ValueError as exc:
         raise PersistError(f"{path}: bad controller block: {exc}") from exc
-    if activation != _ACTIVATION:
-        raise PersistError(f"{path}: unsupported activation {activation!r}, expected {_ACTIVATION!r}")
+    if obj["activation"] != _ACTIVATION:
+        raise PersistError(f"{path}: unsupported activation {obj['activation']!r}, expected {_ACTIVATION!r}")
     return model

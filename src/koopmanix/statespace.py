@@ -11,8 +11,10 @@ CompositeStates wraps their rows, uncopied, on each access.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -38,14 +40,19 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _float(value) -> float:
+    """float(value), or an infinity of its sign for an integer past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _real(name: str, value, low: float = -math.inf, strict: bool = False) -> float:
     """value as a Python float if it is finite and at or above low, or above it if strict: the one rule of every real."""
     if not _is_real(value):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an int past the float range
-        number = math.inf
+    number = _float(value)
     if not math.isfinite(number):
         raise ValueError(f"{name} must be finite, got {value}")
     if number < low or (strict and number == low):
@@ -77,12 +84,68 @@ def _keys(label: str, block, names, optional=()) -> Mapping:
     return block
 
 
-def _frozen(values, name: str, ndim: int = 1) -> np.ndarray:
-    """Copy into a read-only float64 array: a vector (ndim 1) or a (T, width) matrix (ndim 2)."""
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if arr.ndim != ndim:
-        shape = "a 1-D vector" if ndim == 1 else "a (T, width) matrix"
-        raise ValueError(f"{name} must be {shape}, got shape {arr.shape}")
+def _check_shape(name: str, shape: tuple, got: tuple) -> None:
+    """Raise unless got has the axes of shape, where an axis of None takes any length."""
+    if len(got) != len(shape) or any(want not in (None, n) for want, n in zip(shape, got)):
+        text = ", ".join("any" if n is None else str(n) for n in shape) + ("," if len(shape) == 1 else "")
+        raise ValueError(f"{name} must have shape ({text}), got {got}")
+
+
+def _nest(label: str, item, lengths: list, axis: int = 0) -> None:
+    """Raise for the first fault of item, in index order, as lists nested len(lengths) deep with real entries.
+
+    Every list at one axis must have the length of the first one there,
+    which sets lengths[axis].  A row of Python ints and floats, as
+    json.loads gives, passes on one test of its type set; _real words the
+    first entry of any other row that is not a real number.
+    """
+    if isinstance(item, np.ndarray):
+        item = item.tolist()
+    if not isinstance(item, (list, tuple)):  # a number, word or None where a list belongs has shape ()
+        _check_shape(label, lengths[axis:], ())
+    _check_shape(label, lengths[axis : axis + 1], (len(item),))
+    lengths[axis] = len(item)
+    if axis + 1 < len(lengths):
+        for i, row in enumerate(item):
+            _nest(f"{label}[{i}]", row, lengths, axis + 1)
+    elif not set(map(type, item)) <= {int, float}:
+        for j, entry in enumerate(item):
+            if not _is_real(entry):
+                _real(f"{label}[{j}]", entry)
+
+
+def _array(name: str, value, shape: tuple, finite: bool = True) -> np.ndarray:
+    """value as a read-only float64 copy if it is a list or array of shape with real entries, finite if finite.
+
+    The one rule of every number array from a caller or a file.  An axis of
+    shape that is None takes any length.  Anything else is a ValueError
+    naming the expected and actual shape (`weights[0] must have shape
+    (16, 8), got (2, 3)`), else the first entry that is not a real number,
+    else the first that is not finite, in _real's words (`K[3][4] must be a
+    real number, got True`); a ragged list names its first row whose length
+    differs from the first row's.  An integer past the float range reads as
+    an infinity, as _real reads it.
+    """
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        arr = value.astype(np.float64)
+    else:
+        try:
+            _nest(name, value, [None] * len(shape))
+        except ValueError as fault:
+            try:
+                got = np.shape(value)
+            except ValueError:  # a ragged list, whose first odd row _nest named
+                raise fault from None
+            _check_shape(name, shape, got)
+            raise
+        try:
+            arr = np.array(value, dtype=np.float64)
+        except OverflowError:
+            arr = np.frompyfunc(_float, 1, 1)(np.array(value, dtype=object)).astype(np.float64)
+    _check_shape(name, shape, arr.shape)
+    if finite and not np.isfinite(arr).all():
+        index = np.argwhere(~np.isfinite(arr))[0]
+        _real(name + "".join(f"[{i}]" for i in index), functools.reduce(operator.getitem, index, value))
     arr.setflags(write=False)
     return arr
 
@@ -93,14 +156,6 @@ def _adopt(cls, **arrays):
     for name, arr in arrays.items():
         object.__setattr__(obj, name, arr)
     return obj
-
-
-def _stacked(vectors: list[np.ndarray], name: str) -> np.ndarray:
-    """(T, width) matrix of T vectors; a width that differs from step 0's is an error naming its step."""
-    for t, vec in enumerate(vectors):
-        if vec.shape != vectors[0].shape:
-            raise ValueError(f"{name} length {vec.shape[0]} at step {t} != length {vectors[0].shape[0]} at step 0")
-    return np.stack(vectors) if vectors else np.empty((0, 0))
 
 
 @dataclass(frozen=True)
@@ -148,8 +203,8 @@ class CompositeState:
     x_o: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x_r", _frozen(self.x_r, "x_r"))
-        object.__setattr__(self, "x_o", _frozen(self.x_o, "x_o"))
+        object.__setattr__(self, "x_r", _array("x_r", self.x_r, (None,), finite=False))
+        object.__setattr__(self, "x_o", _array("x_o", self.x_o, (None,), finite=False))
 
     @classmethod
     def _adopt(cls, x_r, x_o) -> "CompositeState":
@@ -190,9 +245,7 @@ class Trajectory:
         states = tuple(states)
         if not all(isinstance(s, CompositeState) for s in states):
             raise ValueError("states must contain CompositeState entries")
-        if torques is not None:
-            torques = _stacked([_frozen(tau, "torque") for tau in torques], "torque")
-        self._freeze(_stacked([s.x_r for s in states], "x_r"), _stacked([s.x_o for s in states], "x_o"), torques)
+        self._freeze([s.x_r for s in states], [s.x_o for s in states], torques)
 
     @classmethod
     def from_arrays(cls, x_r, x_o, torques=None) -> "Trajectory":
@@ -202,12 +255,14 @@ class Trajectory:
         return traj
 
     def _freeze(self, x_r, x_o, torques) -> None:
-        x_r, x_o = _frozen(x_r, "x_r", 2), _frozen(x_o, "x_o", 2)
+        x_r, x_o = _array("x_r", x_r, (None, None), finite=False), _array("x_o", x_o, (None, None), finite=False)
         if x_r.shape[0] != x_o.shape[0]:
             raise ValueError(f"x_r has {x_r.shape[0]} rows but x_o has {x_o.shape[0]}")
         object.__setattr__(self, "x_r", x_r)
         object.__setattr__(self, "x_o", x_o)
-        object.__setattr__(self, "torques", None if torques is None else _frozen(torques, "torques", 2))
+        if torques is not None:
+            torques = _array("torques", torques, (None, None), finite=False)
+        object.__setattr__(self, "torques", torques)
 
     @property
     def horizon(self) -> int:

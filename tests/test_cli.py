@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import time
 from pathlib import Path
 
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 
 from koopmanix import (
+    ControllerModel,
     DemonstrationSet,
+    EnvSpec,
     KoopmanModel,
     LiftingSpec,
     StateLayout,
@@ -25,7 +28,7 @@ from koopmanix import (
 )
 from koopmanix import cli, lifting, persist
 from koopmanix.cli import COMMANDS, LIFTING_NAMES, _build_parser, _reset_seeds, main
-from koopmanix.envs import env_spec_from_dict, env_spec_to_dict, make_env, reset
+from koopmanix.envs import env_spec_from_dict, env_spec_to_dict, linear_env, make_env, pendulum_env, reset
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -175,7 +178,8 @@ def test_non_string_manifest_entry_is_a_persist_error(tmp_path, capsys):
     }))
     assert main(["fit", "--demos", str(manifest), "--out-dir", str(tmp_path / "f")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: persist:") and "trajectories[0] must be a file name, got 5" in err
+    assert err.startswith("error: persist:")
+    assert "trajectories[0] must be a file name in the manifest's directory, got 5" in err
 
 
 @pytest.mark.parametrize("command, config, key", [
@@ -411,7 +415,7 @@ def test_manifest_env_block_missing_key(tmp_path, capsys, env, key, accepted):
 @pytest.mark.parametrize("env, message", [
     ({"kind": "pendulum", "dt": 0.05, "params": [1]}, "env params must be an object, got [1]"),
     ({"kind": "pendulum", "dt": 0.05, "sampler": {"target": [[0.6, 1.4]]}},
-     "pendulum sampler 'target' must be two [low, high] ranges, got [[0.6, 1.4]]"),
+     "pendulum sampler 'target' must have shape (2, 2), got (1, 2)"),
     ({"kind": "pendulum", "dt": 0.05, "params": {"mass": "abc"}},
      "pendulum param 'mass' must be a real number, got 'abc'"),
     ({"kind": "pendulum", "dt": 0.05, "params": {"bogus": 1.0}},
@@ -435,6 +439,69 @@ def test_manifest_env_block_bad_entry(tmp_path, capsys, env, message):
     ]) == 1
     assert capsys.readouterr().err == f"error: invalid: manifest {path}: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+# One bad array entry gets the same words from the Python constructor that owns the array and from a file:
+# entry name -> (constructor given the entry, file, mutation of the file's JSON putting the entry in its place).
+_LAYOUT_1D = StateLayout(1, 0, 1)
+_LINEAR_SAMPLER = linear_env([[0.5]]).sampler
+
+
+def _controller(weights=((3.0,),), biases=1.0, mean=0.0, std=1.0):
+    return ControllerModel((1, 1), [weights], [[biases]], [mean], [std])
+
+
+_ARRAY_OWNERS = {
+    "K": (lambda bad: KoopmanModel([[bad]], LiftingSpec("identity", _LAYOUT_1D), _LAYOUT_1D),
+          "model.json", lambda obj, bad: obj.update(K=[[bad]])),
+    "weights": (lambda bad: _controller(weights=[[bad]]), "controller.json",
+                lambda obj, bad: obj.update(weights=[[[bad]]])),
+    "biases": (lambda bad: _controller(biases=bad), "controller.json", lambda obj, bad: obj.update(biases=[[bad]])),
+    "input-mean": (lambda bad: _controller(mean=bad), "controller.json",
+                   lambda obj, bad: obj["input_norm"].update(mean=[bad])),
+    "input-std": (lambda bad: _controller(std=bad), "controller.json",
+                  lambda obj, bad: obj["input_norm"].update(std=[bad])),
+    "matrix": (lambda bad: EnvSpec("linear", 1.0, _LAYOUT_1D, {}, _LINEAR_SAMPLER, [[bad]], [[1.0]]), "manifest",
+               lambda obj, bad: obj.update(env={"kind": "linear", "dt": 1.0, "matrix": [[bad]], "input_map": [[1.0]]})),
+    "input-map": (lambda bad: EnvSpec("linear", 1.0, _LAYOUT_1D, {}, _LINEAR_SAMPLER, [[0.5]], [[bad]]), "manifest",
+                  lambda obj, bad: obj.update(env={"kind": "linear", "dt": 1.0, "matrix": [[0.5]],
+                                                   "input_map": [[bad]]})),
+    "sampler": (lambda bad: EnvSpec("pendulum", 0.05, pendulum_env().layout, pendulum_env().params,
+                                    {"target": ((0.6, 1.4), (1.4, bad))}), "manifest",
+                lambda obj, bad: obj.update(env={"kind": "pendulum", "dt": 0.05,
+                                                 "sampler": {"target": [[0.6, 1.4], [1.4, bad]]}})),
+}
+# each bad entry and the end of the words that name it; json writes and reads NaN and the huge integer
+_BAD_ENTRIES = {"bool": (True, "must be a real number, got True"), "string": ("x", "must be a real number, got 'x'"),
+                "nan": (math.nan, "must be finite, got nan"),
+                "huge-integer": (10**400, f"must be finite, got {10**400}")}
+
+
+def _file_message(tmp_path, capsys, source: str, mutate) -> str:
+    """The message of the loader (model or controller file) or of simulate (a manifest's env block), unprefixed."""
+    name = "manifest.json" if source == "manifest" else source
+    obj = json.loads((FIXTURES / ("demo_set/manifest.json" if source == "manifest" else source)).read_text())
+    mutate(obj)
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    if source == "manifest":
+        assert main(["simulate", "--model", str(FIXTURES / "model.json"), "--controller",
+                     str(FIXTURES / "controller.json"), "--demos", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        return capsys.readouterr().err.removeprefix(f"error: invalid: manifest {path}: ").removesuffix("\n")
+    with pytest.raises(persist.PersistError) as exc:
+        (load_model if source == "model.json" else load_controller)(path)
+    return str(exc.value).removeprefix(f"{path}: ").removeprefix("bad controller block: ")
+
+
+@pytest.mark.parametrize("entry", _BAD_ENTRIES)
+@pytest.mark.parametrize("owner", _ARRAY_OWNERS)
+def test_a_bad_array_entry_reads_alike_from_code_and_from_a_file(tmp_path, capsys, owner, entry):
+    build, source, mutate = _ARRAY_OWNERS[owner]
+    bad, words = _BAD_ENTRIES[entry]
+    with pytest.raises(ValueError) as exc:
+        build(bad)
+    assert str(exc.value).endswith(f"] {words}")
+    assert _file_message(tmp_path, capsys, source, lambda obj: mutate(obj, bad)) == str(exc.value)
 
 
 def test_rollout_index_out_of_range(tmp_path, capsys):

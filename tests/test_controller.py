@@ -167,7 +167,7 @@ def test_loss_weighting_hand_example():
 
 
 def test_triples_validation():
-    with pytest.raises(ValueError, match="pair count"):
+    with pytest.raises(ValueError, match=re.escape("x_next must have shape (1, 1), got (2, 1)")):
         TrainingTriples([[1.0]], [[2.0], [3.0]], [[0.0]], [1.0])
     with pytest.raises(ValueError, match="positive"):
         TrainingTriples([[1.0]], [[2.0]], [[0.0]], [0.0])

@@ -85,13 +85,13 @@ def test_spec_rejects_bad_configuration():
         EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, sampler | {"x0": ((0.0, 1.0), (1.0, float("nan")))})
     # each raised TypeError, or was accepted as a number
     for entry, message in (((("a", 1.0), (1.5, 2.0)), "'x0'[0][0] must be a real number, got 'a'"),
-                           ((0.6, 1.4), "'x0' must be two [low, high] ranges, got (0.6, 1.4)"),
+                           ((0.6, 1.4), "'x0' must have shape (2, 2), got (2,)"),
                            (((False, 1.0), (1.5, 2.0)), "'x0'[0][0] must be a real number, got False"),
-                           (((0.0, 1.0),), "'x0' must be two [low, high] ranges, got ((0.0, 1.0),)"),
-                           ("x", "'x0' must be two [low, high] ranges, got 'x'")):
+                           (((0.0, 1.0),), "'x0' must have shape (2, 2), got (1, 2)"),
+                           ("x", "'x0' must have shape (2, 2), got ()")):
         with pytest.raises(ValueError, match=f"^vanderpol sampler {re.escape(message)}$"):
             EnvSpec("vanderpol", 0.1, layout, {"mu": 1.0}, sampler | {"x0": entry})
-    with pytest.raises(ValueError, match="matrix and input_map must be finite"):
+    with pytest.raises(ValueError, match=re.escape("env matrix[0][0] must be finite, got nan")):
         linear_env(np.array([[np.nan, 0.0], [0.0, 0.5]]))
     pend = pendulum_env()
     with pytest.raises(ValueError, match=r"^pendulum dt must be a real number, got '0.05'$"):
@@ -253,7 +253,7 @@ def test_env_spec_dict_round_trip():
     partial = env_spec_from_dict({"kind": "pendulum", "dt": 0.01, "params": {"mass": 2}})
     assert partial.params == {**pendulum_env().params, "mass": 2.0}
     assert partial.sampler == pendulum_env().sampler
-    with pytest.raises(ValueError, match=r"^env input_map must be a 2-D list of real numbers, got \[1.0\]$"):
+    with pytest.raises(ValueError, match=r"^env input_map must have shape \(1, any\), got \(1,\)$"):
         env_spec_from_dict({"kind": "linear", "dt": 1.0, "matrix": [[0.5]], "input_map": [1.0]})
     with pytest.raises(ValueError, match=r"^env params: unknown key 'mu'; accepted keys: none$"):
         env_spec_from_dict({"kind": "linear", "dt": 1.0, "matrix": [[0.5]], "input_map": [[1.0]], "params": {"mu": 1}})
@@ -714,8 +714,7 @@ def test_torque_errors_number_the_first_transition_step_1():
     ({"params": {"mass": True}}, "pendulum param 'mass' must be a real number, got True"),
     ({"params": {"bogus": 1.0}},
      "env params: unknown key 'bogus'; accepted keys: mass, length, gravity, damping"),
-    ({"sampler": {"target": [[0.6, 1.4]]}},
-     "pendulum sampler 'target' must be two [low, high] ranges, got [[0.6, 1.4]]"),
+    ({"sampler": {"target": [[0.6, 1.4]]}}, "pendulum sampler 'target' must have shape (2, 2), got (1, 2)"),
     ({"sampler": {"target": [[0.6, 1.4], [1.4, "x"]]}}, "pendulum sampler 'target'[1][1] must be a real number, got 'x'"),
     ({"sampler": {"goal": [[0.6, 1.4], [1.4, 1.8]]}},
      "env sampler: unknown key 'goal'; accepted keys: target"),
@@ -730,12 +729,12 @@ def test_env_spec_from_dict_names_the_bad_key(block, message):
 
 @pytest.mark.parametrize("block, message", [
     ({"matrix": [["a"]]}, "env matrix[0][0] must be a real number, got 'a'"),
-    ({"matrix": [[0.5, 0.0], [0.0]]}, "env matrix must be a 2-D list of real numbers, got [[0.5, 0.0], [0.0]]"),
+    ({"matrix": [[0.5, 0.0], [0.0]]}, "env matrix[1] must have shape (2,), got (1,)"),
     ({"matrix": [[True]]}, "env matrix[0][0] must be a real number, got True"),
-    ({"matrix": []}, "env matrix must be a 2-D list of real numbers, got []"),
-    ({"matrix": "eye"}, "env matrix must be a 2-D list of real numbers, got 'eye'"),
+    ({"matrix": []}, "env matrix must have shape (any, any), got (0,)"),
+    ({"matrix": "eye"}, "env matrix must have shape (any, any), got ()"),
     ({"input_map": [[None]]}, "env input_map[0][0] must be a real number, got None"),
-    ({"input_map": [[1.0], [1.0, 2.0]]}, "env input_map must be a 2-D list of real numbers, got [[1.0], [1.0, 2.0]]"),
+    ({"input_map": [[1.0], [1.0, 2.0]]}, "env input_map[1] must have shape (1,), got (2,)"),
 ], ids=["matrix-string", "matrix-ragged", "matrix-bool", "matrix-empty", "matrix-not-a-list",
         "input-map-null", "input-map-ragged"])
 def test_env_spec_from_dict_names_the_bad_linear_block_key(block, message):

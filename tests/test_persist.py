@@ -30,6 +30,7 @@ from koopmanix import persist
 from koopmanix.controller import ControllerModel, forward, init
 from koopmanix.koopman import FitMeta
 from koopmanix.persist import _read_trajectory, format_float
+from koopmanix.statespace import _adopt
 
 FIXTURES = Path(__file__).parent / "fixtures"
 LAYOUT_1D = StateLayout(n=1, m=0, a=1)
@@ -520,8 +521,25 @@ def test_missing_trajectory_file(tmp_path):
 @pytest.mark.parametrize("entry, shown", [(5, "5"), ("", "''"), (None, "None"), (["a.csv"], "['a.csv']")])
 def test_manifest_entry_must_be_a_file_name(tmp_path, entry, shown):
     manifest = _mini_manifest(tmp_path, names=("traj_0000.csv", entry))
-    with pytest.raises(PersistError, match=r"trajectories\[1\] must be a file name, got " + re.escape(shown)):
+    message = f"trajectories[1] must be a file name in the manifest's directory, got {shown}"
+    with pytest.raises(PersistError, match=re.escape(message)):
         load_demos(manifest)
+
+
+@pytest.mark.parametrize("entry", ["../b/traj_0001.csv", "ABSOLUTE", "sub/traj_0001.csv", ".."],
+                         ids=["parent", "absolute", "subdirectory", "dot-dot"])
+def test_manifest_entry_stays_in_the_manifest_directory(tmp_path, entry):
+    # a readable trajectory waits at each path the entry names
+    inside, outside = tmp_path / "a", tmp_path / "b"
+    for directory in (inside, outside, inside / "sub"):
+        directory.mkdir()
+        (directory / "traj_0001.csv").write_text("t,xr_0,tau_0\n1,0.0,1.0\n2,1.0,\n")
+    entry = str(outside / "traj_0001.csv") if entry == "ABSOLUTE" else entry
+    manifest = _mini_manifest(inside, names=("traj_0001.csv", entry))
+    with pytest.raises(PersistError) as exc:
+        load_demos(manifest)
+    assert str(exc.value) == (f"{manifest}: trajectories[1] must be a file name in the manifest's directory, "
+                              f"got {entry!r}")
 
 
 # ---- JSON errors cite the position ----
@@ -609,20 +627,19 @@ def test_k_shape_checked(tmp_path):
     path = tmp_path / "model.json"
     path.write_text((FIXTURES / "model.json").read_text())
     _rewrite(path, lambda obj: obj.update(K=[[1.0, 2.0]]))
-    with pytest.raises(PersistError, match=re.escape(f"{path}: K must be (1, 1) for this lifting, got (1, 2)")):
+    with pytest.raises(PersistError, match=re.escape(f"{path}: K must have shape (1, 1), got (1, 2)")):
         load_model(path)
 
 
 # np.array would load "a" with numpy's text, a ragged K with its "inhomogeneous shape" text, true as 1.0,
 # and stop a huge integer with an OverflowError
-_ROWS = "K must be a list of equal-length lists of numbers"
-
-
 @pytest.mark.parametrize("K, message", [
-    ([["a"]], _ROWS), ([[1.0], [1.0, 2.0]], _ROWS), ([[True]], _ROWS), ([["2.0"]], _ROWS), ([2.0], _ROWS),
+    ([["a"]], "K[0][0] must be a real number, got 'a'"), ([[1.0], [1.0, 2.0]], "K[1] must have shape (1,), got (2,)"),
+    ([[True]], "K[0][0] must be a real number, got True"), ([["2.0"]], "K[0][0] must be a real number, got '2.0'"),
+    ([2.0], "K must have shape (1, 1), got (1,)"),
     (None, "top level: missing key 'K'; accepted keys: schema, layout, lifting, K, fit_meta"),
-    ([[10**400]], "K holds an integer too large for a float"),
-    ([[math.nan]], "K holds a non-finite number"), ([[-math.inf]], "K holds a non-finite number"),
+    ([[10**400]], f"K[0][0] must be finite, got {10**400}"),
+    ([[math.nan]], "K[0][0] must be finite, got nan"), ([[-math.inf]], "K[0][0] must be finite, got -inf"),
 ], ids=["word", "ragged", "bool", "numeric-string", "flat", "missing", "huge-integer", "nan", "minus-infinity"])
 def test_malformed_k_names_the_file(tmp_path, K, message):
     path = tmp_path / "model.json"
@@ -770,15 +787,20 @@ def test_controller_layer_sizes_must_be_integers(tmp_path):
 
 
 @pytest.mark.parametrize("mutate, message", [
-    (lambda obj: obj["input_norm"].update(std=[True]), "input_norm.std must be a list of numbers"),
-    (lambda obj: obj["input_norm"].update(mean=["0.5"]), "input_norm.mean must be a list of numbers"),
-    (lambda obj: obj.update(weights=[[[True]]]), "weights[0] must be a list of equal-length lists of numbers"),
-    (lambda obj: obj.update(biases=[[False]]), "biases[0] must be a list of numbers"),
+    (lambda obj: obj["input_norm"].update(std=[True]), "input_std[0] must be a real number, got True"),
+    (lambda obj: obj["input_norm"].update(mean=["0.5"]), "input_mean[0] must be a real number, got '0.5'"),
+    (lambda obj: obj.update(weights=[[[True]]]), "weights[0][0][0] must be a real number, got True"),
+    (lambda obj: obj.update(biases=[[False]]), "biases[0][0] must be a real number, got False"),
     # json.loads reads the NaN and Infinity tokens, which save_controller never writes
-    (lambda obj: obj.update(weights=[[[math.nan]]]), "weights[0] holds a non-finite number"),
-    (lambda obj: obj["input_norm"].update(mean=[math.inf]), "input_norm.mean holds a non-finite number"),
-    (lambda obj: obj.update(biases=[[-math.inf]]), "biases[0] holds a non-finite number"),
-], ids=["std-bool", "mean-string", "weights-bool", "biases-bool", "weights-nan", "mean-infinity", "biases-infinity"])
+    (lambda obj: obj.update(weights=[[[math.nan]]]), "weights[0][0][0] must be finite, got nan"),
+    (lambda obj: obj["input_norm"].update(mean=[math.inf]), "input_mean[0] must be finite, got inf"),
+    (lambda obj: obj.update(biases=[[-math.inf]]), "biases[0][0] must be finite, got -inf"),
+    # enumerate raised Python's own TypeError for these
+    (lambda obj: obj.update(weights=5), "weights must be a list or tuple, got 5"),
+    (lambda obj: obj.update(biases=None), "biases must be a list or tuple, got None"),
+    (lambda obj: obj.update(layer_sizes="1,1"), "layer_sizes must be a list or tuple, got '1,1'"),
+], ids=["std-bool", "mean-string", "weights-bool", "biases-bool", "weights-nan", "mean-infinity", "biases-infinity",
+        "weights-not-a-list", "biases-null", "layer-sizes-string"])
 def test_controller_arrays_must_hold_numbers(tmp_path, mutate, message):
     path = tmp_path / "ctrl.json"
     path.write_text((FIXTURES / "controller.json").read_text())
@@ -818,22 +840,14 @@ def test_controller_shape_errors_become_persist_errors(tmp_path):
 # ---- writers refuse bad data ----
 
 
-def test_save_model_rejects_nonfinite():
-    model = KoopmanModel(np.array([[np.inf]]), LiftingSpec("identity", LAYOUT_1D), LAYOUT_1D)
+def test_save_model_rejects_nonfinite(tmp_path):
     with pytest.raises(PersistError, match="non-finite"):
-        save_model(model, "/tmp/should_not_exist.json")
+        save_model(_nonfinite_model(), tmp_path / "model.json")
 
 
 def test_save_controller_rejects_nonfinite(tmp_path):
-    model = ControllerModel(
-        layer_sizes=(1, 1),
-        weights=(np.array([[np.inf]]),),
-        biases=(np.zeros(1),),
-        input_mean=np.zeros(1),
-        input_std=np.ones(1),
-    )
     with pytest.raises(PersistError, match="non-finite"):
-        save_controller(model, tmp_path / "ctrl.json")
+        save_controller(_nonfinite_controller(), tmp_path / "ctrl.json")
 
 
 def test_save_demos_rejects_invalid(tmp_path):
@@ -894,13 +908,15 @@ def test_non_finite_json_leaves_an_existing_file_untouched(tmp_path):
 # ---- every file goes through one writer, which makes directories last ----
 
 
+# the constructors refuse a non-finite entry, so these models are built around them, as no caller can
 def _nonfinite_model():
-    return KoopmanModel(np.array([[np.inf]]), LiftingSpec("identity", LAYOUT_1D), LAYOUT_1D)
+    return _adopt(KoopmanModel, K=np.array([[np.inf]]), spec=LiftingSpec("identity", LAYOUT_1D), layout=LAYOUT_1D,
+                  fit_meta=None)
 
 
 def _nonfinite_controller():
-    return ControllerModel(layer_sizes=(1, 1), weights=(np.array([[np.inf]]),), biases=(np.zeros(1),),
-                           input_mean=np.zeros(1), input_std=np.ones(1))
+    return _adopt(ControllerModel, layer_sizes=(1, 1), weights=(np.array([[np.inf]]),), biases=(np.zeros(1),),
+                  input_mean=np.zeros(1), input_std=np.ones(1))
 
 
 @pytest.mark.parametrize("save, model", [(save_model, _nonfinite_model), (save_controller, _nonfinite_controller)],

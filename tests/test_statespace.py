@@ -19,7 +19,7 @@ from koopmanix import (
     validate,
 )
 from koopmanix.envs import default_expert, generate_demos, pointmass_env
-from koopmanix.statespace import _keys
+from koopmanix.statespace import _array, _keys
 
 
 def _traj(layout, T, fill=0.0, torques=True, rng=None):
@@ -52,6 +52,32 @@ def test_keys_rule_returns_the_block_or_names_the_key():
         _keys("block", {"a": 1}, ())
     proxy = MappingProxyType(block)
     assert _keys("block", proxy, ("a",), ("b", "c")) is proxy
+
+
+def test_array_rule_returns_a_read_only_copy_or_names_the_fault():
+    source = np.arange(6.0).reshape(2, 3)
+    for given in (source, source.tolist(), np.arange(6).reshape(2, 3), [(0, 1, 2.0), (3, np.float32(4), 5)]):
+        arr = _array("a", given, (2, None))
+        assert arr.dtype == np.float64 and not arr.flags.writeable and np.array_equal(arr, source)
+        assert arr is not given and not np.shares_memory(arr, source)
+    for given, shape, message in (
+            ([[1.0, 2.0], [3.0, True]], (2, 2), "a[1][1] must be a real number, got True"),
+            (np.array([False]), (None,), "a[0] must be a real number, got False"),
+            ([["1.5"]], (1, 1), "a[0][0] must be a real number, got '1.5'"),
+            ([[0.0, None]], (1, 2), "a[0][1] must be a real number, got None"),
+            ([[0.0, np.nan]], (1, 2), "a[0][1] must be finite, got nan"),
+            (np.array([0.0, -np.inf]), (2,), "a[1] must be finite, got -inf"),
+            ([1.0, 10**400], (2,), f"a[1] must be finite, got {10**400}"),
+            ([[1.0, 2.0], [3.0]], (2, 2), "a[1] must have shape (2,), got (1,)"),
+            (np.zeros((2, 3)), (16, 8), "a must have shape (16, 8), got (2, 3)"),
+            ([1.0, 2.0], (None, None), "a must have shape (any, any), got (2,)"),
+            ("eye", (None,), "a must have shape (any,), got ()"),
+            ([[[1.0]]], (1, 1), "a must have shape (1, 1), got (1, 1, 1)")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _array("a", given, shape)
+    # with finite=False a non-finite entry is kept, and an integer past the float range reads as an infinity
+    kept = _array("a", [np.nan, 10**400, -(10**400)], (3,), finite=False)
+    assert np.isnan(kept[0]) and kept[1] == np.inf and kept[2] == -np.inf
 
 
 # ------------------------------------------------------------------- layouts
@@ -130,6 +156,13 @@ def test_composite_state_rejects_matrices():
         CompositeState(np.zeros((2, 2)), [])
 
 
+def test_composite_state_refuses_a_bool_entry_and_keeps_a_non_finite_one():
+    # np.array read True as 1.0
+    with pytest.raises(ValueError, match=r"^x_r\[0\] must be a real number, got True$"):
+        CompositeState([True, 0.0], [])
+    assert np.isnan(CompositeState([np.nan], []).x_r[0])  # validate reports it
+
+
 # ---------------------------------------------------------- columnar arrays
 
 def test_trajectory_arrays_are_read_only():
@@ -191,21 +224,21 @@ def test_states_view_round_trips(tmp_path):
 
 
 def test_ragged_widths_rejected_at_construction_naming_the_step():
-    with pytest.raises(ValueError, match="x_r length 2 at step 2 != length 1 at step 0"):
+    with pytest.raises(ValueError, match=re.escape("x_r[2] must have shape (1,), got (2,)")):
         Trajectory((CompositeState([0.0], []), CompositeState([1.0], []), CompositeState([1.0, 2.0], [])))
-    with pytest.raises(ValueError, match="x_o length 0 at step 1 != length 1 at step 0"):
+    with pytest.raises(ValueError, match=re.escape("x_o[1] must have shape (1,), got (0,)")):
         Trajectory((CompositeState([0.0], [1.0]), CompositeState([1.0], [])))
     states = tuple(CompositeState([float(t)], []) for t in range(4))
-    with pytest.raises(ValueError, match="torque length 3 at step 2 != length 1 at step 0"):
+    with pytest.raises(ValueError, match=re.escape("torques[2] must have shape (1,), got (3,)")):
         Trajectory(states, (np.zeros(1), np.zeros(1), np.zeros(3)))
 
 
 def test_from_arrays_rejects_bad_shapes():
-    with pytest.raises(ValueError, match="matrix"):
+    with pytest.raises(ValueError, match=re.escape("x_r must have shape (any, any), got (3,)")):
         Trajectory.from_arrays(np.zeros(3), np.zeros((3, 0)))
     with pytest.raises(ValueError, match="rows"):
         Trajectory.from_arrays(np.zeros((3, 1)), np.zeros((2, 0)))
-    with pytest.raises(ValueError, match="matrix"):
+    with pytest.raises(ValueError, match=re.escape("torques must have shape (any, any), got (2,)")):
         Trajectory.from_arrays(np.zeros((3, 1)), np.zeros((3, 0)), np.zeros(2))
 
 
@@ -255,7 +288,7 @@ def test_torque_count_and_width_flagged():
     off_width = Trajectory(states, (np.zeros(1), np.zeros(1)))
     report = validate(DemonstrationSet(layout, (off_width,)))
     assert any("torque length 1 != a=2" in v.message for v in report.violations)
-    with pytest.raises(ValueError, match="torque length 1 at step 1 != length 2 at step 0"):
+    with pytest.raises(ValueError, match=re.escape("torques[1] must have shape (2,), got (1,)")):
         Trajectory(states, (np.zeros(2), np.zeros(1)))
 
 

@@ -21,7 +21,7 @@ GROUPS = [
     "closed-loop/linear/single",
     "rollout/pointmass",
     *(f"controller/{call}" for call in ("forward", "loss", "gradient-check")),
-    *(f"persist/load/{label}" for label in ("torques", "bare")),
+    *(f"persist/load/{label}" for label in ("torques", "bare", "model", "controller")),
     *(f"cli/{command}" for command in ("gen-demos", "fit", "rollout", "train-controller", "simulate",
                                        "retune", "eval")),
     "cli/flags",

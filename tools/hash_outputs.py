@@ -32,6 +32,9 @@ lines mean bit-identical outputs.  Each line is `<group> <sha256>`:
   gradient_check on the first triple;
 - persist/load/<torques|bare>: the pointmass demos saved with and without
   their torques and loaded back (x_r, x_o, torques of every demo);
+- persist/load/<model|controller>: the kodex model and the batch-64
+  controller above, saved and loaded back (K; weights, biases and input
+  statistics);
 - cli/<command>: every file a CLI run writes, with the wall-time fields
   (`fit_meta.wall_time_s` in model.json, `train_time_s` in eval.csv)
   removed;
@@ -60,7 +63,8 @@ from pathlib import Path
 import numpy as np
 
 from koopmanix import (DemonstrationSet, LiftingSpec, ScriptedExpert, TrainConfig, Trajectory, execute_policy, fit,
-                       gradient_check, load_demos, rollout, save_demos, supervision, train)
+                       gradient_check, load_controller, load_demos, load_model, rollout, save_controller, save_demos,
+                       save_model, supervision, train)
 from koopmanix.cli import _run_batch, main as cli_main
 from koopmanix.controller import forward, loss
 from koopmanix.envs import (
@@ -198,6 +202,11 @@ def _model_groups(n: int, horizon: int, iterations: int):
         with tempfile.TemporaryDirectory() as tmp:
             loaded = load_demos(save_demos(saved, tmp))
         yield f"persist/load/{label}", _digest(_trajectory_arrays(loaded.trajectories))
+    with tempfile.TemporaryDirectory() as tmp:
+        model = load_model(save_model(kodex, Path(tmp) / "model.json"))
+        loaded = load_controller(save_controller(controller, Path(tmp) / "controller.json"))
+    yield "persist/load/model", _digest([model.K])
+    yield "persist/load/controller", _digest([*loaded.weights, *loaded.biases, loaded.input_mean, loaded.input_std])
 
 
 def _run_cli(command: str, flags: list[str]) -> str:
