@@ -35,7 +35,7 @@ from .envs import (
     make_env,
     perturb_params,
 )
-from .koopman import _rollout, _tolerance, fit
+from .koopman import _check_layout, _rollout, _tolerance, fit
 from .lifting import LiftingSpec
 from .metrics import evaluate_success, imitation_error, outcome_summary
 from .statespace import DemonstrationSet, _count, _keys, _object
@@ -160,14 +160,6 @@ def _env_from_config(config: dict):
     return make_env(block.get("kind", ENV_KIND), **overrides)
 
 
-def _check_model(model, path, layout, source: str) -> None:
-    """Refuse a model whose state sizes (n, m) are not layout's; the error names source and the model file."""
-    need = model.layout
-    if (layout.n, layout.m) != (need.n, need.m):
-        raise ValueError(f"{source} has layout (n={layout.n}, m={layout.m}); "
-                         f"model {path} needs (n={need.n}, m={need.m})")
-
-
 def _load_policy(args, config: dict):
     """The model, controller and environment of a closed-loop command, the model checked against the environment.
 
@@ -186,7 +178,7 @@ def _load_policy(args, config: dict):
             env = env_spec_from_dict(manifest["env"])
         except ValueError as exc:
             raise ValueError(f"manifest {args.demos}: {exc}") from None
-    _check_model(model, args.model, env.layout, f"env {env.kind}")
+    _check_layout(model, env.layout, f"env {env.kind}", f"model {args.model}")
     return model, controller, env
 
 
@@ -244,7 +236,7 @@ def _cmd_rollout(args, config: dict, s: dict) -> int:
     index = args.traj_index
     if not (0 <= index < demos.n_demos):
         raise ValueError(f"--traj-index {index} out of range for {demos.n_demos} trajectories")
-    _check_model(model, args.model, demos.layout, f"manifest {args.demos}")
+    _check_layout(model, demos.layout, f"manifest {args.demos}", f"model {args.model}")
     traj = demos.trajectories[index]
     horizon = args.horizon if args.horizon is not None else traj.horizon
     ref = _rollout(model, traj.x_r[:1], traj.x_o[:1], horizon)[:, 0]

@@ -323,14 +323,18 @@ def _inputs(model: ControllerModel, x_now, x_next) -> np.ndarray:
     return Z
 
 
+def _transition(model: ControllerModel, x_now, x_next) -> np.ndarray:
+    """The standardized (1, 2n) input of one transition, from vectors that jointly have the input width."""
+    x_now, x_next = _array("x_now", x_now, (None,)), _array("x_next", x_next, (None,))
+    n2 = model.layer_sizes[0]
+    if x_now.size + x_next.size != n2:
+        raise ValueError(f"x_now and x_next must jointly match the input width {n2}, got {x_now.size} + {x_next.size}")
+    return _inputs(model, x_now, x_next)[None]
+
+
 def forward(model: ControllerModel, x_now, x_next) -> np.ndarray:
     """Torque for the transition x_r(t) -> x_r(t+1), standardization included."""
-    x_now = np.asarray(x_now, dtype=np.float64)
-    x_next = np.asarray(x_next, dtype=np.float64)
-    n2 = model.layer_sizes[0]
-    if x_now.ndim != 1 or x_next.ndim != 1 or x_now.size + x_next.size != n2:
-        raise ValueError(f"x_now and x_next must be 1-D and jointly match the input width {n2}")
-    return _forward(_bind(model.weights, model.biases), _inputs(model, x_now, x_next)[None])[0]
+    return _forward(_bind(model.weights, model.biases), _transition(model, x_now, x_next))[0]
 
 
 def tracking_torque(model: ControllerModel, ref: np.ndarray, layout: StateLayout):
@@ -475,14 +479,15 @@ def gradient_check(model: ControllerModel, triple, epsilon: float = 1e-5) -> flo
     """Max relative gap between analytic and central-difference gradients.
 
     The probe loss is the squared torque error of a single (x_now, x_next,
-    tau) triple with weight one.  epsilon must lie in [1e-7, 1e-4].
+    tau) triple with weight one, read as `forward` reads its transition, and
+    tau as an (a,) vector.  epsilon must lie in [1e-7, 1e-4].
     """
     epsilon = _real("epsilon", epsilon)
     if not (1e-7 <= epsilon <= 1e-4):
         raise ValueError(f"epsilon must lie in [1e-7, 1e-4], got {epsilon}")
     x_now, x_next, tau = triple
-    Z = _inputs(model, np.asarray(x_now, float), np.asarray(x_next, float))[None]
-    tau = np.asarray(tau, dtype=np.float64)[None, :]
+    Z = _transition(model, x_now, x_next)
+    tau = _array("tau", tau, (model.layer_sizes[-1],))[None]
     one = np.ones(1)
 
     theta = _flat_params(model)

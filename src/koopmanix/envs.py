@@ -171,12 +171,20 @@ class EnvState:
 
     internal is kind-specific: () for linear/vanderpol, (theta_target,) for
     pendulum, (target_x, target_y, attached) for the
-    pointmass.  t counts completed steps.
+    pointmass.  t counts completed steps.  composite must be a
+    CompositeState, internal a vector of finite reals, stored as a tuple of
+    Python floats, and t an integer >= 0.
     """
 
     composite: CompositeState
     internal: tuple[float, ...]
     t: int = 0
+
+    def __post_init__(self):
+        if not isinstance(self.composite, CompositeState):
+            raise ValueError(f"composite must be a CompositeState, got {self.composite!r}")
+        object.__setattr__(self, "internal", tuple(_array("internal", self.internal, (None,)).tolist()))
+        object.__setattr__(self, "t", _count("t", self.t, 0))
 
 
 @dataclass(frozen=True)
@@ -408,10 +416,8 @@ def _non_finite_torque(source: str, t: int, row: int = 0, rows: int = 1) -> Valu
 
 
 def step(spec: EnvSpec, state: EnvState, tau) -> EnvState:
-    """Advance one step (one dt for the continuous kinds)."""
-    tau = np.asarray(tau, dtype=np.float64)
-    if tau.shape != (spec.layout.a,):
-        raise ValueError(f"torque must have shape ({spec.layout.a},), got {tau.shape}")
+    """Advance one step (one dt for the continuous kinds) under the torque tau, shape (a,)."""
+    tau = _array("tau", tau, (spec.layout.a,), finite=False)
     if not np.isfinite(tau).all():
         raise _non_finite_torque("step was given", state.t)
     x_r, x_o, inner = _rows(spec, state)
@@ -573,18 +579,16 @@ def _check_torques(torques: np.ndarray, source: str) -> None:
 
 
 def _callable_policy(act, ref: np.ndarray, layout: StateLayout):
-    """A `_run` torque that calls act(x_now, x_next) once per row and checks each torque."""
+    """A `_run` torque that calls act(x_now, x_next) once per row and checks each torque, shape (a,)."""
     a = layout.a
 
     def torque(t, x_r, x_o, inner, out):
         # act is outside code: stop at its first bad torque rather than call
         # it again on the states that torque would produce
         for i, (x_now, x_next) in enumerate(zip(x_r, ref[t + 1])):
-            tau = np.asarray(act(x_now, x_next), dtype=np.float64)
+            tau = _array("controller torque", act(x_now, x_next), (a,), finite=False)
             if not np.isfinite(tau).all():
                 raise _non_finite_torque("controller produced", t, i, len(out))
-            if tau.shape != (a,):
-                raise ValueError(f"torque must have shape ({a},), got {tau.shape}")
             out[i] = tau
 
     return torque
@@ -599,7 +603,8 @@ def _closed_loop(
 ) -> list[Trajectory]:
     """B closed-loop episodes in lockstep from start rows, each tracking its own reference.
 
-    The references of all B start rows are rolled out together.  A
+    The model's state sizes (n, m) must be the env's.  The references of
+    all B start rows are rolled out together.  A
     ControllerModel runs once per step on all B rows, through
     `controller.tracking_torque`, which checks it against the layout once;
     its torques are checked once, after the loop (`_run`).
@@ -615,6 +620,7 @@ def _closed_loop(
         policy = _callable_policy
     else:
         raise ValueError("controller must be a ControllerModel or a callable")
+    koopman._check_layout(model, spec.layout, f"env {spec.kind}")
     ref = koopman._rollout(model, rows[0], rows[1], horizon)
     return _run(spec, rows, horizon, policy(controller, ref, spec.layout), "controller produced")
 
@@ -638,13 +644,13 @@ def execute_policy(
 
 
 def perfect_tracker(spec: EnvSpec) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Analytic inverse dynamics for the linear kind: B tau = x_ref - M x."""
+    """Analytic inverse dynamics for the linear kind: B tau = x_ref - M x, from x_now and x_next of shape (n,)."""
     if spec.kind != "linear":
         raise ValueError("perfect_tracker is only defined for the linear kind")
-    M, B = spec.matrix, spec.input_map
+    M, B, n = spec.matrix, spec.input_map, spec.layout.n
 
     def act(x_now, x_next):
-        resid = np.asarray(x_next, float) - M @ np.asarray(x_now, float)
+        resid = _array("x_next", x_next, (n,)) - M @ _array("x_now", x_now, (n,))
         tau, *_ = np.linalg.lstsq(B, resid, rcond=None)
         return tau
 

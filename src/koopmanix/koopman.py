@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lifting import LiftingSpec, dimension, lift_matrix, object_slice, robot_slice
-from .statespace import (CompositeState, DemonstrationSet, StateLayout, _array, _check_dims, _count, _real,
-                         require_valid)
+from .statespace import (CompositeState, DemonstrationSet, StateLayout, _array, _check_dims, _check_shape, _count,
+                         _real, require_valid)
 
 logger = logging.getLogger(__name__)
 
@@ -65,6 +65,13 @@ class KoopmanModel:
         object.__setattr__(self, "K", _array("K", self.K, (p, p)))
         if self.layout != self.spec.layout:
             raise ValueError("model layout does not match the lifting spec layout")
+
+
+def _check_layout(model: KoopmanModel, layout: StateLayout, source: str, name: str = "the model") -> None:
+    """Refuse a model whose state sizes (n, m) are not layout's; the error names source, and the model as name."""
+    need = model.layout
+    if (layout.n, layout.m) != (need.n, need.m):
+        raise ValueError(f"{source} has layout (n={layout.n}, m={layout.m}); {name} needs (n={need.n}, m={need.m})")
 
 
 def default_pinv_tolerance(p: int) -> float:
@@ -118,13 +125,11 @@ def _tolerance(name: str, value) -> float:
 def _svd_pinv(mat: np.ndarray, rel_tolerance: float | None) -> tuple[np.ndarray, int, float]:
     """Truncated-SVD pseudoinverse, its rank and the condition number of the retained part.
 
-    rel_tolerance=None uses default_pinv_tolerance of the matrix size.
+    rel_tolerance=None uses default_pinv_tolerance of the matrix size.  mat, the
+    accumulator G, must be a finite square matrix.
     """
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise ValueError("matrix has non-finite entries")
+    mat = _array("G", mat, (None, None))
+    _check_shape("G", (len(mat),) * 2, mat.shape)
     if rel_tolerance is None:
         rel_tolerance = default_pinv_tolerance(mat.shape[0])
     rel_tolerance = _tolerance("rel_tolerance", rel_tolerance)
@@ -140,9 +145,9 @@ def _svd_pinv(mat: np.ndarray, rel_tolerance: float | None) -> tuple[np.ndarray,
 
 
 def solve_koopman(A: np.ndarray, G: np.ndarray, rel_tolerance: float | None = None) -> tuple[np.ndarray, int]:
-    """K = A G+ from accumulators.  rel_tolerance=None uses the default cutoff."""
+    """K = A G+ from finite (p, p) accumulators.  rel_tolerance=None uses the default cutoff."""
     pinv, rank, _ = _svd_pinv(G, rel_tolerance)
-    return A @ pinv, rank
+    return _array("A", A, pinv.shape) @ pinv, rank
 
 
 def fit(demos: DemonstrationSet, spec: LiftingSpec, rel_tolerance: float | None = None) -> KoopmanModel:

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .statespace import CompositeState, StateLayout, _check_dims
+from .statespace import CompositeState, StateLayout, _array, _check_dims
 
 KINDS = ("identity", "kodex-polynomial")
 
@@ -79,11 +79,9 @@ def _poly_indices(n: int, m: int):
 
 
 def lift_matrix(spec: LiftingSpec, raw: np.ndarray) -> np.ndarray:
-    """Lift a (T, n+m) block of raw composite rows to a (T, p) block."""
+    """Lift a (T, n+m) block of raw composite rows, non-finite entries allowed, to a (T, p) block."""
     n, m = spec.layout.n, spec.layout.m
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 2 or raw.shape[1] != n + m:
-        raise ValueError(f"raw block must have shape (T, {n + m}), got {raw.shape}")
+    raw = _array("raw block", raw, (None, n + m), finite=False)
     xr = raw[:, :n]
     xo = raw[:, n:]
     if spec.kind == "identity":

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statespace import Trajectory, _count, _real
+from .statespace import Trajectory, _array, _count, _real
 
 CRITERION_KINDS = ("terminal-distance", "cumulative-proximity")
 
@@ -58,11 +58,9 @@ class SuccessResult:
 
 
 def imitation_error(reference: np.ndarray, demo: np.ndarray) -> float:
-    """Mean per-step L1 distance between two equally long robot trajectories."""
-    ref = np.asarray(reference, dtype=np.float64)
-    dem = np.asarray(demo, dtype=np.float64)
-    if ref.shape != dem.shape or ref.ndim != 2:
-        raise ValueError(f"trajectories must share a (T, n) shape, got {ref.shape} vs {dem.shape}")
+    """Mean per-step L1 distance between two (T, n) robot trajectories; non-finite entries are allowed."""
+    ref = _array("reference", reference, (None, None), finite=False)
+    dem = _array("demo", demo, ref.shape, finite=False)
     return float(np.mean(np.sum(np.abs(ref - dem), axis=1)))
 
 

@@ -112,8 +112,10 @@ def test_standardization_applied_before_network():
 
 def test_forward_rejects_wrong_width():
     model = init(LAYOUT_1D, seed=0)
-    for x_now, x_next in (([1.0, 2.0], [3.0]), ([1.0], []), ([[1.0]], [2.0])):
-        with pytest.raises(ValueError, match="input width 2"):
+    for x_now, x_next, message in (([1.0, 2.0], [3.0], r"input width 2, got 2 \+ 1"),
+                                   ([1.0], [], r"input width 2, got 1 \+ 0"),
+                                   ([[1.0]], [2.0], r"x_now must have shape \(any,\), got \(1, 1\)")):
+        with pytest.raises(ValueError, match=message):
             forward(model, x_now, x_next)
 
 

@@ -12,6 +12,7 @@ from koopmanix import (
     CompositeState,
     ControllerModel,
     EnvSpec,
+    KoopmanModel,
     LiftingSpec,
     ScriptedExpert,
     StateLayout,
@@ -839,14 +840,14 @@ def test_execute_policy_validation():
         execute_policy(model, perfect_tracker(spec), spec, init, horizon=1)
     with pytest.raises(ValueError, match="controller"):
         execute_policy(model, "not-a-controller", spec, init, horizon=5)
-    bad = lambda x_now, x_next: np.array([np.nan])
+    bad = lambda x_now, x_next: np.full(spec.layout.a, np.nan)
     with pytest.raises(ValueError, match="non-finite torque at step 1"):
         execute_policy(model, bad, spec, init, horizon=5)
     wide = lambda x_now, x_next: np.zeros(spec.layout.a + 1)
     with pytest.raises(ValueError, match=r"torque must have shape \(2,\), got \(3,\)"):
         execute_policy(model, wide, spec, init, horizon=5)
     wide_nan = lambda x_now, x_next: np.full(spec.layout.a + 1, np.nan)
-    with pytest.raises(ValueError, match="non-finite torque at step 1"):
+    with pytest.raises(ValueError, match=r"torque must have shape \(2,\), got \(3,\)"):
         execute_policy(model, wide_nan, spec, init, horizon=5)
     # a start state that does not fit the spec
     wide = EnvState(CompositeState([0.1, 0.0, 7.0], []), ())
@@ -854,6 +855,38 @@ def test_execute_policy_validation():
                            (EnvState(init.composite, (1.0,)), "linear state has internal width 1; the kind needs 0")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             execute_policy(model, perfect_tracker(spec), spec, state, horizon=5)
+
+
+def test_closed_loop_names_a_model_for_another_layout():
+    # the reference rollout used to fail on a raw block's shape, naming neither layout
+    pendulum, vanderpol = pendulum_env(), vanderpol_env()
+    model = KoopmanModel(np.eye(3), LiftingSpec("identity", pendulum.layout), pendulum.layout)
+    want = "env vanderpol has layout (n=2, m=0); the model needs (n=2, m=1)"
+    for controller in (controller_init(vanderpol.layout, seed=0), lambda x_now, x_next: np.zeros(1)):
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            execute_policy(model, controller, vanderpol, reset(vanderpol, 0), 10)
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            _closed_loop(model, controller, vanderpol, _reset_rows(vanderpol, [0, 1], "in"), 10)
+
+
+START = CompositeState([0.0, 0.0], [-1.0])
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((START, ("a",)), "internal[0] must be a real number, got 'a'"),
+    ((START, (np.nan,)), "internal[0] must be finite, got nan"),
+    ((START, (1.0,), 1.5), "t must be an integer, got 1.5"),
+    ((START, (1.0,), -1), "t must be >= 0, got -1"),
+    (([0.0, 0.0, -1.0], (1.0,)), "composite must be a CompositeState, got [0.0, 0.0, -1.0]"),
+], ids=["internal-word", "internal-nan", "t-fraction", "t-negative", "composite-list"])
+def test_env_state_checks_its_fields(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EnvState(*fields)
+
+
+def test_env_state_stores_python_numbers():
+    state = EnvState(START, np.array([0.25]), np.int64(2))
+    assert state.internal == (0.25,) and type(state.internal[0]) is float and type(state.t) is int
 
 
 def test_execute_policy_rejects_controller_for_another_layout():

@@ -1,5 +1,7 @@
 """Analytical operator fit: accumulators, pseudoinverse, cost, rollout."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,15 @@ def test_pinv_identity():
     pinv, rank, _ = _svd_pinv(np.eye(3), 1e-12)
     np.testing.assert_allclose(pinv, np.eye(3))
     assert rank == 3
+
+
+def test_pinv_reads_a_finite_square_matrix():
+    for G, message in ((np.ones((2, 3)), "G must have shape (2, 2), got (2, 3)"),
+                       (np.diag([1.0, np.nan]), "G[1][1] must be finite, got nan")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _svd_pinv(G, None)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_koopman(np.eye(2), G)
 
 
 def test_pinv_truncates_zero_singular_values():

@@ -69,3 +69,13 @@ def test_key_checks_go_through_statespace():
     found = [f"{path.stem}: {word}" for path in sorted(source.glob("*.py")) if path.name != "statespace.py"
              for word in KEY_WORDS if word in path.read_text(encoding="utf-8")]
     assert found == []
+
+
+# Every array a caller or a file hands the package is read through
+# statespace._array, so no module but statespace may read one with
+# np.asarray.
+def test_array_reads_go_through_statespace():
+    source = Path(koopmanix.__file__).parent
+    found = [path.stem for path in sorted(source.glob("*.py"))
+             if path.name != "statespace.py" and "asarray" in path.read_text(encoding="utf-8")]
+    assert found == []

@@ -1,4 +1,4 @@
-"""Composite states, columnar trajectories, validation, and the pairs a fit sees."""
+"""Composite states, columnar trajectories, validation, the pairs a fit sees, and the array rule's readers."""
 
 import re
 from types import MappingProxyType
@@ -9,16 +9,25 @@ import pytest
 from koopmanix import (
     CompositeState,
     DemonstrationSet,
+    EnvState,
+    KoopmanModel,
     LiftingSpec,
     StateLayout,
     Trajectory,
     cost,
+    execute_policy,
     fit,
+    gradient_check,
+    imitation_error,
+    lift_matrix,
     load_demos,
     save_demos,
     validate,
 )
-from koopmanix.envs import default_expert, generate_demos, pointmass_env
+from koopmanix.controller import forward, init as controller_init
+from koopmanix.envs import (default_expert, generate_demos, linear_env, pendulum_env, perfect_tracker, pointmass_env,
+                            reset, step)
+from koopmanix.koopman import solve_koopman
 from koopmanix.statespace import _array, _keys
 
 
@@ -78,6 +87,60 @@ def test_array_rule_returns_a_read_only_copy_or_names_the_fault():
     # with finite=False a non-finite entry is kept, and an integer past the float range reads as an infinity
     kept = _array("a", [np.nan, 10**400, -(10**400)], (3,), finite=False)
     assert np.isnan(kept[0]) and kept[1] == np.inf and kept[2] == -np.inf
+
+
+PENDULUM, LINEAR = pendulum_env(), linear_env([[0.5, 0.0], [0.0, 0.5]])
+IDENTITY = KoopmanModel(np.eye(2), LiftingSpec("identity", LINEAR.layout), LINEAR.layout)
+NET = controller_init(StateLayout(n=1, m=0, a=1), seed=0)
+EYE = [[1.0, 0.0], [0.0, 1.0]]
+
+# every reader of an array a caller hands a public function: the call with
+# value in the reader's slot, the name it reads under, a value it accepts
+# and the shape it asks for, as the array rule words it
+READERS = {
+    "lift_matrix-raw": (lambda v: lift_matrix(LiftingSpec("identity", PENDULUM.layout), v),
+                        "raw block", [[0.1, 0.2, 0.3]], "(any, 3)"),
+    "step-tau": (lambda v: step(PENDULUM, reset(PENDULUM, 0), v), "tau", [0.5], "(1,)"),
+    "callable-policy-torque": (lambda v: execute_policy(IDENTITY, lambda x_now, x_next: v, LINEAR, reset(LINEAR, 0), 3),
+                               "controller torque", [0.5, 0.5], "(2,)"),
+    "forward-x_now": (lambda v: forward(NET, v, [0.0]), "x_now", [0.0], "(any,)"),
+    "gradient_check-x_next": (lambda v: gradient_check(NET, ([0.0], v, [0.0])), "x_next", [0.0], "(any,)"),
+    "gradient_check-tau": (lambda v: gradient_check(NET, ([0.0], [0.0], v)), "tau", [0.0], "(1,)"),
+    "solve_koopman-G": (lambda v: solve_koopman(EYE, v), "G", EYE, "(any, any)"),
+    "solve_koopman-A": (lambda v: solve_koopman(v, EYE), "A", EYE, "(2, 2)"),
+    "imitation_error-reference": (lambda v: imitation_error(v, [[0.0, 0.0]]), "reference", [[0.0, 0.0]],
+                                  "(any, any)"),
+    "imitation_error-demo": (lambda v: imitation_error([[0.0, 0.0]], v), "demo", [[0.0, 0.0]], "(1, 2)"),
+    "perfect_tracker-x_now": (lambda v: perfect_tracker(LINEAR)(v, [0.0, 0.0]), "x_now", [0.0, 0.0], "(2,)"),
+    "perfect_tracker-x_next": (lambda v: perfect_tracker(LINEAR)([0.0, 0.0], v), "x_next", [0.0, 0.0], "(2,)"),
+    "EnvState-internal": (lambda v: EnvState(reset(PENDULUM, 0).composite, v), "internal", [1.0], "(any,)"),
+}
+
+
+def _with_first(value, entry):
+    """value with its first entry, at any depth, replaced by entry."""
+    return [_with_first(value[0], entry), *value[1:]] if isinstance(value, list) else entry
+
+
+@pytest.mark.parametrize("fault", ["bool", "numeric-string", "wrong-shape"])
+@pytest.mark.parametrize("reader", READERS)
+def test_every_array_reader_refuses_what_the_array_rule_refuses(reader, fault):
+    call, name, good, shape = READERS[reader]
+    call(good)
+    first = name + "[0]" * np.ndim(good)
+    value, message = {
+        "bool": (_with_first(good, True), f"{first} must be a real number, got True"),
+        "numeric-string": (_with_first(good, "1"), f"{first} must be a real number, got '1'"),
+        "wrong-shape": ([good], f"{name} must have shape {shape}, got {(1, *np.shape(good))}"),
+    }[fault]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+def test_array_readers_keep_the_non_finite_entries_they_accepted():
+    raw = lift_matrix(LiftingSpec("identity", PENDULUM.layout), [[np.nan, np.inf, 0.0]])
+    assert np.isnan(raw[0, 0]) and raw[0, 1] == np.inf
+    assert np.isnan(imitation_error([[np.nan]], [[0.0]])) and imitation_error([[0.0]], [[np.inf]]) == np.inf
 
 
 # ------------------------------------------------------------------- layouts

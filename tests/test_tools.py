@@ -12,6 +12,7 @@ GROUPS = [
     "envs/specs",
     *(f"reset/{kind}/{distribution}" for kind in ("linear", "pendulum", "vanderpol", "pointmass-relocation")
       for distribution in ("in", "out")),
+    *(f"step/{kind}" for kind in ("linear", "pendulum", "vanderpol", "pointmass-relocation")),
     "supervision",
     *(f"train/{case}" for case in ("batch-64", "batch-divides-P", "batch-leaves-one-row", "full-batch",
                                    "batch-above-P")),

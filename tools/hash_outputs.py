@@ -12,6 +12,9 @@ lines mean bit-identical outputs.  Each line is `<group> <sha256>`:
   noise scale, and default_criterion's fields (or null), as canonical JSON;
 - reset/<kind>/<in|out>: x_r, x_o and internal of 20 public reset calls
   per env kind and distribution;
+- step/<kind>: public step from each in-distribution state of the reset
+  group under a seeded normal torque (x_r, x_o, internal and t of each
+  result);
 - supervision: its x_now, x_next, tau and weights on the pointmass demos;
 - train/<case>: weights, biases, input statistics and loss history of train
   on the pointmass demos, at batch 64, at a batch that divides the pair
@@ -78,6 +81,7 @@ from koopmanix.envs import (
     pendulum_env,
     pointmass_env,
     reset,
+    step,
     vanderpol_env,
 )
 
@@ -152,12 +156,22 @@ def _spec_groups():
     yield "envs/specs", hashlib.sha256(json.dumps(facts, sort_keys=True).encode()).hexdigest()
 
 
+def _state_arrays(state):
+    return [state.composite.x_r, state.composite.x_o, np.array(state.internal, dtype=np.float64)]
+
+
 def _reset_groups():
     for env in _envs():
         for distribution in ("in", "out"):
             states = [reset(env, seed, distribution) for seed in RESET_SEEDS]
-            arrays = ([s.composite.x_r, s.composite.x_o, np.array(s.internal, dtype=np.float64)] for s in states)
-            yield f"reset/{env.kind}/{distribution}", _digest(arr for group in arrays for arr in group)
+            yield f"reset/{env.kind}/{distribution}", _digest(arr for s in states for arr in _state_arrays(s))
+
+
+def _step_groups():
+    for env in _envs():
+        rng = np.random.default_rng(17)
+        states = [step(env, reset(env, seed, "in"), rng.normal(size=env.layout.a)) for seed in RESET_SEEDS]
+        yield f"step/{env.kind}", _digest(arr for s in states for arr in [*_state_arrays(s), np.array(s.t)])
 
 
 def _closed_loop_groups(prefix: str, model, controller, env, n: int, horizon: int):
@@ -274,6 +288,7 @@ def main(argv=None) -> int:
     for groups in (_demo_groups(args.demos, args.horizon),
                    _spec_groups(),
                    _reset_groups(),
+                   _step_groups(),
                    _model_groups(args.demos, args.horizon, args.iterations),
                    _cli_groups(args.demos, args.horizon, args.iterations)):
         for name, digest in groups:
