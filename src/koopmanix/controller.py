@@ -21,17 +21,25 @@ from .statespace import DemonstrationSet, StateLayout, _adopt, _array, _count, _
 
 STD_FLOOR = 1e-8  # clamp for per-dimension input std
 
-# rows per block of a loss pass, which bounds the pass's workspace.  For
-# train at pointmass 100 x 100, batch 256, 1,024 rows measured a traced peak
-# of 1.69 MB against 2.05 at 2,048 and 2.77 at 4,096, and a history pass
-# over the 9,900 pairs 0.3 ms slower than at 4,096 rows (2.14 against
-# 1.85 ms, medians of 30 alternated rounds on 2 cores)
-LOSS_BLOCK_ROWS = 1024
+# most rows per block of a loss pass, which bounds the pass's workspace: each
+# layer's output, the error and each bias tiled to the block.  At pointmass
+# 100 x 100, 512 rows measured a traced peak of 1.72 MB for train at batch 256
+# and 1.10 MB for loss, against 2.03 and 1.42 MB at 1,024 rows and 2.70 and
+# 2.09 MB at 2,048; a history pass over the 9,900 pairs took 1.09-1.15 ms
+# against 0.99-1.04 at 1,024 and 1.00-1.09 at 2,048 (medians of 300 passes,
+# interleaved in one process, 3 processes, on 2 cores)
+LOSS_BLOCK_ROWS = 512
 
-# the rectifier's 0-d zero: a Python float operand costs every ufunc call a
-# conversion, a tenth of a one-row layer
-_ZERO = np.zeros(())
-_ZERO.setflags(write=False)
+
+def _constant(value: float) -> np.ndarray:
+    """value as a read-only 0-d float64 array: a Python float operand costs
+    every ufunc call a conversion, a tenth of a one-row layer"""
+    arr = np.full((), value)
+    arr.setflags(write=False)
+    return arr
+
+
+_ZERO = _constant(0.0)  # the rectifier's threshold
 
 logger = logging.getLogger(__name__)
 
@@ -247,27 +255,35 @@ def _forward(layers, Z, out=None) -> np.ndarray:
 def _loss_pass(weights, biases, Z, tau, w):
     """A function that returns sum_k w_k |net(Z_k) - tau_k|^2 under the current weights.
 
-    The rows run through one forward-only workspace in blocks of
-    LOSS_BLOCK_ROWS, each block writing its rows' terms into one vector over
-    all rows, which is then summed in one contiguous reduction: the same
-    pairwise sum, to the bit, as a single pass over all rows.  A short last
-    block uses the workspace's leading rows.  Blocks are bound once here;
-    the weights and biases may be updated in place between calls.
+    The rows run through one forward-only workspace in near-equal blocks of
+    at most LOSS_BLOCK_ROWS and at least 2 rows, each block writing its
+    rows' terms into one vector over all rows, which is then summed in one
+    contiguous reduction: numpy's pairwise sum, the same to the bit as a
+    single pass over all rows.  That needs every block large enough that
+    BLAS rounds its rows as in a larger product: a lone row runs as gemv,
+    and at inner width 48 OpenBLAS takes another kernel for blocks under
+    ~50 rows, so no block is a short remainder.  A block one row shorter
+    uses the workspace's leading rows.  Each call first tiles every bias
+    into a buffer of the block's shape, so a block adds a same-shaped tile,
+    not a broadcast row; the sums are the same.  Blocks are bound once
+    here; the weights and biases may be updated in place between calls.
     """
     P = Z.shape[0]
-    bounds = list(range(0, P, LOSS_BLOCK_ROWS)) + [P]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        # numpy runs a one-row product as gemv, which rounds unlike the
-        # gemm of a larger block; the last row joins the block before it
-        del bounds[-2]
-    ws = _Workspace(weights, biases, max(np.diff(bounds)), backward=False)
+    count = max(min(-(-P // LOSS_BLOCK_ROWS), P // 2), 1)
+    bounds = [P * k // count for k in range(count + 1)]
+    rows = -(-P // count)
+    ws = _Workspace(weights, biases, rows, backward=False)
+    tiles = [np.empty((rows, b.shape[0])) for b in biases]
     terms = np.empty(P)
     blocks = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         part = ws.head(hi - lo)
-        blocks.append((part.layers, part.err, Z[lo:hi], tau[lo:hi], w[lo:hi], terms[lo:hi]))
+        layers = _bind(weights, [tile[: hi - lo] for tile in tiles], part.acts)
+        blocks.append((layers, part.err, Z[lo:hi], tau[lo:hi], w[lo:hi], terms[lo:hi]))
 
     def value() -> float:
+        for b, tile in zip(biases, tiles):
+            np.copyto(tile, b)
         for layers, err, Zb, taub, wb, row in blocks:
             np.subtract(_forward(layers, Zb), taub, out=err)
             np.multiply(err, err, out=err)
@@ -283,18 +299,26 @@ def _backprop(weights, Z, acts, tau, w, gWs, gbs, ws: _Workspace) -> None:
 
     `acts` are the layer outputs of `_forward` on Z with the same weights.
     A hidden unit passes gradient where its rectified output is positive,
-    which is where its pre-activation is.
+    which is where its pre-activation is.  A bias gradient sums its delta's
+    rows one after another where the layer is two or more wide, as
+    `delta.sum(axis=0)` does, through einsum, which is cheaper; numpy sums
+    a one-wide column pairwise, and einsum would not, so such a layer keeps
+    the reduction.  einsum's order is numpy's implementation, not its
+    contract; the trainer's bit pins hold it.
     """
     last = len(weights) - 1
     err = np.subtract(acts[last], tau, out=ws.err)
-    scale = np.multiply(w, 2.0, out=ws.row)
-    delta = np.multiply(scale[:, None], err, out=ws.deltas[last])
+    scale = np.add(w, w, out=ws.row)  # 2 w, exactly
+    delta = np.einsum("ij,i->ij", err, scale, out=ws.deltas[last])
     for l in range(last, -1, -1):
         np.matmul(delta.T, acts[l - 1] if l > 0 else Z, out=gWs[l])
-        np.add.reduce(delta, axis=0, out=gbs[l])
+        if delta.shape[1] > 1:
+            np.einsum("ij->j", delta, out=gbs[l])
+        else:
+            np.add.reduce(delta, axis=0, out=gbs[l])
         if l > 0:
             prev = np.matmul(delta, weights[l], out=ws.deltas[l - 1])
-            delta = np.multiply(prev, np.greater(acts[l - 1], 0.0, out=ws.masks[l - 1]), out=prev)
+            delta = np.multiply(prev, np.greater(acts[l - 1], _ZERO, out=ws.masks[l - 1]), out=prev)
 
 
 def _flat_views(sizes, theta):
@@ -399,8 +423,8 @@ def train(
     views into it, gradients land in a matching flat buffer, and Adam
     updates the vector in place.  Every buffer a pass writes is allocated
     once per call and reused by every iteration.  The history pass streams
-    the rows through one workspace of LOSS_BLOCK_ROWS rows, so past that
-    fixed block and the step workspace of min(batch, P) rows, `train` holds
+    the rows through one workspace of at most LOSS_BLOCK_ROWS rows, so past
+    that fixed block and the step workspace of min(batch, P) rows, `train` holds
     2n + a + 3 eight-byte words per pair: the standardized inputs, torques
     and weights, the per-row loss terms and the permutation.  The step
     workspace holds its rows' layer outputs, deltas and masks and their
@@ -422,12 +446,12 @@ def train(
     gWs, gbs = _flat_views(sizes, grad)
     shuffle_rng = np.random.default_rng([config.seed, 1])
 
-    lr = config.learning_rate
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
     s1 = np.empty_like(theta)
     s2 = np.empty_like(theta)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    beta1, beta2 = 0.9, 0.999
+    b1, b2, c1, c2, eps, lr = map(_constant, (beta1, beta2, 1 - beta1, 1 - beta2, 1e-8, config.learning_rate))
     step = 0
 
     def apply():
@@ -436,9 +460,9 @@ def train(
         # so every element rounds exactly as in those expressions
         nonlocal step
         step += 1
-        np.add(np.multiply(adam_m, beta1, out=adam_m), np.multiply(grad, 1 - beta1, out=s1), out=adam_m)
-        np.multiply(np.multiply(grad, 1 - beta2, out=s1), grad, out=s1)
-        np.add(np.multiply(adam_v, beta2, out=adam_v), s1, out=adam_v)
+        np.add(np.multiply(adam_m, b1, out=adam_m), np.multiply(grad, c1, out=s1), out=adam_m)
+        np.multiply(np.multiply(grad, c2, out=s1), grad, out=s1)
+        np.add(np.multiply(adam_v, b2, out=adam_v), s1, out=adam_v)
         np.divide(adam_m, 1 - beta1**step, out=s1)
         np.add(np.sqrt(np.divide(adam_v, 1 - beta2**step, out=s2), out=s2), eps, out=s2)
         np.subtract(theta, np.divide(np.multiply(s1, lr, out=s1), s2, out=s1), out=theta)
@@ -459,10 +483,10 @@ def train(
             idx = perm[lo : lo + B]
             ws = part if len(idx) == B else tail
             # mode="clip" skips the bounds-check buffer; perm is always in range
-            np.take(Z, idx, axis=0, out=ws.Z, mode="clip")
-            np.take(tau, idx, axis=0, out=ws.tau, mode="clip")
-            np.take(w, idx, out=ws.w, mode="clip")
-            ws.w /= ws.w.sum()
+            Z.take(idx, axis=0, out=ws.Z, mode="clip")
+            tau.take(idx, axis=0, out=ws.tau, mode="clip")
+            w.take(idx, out=ws.w, mode="clip")
+            ws.w /= np.add.reduce(ws.w)
             _forward(ws.layers, ws.Z)
             _backprop(weights, ws.Z, ws.acts, ws.tau, ws.w, gWs, gbs, ws)
             apply()

@@ -58,8 +58,10 @@ class SuccessResult:
 
 
 def imitation_error(reference: np.ndarray, demo: np.ndarray) -> float:
-    """Mean per-step L1 distance between two (T, n) robot trajectories; non-finite entries are allowed."""
+    """Mean per-step L1 distance between two (T, n) robot trajectories, T >= 1; non-finite entries are allowed."""
     ref = _array("reference", reference, (None, None), finite=False)
+    if len(ref) == 0:
+        raise ValueError(f"reference must have at least one step, got shape {ref.shape}")
     dem = _array("demo", demo, ref.shape, finite=False)
     return float(np.mean(np.sum(np.abs(ref - dem), axis=1)))
 

@@ -21,7 +21,7 @@ from koopmanix import (
 )
 from koopmanix import controller
 from koopmanix.controller import forward, init, loss
-from koopmanix.envs import default_expert, generate_demos, pointmass_env
+from koopmanix.envs import default_expert, generate_demos, linear_env_random, pendulum_env, pointmass_env
 
 LAYOUT_1D = StateLayout(n=1, m=0, a=1)
 
@@ -520,49 +520,59 @@ def _bits(arr):
     return np.ascontiguousarray(arr, dtype=np.float64).view(np.int64)
 
 
-@pytest.mark.parametrize("config", [
-    TrainConfig(learning_rate=1e-3, iterations=12, batch=50, seed=7),
-    TrainConfig(learning_rate=1e-3, iterations=12, batch=None, seed=7),
-    TrainConfig(learning_rate=1e-3, iterations=12, batch=174, seed=7),
-    TrainConfig(learning_rate=1e-3, iterations=12, batch=1, seed=7),
-    TrainConfig(learning_rate=1e-3, iterations=12, batch=58, seed=7),
-    TrainConfig(learning_rate=1e-3, iterations=12, batch=173, seed=7),
-], ids=["adam-minibatch", "adam-full", "adam-batch-is-P", "adam-batch-1", "adam-batch-divides-P",
-        "adam-one-row-last-batch"])
-def test_train_is_bit_identical_to_the_per_array_loop(config):
-    env = pointmass_env()
-    demos = generate_demos(env, default_expert(env), 6, 30, seed=42)
-    P = supervision(demos).count
-    assert P == 174 and P % 50 != 0
+def _pin_demos(kind="pointmass"):
+    """174 pairs (6 demos x 29) of one kind: a = 2 and inner width 16 for the
+    pointmass, a one-wide output layer for the pendulum, inner width 48 for
+    the linear dim-12 env."""
+    env = {"pointmass": pointmass_env, "pendulum": pendulum_env,
+           "linear-12": lambda: linear_env_random(12, seed=5)}[kind]()
+    return generate_demos(env, default_expert(env), 6, 30, seed=42)
+
+
+def _pin_cases(configs):
+    """Every config on every pin kind; the pointmass cases keep the config's bare id."""
+    return [pytest.param(kind, config, id=label if kind == "pointmass" else f"{kind}-{label}")
+            for kind in ("pointmass", "pendulum", "linear-12") for label, config in configs.items()]
+
+
+def _assert_bit_identical_to_the_reference(demos, config):
     model, history = train(demos, config)
     weights, biases, ref_history = _reference_train(demos, config)
     assert np.array_equal(_bits(history), _bits(ref_history))
     for got, want in zip(model.weights + model.biases, weights + biases):
         assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("kind, config", _pin_cases({
+    "adam-minibatch": TrainConfig(learning_rate=1e-3, iterations=12, batch=50, seed=7),
+    "adam-full": TrainConfig(learning_rate=1e-3, iterations=12, batch=None, seed=7),
+    "adam-batch-is-P": TrainConfig(learning_rate=1e-3, iterations=12, batch=174, seed=7),
+    "adam-batch-1": TrainConfig(learning_rate=1e-3, iterations=12, batch=1, seed=7),
+    "adam-batch-divides-P": TrainConfig(learning_rate=1e-3, iterations=12, batch=58, seed=7),
+    "adam-one-row-last-batch": TrainConfig(learning_rate=1e-3, iterations=12, batch=173, seed=7),
+}))
+def test_train_is_bit_identical_to_the_per_array_loop(kind, config):
+    demos = _pin_demos(kind)
+    P = supervision(demos).count
+    assert P == 174 and P % 50 != 0
+    _assert_bit_identical_to_the_reference(demos, config)
 
 
 
 # ---- the blocked loss pass ----
 
 
-def _pin_demos():
-    env = pointmass_env()
-    return generate_demos(env, default_expert(env), 6, 30, seed=42)
-
-
-@pytest.mark.parametrize("config", [
-    TrainConfig(learning_rate=1e-3, iterations=12, batch=50, seed=7),
-    TrainConfig(learning_rate=1e-3, iterations=12, batch=1, seed=7),
-], ids=["adam-minibatch", "adam-batch-1"])
-def test_blocked_history_is_bit_identical_to_the_per_array_loop(config, monkeypatch):
-    # P = 174 runs as blocks of 37 rows and a short last block of 26
-    monkeypatch.setattr(controller, "LOSS_BLOCK_ROWS", 37)
-    demos = _pin_demos()
-    model, history = train(demos, config)
-    weights, biases, ref_history = _reference_train(demos, config)
-    assert np.array_equal(_bits(history), _bits(ref_history))
-    for got, want in zip(model.weights + model.biases, weights + biases):
-        assert np.array_equal(_bits(got), _bits(want))
+@pytest.mark.parametrize("kind, config", _pin_cases({
+    "adam-minibatch": TrainConfig(learning_rate=1e-3, iterations=12, batch=50, seed=7),
+    "adam-batch-1": TrainConfig(learning_rate=1e-3, iterations=12, batch=1, seed=7),
+    "adam-full": TrainConfig(learning_rate=1e-3, iterations=12, batch=None, seed=7),
+}))
+def test_blocked_history_is_bit_identical_to_the_per_array_loop(kind, config, monkeypatch):
+    # P = 174 runs as five blocks of 34 or 35 rows.  At inner width 48 OpenBLAS
+    # rounds a block under ~50 rows unlike a larger product, so linear-12 runs
+    # as two blocks of 87, where a block of 130 and a last block of 44 break it
+    monkeypatch.setattr(controller, "LOSS_BLOCK_ROWS", 130 if kind == "linear-12" else 37)
+    _assert_bit_identical_to_the_reference(_pin_demos(kind), config)
 
 
 def test_blocked_history_starts_at_the_initial_loss(monkeypatch):
@@ -631,7 +641,7 @@ def test_train_memory_is_bounded_per_pair_plus_one_block():
     n, a = env.layout.n, env.layout.a
     P = supervision(demos).count
     per_pair = 8 * (2 * n + a + 3)  # inputs, torques, weights, loss terms, permutation
-    per_block_row = 8 * (10 * n + 2 * a)  # every layer's output and the error
+    per_block_row = 8 * (20 * n + 3 * a)  # every layer's output, the error and each bias tile
     bound = per_pair * P + per_block_row * controller.LOSS_BLOCK_ROWS + 2**20  # + the step workspace, temporaries
     tracemalloc.start()
     try:

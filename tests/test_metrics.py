@@ -48,6 +48,11 @@ def test_imitation_error_rejects_shape_mismatch():
         imitation_error(np.zeros(3), np.zeros(3))
 
 
+def test_imitation_error_refuses_an_empty_reference():
+    with pytest.raises(ValueError, match=r"^reference must have at least one step, got shape \(0, 2\)$"):
+        imitation_error(np.zeros((0, 2)), np.zeros((0, 2)))
+
+
 def test_imitation_error_triangle_inequality():
     rng = np.random.default_rng(7)
     for _ in range(50):

@@ -16,6 +16,8 @@ GROUPS = [
     "supervision",
     *(f"train/{case}" for case in ("batch-64", "batch-divides-P", "batch-leaves-one-row", "full-batch",
                                    "batch-above-P")),
+    "train/pendulum/batch-64",
+    "train/pendulum/full-batch",
     "closed-loop/lockstep",
     "closed-loop/single",
     "closed-loop/linear/lockstep",

@@ -21,6 +21,8 @@ lines mean bit-identical outputs.  Each line is `<group> <sha256>`:
   count, at one that leaves a one-row last minibatch, at full batch and at
   twice the pair count.  A full batch is one minibatch of all pairs, so the
   last two print the same digest;
+- train/pendulum/<batch-64|full-batch>: the same outputs of train on
+  pendulum demos of the same sizes, whose output layer is one wide;
 - closed-loop/<lockstep|single>: the trained controller tracking the kodex
   model of those demos, as one lockstep batch (the CLI's `_run_batch`) and
   one episode at a time;
@@ -182,6 +184,12 @@ def _closed_loop_groups(prefix: str, model, controller, env, n: int, horizon: in
     yield f"{prefix}/single", _digest(_trajectory_arrays(singles))
 
 
+def _trained(demos, batch, iterations: int):
+    """train on demos at batch; the model and the digest of its weights, biases, input statistics and history."""
+    model, history = train(demos, TrainConfig(learning_rate=1e-3, iterations=iterations, batch=batch, seed=7))
+    return model, _digest([*model.weights, *model.biases, model.input_mean, model.input_std, history])
+
+
 def _model_groups(n: int, horizon: int, iterations: int):
     env = pointmass_env()
     demos = generate_demos(env, default_expert(env), n, horizon, seed=42)
@@ -192,9 +200,12 @@ def _model_groups(n: int, horizon: int, iterations: int):
                "full-batch": None, "batch-above-P": 2 * P}
     models = {}
     for label, batch in batches.items():
-        model, history = train(demos, TrainConfig(learning_rate=1e-3, iterations=iterations, batch=batch, seed=7))
-        models[label] = model
-        yield f"train/{label}", _digest([*model.weights, *model.biases, model.input_mean, model.input_std, history])
+        models[label], digest = _trained(demos, batch, iterations)
+        yield f"train/{label}", digest
+    pendulum = pendulum_env()
+    pendulum_demos = generate_demos(pendulum, default_expert(pendulum), n, horizon, seed=42)
+    for label, batch in (("batch-64", 64), ("full-batch", None)):
+        yield f"train/pendulum/{label}", _trained(pendulum_demos, batch, iterations)[1]
     controller = models["batch-64"]
     kodex = fit(demos, LiftingSpec("kodex-polynomial", env.layout))
     yield from _closed_loop_groups("closed-loop", kodex, controller, env, n, horizon)
