@@ -38,7 +38,7 @@ from .envs import (
 from .koopman import _check_layout, _rollout, _tolerance, fit
 from .lifting import LiftingSpec
 from .metrics import evaluate_success, imitation_error, outcome_summary
-from .statespace import DemonstrationSet, _count, _keys, _object
+from .statespace import DemonstrationSet, _count, _items, _keys, _object
 from .persist import (
     PersistError,
     _write,
@@ -65,15 +65,6 @@ def _lifting(name: str, value) -> None:
         raise ValueError(f'{name} must be "identity" or "kodex", got {value!r}')
 
 
-def _demo_counts(name: str, value) -> None:
-    if not isinstance(value, list):
-        raise ValueError(f"{name} must be a list, got {value!r}")
-    if not value:
-        raise ValueError(f"{name} must be a non-empty list, got []")
-    for i, count in enumerate(value):
-        _count(f"{name}[{i}]", count, 1)
-
-
 # config key -> (default, check); check(name, value) raises a ValueError
 # naming name, the key or its flag, if value is bad.  A flag named like the
 # key's last part overrides it, so --seed sets both seed and train.seed.
@@ -86,7 +77,8 @@ SETTINGS = {
     "seed": (0, partial(_count, low=0)),
     "lifting": ("kodex", _lifting),
     "pinv_tol": (None, lambda name, value: value is None or _tolerance(name, value)),
-    "demo_counts": ((10, 25, 50, 100, 150, 200), _demo_counts),
+    "demo_counts": ((10, 25, 50, 100, 150, 200),
+                    lambda name, value: [_count(f"{name}[{i}]", n, 1) for i, n in enumerate(_items(name, value, 1))]),
     "train.learning_rate": (TrainConfig.learning_rate, TRAIN_RULES["learning_rate"]),
     "train.iterations": (TrainConfig.iterations, TRAIN_RULES["iterations"]),
     "train.batch": (TrainConfig.batch, lambda name, value: value == "full" or TRAIN_RULES["batch"](name, value)),

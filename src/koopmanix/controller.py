@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .statespace import DemonstrationSet, StateLayout, _adopt, _array, _count, _real, require_valid
+from .statespace import DemonstrationSet, StateLayout, _adopt, _array, _count, _items, _real, require_valid
 
 STD_FLOOR = 1e-8  # clamp for per-dimension input std
 
@@ -60,16 +60,12 @@ class ControllerModel:
     input_std: np.ndarray
 
     def __post_init__(self):
-        for name in ("layer_sizes", "weights", "biases"):
-            if not isinstance(getattr(self, name), (list, tuple)):
-                raise ValueError(f"{name} must be a list or tuple, got {getattr(self, name)!r}")
-        sizes = tuple(_count(f"layer_sizes[{i}]", s, 1) for i, s in enumerate(self.layer_sizes))
-        if len(sizes) < 2:
-            raise ValueError(f"layer_sizes must be >= 2 positive entries, got {sizes}")
-        if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
+        sizes = tuple(_count(f"layer_sizes[{i}]", s, 1) for i, s in enumerate(_items("layer_sizes", self.layer_sizes, 2)))
+        weights, biases = _items("weights", self.weights), _items("biases", self.biases)
+        if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
             raise ValueError("need one weight matrix and one bias per layer transition")
-        weights = tuple(_array(f"weights[{l}]", W, (sizes[l + 1], sizes[l])) for l, W in enumerate(self.weights))
-        biases = tuple(_array(f"biases[{l}]", b, (sizes[l + 1],)) for l, b in enumerate(self.biases))
+        weights = tuple(_array(f"weights[{l}]", W, (sizes[l + 1], sizes[l])) for l, W in enumerate(weights))
+        biases = tuple(_array(f"biases[{l}]", b, (sizes[l + 1],)) for l, b in enumerate(biases))
         mean = _array("input_mean", self.input_mean, (sizes[0],))
         std = _array("input_std", self.input_std, (sizes[0],))
         if not (std > 0).all():

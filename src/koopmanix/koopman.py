@@ -201,7 +201,13 @@ def _rollout(model: KoopmanModel, x_r: np.ndarray, x_o: np.ndarray, horizon: int
     horizon = _count("horizon", horizon, 1)
     spec, K_T = model.spec, model.K.T
     rs = robot_slice(spec)
-    g = lift_matrix(spec, np.concatenate([x_r, x_o], axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = lift_matrix(spec, np.concatenate([x_r, x_o], axis=1))
+    start = np.isfinite(g).all(axis=1)
+    if not start.all():
+        # named apart from K's growth: no step of K made it
+        row = f", row {int(np.argmin(start))}" if len(start) > 1 else ""
+        raise ValueError(f"non-finite lifted start state{row}")
     G = np.empty((horizon, g.shape[0], 1, g.shape[1]))
     G[0, :, 0] = g
     steps = list(G)

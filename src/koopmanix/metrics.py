@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statespace import Trajectory, _array, _count, _real
+from .statespace import Trajectory, _array, _count, _items, _real
 
 CRITERION_KINDS = ("terminal-distance", "cumulative-proximity")
 
@@ -35,11 +35,7 @@ class SuccessCriterion:
         if self.kind not in CRITERION_KINDS:
             raise ValueError(f"unknown criterion kind {self.kind!r}")
         object.__setattr__(self, "threshold", _real("threshold", self.threshold, 0, strict=True))
-        if not isinstance(self.extractor, (tuple, list)):
-            raise ValueError(f"extractor must be a tuple or list of object dims, got {self.extractor!r}")
-        if len(self.extractor) < 1:
-            raise ValueError("extractor needs at least one object dim")
-        dims = tuple(_count(f"extractor[{i}]", d, 0) for i, d in enumerate(self.extractor))
+        dims = tuple(_count(f"extractor[{i}]", d, 0) for i, d in enumerate(_items("extractor", self.extractor, 1)))
         object.__setattr__(self, "extractor", dims)
         object.__setattr__(self, "count_threshold", _count("count_threshold", self.count_threshold, 0))
 
@@ -67,6 +63,8 @@ def imitation_error(reference: np.ndarray, demo: np.ndarray) -> float:
 
 
 def _extracted(traj: Trajectory, criterion: SuccessCriterion) -> np.ndarray:
+    if traj.horizon == 0:
+        raise ValueError("trajectory must have at least one state, got 0")
     m = traj.x_o.shape[1]
     for d in criterion.extractor:
         if d >= m:

@@ -19,7 +19,7 @@ import numpy as np
 from .controller import ControllerModel
 from .koopman import FitMeta, KoopmanModel
 from .lifting import KINDS, LiftingSpec
-from .statespace import DemonstrationSet, StateLayout, Trajectory, _count, _keys, _real, require_valid
+from .statespace import DemonstrationSet, StateLayout, Trajectory, _count, _items, _keys, _real, require_valid
 
 SCHEMA_VERSION = 1
 
@@ -270,9 +270,10 @@ def load_demos(manifest_path) -> DemonstrationSet:
     path = Path(manifest_path)
     obj = load_manifest(path)
     layout = _layout_from_dict(obj["layout"], path)
-    names = obj["trajectories"]
-    if not isinstance(names, list) or not names:
-        raise PersistError(f"{path}: manifest lists no trajectories")
+    try:
+        names = _items("trajectories", obj["trajectories"], 1)
+    except ValueError as exc:
+        raise PersistError(f"{path}: {exc}") from None
     for i, name in enumerate(names):  # checked before any CSV is read, so no entry leads out of the directory
         if not (isinstance(name, str) and name not in ("", "..") and Path(name).name == name):
             raise PersistError(f"{path}: trajectories[{i}] must be a file name in the manifest's directory, "

@@ -84,6 +84,24 @@ def _keys(label: str, block, names, optional=()) -> Mapping:
     return block
 
 
+def _items(label: str, value, low: int = 0, of: type | None = None) -> tuple:
+    """value as a tuple if it is a list or tuple of at least low entries, each an instance of of if given.
+
+    The one rule of every sequence from a caller or a file; anything else,
+    a str, an array or a generator included, is a ValueError naming label,
+    else its entry count, else its first entry of another type.
+    """
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{label} must be a list or tuple, got {value!r}")
+    if len(value) < low:
+        raise ValueError(f"{label} must hold at least {low} {'entry' if low == 1 else 'entries'}, got {len(value)}")
+    if of is not None:
+        for i, item in enumerate(value):
+            if not isinstance(item, of):
+                raise ValueError(f"{label}[{i}] must be a {of.__name__}, got {item!r}")
+    return tuple(value)
+
+
 def _check_shape(name: str, shape: tuple, got: tuple) -> None:
     """Raise unless got has the axes of shape, where an axis of None takes any length."""
     if len(got) != len(shape) or any(want not in (None, n) for want, n in zip(shape, got)):
@@ -180,9 +198,7 @@ class StateLayout:
         for name in ("robot_names", "object_names"):
             names = getattr(self, name)
             if names is not None:
-                if not (isinstance(names, (tuple, list)) and all(isinstance(v, str) for v in names)):
-                    raise ValueError(f"{name} must be None or a tuple or list of strings, got {names!r}")
-                object.__setattr__(self, name, tuple(names) or None)  # hashable, and equal to a loaded copy
+                object.__setattr__(self, name, _items(name, names, of=str) or None)  # hashable, equal to a loaded copy
         if self.robot_names is not None and len(self.robot_names) != self.n:
             raise ValueError("robot_names length does not match n")
         if self.object_names is not None and len(self.object_names) != self.m:
@@ -242,9 +258,7 @@ class Trajectory:
     torques: np.ndarray | None = None
 
     def __init__(self, states, torques=None):
-        states = tuple(states)
-        if not all(isinstance(s, CompositeState) for s in states):
-            raise ValueError("states must contain CompositeState entries")
+        states = _items("states", states, 1, CompositeState)
         self._freeze([s.x_r for s in states], [s.x_o for s in states], torques)
 
     @classmethod
@@ -282,10 +296,9 @@ class DemonstrationSet:
     trajectories: tuple[Trajectory, ...]
 
     def __post_init__(self):
-        trajs = tuple(self.trajectories)
-        if len(trajs) < 1:
-            raise ValueError("a demonstration set needs at least one trajectory")
-        object.__setattr__(self, "trajectories", trajs)
+        if not isinstance(self.layout, StateLayout):
+            raise ValueError(f"layout must be a StateLayout, got {self.layout!r}")
+        object.__setattr__(self, "trajectories", _items("trajectories", self.trajectories, 1, Trajectory))
 
     @property
     def n_demos(self) -> int:

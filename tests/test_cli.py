@@ -186,7 +186,7 @@ def test_non_string_manifest_entry_is_a_persist_error(tmp_path, capsys):
     ("gen-demos", {"env": []}, "env must be an object, got []"),
     ("gen-demos", {"env": {"kind": "pendulum", "overrides": [1]}}, "env.overrides must be an object, got [1]"),
     ("train-controller", {"train": []}, "train must be an object, got []"),
-    ("eval", {"demo_counts": 5}, "demo_counts must be a list, got 5"),
+    ("eval", {"demo_counts": 5}, "demo_counts must be a list or tuple, got 5"),
     ("eval", {"demo_counts": [[3]]}, "demo_counts[0] must be an integer, got [3]"),
     ("eval", {"demo_counts": [2, True]}, "demo_counts[1] must be an integer, got True"),
     ("eval", {"demo_counts": [0]}, "demo_counts[0] must be >= 1, got 0"),
@@ -209,7 +209,7 @@ def test_non_string_manifest_entry_is_a_persist_error(tmp_path, capsys):
     ("fit", {"pinv_tol": float("nan")}, "pinv_tol must be finite, got nan"),
     ("fit", {"pinv_tol": -1e-9}, "pinv_tol must be >= 0, got -1e-09"),
     ("train-controller", {"train": {"seed": -1}}, "train.seed must be >= 0, got -1"),
-    ("eval", {"demo_counts": []}, "demo_counts must be a non-empty list, got []"),
+    ("eval", {"demo_counts": []}, "demo_counts must hold at least 1 entry, got 0"),
     ("train-controller", {"train": {"iterations": 0}}, "train.iterations must be >= 1, got 0"),
     ("train-controller", {"train": {"learning_rate": -1}}, "train.learning_rate must be > 0, got -1.0"),
     ("train-controller", {"train": {"batch": 0}}, "train.batch must be >= 1, got 0"),

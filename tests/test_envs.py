@@ -1055,6 +1055,25 @@ def test_network_torque_overflow_is_named_after_the_loop_without_warnings():
     assert np.isfinite(calm.torques).all()
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_lifted_start_is_named_by_row():
+    spec = pendulum_env()
+    model = fit(generate_demos(spec, default_expert(spec), 5, 20, seed=0), LiftingSpec("kodex-polynomial", spec.layout))
+    net = controller_init(spec.layout, 0)
+
+    def start(seed, theta):
+        state = reset(spec, seed=seed)
+        return replace(state, composite=CompositeState([theta, 0.0], state.composite.x_o))
+
+    # 1e110 is finite, but its cube in the kodex lift overflows
+    starts = [start(0, 0.5), start(1, 1e110), start(2, np.nan)]
+    with pytest.raises(ValueError, match=r"^non-finite lifted start state, row 1$"):
+        _closed_loop(model, net, spec, _start_rows(spec, starts), 10)
+    for bad in starts[1:]:
+        with pytest.raises(ValueError, match=r"^non-finite lifted start state$"):
+            execute_policy(model, net, spec, bad, 10)
+
+
 def test_non_finite_torque_names_step_and_row():
     spec = linear_env_random(2, seed=0)
     model = fit(generate_demos(spec, default_expert(spec), 5, 10, seed=0), LiftingSpec("identity", spec.layout))

@@ -425,6 +425,15 @@ def test_overflow_raises_without_a_floating_point_warning():
         rollout(model, CompositeState([1.0], []), 400)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("start", [np.nan, 1e110], ids=["nan", "lift-overflow"])
+def test_a_non_finite_lifted_start_is_named_not_blamed_on_k(start):
+    layout = StateLayout(n=1, m=0, a=1)
+    model = KoopmanModel(1.5 * np.eye(3), LiftingSpec("kodex-polynomial", layout), layout)
+    with pytest.raises(ValueError, match=r"^non-finite lifted start state$"):
+        rollout(model, CompositeState([start], []), 10)
+
+
 def test_rollout_overflow_quotes_the_spectral_radius():
     layout = StateLayout(n=2, m=0, a=1)
     model = KoopmanModel(2.0 * np.eye(2), LiftingSpec("identity", layout), layout)

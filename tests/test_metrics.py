@@ -13,6 +13,7 @@ from koopmanix import (
     imitation_error,
     success_rate,
 )
+from koopmanix.envs import default_criterion, pointmass_env
 from koopmanix.metrics import outcome_summary
 
 
@@ -51,6 +52,14 @@ def test_imitation_error_rejects_shape_mismatch():
 def test_imitation_error_refuses_an_empty_reference():
     with pytest.raises(ValueError, match=r"^reference must have at least one step, got shape \(0, 2\)$"):
         imitation_error(np.zeros((0, 2)), np.zeros((0, 2)))
+
+
+def test_success_refuses_an_empty_trajectory():
+    spec = pointmass_env()
+    empty = Trajectory.from_arrays(np.zeros((0, spec.layout.n)), np.zeros((0, spec.layout.m)))
+    for check in (evaluate_success, lambda traj, crit: success_rate([traj], crit)):
+        with pytest.raises(ValueError, match=r"^trajectory must have at least one state, got 0$"):
+            check(empty, default_criterion(spec))
 
 
 def test_imitation_error_triangle_inequality():
@@ -120,7 +129,7 @@ def test_criterion_validation():
     ({"threshold": 0.1, "count_threshold": True}, "count_threshold must be an integer, got True"),
     ({"threshold": 0.1, "extractor": (0.5,)}, "extractor[0] must be an integer, got 0.5"),
     ({"threshold": 0.1, "extractor": (0, True)}, "extractor[1] must be an integer, got True"),
-    ({"threshold": 0.1, "extractor": 0}, "extractor must be a tuple or list of object dims, got 0"),
+    ({"threshold": 0.1, "extractor": 0}, "extractor must be a list or tuple, got 0"),
     ({"threshold": True}, "threshold must be a real number, got True"),
     ({"threshold": 0.1, "extractor": (0, -1)}, "extractor[1] must be >= 0, got -1"),
     # the comparisons are strict, so no distance is below a threshold of 0 or less

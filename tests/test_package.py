@@ -79,3 +79,15 @@ def test_array_reads_go_through_statespace():
     found = [path.stem for path in sorted(source.glob("*.py"))
              if path.name != "statespace.py" and "asarray" in path.read_text(encoding="utf-8")]
     assert found == []
+
+
+# Every list or tuple from a caller or a file is read through
+# statespace._items, so no module but statespace may word a sequence error.
+SEQUENCE_WORDS = ("list or tuple", "tuple or list")
+
+
+def test_sequence_checks_go_through_statespace():
+    source = Path(koopmanix.__file__).parent
+    found = [f"{path.stem}: {word}" for path in sorted(source.glob("*.py")) if path.name != "statespace.py"
+             for word in SEQUENCE_WORDS if word in path.read_text(encoding="utf-8")]
+    assert found == []

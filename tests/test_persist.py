@@ -701,15 +701,18 @@ def test_model_integer_fields_are_not_truncated(tmp_path, mutate, message):
 
 
 # tuple() would split the string "x" into its letters and accept names that are not strings
-@pytest.mark.parametrize("key, value, shown", [("robot_names", "x", "'x'"), ("robot_names", [1], "[1]"),
-                                               ("object_names", "", "''")])
-def test_layout_names_must_be_a_list_of_strings(tmp_path, key, value, shown):
+@pytest.mark.parametrize("key, value, message", [
+    ("robot_names", "x", "robot_names must be a list or tuple, got 'x'"),
+    ("robot_names", [1], "robot_names[0] must be a str, got 1"),
+    ("object_names", "", "object_names must be a list or tuple, got ''"),
+])
+def test_layout_names_must_be_a_list_of_strings(tmp_path, key, value, message):
     path = tmp_path / "model.json"
     path.write_text((FIXTURES / "model.json").read_text())
     _rewrite(path, lambda obj: obj["layout"].update({key: value}))
     with pytest.raises(PersistError) as exc:
         load_model(path)
-    assert str(exc.value) == f"{path}: bad layout block: {key} must be None or a tuple or list of strings, got {shown}"
+    assert str(exc.value) == f"{path}: bad layout block: {message}"
 
 
 def test_empty_layout_names_load_as_none(tmp_path):

@@ -1,5 +1,6 @@
 """Composite states, columnar trajectories, validation, the pairs a fit sees, and the array rule's readers."""
 
+import json
 import re
 from types import MappingProxyType
 
@@ -8,11 +9,13 @@ import pytest
 
 from koopmanix import (
     CompositeState,
+    ControllerModel,
     DemonstrationSet,
     EnvState,
     KoopmanModel,
     LiftingSpec,
     StateLayout,
+    SuccessCriterion,
     Trajectory,
     cost,
     execute_policy,
@@ -28,7 +31,8 @@ from koopmanix.controller import forward, init as controller_init
 from koopmanix.envs import (default_expert, generate_demos, linear_env, pendulum_env, perfect_tracker, pointmass_env,
                             reset, step)
 from koopmanix.koopman import solve_koopman
-from koopmanix.statespace import _array, _keys
+from koopmanix.cli import _load_config
+from koopmanix.statespace import _array, _items, _keys
 
 
 def _traj(layout, T, fill=0.0, torques=True, rng=None):
@@ -61,6 +65,104 @@ def test_keys_rule_returns_the_block_or_names_the_key():
         _keys("block", {"a": 1}, ())
     proxy = MappingProxyType(block)
     assert _keys("block", proxy, ("a",), ("b", "c")) is proxy
+
+
+# ------------------------------------------------------------------- sequences
+
+def test_items_rule_returns_a_tuple_or_names_the_fault():
+    assert _items("block", ["a", "b"], 2, str) == ("a", "b")
+    assert _items("block", ()) == ()
+    for given, message in (("ab", "block must be a list or tuple, got 'ab'"),
+                           (b"ab", "block must be a list or tuple, got b'ab'"),
+                           (np.zeros(2), "block must be a list or tuple, got array([0., 0.])"),
+                           (None, "block must be a list or tuple, got None"),
+                           (("a",), "block must hold at least 2 entries, got 1"),
+                           (("a", 2), "block[1] must be a str, got 2")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _items("block", given, 2, str)
+    with pytest.raises(ValueError, match="^block must be a list or tuple, got <generator object"):
+        _items("block", (n for n in (1, 2)))
+    with pytest.raises(ValueError, match="^block must hold at least 1 entry, got 0$"):
+        _items("block", [], 1)
+
+
+def _controller(**fields):
+    return ControllerModel(**{"layer_sizes": (2, 1), "weights": (np.zeros((1, 2)),), "biases": (np.zeros(1),),
+                              "input_mean": np.zeros(2), "input_std": np.ones(2)} | fields)
+
+
+def _manifest(tmp_path, names):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"schema": 1, "layout": {"n": 1, "m": 0, "a": 1}, "trajectories": names}))
+    return load_demos(path)
+
+
+def _config(tmp_path, counts):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"demo_counts": counts}))
+    return _load_config(path)
+
+
+_LAYOUT = StateLayout(n=1, m=0, a=1)
+_STATE = CompositeState([0.0], [])
+
+# owner -> build(tmp_path, value), which hands value to the owner's sequence field
+SEQUENCE_OWNERS = {
+    "layer_sizes": lambda tmp_path, value: _controller(layer_sizes=value),
+    "weights": lambda tmp_path, value: _controller(weights=value),
+    "biases": lambda tmp_path, value: _controller(biases=value),
+    "extractor": lambda tmp_path, value: SuccessCriterion("terminal-distance", 0.1, extractor=value),
+    "robot_names": lambda tmp_path, value: StateLayout(n=2, m=0, a=1, robot_names=value),
+    "object_names": lambda tmp_path, value: StateLayout(n=1, m=1, a=1, object_names=value),
+    "states": lambda tmp_path, value: Trajectory(value),
+    "layout": lambda tmp_path, value: DemonstrationSet(value, (Trajectory((_STATE, _STATE)),)),
+    "trajectories": lambda tmp_path, value: DemonstrationSet(_LAYOUT, value),
+    "demo_counts": _config,
+    "manifest": _manifest,
+}
+
+
+# Each owner is sent a non-list, a too-short list and an entry of the wrong
+# type; the CLI and persist put only the config file or the manifest in front.
+@pytest.mark.parametrize("owner, value, message", [
+    ("layer_sizes", 5, "layer_sizes must be a list or tuple, got 5"),
+    ("layer_sizes", (2,), "layer_sizes must hold at least 2 entries, got 1"),
+    ("layer_sizes", (2, "1"), "layer_sizes[1] must be an integer, got '1'"),
+    ("weights", np.zeros((1, 1, 2)), "weights must be a list or tuple, got array([[[0., 0.]]])"),
+    ("weights", (), "need one weight matrix and one bias per layer transition"),
+    ("weights", ("w",), "weights[0] must have shape (1, 2), got ()"),
+    ("biases", None, "biases must be a list or tuple, got None"),
+    ("biases", (), "need one weight matrix and one bias per layer transition"),
+    ("biases", ([True],), "biases[0][0] must be a real number, got True"),
+    ("extractor", 0, "extractor must be a list or tuple, got 0"),
+    ("extractor", [], "extractor must hold at least 1 entry, got 0"),
+    ("extractor", (0, "1"), "extractor[1] must be an integer, got '1'"),
+    ("robot_names", "xy", "robot_names must be a list or tuple, got 'xy'"),
+    ("robot_names", ("x",), "robot_names length does not match n"),
+    ("robot_names", ["x", 1], "robot_names[1] must be a str, got 1"),
+    ("object_names", b"o", "object_names must be a list or tuple, got b'o'"),
+    ("object_names", ("o", "p"), "object_names length does not match m"),
+    ("object_names", [None], "object_names[0] must be a str, got None"),
+    ("states", "ab", "states must be a list or tuple, got 'ab'"),
+    ("states", (), "states must hold at least 1 entry, got 0"),
+    ("states", (_STATE, [1.0]), "states[1] must be a CompositeState, got [1.0]"),
+    ("layout", None, "layout must be a StateLayout, got None"),
+    ("layout", (1, 0, 1), "layout must be a StateLayout, got (1, 0, 1)"),
+    ("trajectories", 5, "trajectories must be a list or tuple, got 5"),
+    ("trajectories", (), "trajectories must hold at least 1 entry, got 0"),
+    ("trajectories", [1, 2], "trajectories[0] must be a Trajectory, got 1"),
+    ("demo_counts", "10,25", "config {tmp_path}/config.json: demo_counts must be a list or tuple, got '10,25'"),
+    ("demo_counts", [], "config {tmp_path}/config.json: demo_counts must hold at least 1 entry, got 0"),
+    ("demo_counts", [10, "25"], "config {tmp_path}/config.json: demo_counts[1] must be an integer, got '25'"),
+    ("manifest", {"t": "t.csv"}, "{tmp_path}/manifest.json: trajectories must be a list or tuple, got {{'t': 't.csv'}}"),
+    ("manifest", [], "{tmp_path}/manifest.json: trajectories must hold at least 1 entry, got 0"),
+    ("manifest", ["t.csv", 5],
+     "{tmp_path}/manifest.json: trajectories[1] must be a file name in the manifest's directory, got 5"),
+])
+def test_every_sequence_owner_words_the_sequence_rule(tmp_path, owner, value, message):
+    with pytest.raises(ValueError) as exc:
+        SEQUENCE_OWNERS[owner](tmp_path, value)
+    assert str(exc.value) == message.format(tmp_path=tmp_path)
 
 
 def test_array_rule_returns_a_read_only_copy_or_names_the_fault():
@@ -198,9 +300,9 @@ def test_empty_layout_names_read_as_none(tmp_path):
 
 
 @pytest.mark.parametrize("names, message", [
-    ({"robot_names": "ab"}, "robot_names must be None or a tuple or list of strings, got 'ab'"),
-    ({"robot_names": ("x", 1)}, "robot_names must be None or a tuple or list of strings, got ('x', 1)"),
-    ({"object_names": b"b"}, "object_names must be None or a tuple or list of strings, got b'b'"),
+    ({"robot_names": "ab"}, "robot_names must be a list or tuple, got 'ab'"),
+    ({"robot_names": ("x", 1)}, "robot_names[1] must be a str, got 1"),
+    ({"object_names": b"b"}, "object_names must be a list or tuple, got b'b'"),
 ], ids=["string", "non-string-name", "bytes"])
 def test_layout_names_must_be_strings(names, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
