@@ -14,10 +14,9 @@ GROUPS = [
       for distribution in ("in", "out")),
     *(f"step/{kind}" for kind in ("linear", "pendulum", "vanderpol", "pointmass-relocation")),
     "supervision",
-    *(f"train/{case}" for case in ("batch-64", "batch-divides-P", "batch-leaves-one-row", "full-batch",
-                                   "batch-above-P")),
-    "train/pendulum/batch-64",
-    "train/pendulum/full-batch",
+    *(f"train/{case}/{part}" for case in ("batch-64", "batch-divides-P", "batch-leaves-one-row", "full-batch",
+                                          "batch-above-P", "pendulum/batch-64", "pendulum/full-batch")
+      for part in ("model", "history")),
     "closed-loop/lockstep",
     "closed-loop/single",
     "closed-loop/linear/lockstep",
@@ -44,6 +43,7 @@ def test_hash_outputs_prints_one_repeatable_digest_per_group(capsys):
     assert [name for name, _ in lines] == GROUPS
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in lines)
     digests = dict(lines)
-    assert digests["train/batch-above-P"] == digests["train/full-batch"]  # a full batch is one minibatch of all pairs
+    for part in ("model", "history"):  # a full batch is one minibatch of all pairs
+        assert digests[f"train/batch-above-P/{part}"] == digests[f"train/full-batch/{part}"]
     # every kind's plant steps each row as its own product, so a batch equals its single episodes
     assert digests["closed-loop/linear/lockstep"] == digests["closed-loop/linear/single"]

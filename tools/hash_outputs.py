@@ -16,13 +16,14 @@ lines mean bit-identical outputs.  Each line is `<group> <sha256>`:
   group under a seeded normal torque (x_r, x_o, internal and t of each
   result);
 - supervision: its x_now, x_next, tau and weights on the pointmass demos;
-- train/<case>: weights, biases, input statistics and loss history of train
-  on the pointmass demos, at batch 64, at a batch that divides the pair
-  count, at one that leaves a one-row last minibatch, at full batch and at
-  twice the pair count.  A full batch is one minibatch of all pairs, so the
-  last two print the same digest;
-- train/pendulum/<batch-64|full-batch>: the same outputs of train on
-  pendulum demos of the same sizes, whose output layer is one wide;
+- train/<case>/<model|history>: train on the pointmass demos, at batch 64,
+  at a batch that divides the pair count, at one that leaves a one-row last
+  minibatch, at full batch and at twice the pair count; model digests the
+  weights, biases and input statistics, history the loss history.  A full
+  batch is one minibatch of all pairs, so the last two cases print the same
+  digests;
+- train/pendulum/<batch-64|full-batch>/<model|history>: the same outputs of
+  train on pendulum demos of the same sizes, whose output layer is one wide;
 - closed-loop/<lockstep|single>: the trained controller tracking the kodex
   model of those demos, as one lockstep batch (the CLI's `_run_batch`) and
   one episode at a time;
@@ -184,10 +185,12 @@ def _closed_loop_groups(prefix: str, model, controller, env, n: int, horizon: in
     yield f"{prefix}/single", _digest(_trajectory_arrays(singles))
 
 
-def _trained(demos, batch, iterations: int):
-    """train on demos at batch; the model and the digest of its weights, biases, input statistics and history."""
+def _trained(prefix: str, demos, batch, iterations: int):
+    """train on demos at batch; the model, and the `<prefix>/model` and `<prefix>/history` groups."""
     model, history = train(demos, TrainConfig(learning_rate=1e-3, iterations=iterations, batch=batch, seed=7))
-    return model, _digest([*model.weights, *model.biases, model.input_mean, model.input_std, history])
+    groups = [(f"{prefix}/model", _digest([*model.weights, *model.biases, model.input_mean, model.input_std])),
+              (f"{prefix}/history", _digest([history]))]
+    return model, groups
 
 
 def _model_groups(n: int, horizon: int, iterations: int):
@@ -200,12 +203,12 @@ def _model_groups(n: int, horizon: int, iterations: int):
                "full-batch": None, "batch-above-P": 2 * P}
     models = {}
     for label, batch in batches.items():
-        models[label], digest = _trained(demos, batch, iterations)
-        yield f"train/{label}", digest
+        models[label], groups = _trained(f"train/{label}", demos, batch, iterations)
+        yield from groups
     pendulum = pendulum_env()
     pendulum_demos = generate_demos(pendulum, default_expert(pendulum), n, horizon, seed=42)
     for label, batch in (("batch-64", 64), ("full-batch", None)):
-        yield f"train/pendulum/{label}", _trained(pendulum_demos, batch, iterations)[1]
+        yield from _trained(f"train/pendulum/{label}", pendulum_demos, batch, iterations)[1]
     controller = models["batch-64"]
     kodex = fit(demos, LiftingSpec("kodex-polynomial", env.layout))
     yield from _closed_loop_groups("closed-loop", kodex, controller, env, n, horizon)
