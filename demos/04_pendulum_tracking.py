@@ -45,7 +45,7 @@ assert np.max(errs) < 1e-10
 # ----------------------------------------------------------------------
 config = TrainConfig(learning_rate=1e-3, iterations=500, batch=256, seed=0)
 controller, history = train(demos, config)
-print(f"training loss: {history[0]:.3e} -> {history[-1]:.3e}")
+print(f"training loss, first -> last iteration: {history[0]:.3e} -> {history[-1]:.3e}")
 
 # ----------------------------------------------------------------------
 # Closed-loop tracking from initial conditions the expert never saw

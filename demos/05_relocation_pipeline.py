@@ -50,7 +50,7 @@ model = fit(demos, LiftingSpec("kodex-polynomial", env.layout))
 print(f"operator: p={model.K.shape[0]} rank={model.fit_meta.rank} pairs={model.fit_meta.n_pairs}")
 
 controller, history = train(demos, TrainConfig(learning_rate=1e-3, iterations=500, batch=256, seed=7))
-print(f"training loss: {history[0]:.3e} -> {history[-1]:.3e}")
+print(f"training loss, first -> last iteration: {history[0]:.3e} -> {history[-1]:.3e}")
 
 # ----------------------------------------------------------------------
 # Closed-loop evaluation on 100 held-out initial conditions

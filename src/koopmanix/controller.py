@@ -21,13 +21,10 @@ from .statespace import DemonstrationSet, StateLayout, _adopt, _array, _count, _
 
 STD_FLOOR = 1e-8  # clamp for per-dimension input std
 
-# most rows per block of a loss pass, which bounds the pass's workspace: each
-# layer's output, the error and each bias tiled to the block.  At pointmass
-# 100 x 100, 512 rows measured a traced peak of 1.72 MB for train at batch 256
-# and 1.10 MB for loss, against 2.03 and 1.42 MB at 1,024 rows and 2.70 and
-# 2.09 MB at 2,048; a history pass over the 9,900 pairs took 1.09-1.15 ms
-# against 0.99-1.04 at 1,024 and 1.00-1.09 at 2,048 (medians of 300 passes,
-# interleaved in one process, 3 processes, on 2 cores)
+# most rows per block of `loss`, which bounds its workspace: each layer's
+# output and the error for one block.  At pointmass 100 x 100, 512 rows
+# measured a traced peak of 0.96 MB for loss, against 1.13 MB at 1,024 rows
+# and 1.48 MB at 2,048
 LOSS_BLOCK_ROWS = 512
 
 
@@ -202,7 +199,7 @@ class _Workspace:
         self.layers = _bind(weights, biases, self.acts)
         self.err = np.empty((rows, widths[-1]))
         if backward:
-            self.row = np.empty(rows)  # 2 w in backprop
+            self.row = np.empty(rows)  # 2 w in backprop, then the rows' loss terms
             self.deltas = [np.empty((rows, k)) for k in widths]
             self.masks = [np.empty((rows, k), dtype=bool) for k in widths[:-1]]
             self.Z = np.empty((rows, weights[0].shape[1]))
@@ -248,8 +245,15 @@ def _forward(layers, Z, out=None) -> np.ndarray:
     return H
 
 
-def _loss_pass(weights, biases, Z, tau, w):
-    """A function that returns sum_k w_k |net(Z_k) - tau_k|^2 under the current weights.
+def _weighted_terms(err, w, out) -> np.ndarray:
+    """out = w * sum(err * err, axis=1), the per-row loss terms; err is squared in place."""
+    np.multiply(err, err, out=err)
+    np.add.reduce(err, axis=1, out=out)
+    return np.multiply(w, out, out=out)
+
+
+def _loss(weights, biases, Z, tau, w) -> float:
+    """sum_k w_k |net(Z_k) - tau_k|^2.
 
     The rows run through one forward-only workspace in near-equal blocks of
     at most LOSS_BLOCK_ROWS and at least 2 rows, each block writing its
@@ -259,35 +263,18 @@ def _loss_pass(weights, biases, Z, tau, w):
     BLAS rounds its rows as in a larger product: a lone row runs as gemv,
     and at inner width 48 OpenBLAS takes another kernel for blocks under
     ~50 rows, so no block is a short remainder.  A block one row shorter
-    uses the workspace's leading rows.  Each call first tiles every bias
-    into a buffer of the block's shape, so a block adds a same-shaped tile,
-    not a broadcast row; the sums are the same.  Blocks are bound once
-    here; the weights and biases may be updated in place between calls.
+    uses the workspace's leading rows.
     """
     P = Z.shape[0]
     count = max(min(-(-P // LOSS_BLOCK_ROWS), P // 2), 1)
     bounds = [P * k // count for k in range(count + 1)]
-    rows = -(-P // count)
-    ws = _Workspace(weights, biases, rows, backward=False)
-    tiles = [np.empty((rows, b.shape[0])) for b in biases]
+    ws = _Workspace(weights, biases, -(-P // count), backward=False)
     terms = np.empty(P)
-    blocks = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         part = ws.head(hi - lo)
-        layers = _bind(weights, [tile[: hi - lo] for tile in tiles], part.acts)
-        blocks.append((layers, part.err, Z[lo:hi], tau[lo:hi], w[lo:hi], terms[lo:hi]))
-
-    def value() -> float:
-        for b, tile in zip(biases, tiles):
-            np.copyto(tile, b)
-        for layers, err, Zb, taub, wb, row in blocks:
-            np.subtract(_forward(layers, Zb), taub, out=err)
-            np.multiply(err, err, out=err)
-            np.add.reduce(err, axis=1, out=row)
-            np.multiply(wb, row, out=row)
-        return float(np.add.reduce(terms))
-
-    return value
+        np.subtract(_forward(part.layers, Z[lo:hi]), tau[lo:hi], out=part.err)
+        _weighted_terms(part.err, w[lo:hi], terms[lo:hi])
+    return float(np.add.reduce(terms))
 
 
 def _backprop(weights, Z, acts, tau, w, gWs, gbs, ws: _Workspace) -> None:
@@ -397,7 +384,7 @@ def tracking_torque(model: ControllerModel, ref: np.ndarray, layout: StateLayout
 def loss(model: ControllerModel, triples: TrainingTriples) -> float:
     """Weighted mean squared torque error over the triples, standardized in place in one copy."""
     Z = _inputs(model, triples.x_now, triples.x_next)
-    return _loss_pass(model.weights, model.biases, Z, triples.tau, triples.weights)()
+    return _loss(model.weights, model.biases, Z, triples.tau, triples.weights)
 
 
 def train(
@@ -406,26 +393,27 @@ def train(
 ) -> tuple[ControllerModel, np.ndarray]:
     """Train a controller on demonstration transitions.
 
-    Returns the model and the per-iteration loss history: history[it] is the
-    full-batch training loss before iteration it, so history[0] equals
-    `loss` of the initial model; it comes from a forward-only pass.  One
-    iteration is a seeded-shuffle sweep of minibatch steps over the P
-    triples, each gathering its slice of the permutation into the step
-    workspace.  A full batch is one minibatch of all pairs: batch=None, or
-    a batch of P or more, makes one step of all P rows per iteration, in
-    shuffled order.  The inputs, torques and weights are built once from
-    the demos, and the inputs standardized in place.  All weights and
-    biases live in one flat float64 vector; the per-layer arrays are shaped
-    views into it, gradients land in a matching flat buffer, and Adam
-    updates the vector in place.  Every buffer a pass writes is allocated
-    once per call and reused by every iteration.  The history pass streams
-    the rows through one workspace of at most LOSS_BLOCK_ROWS rows, so past
-    that fixed block and the step workspace of min(batch, P) rows, `train` holds
-    2n + a + 3 eight-byte words per pair: the standardized inputs, torques
-    and weights, the per-row loss terms and the permutation.  The step
-    workspace holds its rows' layer outputs, deltas and masks and their
-    gathered inputs, torques and weights, so at a full batch it grows with
-    P too.  Identical inputs give bit-identical weights.
+    Returns the model and the per-iteration loss history, read off the
+    steps: history[it] sums, over iteration it's steps, each minibatch's
+    weight mass times its loss under the weights the step starts from.  At
+    a full batch that is the loss before iteration it, so history[0] is
+    `loss` of the initial model up to rounding.  A step whose loss is not
+    finite raises before its update.  One iteration is a seeded-shuffle
+    sweep of minibatch steps over the P triples, each gathering its slice of
+    the permutation into the step workspace.  A full batch is one minibatch
+    of all pairs: batch=None, or a batch of P or more, makes one step of all
+    P rows per iteration, in shuffled order.  The inputs, torques and
+    weights are built once from the demos, and the inputs standardized in
+    place.  All weights and biases live in one flat float64 vector; the
+    per-layer arrays are shaped views into it, gradients land in a matching
+    flat buffer, and Adam updates the vector in place.  Every buffer a step
+    writes is allocated once per call and reused by every iteration.  Past
+    the step workspace of min(batch, P) rows, `train` holds 2n + a + 2
+    eight-byte words per pair: the standardized inputs, torques and weights
+    and the permutation.  The step workspace holds its rows' layer outputs,
+    deltas and masks and their gathered inputs, torques and weights, so at a
+    full batch it grows with P too.  Identical inputs give bit-identical
+    weights.
     """
     Z, tau, w = _pairs(demos)
     P = len(w)
@@ -464,28 +452,30 @@ def train(
         np.subtract(theta, np.divide(np.multiply(s1, lr, out=s1), s2, out=s1), out=theta)
 
     B = P if config.batch is None else min(config.batch, P)
-    history_pass = _loss_pass(weights, biases, Z, tau, w)
     part = _Workspace(weights, biases, B, backward=True)
     tail = part.head(P % B)  # the shorter last minibatch
 
     history = np.empty(config.iterations)
     for it in range(config.iterations):
-        value = history_pass()
-        history[it] = value
-        if not np.isfinite(value):
-            raise ValueError(f"non-finite training loss at iteration {it}")
+        total = 0.0
         perm = shuffle_rng.permutation(P)
-        for lo in range(0, P, B):
+        for k, lo in enumerate(range(0, P, B)):
             idx = perm[lo : lo + B]
             ws = part if len(idx) == B else tail
             # mode="clip" skips the bounds-check buffer; perm is always in range
             Z.take(idx, axis=0, out=ws.Z, mode="clip")
             tau.take(idx, axis=0, out=ws.tau, mode="clip")
             w.take(idx, out=ws.w, mode="clip")
-            ws.w /= np.add.reduce(ws.w)
+            mass = np.add.reduce(ws.w)
+            ws.w /= mass
             _forward(ws.layers, ws.Z)
             _backprop(weights, ws.Z, ws.acts, ws.tau, ws.w, gWs, gbs, ws)
+            value = np.add.reduce(_weighted_terms(ws.err, ws.w, ws.row))
+            if not np.isfinite(value):
+                raise ValueError(f"non-finite training loss at iteration {it}, step {k}")
+            total += mass * value
             apply()
+        history[it] = total
 
     logger.info(
         "train: pairs=%d batch=%s updates=%d loss_first=%.6g loss_last=%.6g",
@@ -516,7 +506,7 @@ def gradient_check(model: ControllerModel, triple, epsilon: float = 1e-5) -> flo
     ws = _Workspace(weights, biases, 1, backward=True)
     _forward(ws.layers, Z)
     _backprop(weights, Z, ws.acts, tau, one, *_flat_views(model.layer_sizes, grad), ws)
-    probe = _loss_pass(weights, biases, Z, tau, one)
+    probe = partial(_loss, weights, biases, Z, tau, one)
 
     worst = 0.0
     for k in range(theta.size):

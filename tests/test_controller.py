@@ -230,7 +230,7 @@ def test_loss_standardizes_one_copy_in_place():
     Z = np.concatenate([triples.x_now, triples.x_next], axis=1)
     model = replace(init(env.layout, seed=7), input_mean=Z.mean(axis=0), input_std=Z.std(axis=0))
     standardized = (Z - model.input_mean) / model.input_std
-    want = controller._loss_pass(model.weights, model.biases, standardized, triples.tau, triples.weights)()
+    want = controller._loss(model.weights, model.biases, standardized, triples.tau, triples.weights)
     del Z, standardized
     tracemalloc.start()
     try:
@@ -374,6 +374,8 @@ def test_train_config_takes_numpy_integers():
 
 
 def test_history_starts_at_initial_loss():
+    # at a full batch, history[k] is the loss before iteration k, the loss of
+    # the model k iterations train; the step reads it with normalized weights
     demos = _walk_demos(4, n_traj=2, horizon=21)
     cfg = TrainConfig(learning_rate=1e-4, iterations=5, batch=None, seed=11)
     _, history = train(demos, cfg)
@@ -389,7 +391,9 @@ def test_history_starts_at_initial_loss():
         input_mean=inputs.mean(axis=0),
         input_std=np.maximum(inputs.std(axis=0), 1e-8),
     )
-    assert history[0] == loss(model0, triples)
+    models = [model0] + [train(demos, replace(cfg, iterations=k))[0] for k in range(1, 5)]
+    for k, model in enumerate(models):
+        assert history[k] == pytest.approx(loss(model, triples), rel=1e-12, abs=0)
 
 
 def test_train_is_deterministic():
@@ -446,8 +450,9 @@ def test_train_names_the_invalid_demo_step():
 def _reference_train(demos, config):
     """The per-array trainer the flat-vector `train` replaced, kept as an oracle.
 
-    Each iteration runs a full-batch forward and backward pass for the history
-    entry, then per-array Adam updates, exactly as before the rewrite.
+    Each step runs a forward and backward pass over its minibatch and a
+    per-array Adam update, exactly as before the rewrite; history[it] sums
+    each step's minibatch weight mass times its loss.
     """
 
     def net_forward(weights, biases, Z):
@@ -504,15 +509,17 @@ def _reference_train(demos, config):
     P = triples.count
     history = np.empty(config.iterations)
     for it in range(config.iterations):
-        value, dWs, dbs = grads(weights, biases, Z, tau, w)
-        history[it] = value
+        total = 0.0
         B = P if config.batch is None else config.batch
         perm = shuffle_rng.permutation(P)
         for lo in range(0, P, B):
             idx = perm[lo : lo + B]
             wb = w[idx]
-            _, dWs, dbs = grads(weights, biases, Z[idx], tau[idx], wb / wb.sum())
+            mass = wb.sum()
+            value, dWs, dbs = grads(weights, biases, Z[idx], tau[idx], wb / mass)
+            total += mass * value
             apply(dWs, dbs)
+        history[it] = total
     return weights, biases, history
 
 
@@ -559,35 +566,21 @@ def test_train_is_bit_identical_to_the_per_array_loop(kind, config):
 
 
 
-# ---- the blocked loss pass ----
+# ---- the blocked loss ----
 
 
-@pytest.mark.parametrize("kind, config", _pin_cases({
-    "adam-minibatch": TrainConfig(learning_rate=1e-3, iterations=12, batch=50, seed=7),
-    "adam-batch-1": TrainConfig(learning_rate=1e-3, iterations=12, batch=1, seed=7),
-    "adam-full": TrainConfig(learning_rate=1e-3, iterations=12, batch=None, seed=7),
-}))
-def test_blocked_history_is_bit_identical_to_the_per_array_loop(kind, config, monkeypatch):
+@pytest.mark.parametrize("kind", ["pointmass", "pendulum", "linear-12"])
+def test_blocked_loss_is_bit_identical_to_one_block(kind, monkeypatch):
     # P = 174 runs as five blocks of 34 or 35 rows.  At inner width 48 OpenBLAS
     # rounds a block under ~50 rows unlike a larger product, so linear-12 runs
     # as two blocks of 87, where a block of 130 and a last block of 44 break it
-    monkeypatch.setattr(controller, "LOSS_BLOCK_ROWS", 130 if kind == "linear-12" else 37)
-    _assert_bit_identical_to_the_reference(_pin_demos(kind), config)
-
-
-def test_blocked_history_starts_at_the_initial_loss(monkeypatch):
-    monkeypatch.setattr(controller, "LOSS_BLOCK_ROWS", 37)
-    demos = _pin_demos()
-    config = TrainConfig(learning_rate=1e-3, iterations=2, batch=50, seed=7)
-    _, history = train(demos, config)
+    demos = _pin_demos(kind)
+    model, _ = train(demos, TrainConfig(learning_rate=1e-3, iterations=2, batch=50, seed=7))
     triples = supervision(demos)
-    inputs = np.concatenate([triples.x_now, triples.x_next], axis=1)
-    model0 = replace(
-        init(demos.layout, config.seed),
-        input_mean=inputs.mean(axis=0),
-        input_std=np.maximum(inputs.std(axis=0), controller.STD_FLOOR),
-    )
-    assert history[0] == loss(model0, triples)
+    monkeypatch.setattr(controller, "LOSS_BLOCK_ROWS", triples.count)
+    whole = loss(model, triples)
+    monkeypatch.setattr(controller, "LOSS_BLOCK_ROWS", 130 if kind == "linear-12" else 37)
+    assert loss(model, triples).hex() == whole.hex()
 
 
 def test_a_one_row_remainder_joins_the_block_before_it(monkeypatch):
@@ -606,16 +599,17 @@ def test_a_one_row_remainder_joins_the_block_before_it(monkeypatch):
 
 
 @pytest.mark.parametrize("batch", [50, None], ids=["minibatch", "full-batch"])
-def test_non_finite_loss_stops_training_before_that_iterations_updates(batch, monkeypatch):
-    # one Adam step of size ~1e300 makes the next history pass overflow
+def test_non_finite_loss_stops_training_before_that_steps_update(batch, monkeypatch):
+    # one Adam step of size ~1e300 makes the next step's loss overflow
     calls = []
     backprop = controller._backprop
     monkeypatch.setattr(controller, "_backprop", lambda *args: calls.append(1) or backprop(*args))
     config = TrainConfig(learning_rate=1e300, iterations=3, batch=batch, seed=7)
+    where = "iteration 0, step 1" if batch else "iteration 1, step 0"
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="^non-finite training loss at iteration 1$"):
+        with pytest.raises(ValueError, match=f"^non-finite training loss at {where}$"):
             train(_pin_demos(), config)
-    assert len(calls) == (4 if batch else 1)  # iteration 0's steps only: 174 pairs in batches of 50
+    assert len(calls) == 2  # the finite step, then the one that raises
 
 
 def test_a_batch_of_the_pair_count_or_more_is_the_full_batch(monkeypatch):
@@ -635,14 +629,13 @@ def test_a_batch_of_the_pair_count_or_more_is_the_full_batch(monkeypatch):
             assert np.array_equal(_bits(got), _bits(want))
 
 
-def test_train_memory_is_bounded_per_pair_plus_one_block():
+def test_train_memory_is_bounded_per_pair():
     env = pointmass_env()
     demos = generate_demos(env, default_expert(env), 100, 100, seed=42)
     n, a = env.layout.n, env.layout.a
     P = supervision(demos).count
-    per_pair = 8 * (2 * n + a + 3)  # inputs, torques, weights, loss terms, permutation
-    per_block_row = 8 * (20 * n + 3 * a)  # every layer's output, the error and each bias tile
-    bound = per_pair * P + per_block_row * controller.LOSS_BLOCK_ROWS + 2**20  # + the step workspace, temporaries
+    per_pair = 8 * (2 * n + a + 2)  # inputs, torques, weights, permutation
+    bound = per_pair * P + 2**20  # + the step workspace, temporaries
     tracemalloc.start()
     try:
         train(demos, TrainConfig(learning_rate=1e-3, iterations=1, batch=256, seed=7))
