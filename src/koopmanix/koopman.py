@@ -224,7 +224,7 @@ def _non_finite_reference(model: KoopmanModel, step: int, horizon: int) -> Value
     rho = float(np.max(np.abs(np.linalg.eigvals(model.K))))
     return ValueError(
         f"non-finite reference state at step {step} of {horizon} "
-        f"(spectral radius of K {rho:.6g} {'>' if rho > 1 else '<='} 1)"
+        f"(spectral radius of K {rho!r} {'>' if rho > 1 else '<='} 1)"
     )
 
 

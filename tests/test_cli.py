@@ -546,7 +546,7 @@ def test_failed_simulate_leaves_no_out_dir(tmp_path, capsys):
         "--out-dir", str(tmp_path / "out"),
     ]) == 1
     assert capsys.readouterr().err == (
-        "error: invalid: non-finite reference state at step 1026 of 3000 (spectral radius of K 2 > 1)\n")
+        "error: invalid: non-finite reference state at step 1026 of 3000 (spectral radius of K 2.0 > 1)\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -642,7 +642,7 @@ def test_overflow_is_one_error_line(tmp_path, capsys):
     assert main(["rollout", "--model", str(tmp_path / "model.json"), "--demos", str(tmp_path / "ok" / "manifest.json"),
                  "--horizon", "400", "--out-dir", str(tmp_path / "r")]) == 1
     assert capsys.readouterr().err == (
-        "error: invalid: non-finite reference state at step 310 of 400 (spectral radius of K 10 > 1)\n")
+        "error: invalid: non-finite reference state at step 310 of 400 (spectral radius of K 10.0 > 1)\n")
 
 
 def test_non_integer_layout_size_is_a_persist_error(tmp_path, capsys):

@@ -421,7 +421,7 @@ def test_overflow_raises_without_a_floating_point_warning():
     with pytest.raises(ValueError, match="lifted values overflow in trajectory 0"):
         fit(_demos_nd(layout, [[[1e200], [1.0]]]), spec)
     model = KoopmanModel(10.0 * np.eye(3), spec, layout)
-    with pytest.raises(ValueError, match=r"at step 310 of 400 \(spectral radius of K 10 > 1\)$"):
+    with pytest.raises(ValueError, match=r"at step 310 of 400 \(spectral radius of K 10\.0 > 1\)$"):
         rollout(model, CompositeState([1.0], []), 400)
 
 
@@ -438,5 +438,14 @@ def test_rollout_overflow_quotes_the_spectral_radius():
     layout = StateLayout(n=2, m=0, a=1)
     model = KoopmanModel(2.0 * np.eye(2), LiftingSpec("identity", layout), layout)
     with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match=r"at step 1025 of 2000 \(spectral radius of K 2 > 1\)$"):
+        with pytest.raises(ValueError, match=r"at step 1025 of 2000 \(spectral radius of K 2\.0 > 1\)$"):
             rollout(model, CompositeState([1.0, -1.0], []), 2000)
+
+
+def test_the_quoted_spectral_radius_agrees_with_its_comparison():
+    # a radius of 1 + 1e-9 read as "1 > 1" at six significant digits
+    layout = StateLayout(n=2, m=0, a=1)
+    model = KoopmanModel(np.diag([1 + 1e-9, 0.5]), LiftingSpec("identity", layout), layout)
+    start = CompositeState([np.finfo(float).max, 1.0], [])
+    with pytest.raises(ValueError, match=r"at step 2 of 50 \(spectral radius of K 1\.000000001 > 1\)$"):
+        rollout(model, start, 50)
