@@ -495,6 +495,9 @@ def gradient_check(model: ControllerModel, triple, epsilon: float = 1e-5) -> flo
     epsilon = _real("epsilon", epsilon)
     if not (1e-7 <= epsilon <= 1e-4):
         raise ValueError(f"epsilon must lie in [1e-7, 1e-4], got {epsilon}")
+    triple = _items("triple", triple, 3)
+    if len(triple) != 3:
+        raise ValueError(f"triple must hold 3 entries (x_now, x_next, tau), got {len(triple)}")
     x_now, x_next, tau = triple
     Z = _transition(model, x_now, x_next)
     tau = _array("tau", tau, (model.layer_sizes[-1],))[None]

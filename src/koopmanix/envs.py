@@ -659,7 +659,7 @@ def perfect_tracker(spec: EnvSpec) -> Callable[[np.ndarray, np.ndarray], np.ndar
 
 def perturb_params(spec: EnvSpec, variation: str) -> EnvSpec:
     """Scale a mass by the named ratio (applying twice compounds)."""
-    if variation not in VARIATIONS:
+    if not isinstance(variation, str) or variation not in VARIATIONS:
         raise ValueError(f"unknown variation {variation!r}, expected one of {tuple(VARIATIONS)}")
     if spec.kind != "pointmass-relocation":
         raise ValueError(f"variations target the pointmass kind, not {spec.kind!r}")

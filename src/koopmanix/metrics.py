@@ -88,6 +88,7 @@ def evaluate_success(traj: Trajectory, criterion: SuccessCriterion) -> SuccessRe
 def outcome_summary(results: Sequence[SuccessResult], criterion: SuccessCriterion) -> str:
     """One line on a batch: the success count and, over the failed runs, the
     range of satisfied steps and of `closest`, each against its threshold."""
+    results = _items("results", results, of=SuccessResult)
     failed = [r for r in results if not r.success]
     text = f"{len(results) - len(failed)}/{len(results)} succeeded"
     if not failed:
@@ -103,7 +104,6 @@ def outcome_summary(results: Sequence[SuccessResult], criterion: SuccessCriterio
 
 def success_rate(trajectories: Sequence[Trajectory], criterion: SuccessCriterion) -> float:
     """Percentage of trajectories that satisfy the criterion."""
-    if len(trajectories) == 0:
-        raise ValueError("success_rate needs at least one trajectory")
+    trajectories = _items("trajectories", trajectories, 1, Trajectory)
     wins = sum(evaluate_success(t, criterion).success for t in trajectories)
     return 100.0 * wins / len(trajectories)

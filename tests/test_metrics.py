@@ -153,7 +153,7 @@ def test_success_rate_percentage():
     bad = _object_traj([[1.0]])
     assert success_rate([good, good, bad], crit) == pytest.approx(200.0 / 3.0)
     assert success_rate([bad], crit) == 0.0
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ValueError, match="^trajectories must hold at least 1 entry, got 0$"):
         success_rate([], crit)
 
 

@@ -24,13 +24,16 @@ from koopmanix import (
     imitation_error,
     lift_matrix,
     load_demos,
+    perturb_params,
     save_demos,
+    success_rate,
     validate,
 )
 from koopmanix.controller import forward, init as controller_init
 from koopmanix.envs import (default_expert, generate_demos, linear_env, pendulum_env, perfect_tracker, pointmass_env,
                             reset, step)
 from koopmanix.koopman import solve_koopman
+from koopmanix.metrics import outcome_summary
 from koopmanix.cli import _load_config
 from koopmanix.statespace import _array, _items, _keys
 
@@ -105,6 +108,7 @@ def _config(tmp_path, counts):
 
 _LAYOUT = StateLayout(n=1, m=0, a=1)
 _STATE = CompositeState([0.0], [])
+_CRITERION = SuccessCriterion("terminal-distance", 0.1, extractor=(0,))
 
 # owner -> build(tmp_path, value), which hands value to the owner's sequence field
 SEQUENCE_OWNERS = {
@@ -163,6 +167,19 @@ def test_every_sequence_owner_words_the_sequence_rule(tmp_path, owner, value, me
     with pytest.raises(ValueError) as exc:
         SEQUENCE_OWNERS[owner](tmp_path, value)
     assert str(exc.value) == message.format(tmp_path=tmp_path)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: success_rate("abc", _CRITERION), "trajectories must be a list or tuple, got 'abc'"),
+    (lambda: outcome_summary(5, _CRITERION), "results must be a list or tuple, got 5"),
+    (lambda: gradient_check(NET, 5), "triple must be a list or tuple, got 5"),
+    (lambda: gradient_check(NET, ([0.0], [0.0], [0.0], [0.0])), "triple must hold 3 entries (x_now, x_next, tau), got 4"),
+    (lambda: perturb_params(pointmass_env(), ["heavy-hand"]), "unknown variation ['heavy-hand'], expected one of"),
+], ids=["success_rate", "outcome_summary", "gradient_check", "gradient_check-4-entries", "perturb_params"])
+def test_value_arguments_raise_value_errors(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value).startswith(message)
 
 
 def test_array_rule_returns_a_read_only_copy_or_names_the_fault():
