@@ -614,6 +614,21 @@ def test_non_finite_loss_stops_training_before_that_steps_update(batch, monkeypa
     assert len(calls) == 2  # the finite step, then the one that raises
 
 
+@pytest.mark.parametrize("batch", [50, None], ids=["minibatch", "full-batch"])
+def test_train_runs_one_forward_pass_per_step_and_no_loss_pass(batch, monkeypatch):
+    # history is read off the steps: 174 pairs make 4 steps of at most 50, or 1
+    def no_loss(*args):
+        raise AssertionError("train ran the blocked loss")
+
+    calls = []
+    forward_pass = controller._forward
+    monkeypatch.setattr(controller, "_loss", no_loss)
+    monkeypatch.setattr(controller, "_forward", lambda *args: calls.append(1) or forward_pass(*args))
+    _, history = train(_pin_demos(), TrainConfig(learning_rate=1e-3, iterations=3, batch=batch, seed=7))
+    assert len(calls) == 3 * (4 if batch else 1)
+    assert np.isfinite(history).all()
+
+
 def test_a_batch_of_the_pair_count_or_more_is_the_full_batch(monkeypatch):
     # a full batch is one minibatch of all P = 174 pairs: one update per iteration
     calls = []
